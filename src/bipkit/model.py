@@ -321,10 +321,6 @@ class PortInstance:
 Interaction = frozenset
 
 
-def format_interaction(interaction: Iterable[PortInstance]) -> str:
-    return "{" + " ".join(str(p) for p in sorted(interaction)) + "}"
-
-
 @dataclass(frozen=True)
 class Connector:
     """A flat connector: a set of port instances with their typings."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from bipkit import bundled_model_path, load_bundled_model, replay_validate
 from bipkit.cli import main
 from bipkit.dsl import serialize_model
@@ -356,6 +358,36 @@ def test_run_with_event_script(tmp_path):
     trace = json.loads(out.read_text())
     internals = [r for c in trace["cycles"] for r in c["internal"]]
     assert {"instance": "Route#1", "from": "wait", "to": "done"} in internals
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"events": [{"event": "end"}]}, 'cycles[1].events[0]: missing "target"'),
+        ({"events": [{"target": "Route#1"}]}, 'cycles[1].events[0]: missing "event"'),
+        ({"guards": [{"guard": "finished", "value": True}]},
+         'cycles[1].guards[0]: missing "target"'),
+        ({"guards": [{"target": "Route#1", "value": True}]},
+         'cycles[1].guards[0]: missing "guard"'),
+        ({"guards": [{"target": "Route#1", "guard": "finished"}]},
+         'cycles[1].guards[0]: missing "value"'),
+        ({"events": [{"target": 1, "event": "end"}]},
+         "cycles[1].events[0].target: expected a string, got 1"),
+        ({"guards": [{"target": "Route#1", "guard": "finished", "value": "yes"}]},
+         'cycles[1].guards[0].value: expected true or false, got "yes"'),
+        ({"events": {"target": "Route#1", "event": "end"}}, "cycles[1].events: expected a list"),
+        ({"guards": ["Route#1"]}, "cycles[1].guards[0]: expected an object"),
+    ],
+)
+def test_run_rejects_malformed_event_script(tmp_path, capsys, entry, message):
+    script = tmp_path / "bad.json"
+    script.write_text(json.dumps({"schema": 1, "cycles": [{}, entry]}))
+    out = tmp_path / "t.json"
+    code = main(["run", model_path("switchable_routes.bip"), "--bind", "n=2", "--cycles", "3",
+                 "--events", str(script), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
 
 
 def test_run_source_macros(tmp_path):

@@ -5,10 +5,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bipkit import bundled_model_path
 from bipkit.dsl import parse_model
 from bipkit.engine import (
     DIAGRAM_SOURCE,
+    POLICIES,
+    CompiledSystem,
     EngineConfig,
     EventScript,
     LEXICOGRAPHIC_FIRST,
@@ -20,6 +25,7 @@ from bipkit.engine import (
     enabled_ports,
     init_state,
     instance_id,
+    interaction_sort_key,
     replay_validate,
     run,
     step_cycle,
@@ -332,3 +338,64 @@ def test_engine_config_bounds():
 
 def test_instance_id_round_trip():
     assert instance_id("Route", 2) == "Route#2"
+
+
+@pytest.fixture(scope="module")
+def guarded_routes():
+    """Switchable routes whose enforceable transitions read the guard, so
+    guard writes change the enabled ports."""
+    text = bundled_model_path("switchable_routes.bip").read_text(encoding="utf-8")
+    text = text.replace("on: off -> on", "on: off -> on [!finished]")
+    text = text.replace("finished: done -> off", "finished: done -> off [finished]")
+    return parse_model(text)
+
+
+@st.composite
+def engine_runs(draw):
+    """A model, binding, run configuration, script and initial guards."""
+    model = draw(st.sampled_from(["routes", "guarded_routes", "mutex"]))
+    n = draw(st.integers(1, 6))
+    config = EngineConfig(
+        cycles=draw(st.integers(1, 30)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        policy=draw(st.sampled_from(POLICIES)),
+    )
+    script, initial_guards = EventScript(), None
+    if model != "mutex":
+        route = st.integers(1, n).map(lambda i: f"Route#{i}")
+        entry = st.builds(
+            lambda ends, writes: ScriptEntry(
+                events=tuple((r, "end") for r in ends),
+                guards=tuple((r, "finished", v) for r, v in writes),
+            ),
+            st.lists(route, max_size=3),
+            st.lists(st.tuples(route, st.booleans()), max_size=3),
+        )
+        script = EventScript(tuple(draw(st.lists(entry, max_size=config.cycles))))
+        initial_guards = draw(
+            st.dictionaries(route, st.fixed_dictionaries({"finished": st.booleans()}))
+        )
+    return model, {"n": n}, config, script, initial_guards
+
+
+@given(engine_runs())
+@settings(max_examples=100, deadline=None)
+def test_incremental_cycles_match_fresh_compilation(routes, guarded_routes, mutex, case):
+    """run keeps one compiled system across cycles; step_cycle compiles afresh
+    from the current state every cycle.  Both give the same records, and the
+    incrementally maintained enabled set is the from-scratch one."""
+    model, binding, config, script, initial_guards = case
+    d = {"routes": routes, "guarded_routes": guarded_routes, "mutex": mutex}[model]
+    trace = run(d, binding, config, script=script, initial_guards=initial_guards)
+
+    allowed = compute_allowed(d, binding)
+    fresh_state, fresh_rng = init_state(d, binding, initial_guards), SplitMix64(config.seed)
+    state, rng = init_state(d, binding, initial_guards), SplitMix64(config.seed)
+    system = CompiledSystem(state, d, [interaction_sort_key(a) for a in allowed])
+    for index in range(config.cycles):
+        entry = script.entries[index] if index < len(script.entries) else None
+        fresh = step_cycle(fresh_state, d, entry, allowed, fresh_rng, config.policy, index)
+        assert fresh.to_dict() == trace["cycles"][index]
+        assert system.step(entry, rng, config.policy, index) == fresh
+        assert state == fresh_state
+        assert system.enabled_ports() == enabled_ports(state, d)

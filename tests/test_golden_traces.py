@@ -1,9 +1,8 @@
-"""Golden traces: SHA-256 digests of trace JSON pinned across engine changes.
+"""Golden traces: SHA-256 digests of trace JSON, pinned across engine changes.
 
-The digests were captured from the reference per-cycle engine before it was
-replaced by the compiled one; any change to the determinism contract (sorted
-feasible list, splitmix64 pick by next() % n, sub-step order, record layout)
-shows up here as a digest mismatch.
+Any change to the determinism contract (sorted feasible list, splitmix64
+pick by next() % n, sub-step order, record layout) shows up here as a digest
+mismatch, so a faster engine must reproduce these traces byte for byte.
 """
 
 from __future__ import annotations

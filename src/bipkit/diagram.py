@@ -235,7 +235,8 @@ def enumerate_configurations(
         visited += 1
         if visited > max_nodes:
             raise CapacityError(
-                f"configuration search exceeded {max_nodes} nodes for motif {motif.name}"
+                f"configuration search exceeded {max_nodes} nodes for motif {motif.name}; "
+                "raise the bound with max_nodes (BIPKIT_MAX_NODES for the command line)"
             )
         if len(chosen) == size:
             if all(v == 0 for v in need.values()):

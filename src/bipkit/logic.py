@@ -23,11 +23,23 @@ An accept rule bounds the interaction: every instance of a port type outside
 the accepted set is excluded whenever the effect port participates (for the
 effect's own port type, other instances are excluded, never the effect
 itself).
+
+Two functions compute the allowed set of a rule set.  The runtime path,
+:func:`allowed_interactions`, solves the rules by instance symmetry: the
+rules compare instances only by (in)equality, so the allowed set is closed
+under permuting the instances of a type, and it suffices to count how many
+instances carry each set of rule ports (Emerson & Sistla, *Symmetry and
+model checking*, 1996).  Its cost grows with the number of allowed
+interactions, not with the number of port subsets.  The specification,
+:func:`allowed_interactions_spec`, expands every rule to FOIL, grounds it
+and enumerates the subset lattice of a capped port universe; tests compare
+the two.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -147,7 +159,10 @@ def satisfying_interactions(
     """
     ports = sorted(set(universe))
     if len(ports) > max_ports:
-        raise CapacityError(f"universe of {len(ports)} ports exceeds the bound of {max_ports}")
+        raise CapacityError(
+            f"universe of {len(ports)} ports exceeds the bound of {max_ports}; "
+            "pass a larger max_ports to raise it"
+        )
     stray = formula.port_instances() - set(ports)
     if stray:
         raise LogicDomainError(
@@ -489,7 +504,7 @@ def rule_port_types(
     return frozenset(refs)
 
 
-def allowed_interactions(
+def allowed_interactions_spec(
     requires: Sequence[RequireRule],
     accepts: Sequence[AcceptRule],
     instances: Mapping[str, int],
@@ -498,9 +513,12 @@ def allowed_interactions(
 ) -> frozenset[Interaction]:
     """Interactions satisfying the conjunction of all expanded rules.
 
-    The universe defaults to every instance of every port type mentioned in
-    some rule; rules were built from the connector motifs, so this matches
-    the ports a diagram can ever involve in an interaction.
+    The executable specification of :func:`allowed_interactions`: it grounds
+    the FOIL expansion and enumerates the subset lattice, so the universe is
+    capped at ``max_ports`` ports.  The universe defaults to every instance
+    of every port type mentioned in some rule; rules were built from the
+    connector motifs, so this matches the ports a diagram can ever involve
+    in an interaction.
     """
     types = rule_port_types(requires, accepts)
     if universe is None:
@@ -513,3 +531,149 @@ def allowed_interactions(
     formulas.extend(expand_accept(rule, types) for rule in accepts)
     grounded = instantiate_foil(f_big_and(formulas), instances)
     return satisfying_interactions(grounded, universe, max_ports=max_ports)
+
+
+# ---- orbit solver -----------------------------------------------------------
+
+# A count constraint is a tuple of alternatives, one of which must hold; an
+# alternative is a tuple of (port-type index, low, high) bounds on how many
+# instances carry that port type.  No alternatives: never satisfiable.
+_Constraint = tuple[tuple[tuple[int, int, float], ...], ...]
+
+
+def _constraints(
+    signature: tuple[PortTypeRef, ...],
+    rules: Mapping[PortTypeRef, list[RequireRule]],
+    forbidden: Mapping[PortTypeRef, set[PortTypeRef]],
+    index: Mapping[PortTypeRef, int],
+) -> list[_Constraint]:
+    """What each instance carrying exactly ``signature`` demands of the counts.
+
+    Counts include the instance itself, so a requirement on a port type the
+    instance carries is raised by one: ``T.p Require T.q`` on an instance
+    carrying p and q needs two q carriers in all.
+    """
+    out: list[_Constraint] = []
+    for effect in signature:
+        for rule in rules.get(effect, ()):
+            alternatives = []
+            for option in rule.options:
+                need = [(index[q], k + (q in signature)) for q, k in option.ports]
+                alternatives.append(tuple((i, n, n if option.exact else math.inf) for i, n in need))
+            out.append(tuple(alternatives))
+        if effect in forbidden:
+            out.append((tuple((index[r], 0, int(r == effect)) for r in sorted(forbidden[effect])),))
+    return out
+
+
+def _dead(constraint: _Constraint, counts: Sequence[int]) -> bool:
+    """Whether every alternative is over-counted, which more instances never repair."""
+    return all(any(counts[i] > high for i, _, high in alt) for alt in constraint)
+
+
+def _holds(constraint: _Constraint, counts: Sequence[int]) -> bool:
+    return any(all(low <= counts[i] <= high for i, low, high in alt) for alt in constraint)
+
+
+def allowed_interactions(
+    requires: Sequence[RequireRule],
+    accepts: Sequence[AcceptRule],
+    instances: Mapping[str, int],
+) -> frozenset[Interaction]:
+    """Interactions satisfying every Require and Accept rule.
+
+    Equal to :func:`allowed_interactions_spec` but solved by instance
+    symmetry: the rules compare instances only by (in)equality, so whether an
+    interaction is allowed depends only on how many instances of each type
+    carry each signature (the non-empty set of rule port types an instance
+    contributes).  Such count vectors (orbits) are enumerated depth first,
+    pruned on over-counts that more instances never repair, checked once,
+    and each accepted orbit is expanded into its interactions.
+    """
+    refs = sorted(rule_port_types(requires, accepts))
+    index = {ref: i for i, ref in enumerate(refs)}
+    rules: dict[PortTypeRef, list[RequireRule]] = {}
+    for rule in requires:
+        rules.setdefault(rule.effect, []).append(rule)
+    forbidden: dict[PortTypeRef, set[PortTypeRef]] = {}
+    for rule in accepts:
+        forbidden.setdefault(rule.effect, set()).update(set(refs) - rule.accepted)
+
+    slots = []  # (signature, its port-type indices, its constraints)
+    for _, group in itertools.groupby(refs, key=lambda ref: ref.component_type):
+        ports = list(group)
+        for size in range(1, len(ports) + 1):
+            for signature in itertools.combinations(ports, size):
+                cons = _constraints(signature, rules, forbidden, index)
+                alone = [int(ref in signature) for ref in refs]
+                if not any(_dead(c, alone) for c in cons):
+                    slots.append((signature, [index[q] for q in signature], cons))
+
+    left = {ctype: instances.get(ctype, 0) for ctype in {ref.component_type for ref in refs}}
+    counts = [0] * len(refs)
+    orbit: list[tuple[tuple[PortTypeRef, ...], int]] = []
+    active: list[_Constraint] = []
+    result: set[Interaction] = set()
+
+    def visit(start: int) -> None:
+        # Each call is one orbit; the slots it may still add follow the last
+        # one added, so the recursion is as deep as the orbit has signatures.
+        if orbit and all(_holds(c, counts) for c in active):
+            result.update(orbit_interactions(orbit, instances))
+        for i in range(start, len(slots)):
+            signature, ports, cons = slots[i]
+            ctype = signature[0].component_type
+            orbit.append((signature, 0))
+            active.extend(cons)
+            k = 0
+            while left[ctype]:
+                k += 1
+                left[ctype] -= 1
+                for q in ports:
+                    counts[q] += 1
+                orbit[-1] = (signature, k)
+                if any(_dead(c, counts) for c in active):
+                    break
+                visit(i + 1)
+            left[ctype] += k
+            for q in ports:
+                counts[q] -= k
+            del active[len(active) - len(cons):]
+            orbit.pop()
+
+    visit(0)
+    return frozenset(result)
+
+
+def orbit_interactions(
+    orbit: Sequence[tuple[tuple[PortTypeRef, ...], int]], instances: Mapping[str, int]
+) -> list[Interaction]:
+    """Every interaction of one orbit, each exactly once.
+
+    ``orbit`` lists (signature, count) pairs: that many distinct instances of
+    the signature's component type carry exactly its port types.  Each
+    signature takes its instance indices from those the earlier signatures
+    of its type left free, so the list has the multinomial length.
+    """
+    by_type: dict[str, list[tuple[tuple[PortTypeRef, ...], int]]] = {}
+    for signature, k in orbit:
+        by_type.setdefault(signature[0].component_type, []).append((signature, k))
+    placements = [
+        list(_placements(parts, range(1, instances.get(ctype, 0) + 1)))
+        for ctype, parts in by_type.items()
+    ]
+    return [
+        frozenset(itertools.chain.from_iterable(pick)) for pick in itertools.product(*placements)
+    ]
+
+
+def _placements(parts, free):
+    (signature, k), rest = parts[0], parts[1:]
+    for chosen in itertools.combinations(free, k):
+        here = tuple(PortInstance(q.component_type, i, q.port) for i in chosen for q in signature)
+        if not rest:
+            yield here
+            continue
+        taken = set(chosen)
+        for tail in _placements(rest, [i for i in free if i not in taken]):
+            yield here + tail

@@ -14,11 +14,8 @@ from bipkit.model import (
     ArchitectureDiagram,
     CardExpr,
     ComponentType,
-    ConnectorMotif,
     Interaction,
-    MotifEnd,
     PortInstance,
-    PortTypeRef,
     SYNCHRON,
     TRIGGER,
 )
@@ -48,11 +45,15 @@ def subsets(universe: Sequence[PortInstance], include_empty: bool = False):
             yield frozenset(combo)
 
 
-def macro_interactions(d: ArchitectureDiagram, binding) -> frozenset[Interaction]:
-    """The macro-derived allowed set: encode, expand, enumerate."""
+def macro_interactions(
+    d: ArchitectureDiagram, binding, solve=allowed_interactions
+) -> frozenset[Interaction]:
+    """The macro-derived allowed set: encode, then solve the rules (by
+    default with the orbit solver; pass ``allowed_interactions_spec`` for
+    the FOIL-grounded set)."""
     spec = encode_macros(d)
     counts = dg.instance_counts(d, binding)
-    return allowed_interactions(spec.requires, spec.accepts, counts)
+    return solve(spec.requires, spec.accepts, counts)
 
 
 def loop_type(name: str, ports: Sequence[str], cardinality: CardExpr) -> ComponentType:
@@ -69,28 +70,6 @@ def loop_type(name: str, ports: Sequence[str], cardinality: CardExpr) -> Compone
             Transition(kind=ENFORCEABLE, label=p, source="s", destination="s")
             for p in sorted(ports)
         ),
-    )
-
-
-def motif_diagram(
-    specs: Sequence[tuple[int, int, int]], typings: Sequence[str]
-) -> ArchitectureDiagram:
-    """Single-motif diagram over fresh types A, B with one port each."""
-    names_ = ["A", "B"][: len(specs)]
-    types = tuple(loop_type(n, ["p"], CardExpr.lit(spec[0])) for n, spec in zip(names_, specs))
-    ends = tuple(
-        MotifEnd(
-            port=PortTypeRef(name, "p"),
-            multiplicity=CardExpr.lit(m),
-            degree=CardExpr.lit(deg),
-            typing=typing,
-        )
-        for name, (n, m, deg), typing in zip(names_, specs, typings)
-    )
-    return ArchitectureDiagram(
-        name="generated",
-        component_types=types,
-        motifs=(ConnectorMotif(name="only", ends=ends),),
     )
 
 
@@ -144,4 +123,4 @@ def random_encodable_diagram(
         specs.append((n, m, deg))
     if not in_encoder_envelope(specs, typings):
         return None
-    return motif_diagram(specs, typings)
+    return dg.single_motif_diagram(specs, typings)

@@ -160,7 +160,9 @@ def test_instantiate_capacity(monkeypatch, capsys):
     monkeypatch.setenv("BIPKIT_MAX_NODES", "3")
     code = main(["instantiate", model_path("ambiguous_pairing.bip"), "--bind", "n=2"])
     assert code == 3
-    assert "exceeded" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "exceeded" in err
+    assert "BIPKIT_MAX_NODES" in err
 
 
 def test_bad_max_nodes(monkeypatch, capsys):
@@ -403,6 +405,16 @@ def test_run_source_macros(tmp_path):
         "--seed",
         "5",
     ]
+    assert main(base + ["--source", "diagram", "--out", str(out_d)]) == 0
+    assert main(base + ["--source", "macros", "--out", str(out_m)]) == 0
+    assert out_d.read_bytes() == out_m.read_bytes()
+
+
+def test_run_source_macros_beyond_the_subset_cap(tmp_path):
+    """Routes at n=7 has 23 rule ports, past the FOIL enumeration's cap of 20."""
+    out_d, out_m = tmp_path / "d.json", tmp_path / "m.json"
+    base = ["run", model_path("switchable_routes.bip"), "--bind", "n=7", "--cycles", "50",
+            "--seed", "3"]
     assert main(base + ["--source", "diagram", "--out", str(out_d)]) == 0
     assert main(base + ["--source", "macros", "--out", str(out_m)]) == 0
     assert out_d.read_bytes() == out_m.read_bytes()

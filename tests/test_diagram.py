@@ -9,12 +9,12 @@ import pytest
 from bipkit import diagram as dg
 from bipkit.errors import CapacityError, EncodabilityError
 from bipkit.model import Configuration, Connector, SYNCHRON, TRIGGER
-from helpers import motif_diagram, pi, ports_only
+from helpers import pi, ports_only
 
 
 def pairing(degree: int):
     """Two types, two instances each, one-to-one ends with the given degree."""
-    return motif_diagram([(2, 1, degree), (2, 1, degree)], [SYNCHRON, SYNCHRON])
+    return dg.single_motif_diagram([(2, 1, degree), (2, 1, degree)], [SYNCHRON, SYNCHRON])
 
 
 def connector_names(configuration) -> set[str]:
@@ -31,11 +31,11 @@ def test_matching_factor_goldens():
         assert dg.matching_factor(d2, end, {}) == 4
 
     # multiplicity n with degree 1 gives factor exactly 1
-    d3 = motif_diagram([(3, 3, 1)], [SYNCHRON])
+    d3 = dg.single_motif_diagram([(3, 3, 1)], [SYNCHRON])
     assert dg.matching_factor(d3, d3.motifs[0].ends[0], {}) == 1
 
     # factors are exact rationals, never floats
-    d4 = motif_diagram([(3, 2, 1)], [SYNCHRON])
+    d4 = dg.single_motif_diagram([(3, 2, 1)], [SYNCHRON])
     assert dg.matching_factor(d4, d4.motifs[0].ends[0], {}) == Fraction(3, 2)
 
 
@@ -43,10 +43,10 @@ def test_max_connectors():
     d = pairing(degree=1)
     assert dg.max_connectors(d, d.motifs[0], {}) == 4  # C(2,1) * C(2,1)
 
-    single = motif_diagram([(3, 3, 1)], [SYNCHRON])
+    single = dg.single_motif_diagram([(3, 3, 1)], [SYNCHRON])
     assert dg.max_connectors(single, single.motifs[0], {}) == 1
 
-    oversized = motif_diagram([(2, 3, 1)], [SYNCHRON])
+    oversized = dg.single_motif_diagram([(2, 3, 1)], [SYNCHRON])
     assert dg.max_connectors(oversized, oversized.motifs[0], {}) == 0
 
 
@@ -89,7 +89,7 @@ def test_enumerate_complete_pairing(complete_pairing):
 
 
 def test_enumerate_mismatched_factors_is_empty():
-    d = motif_diagram([(2, 1, 1), (3, 1, 1)], [SYNCHRON, SYNCHRON])
+    d = dg.single_motif_diagram([(2, 1, 1), (3, 1, 1)], [SYNCHRON, SYNCHRON])
     result = dg.enumerate_configurations(d, d.motifs[0], {})
     assert result.configurations == ()
 

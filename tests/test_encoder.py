@@ -25,7 +25,6 @@ from helpers import (
     in_encoder_envelope,
     iter_typed_motif_space,
     macro_interactions,
-    motif_diagram,
     random_encodable_diagram,
 )
 
@@ -271,7 +270,7 @@ def test_equivalence_exhaustive_inside_envelope():
     the encoder envelope has macro semantics equal to diagram semantics."""
     checked = 0
     for specs, typings in iter_typed_motif_space(3):
-        d = motif_diagram(specs, typings)
+        d = dg.single_motif_diagram(specs, typings)
         if not dg.check_encodable(d, {}).overall:
             continue
         if not in_encoder_envelope(specs, typings):
@@ -286,11 +285,11 @@ def test_known_gaps_outside_envelope():
     multiplicity 2 yields pair interactions in the diagram but lone ports in
     the macros; a trigger motif with a strictly partial multi-unit end cannot
     bound participation."""
-    singleton = motif_diagram([(2, 2, 1)], [SYNCHRON])
+    singleton = dg.single_motif_diagram([(2, 2, 1)], [SYNCHRON])
     assert dg.check_encodable(singleton, {}).overall
     assert not equivalence_holds(singleton, {})
 
-    partial = motif_diagram([(3, 2, 2), (1, 1, 3)], [SYNCHRON, TRIGGER])
+    partial = dg.single_motif_diagram([(3, 2, 2), (1, 1, 3)], [SYNCHRON, TRIGGER])
     assert dg.check_encodable(partial, {}).overall
     assert not equivalence_holds(partial, {})
 

@@ -8,11 +8,13 @@ sets never depend on the formula machinery they check.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipkit import diagram as dg
 from bipkit.errors import CapacityError, LogicDomainError
 from bipkit.logic import (
     AcceptRule,
@@ -27,6 +29,7 @@ from bipkit.logic import (
     RequireRule,
     VarConstraint,
     allowed_interactions,
+    allowed_interactions_spec,
     big_and,
     big_or,
     eval_pil,
@@ -36,13 +39,22 @@ from bipkit.logic import (
     f_and,
     forall,
     instantiate_foil,
+    orbit_interactions,
     p_and,
     p_false,
     rule_port_types,
     satisfying_interactions,
 )
 from bipkit.model import PortTypeRef
-from helpers import pi, ports_only, subsets
+from helpers import (
+    in_encoder_envelope,
+    iter_typed_motif_space,
+    macro_interactions,
+    pi,
+    ports_only,
+    random_encodable_diagram,
+    subsets,
+)
 
 P = pi("C", 1, "p")
 Q1, Q2, Q3 = (pi("S", i, "q") for i in (1, 2, 3))
@@ -93,7 +105,7 @@ def test_satisfying_true_and_conjunction():
 
 def test_satisfying_capacity_bound():
     universe = [pi("T", i, "x") for i in range(1, 22)]
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="max_ports"):
         satisfying_interactions(PTrue(), universe)
 
 
@@ -398,7 +410,7 @@ def test_fanin_macro_semantics():
 
 def test_vacuous_rules_allow_every_nonempty_subset():
     x = pi("T", 1, "x")
-    allowed = allowed_interactions([], [], {"T": 1}, universe=[x])
+    allowed = allowed_interactions_spec([], [], {"T": 1}, universe=[x])
     assert allowed == frozenset({frozenset({x})})
 
 
@@ -411,3 +423,109 @@ def test_rule_port_types_collects_all_mentions():
 def test_require_option_normalizes_duplicate_refs():
     option = RequireOption(ports=((T2q, 1), (T2q, 1)))
     assert option.ports == ((T2q, 2),)
+
+
+# ---- orbit solver against the FOIL specification -------------------------------
+
+T1q = PortTypeRef("T1", "q")
+RULE_PORTS = [T1p, T1q, T2q, T2r]
+
+
+@st.composite
+def require_options(draw):
+    kind = draw(st.sampled_from(["dash", "exact", "trigger"]))
+    if kind == "dash":
+        return RequireOption.dash()
+    ports = draw(st.lists(
+        st.tuples(st.sampled_from(RULE_PORTS), st.integers(1, 2)), min_size=1, max_size=2
+    ))
+    return RequireOption(ports=tuple(ports), exact=kind == "exact")
+
+
+@st.composite
+def rule_sets(draw):
+    """Arbitrary Require/Accept rules over two types of two ports each: no
+    options, dash, exact and trigger options, counts on the effect's own
+    type, dash and partial accepts, repeated rules for one effect."""
+    requires = draw(st.lists(st.builds(
+        RequireRule,
+        effect=st.sampled_from(RULE_PORTS),
+        options=st.lists(require_options(), max_size=2).map(tuple),
+    ), max_size=4))
+    accepts = draw(st.lists(st.builds(
+        AcceptRule,
+        effect=st.sampled_from(RULE_PORTS),
+        accepted=st.frozensets(st.sampled_from(RULE_PORTS)),
+    ), max_size=3))
+    instances = {"T1": draw(st.integers(0, 3)), "T2": draw(st.integers(0, 3))}
+    return requires, accepts, instances
+
+
+@given(rule_sets())
+@settings(max_examples=300, deadline=None)
+def test_orbit_solver_equals_foil_spec_on_arbitrary_rules(rules):
+    requires, accepts, instances = rules
+    assert allowed_interactions(requires, accepts, instances) == allowed_interactions_spec(
+        requires, accepts, instances
+    )
+
+
+@pytest.mark.parametrize("requires, accepts, instances", [
+    # T1.p Require T1.q T1.q: two q's besides the effect's own
+    ([RequireRule(T1p, (RequireOption.counted({T1q: 2}),))], [], {"T1": 3}),
+    ([RequireRule(T1p, (RequireOption.counted({T1p: 1, T2q: 2}),)),
+      RequireRule(T2q, (RequireOption.trigger(T1p), RequireOption.counted({T2r: 1})))],
+     [AcceptRule(T1p, frozenset({T2q})), AcceptRule(T2q, frozenset({T1p, T2q}))],
+     {"T1": 3, "T2": 3}),
+    ([RequireRule(T1p, ())], [AcceptRule(T2q, frozenset())], {"T1": 2, "T2": 2}),
+    ([RequireRule(T1p, (RequireOption.counted({T2q: 1}),))],
+     [AcceptRule(T1p, frozenset({T2q}))], {"T1": 2, "T2": 0}),
+    # ten ports on one type: 1,023 signatures, every subset allowed
+    ([RequireRule(PortTypeRef("T1", f"p{i}"), (RequireOption.dash(),)) for i in range(10)],
+     [], {"T1": 1}),
+])
+def test_orbit_solver_equals_foil_spec_on_named_cases(requires, accepts, instances):
+    assert allowed_interactions(requires, accepts, instances) == allowed_interactions_spec(
+        requires, accepts, instances
+    )
+
+
+def test_orbit_solver_equals_foil_spec_on_encoded_diagrams(
+    star, routes, mutex, broadcast_pair, complete_pairing
+):
+    """The criterion-5 bundled list and random draws, and the criterion-7
+    envelope shapes."""
+    diagrams = [
+        (star, {"n": 3}), (broadcast_pair, {"n1": 1, "n2": 2}), (complete_pairing, {"n": 2}),
+        (routes, {"n": 2}), (routes, {"n": 3}), (mutex, {"n": 2}), (mutex, {"n": 3}),
+    ]
+    rng = random.Random(0xB1BC0DE)
+    while len(diagrams) < 107:
+        d = random_encodable_diagram(rng)
+        if d is not None:
+            diagrams.append((d, {}))
+    for specs, typings in iter_typed_motif_space(3):
+        d = dg.single_motif_diagram(specs, typings)
+        if in_encoder_envelope(specs, typings) and dg.check_encodable(d, {}).overall:
+            diagrams.append((d, {}))
+    assert len(diagrams) > 207
+    for d, binding in diagrams:
+        assert macro_interactions(d, binding) == macro_interactions(
+            d, binding, allowed_interactions_spec
+        ), (d, binding)
+
+
+@pytest.mark.parametrize("model, n", [("routes", 7), ("routes", 200), ("mutex", 200)])
+def test_orbit_solver_beyond_the_subset_cap(request, model, n):
+    d = request.getfixturevalue(model)
+    assert macro_interactions(d, {"n": n}) == dg.diagram_interactions(d, {"n": n})
+
+
+def test_orbit_expansion_yields_each_interaction_once():
+    """Repeated signatures over six instances: 6! / (2! 2! 1! 1!) placements
+    of T1, times C(6, 3) trigger fan-ins of T2 q's."""
+    orbit = [((T1p,), 2), ((T1q,), 2), ((T1p, T1q), 1), ((T2q,), 3)]
+    got = orbit_interactions(orbit, {"T1": 6, "T2": 6})
+    assert len(got) == len(set(got)) == math.factorial(6) // 4 * math.comb(6, 3)
+    for interaction in got:
+        assert len(interaction) == 2 + 2 + 2 + 3

@@ -46,6 +46,23 @@ class UsageError(Exception):
     pass
 
 
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse ``type=`` for integers in [low, high]; a bad value ends in
+    a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low or (high is not None and value > high):
+            span = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{value} is not {span}")
+        return value
+
+    return parse
+
+
 def _max_nodes() -> int:
     raw = os.environ.get("BIPKIT_MAX_NODES")
     if raw is None:
@@ -345,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inst = sub.add_parser("instantiate", help="enumerate the configurations of a diagram")
     add_common(p_inst)
-    p_inst.add_argument("--limit", type=int, default=100, help="stop after this many (default 100)")
+    p_inst.add_argument(
+        "--limit", type=_int_in(1), default=100, help="stop after this many (default 100)"
+    )
     p_inst.add_argument("--json", action="store_true", help="machine-readable output")
     p_inst.set_defaults(func=cmd_instantiate)
 
@@ -358,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an instantiated system, writing a JSON trace")
     add_common(p_run)
-    p_run.add_argument("--cycles", type=int, required=True)
+    p_run.add_argument(
+        "--cycles", type=_int_in(0, engine_mod.DEFAULT_MAX_CYCLES), required=True
+    )
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--events", help="event script JSON")
     p_run.add_argument(

@@ -230,45 +230,51 @@ def enumerate_configurations(
     visited = 0
 
     def dfs(idx: int) -> bool:
-        """Include-first DFS; returns False once the limit stops enumeration."""
+        """Include-first DFS from pool[idx]; returns False once the limit
+        stops enumeration.  Including a connector recurses; passing over one
+        moves on in the loop, so recursion is as deep as the chosen list."""
         nonlocal visited, truncated
-        visited += 1
-        if visited > max_nodes:
-            raise CapacityError(
-                f"configuration search exceeded {max_nodes} nodes for motif {motif.name}; "
-                "raise the bound with max_nodes (BIPKIT_MAX_NODES for the command line)"
-            )
-        if len(chosen) == size:
-            if all(v == 0 for v in need.values()):
-                found.append(frozenset(chosen))
-                if limit is not None and len(found) >= limit:
-                    truncated = True
-                    return False
-            return True
-        if size - len(chosen) > len(pool) - idx:
-            return True
-        # No instance may need more connectors than remain in pool[idx:].
-        if any(need[pi] > avail[pi] for pi in need):
-            return True
-
-        members = membership[idx]
-        for pi in members:
-            avail[pi] -= 1
+        start = idx
         try:
-            if all(need[pi] > 0 for pi in members):
+            while True:
+                visited += 1
+                if visited > max_nodes:
+                    raise CapacityError(
+                        f"configuration search exceeded {max_nodes} nodes for motif {motif.name}; "
+                        "raise the bound with max_nodes (BIPKIT_MAX_NODES for the command line)"
+                    )
+                if len(chosen) == size:
+                    if all(v == 0 for v in need.values()):
+                        found.append(frozenset(chosen))
+                        if limit is not None and len(found) >= limit:
+                            truncated = True
+                            return False
+                    return True
+                if size - len(chosen) > len(pool) - idx:
+                    return True
+                # No instance may need more connectors than remain in pool[idx:].
+                if any(need[pi] > avail[pi] for pi in need):
+                    return True
+
+                members = membership[idx]
                 for pi in members:
-                    need[pi] -= 1
-                chosen.append(pool[idx])
-                ok = dfs(idx + 1)
-                chosen.pop()
-                for pi in members:
-                    need[pi] += 1
-                if not ok:
-                    return False
-            return dfs(idx + 1)
+                    avail[pi] -= 1
+                idx += 1
+                if all(need[pi] > 0 for pi in members):
+                    for pi in members:
+                        need[pi] -= 1
+                    chosen.append(pool[idx - 1])
+                    ok = dfs(idx)
+                    chosen.pop()
+                    for pi in members:
+                        need[pi] += 1
+                    if not ok:
+                        return False
         finally:
-            for pi in members:
-                avail[pi] += 1
+            # Give back the connectors this frame passed over.
+            for members in membership[start:idx]:
+                for pi in members:
+                    avail[pi] += 1
 
     if pool and 0 < size <= len(pool):
         dfs(0)

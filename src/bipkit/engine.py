@@ -16,12 +16,15 @@ byte-identical trace JSON: the only randomness is an explicitly specified
 64-bit generator seeded from the run configuration.
 
 A run compiles the instantiated system once (:class:`CompiledSystem`):
-instances in canonical order, per-(type, state) transition tables, the
-allowed interactions as port indices with an inverted index from each port
-to the interactions using it, and a count of missing ports per interaction.
-The enabled ports are then maintained incrementally: only instances touched
-by a guard update, a consumed event, a firing or an internal step are
-recomputed, so a cycle costs what changed rather than the system size.
+instances in canonical order, per-type transition tables keyed by (kind,
+state, label), the allowed interactions sorted into canonical order as port
+indices with an inverted index from each port to the interactions using it,
+and a count of missing ports per interaction.  The enabled ports are then
+maintained incrementally: only instances touched by a guard update, a
+consumed event, a firing or an internal step are recomputed, so a cycle
+costs what changed rather than the system size.  Each step returns the
+cycle's trace record; :func:`replay_validate` checks those records against
+the same transition tables, one lookup per record.
 
 The determinism contract does not depend on that bookkeeping.  The feasible
 candidates are the allowed interactions in canonical sorted order;
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from . import diagram as diagram_mod
 from .encoder import encode_macros
@@ -88,19 +91,21 @@ class EngineConfig:
     cycles: int
     seed: int = 0
     policy: str = UNIFORM_RANDOM
-    max_cycles: int = DEFAULT_MAX_CYCLES
 
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        if not 0 <= self.cycles <= self.max_cycles:
-            raise ValueError(f"cycles must lie in [0, {self.max_cycles}]")
+        if not 0 <= self.cycles <= DEFAULT_MAX_CYCLES:
+            raise ValueError(f"cycles must lie in [0, {DEFAULT_MAX_CYCLES}]")
 
 
 @dataclass(frozen=True)
 class ScriptEntry:
     events: tuple[tuple[str, str], ...] = ()  # (instance id, event)
     guards: tuple[tuple[str, str, bool], ...] = ()  # (instance id, guard, value)
+
+
+_NO_SCRIPT = ScriptEntry()
 
 
 @dataclass(frozen=True)
@@ -183,10 +188,6 @@ class InstanceState:
     queue: list[str] = field(default_factory=list)
     guards: dict[str, bool] = field(default_factory=dict)
 
-    @property
-    def instance_id(self) -> str:
-        return f"{self.type_name}#{self.index}"
-
 
 @dataclass
 class SystemState:
@@ -198,9 +199,6 @@ class SystemState:
     """
 
     instances: dict[str, InstanceState]
-
-    def ordered(self) -> list[InstanceState]:
-        return list(self.instances.values())
 
 
 def instance_id(type_name: str, index: int) -> str:
@@ -243,7 +241,7 @@ def _guard_true(tr: Transition, guards: Mapping[str, bool]) -> bool:
 def enabled_ports(state: SystemState, d: ArchitectureDiagram) -> frozenset[PortInstance]:
     """Port instances whose enforceable transition is ready to fire."""
     enabled = set()
-    for inst in state.ordered():
+    for inst in state.instances.values():
         ct = d.component_type(inst.type_name)
         for tr in ct.transitions:
             if tr.kind == ENFORCEABLE and tr.source == inst.current and _guard_true(tr, inst.guards):
@@ -259,13 +257,22 @@ def interaction_sort_key(interaction: Interaction) -> tuple[tuple[str, int, str]
 
 @dataclass(frozen=True)
 class _Transitions:
-    """One component type's transitions by source state, split by kind, each
-    list in declaration order: the first enabled entry is the one that fires."""
+    """One component type's transitions, each list in declaration order: the
+    first enabled entry is the one that fires.  Internal transitions are
+    listed under the label ""."""
 
     enforceable: dict[str, list[Transition]]  # state -> transitions
     labeled: dict[tuple[str, str, str], list[Transition]]  # (kind, state, label) -> transitions
-    internal: dict[str, list[Transition]]  # state -> transitions
     budget: int  # internal firings allowed per instance and cycle: |states|
+
+    def first_enabled(
+        self, kind: str, inst: InstanceState, label: str = ""
+    ) -> Optional[Transition]:
+        """The transition of this kind and label that fires from inst's state."""
+        for tr in self.labeled.get((kind, inst.current, label), ()):
+            if _guard_true(tr, inst.guards):
+                return tr
+        return None
 
 
 def _transition_tables(d: ArchitectureDiagram) -> dict[str, _Transitions]:
@@ -273,43 +280,13 @@ def _transition_tables(d: ArchitectureDiagram) -> dict[str, _Transitions]:
     for ct in d.component_types:
         enforceable: dict = {}
         labeled: dict = {}
-        internal: dict = {}
         for tr in ct.transitions:
-            if tr.kind == INTERNAL:
-                internal.setdefault(tr.source, []).append(tr)
-                continue
-            labeled.setdefault((tr.kind, tr.source, tr.label), []).append(tr)
+            label = "" if tr.kind == INTERNAL else tr.label
+            labeled.setdefault((tr.kind, tr.source, label), []).append(tr)
             if tr.kind == ENFORCEABLE:
                 enforceable.setdefault(tr.source, []).append(tr)
-        tables[ct.name] = _Transitions(enforceable, labeled, internal, len(ct.states))
+        tables[ct.name] = _Transitions(enforceable, labeled, len(ct.states))
     return tables
-
-
-def _first_enabled(
-    transitions: Iterable[Transition], guards: Mapping[str, bool]
-) -> Optional[Transition]:
-    for tr in transitions:
-        if _guard_true(tr, guards):
-            return tr
-    return None
-
-
-@dataclass(frozen=True)
-class TraceCycle:
-    cycle: int
-    spontaneous: tuple[dict, ...]
-    interaction: Optional[tuple[dict, ...]]
-    internal: tuple[dict, ...]
-    idle: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "cycle": self.cycle,
-            "spontaneous": list(self.spontaneous),
-            "interaction": list(self.interaction) if self.interaction is not None else None,
-            "internal": list(self.internal),
-            "idle": self.idle,
-        }
 
 
 class CompiledSystem:
@@ -317,10 +294,11 @@ class CompiledSystem:
 
     Instances are numbered in canonical order and each port instance that
     occurs in an allowed interaction gets an integer id.  Every allowed
-    interaction whose ports belong to distinct instances is kept, in the
-    given order, as a tuple of port ids; each port lists the interactions
-    using it, and each interaction counts its ports that are not enabled.
-    The interactions with no missing port form the feasible set.
+    interaction whose ports belong to distinct instances is kept, in
+    canonical order (by :func:`interaction_sort_key`), as a tuple of port
+    ids; each port lists the interactions using it, and each interaction
+    counts its ports that are not enabled.  The interactions with no missing
+    port form the feasible set.
 
     :meth:`step` mutates the instances of the compiled ``state`` in place;
     the enabled ports, missing counts and feasible set are recomputed only
@@ -328,15 +306,8 @@ class CompiledSystem:
     truth: after changing it from outside, compile it again.
     """
 
-    def __init__(
-        self,
-        state: SystemState,
-        d: ArchitectureDiagram,
-        allowed_keys: Iterable[tuple[tuple[str, int, str], ...]],
-    ):
-        """``allowed_keys`` are the allowed interactions as their
-        :func:`interaction_sort_key`, in canonical order."""
-        instances = state.ordered()
+    def __init__(self, state: SystemState, d: ArchitectureDiagram, allowed: Iterable[Interaction]):
+        instances = list(state.instances.values())
         tables = _transition_tables(d)
         self.instances = instances
         self.ids = list(state.instances)
@@ -349,7 +320,7 @@ class CompiledSystem:
         ports: list[tuple[int, str]] = []  # id -> (instance, label)
         users: list[list[int]] = []  # id -> interactions using the port
         interactions: list[tuple[int, ...]] = []  # port ids in sorted port order
-        for key in allowed_keys:
+        for key in sorted(map(interaction_sort_key, allowed)):
             pids = []
             previous = None
             for type_name, index, label in key:
@@ -379,12 +350,10 @@ class CompiledSystem:
         for i in range(len(instances)):
             self._refresh(i)
         self.queued = {i for i, inst in enumerate(instances) if inst.queue}
-        # Instances that may have an enabled internal transition.  After
-        # sub-step (d) every instance sits at its fixpoint, so only those
-        # touched since need another look.
-        self.touched = {
-            i for i, inst in enumerate(instances) if inst.current in self.tables[i].internal
-        }
+        # Instances that may have an enabled internal transition: at first
+        # all of them.  After sub-step (d) every instance sits at its
+        # fixpoint, so only those touched since need another look.
+        self.touched = set(range(len(instances)))
 
     def enabled_ports(self) -> frozenset[PortInstance]:
         """The maintained enabled set; between steps it equals
@@ -435,9 +404,9 @@ class CompiledSystem:
         rng: SplitMix64,
         policy: str,
         cycle_index: int = 0,
-    ) -> TraceCycle:
-        """Run one engine cycle and return its record."""
-        entry = entry or ScriptEntry()
+    ) -> dict:
+        """Run one engine cycle and return its trace record."""
+        entry = entry or _NO_SCRIPT
         instances, ids, tables = self.instances, self.ids, self.tables
 
         # (a) guard updates
@@ -465,8 +434,7 @@ class CompiledSystem:
         for i in sorted(self.queued):
             inst = instances[i]
             head = inst.queue[0]
-            key = (SPONTANEOUS, inst.current, head)
-            tr = _first_enabled(tables[i].labeled.get(key, ()), inst.guards)
+            tr = tables[i].first_enabled(SPONTANEOUS, inst, head)
             if tr is None:
                 continue
             inst.queue.pop(0)
@@ -478,7 +446,7 @@ class CompiledSystem:
             self._move(i, tr)
 
         # (c) one enforceable interaction, picked among the feasible ones
-        interaction_record = None
+        fired = None
         if self.ready:
             if policy == LEXICOGRAPHIC_FIRST:
                 choice = min(self.ready)
@@ -489,8 +457,7 @@ class CompiledSystem:
             for pid in self.interactions[choice]:
                 i, label = self.ports[pid]
                 inst = instances[i]
-                key = (ENFORCEABLE, inst.current, label)
-                tr = _first_enabled(tables[i].labeled.get(key, ()), inst.guards)
+                tr = tables[i].first_enabled(ENFORCEABLE, inst, label)
                 if tr is None:
                     port = PortInstance(inst.type_name, inst.index, label)
                     raise BipError(f"port {port} was enabled but lost its transition")
@@ -498,7 +465,6 @@ class CompiledSystem:
                     {"instance": ids[i], "port": label, "from": tr.source, "to": tr.destination}
                 )
                 self._move(i, tr)
-            interaction_record = tuple(fired)
 
         # (d) internal transitions, eagerly, bounded per instance by |states|
         internal = []
@@ -506,7 +472,7 @@ class CompiledSystem:
             inst, table = instances[i], tables[i]
             count = 0
             while True:
-                tr = _first_enabled(table.internal.get(inst.current, ()), inst.guards)
+                tr = table.first_enabled(INTERNAL, inst)
                 if tr is None:
                     break
                 if count >= table.budget:
@@ -516,53 +482,42 @@ class CompiledSystem:
                 count += 1
         self.touched.clear()
 
-        idle = not spontaneous and interaction_record is None and not internal
-        return TraceCycle(
-            cycle=cycle_index,
-            spontaneous=tuple(spontaneous),
-            interaction=interaction_record,
-            internal=tuple(internal),
-            idle=idle,
-        )
+        return {
+            "cycle": cycle_index,
+            "spontaneous": spontaneous,
+            "interaction": fired,
+            "internal": internal,
+            "idle": not spontaneous and fired is None and not internal,
+        }
 
 
 def step_cycle(
     state: SystemState,
     d: ArchitectureDiagram,
     entry: Optional[ScriptEntry],
-    allowed_sorted: Sequence[Interaction],
+    allowed: Iterable[Interaction],
     rng: SplitMix64,
     policy: str,
     cycle_index: int = 0,
-) -> TraceCycle:
-    """Run one engine cycle, mutating ``state`` and returning its record.
+) -> dict:
+    """Run one engine cycle, mutating ``state`` and returning its trace record.
 
     Compiles the system from ``state`` and takes one step of it, which is
     exactly what each cycle of :func:`run` does on its compiled system.
     """
-    keys = [interaction_sort_key(a) for a in allowed_sorted]
-    return CompiledSystem(state, d, keys).step(entry, rng, policy, cycle_index)
+    return CompiledSystem(state, d, allowed).step(entry, rng, policy, cycle_index)
 
 
 def _allowed_set(
     d: ArchitectureDiagram, binding: diagram_mod.Binding, source: str
 ) -> frozenset[Interaction]:
-    counts = diagram_mod.instance_counts(d, binding)
     if source == DIAGRAM_SOURCE:
-        allowed = diagram_mod.diagram_interactions(d, binding)
-    elif source == MACRO_SOURCE:
+        return diagram_mod.diagram_interactions(d, binding)
+    if source == MACRO_SOURCE:
+        counts = diagram_mod.instance_counts(d, binding)
         spec = encode_macros(d)
-        allowed = allowed_interactions(spec.requires, spec.accepts, counts)
-    else:
-        raise ValueError(f"unknown interaction source {source!r}")
-    return allowed
-
-
-def compute_allowed(
-    d: ArchitectureDiagram, binding: diagram_mod.Binding, source: str = DIAGRAM_SOURCE
-) -> list[Interaction]:
-    """The allowed interaction set, sorted canonically, from either source."""
-    return sorted(_allowed_set(d, binding, source), key=interaction_sort_key)
+        return allowed_interactions(spec.requires, spec.accepts, counts)
+    raise ValueError(f"unknown interaction source {source!r}")
 
 
 def run(
@@ -578,15 +533,15 @@ def run(
     Returns the trace object; serialize with :func:`trace_to_json` for the
     byte-stable on-disk form.
     """
-    allowed_keys = sorted(map(interaction_sort_key, _allowed_set(d, binding, source)))
-    system = CompiledSystem(init_state(d, binding, initial_guards), d, allowed_keys)
+    allowed = _allowed_set(d, binding, source)
+    system = CompiledSystem(init_state(d, binding, initial_guards), d, allowed)
     rng = SplitMix64(config.seed)
     entries = script.entries if script else ()
 
     cycles = []
     for index in range(config.cycles):
         entry = entries[index] if index < len(entries) else None
-        cycles.append(system.step(entry, rng, config.policy, index).to_dict())
+        cycles.append(system.step(entry, rng, config.policy, index))
 
     return {
         "schema": TRACE_SCHEMA,
@@ -611,97 +566,102 @@ def replay_validate(
     d: ArchitectureDiagram,
     binding: diagram_mod.Binding,
     script: Optional[EventScript] = None,
-    allowed: Optional[Iterable[Interaction]] = None,
-    initial_guards: Optional[Mapping[str, Mapping[str, bool]]] = None,
 ) -> dict:
-    """Re-simulate a trace and verify safety and state soundness.
+    """Re-simulate a trace against the model, checking every record with one
+    transition lookup; the first fault raises ReplayError naming its cycle.
 
-    Checks, for every cycle: each fired spontaneous/internal transition
-    existed, was enabled, and left the recorded source state; the fired
-    interaction is a member of the allowed set and a subset of the enabled
-    ports at that moment.  Returns {"interactions": n, "idle": m} statistics.
+    What is checked, and the two gaps, are listed in docs/formats.md under
+    "Replay".  Returns {"interactions": n, "idle": m}.
     """
-    if allowed is None:
-        allowed = diagram_mod.diagram_interactions(d, binding)
-    allowed = set(allowed)
-    state = init_state(d, binding, initial_guards)
+    if not isinstance(trace, dict) or not isinstance(trace.get("cycles"), list):
+        raise ReplayError("a trace is an object with a list of cycles")
+    header = {"schema": TRACE_SCHEMA, "model": d.name, "binding": dict(binding)}
+    for key, expected in header.items():
+        if trace.get(key) != expected:
+            raise ReplayError(f"trace {key} is {trace.get(key)!r}, expected {expected!r}")
+    allowed = diagram_mod.diagram_interactions(d, binding)
+    instances = init_state(d, binding).instances
     tables = _transition_tables(d)
     entries = script.entries if script else ()
+    # The instances to check for an internal fixpoint at the end of a cycle:
+    # all of them in cycle 0, then those that got a guard write or changed
+    # state.  The others are still at the fixpoint an earlier cycle checked.
+    touched = set(instances)
 
-    def first_enabled(inst: InstanceState, kind: str, label: str) -> Optional[Transition]:
-        key = (kind, inst.current, label)
-        return _first_enabled(tables[inst.type_name].labeled.get(key, ()), inst.guards)
+    def instance(name: str) -> InstanceState:
+        inst = instances.get(name)
+        if inst is None:
+            raise ReplayError(f"cycle {index}: unknown instance {name!r}")
+        return inst
 
-    def port_enabled(port: PortInstance) -> bool:
-        inst = state.instances.get(instance_id(port.component_type, port.index))
-        return inst is not None and first_enabled(inst, ENFORCEABLE, port.port) is not None
+    def check(kind: str, label: str, record: dict) -> tuple[InstanceState, Transition]:
+        inst = instance(record["instance"])
+        if inst.current != record["from"]:
+            raise ReplayError(
+                f"cycle {index}: {record['instance']} was in {inst.current}, "
+                f"trace says {record['from']}"
+            )
+        tr = tables[inst.type_name].first_enabled(kind, inst, label)
+        if tr is None or tr.destination != record["to"]:
+            raise ReplayError(f"cycle {index}: no enabled {kind} transition matches {record}")
+        if tr.destination != inst.current:
+            touched.add(record["instance"])
+        return inst, tr
 
     fired_count = 0
     idle_count = 0
     for index, cycle in enumerate(trace["cycles"]):
-        entry = entries[index] if index < len(entries) else ScriptEntry()
-        for target, guard, value in entry.guards:
-            state.instances[target].guards[guard] = value
-        for target, event in entry.events:
-            state.instances[target].queue.append(event)
+        entry = entries[index] if index < len(entries) else _NO_SCRIPT
+        try:
+            if cycle["cycle"] != index:
+                raise ReplayError(f"cycle {index}: recorded as cycle {cycle['cycle']!r}")
+            for target, guard, value in entry.guards:
+                instance(target).guards[guard] = value
+                touched.add(target)
+            for target, event in entry.events:
+                instance(target).queue.append(event)
 
-        for record in cycle["spontaneous"]:
-            inst = state.instances[record["instance"]]
-            if inst.current != record["from"]:
-                raise ReplayError(
-                    f"cycle {index}: {record['instance']} fired {record['event']} from "
-                    f"{record['from']} but was in {inst.current}"
-                )
-            tr = first_enabled(inst, SPONTANEOUS, record["event"])
-            if tr is None or tr.destination != record["to"]:
-                raise ReplayError(
-                    f"cycle {index}: no enabled spontaneous transition matches {record}"
-                )
-            if not inst.queue or inst.queue[0] != record["event"]:
-                raise ReplayError(f"cycle {index}: {record['event']} was not at the queue head")
-            inst.queue.pop(0)
-            inst.current = tr.destination
-
-        if cycle["interaction"] is not None:
-            ports = frozenset(
-                PortInstance(*_split_id(r["instance"]), r["port"]) for r in cycle["interaction"]
-            )
-            if ports not in allowed:
-                raise ReplayError(
-                    f"cycle {index}: fired interaction {sorted(map(str, ports))} is not allowed"
-                )
-            if not all(map(port_enabled, ports)):
-                raise ReplayError(f"cycle {index}: fired interaction was not fully enabled")
-            for record in cycle["interaction"]:
-                inst = state.instances[record["instance"]]
-                if inst.current != record["from"]:
-                    raise ReplayError(
-                        f"cycle {index}: {record['instance']} was in {inst.current}, "
-                        f"trace says {record['from']}"
-                    )
-                tr = first_enabled(inst, ENFORCEABLE, record["port"])
-                if tr is None or tr.destination != record["to"]:
-                    raise ReplayError(f"cycle {index}: interaction record {record} not enabled")
+            for record in cycle["spontaneous"]:
+                inst, tr = check(SPONTANEOUS, record["event"], record)
+                if not inst.queue or inst.queue[0] != record["event"]:
+                    raise ReplayError(f"cycle {index}: {record['event']} was not at the queue head")
+                inst.queue.pop(0)
                 inst.current = tr.destination
-            fired_count += 1
 
-        for record in cycle["internal"]:
-            inst = state.instances[record["instance"]]
-            if inst.current != record["from"]:
-                raise ReplayError(
-                    f"cycle {index}: internal from {record['from']} but state is {inst.current}"
+            records = cycle["interaction"]
+            if records is not None:
+                moves = [check(ENFORCEABLE, record["port"], record) for record in records]
+                if len({record["instance"] for record in records}) != len(records):
+                    raise ReplayError(f"cycle {index}: fired interaction names an instance twice")
+                ports = frozenset(
+                    PortInstance(inst.type_name, inst.index, record["port"])
+                    for (inst, _), record in zip(moves, records)
                 )
-            tr = _first_enabled(tables[inst.type_name].internal.get(inst.current, ()), inst.guards)
-            if tr is None or tr.destination != record["to"]:
-                raise ReplayError(f"cycle {index}: internal record {record} not enabled")
-            inst.current = tr.destination
+                if ports not in allowed:
+                    raise ReplayError(
+                        f"cycle {index}: fired interaction {sorted(map(str, ports))} is not allowed"
+                    )
+                for inst, tr in moves:
+                    inst.current = tr.destination
+                fired_count += 1
 
-        if cycle["idle"]:
-            idle_count += 1
+            for record in cycle["internal"]:
+                inst, tr = check(INTERNAL, "", record)
+                inst.current = tr.destination
+
+            idle = not (cycle["spontaneous"] or records is not None or cycle["internal"])
+            if cycle["idle"] is not idle:
+                raise ReplayError(f"cycle {index}: idle is {cycle['idle']!r}, expected {idle}")
+        except (KeyError, TypeError) as exc:  # a missing key or a wrongly typed value
+            raise ReplayError(
+                f"cycle {index}: malformed record ({type(exc).__name__}: {exc})"
+            ) from None
+        idle_count += idle
+
+        for name in touched:
+            inst = instances[name]
+            if tables[inst.type_name].first_enabled(INTERNAL, inst):
+                raise ReplayError(f"cycle {index}: {name} stopped short of its internal fixpoint")
+        touched.clear()
 
     return {"interactions": fired_count, "idle": idle_count}
-
-
-def _split_id(instance: str) -> tuple[str, int]:
-    type_name, _, index = instance.rpartition("#")
-    return type_name, int(index)

@@ -156,6 +156,15 @@ def test_instantiate_limit(capsys):
     assert "1 configuration (truncated)" in out
 
 
+def test_instantiate_deep_search_does_not_recurse_per_connector(capsys):
+    # n=40 has 1,600 candidate connectors, far beyond the recursion limit
+    code = main(
+        ["instantiate", model_path("ambiguous_pairing.bip"), "--bind", "n=40", "--limit", "1"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1 configuration (truncated)"
+
+
 def test_instantiate_capacity(monkeypatch, capsys):
     monkeypatch.setenv("BIPKIT_MAX_NODES", "3")
     code = main(["instantiate", model_path("ambiguous_pairing.bip"), "--bind", "n=2"])
@@ -508,6 +517,27 @@ def test_bad_bind_values(capsys):
     assert main(["check", model_path("star.bip"), "--bind", "n=-1"]) == 4
     assert main(["check", model_path("star.bip"), "--bind", "n"]) == 4
     assert main(["check", model_path("star.bip"), "--bind", "n=two"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "mutex.bip", "--bind", "n=2", "--cycles", "-1"], "--cycles: -1 is not in"),
+        (["run", "mutex.bip", "--bind", "n=2", "--cycles", "200000"], "--cycles: 200000 is not"),
+        (["run", "mutex.bip", "--bind", "n=2", "--cycles", "ten"], "--cycles: 'ten' is not an"),
+        (["instantiate", "ambiguous_pairing.bip", "--bind", "n=2", "--limit", "0"],
+         "--limit: 0 is not at least 1"),
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv, message):
+    command, model, *rest = argv
+    if command == "run":
+        rest += ["--out", str(tmp_path / "trace.json")]
+    assert main([command, model_path(model), *rest]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bipkit " + command)
+    assert message in err
+    assert not (tmp_path / "trace.json").exists()
 
 
 def test_check_canonical_model_round_trips_via_cli(tmp_path):

@@ -108,6 +108,28 @@ def test_enumerate_capacity():
         dg.enumerate_configurations(d, d.motifs[0], {}, max_nodes=3)
 
 
+@pytest.mark.parametrize(
+    "model, n, limit, count, truncated, nodes",
+    [
+        ("ambiguous_pairing", 3, None, 6, False, 49),
+        ("ambiguous_pairing", 4, None, 24, False, 253),
+        ("ambiguous_pairing", 4, 2, 2, True, 23),
+        ("complete_pairing", 3, None, 6, False, 67),
+        ("complete_pairing", 4, None, 90, False, 1073),
+        ("complete_pairing", 4, 1, 1, True, 17),
+    ],
+)
+def test_enumerate_search_size(request, model, n, limit, count, truncated, nodes):
+    """``nodes`` is the smallest max_nodes that lets the search finish, as
+    measured on the recursive search; the loop form visits the same nodes."""
+    d = request.getfixturevalue(model)
+    motif, binding = d.motifs[0], {"n": n}
+    result = dg.enumerate_configurations(d, motif, binding, limit=limit, max_nodes=nodes)
+    assert (len(result), result.truncated) == (count, truncated)
+    with pytest.raises(CapacityError):
+        dg.enumerate_configurations(d, motif, binding, limit=limit, max_nodes=nodes - 1)
+
+
 def test_unique_configuration_closed_form(complete_pairing, star):
     unique = dg.unique_configuration(complete_pairing, complete_pairing.motifs[0], {"n": 2})
     enumerated = dg.enumerate_configurations(

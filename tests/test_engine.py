@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipkit import bundled_model_path
+from bipkit.diagram import diagram_interactions
 from bipkit.dsl import parse_model
 from bipkit.engine import (
     DIAGRAM_SOURCE,
@@ -21,11 +23,9 @@ from bipkit.engine import (
     ReplayError,
     ScriptEntry,
     SplitMix64,
-    compute_allowed,
     enabled_ports,
     init_state,
     instance_id,
-    interaction_sort_key,
     replay_validate,
     run,
     step_cycle,
@@ -103,61 +103,62 @@ diagram G {
 
 def test_step_cycle_fires_switch_on(routes):
     binding = {"n": 2}
-    allowed = compute_allowed(routes, binding)
+    allowed = diagram_interactions(routes, binding)
     state = init_state(routes, binding)
     record = step_cycle(state, routes, None, allowed, SplitMix64(7), LEXICOGRAPHIC_FIRST)
-    assert record.interaction is not None
-    fired = {(r["instance"], r["port"]) for r in record.interaction}
+    assert record["interaction"] is not None
+    fired = {(r["instance"], r["port"]) for r in record["interaction"]}
     assert fired in ({("Route#1", "on"), ("Monitor#1", "add")},
                      {("Route#2", "on"), ("Monitor#1", "add")})
     route = "Route#1" if ("Route#1", "on") in fired else "Route#2"
     assert state.instances[route].current == "on"
-    assert not record.idle
+    assert not record["idle"]
 
 
 def test_internal_transition_fires_on_guard(routes):
     binding = {"n": 1}
-    allowed = compute_allowed(routes, binding)
+    allowed = diagram_interactions(routes, binding)
     state = init_state(routes, binding)
     state.instances["Route#1"].current = "wait"
     entry = ScriptEntry(guards=(("Route#1", "finished", True),))
     record = step_cycle(state, routes, entry, allowed, SplitMix64(0), LEXICOGRAPHIC_FIRST)
-    assert {"instance": "Route#1", "from": "wait", "to": "done"} in record.internal
+    assert {"instance": "Route#1", "from": "wait", "to": "done"} in record["internal"]
     # from "done" the finished/rm interaction fired in the same cycle
     assert state.instances["Route#1"].current in ("done", "off")
 
 
 def test_spontaneous_event_consumption(routes):
     binding = {"n": 1}
-    allowed = compute_allowed(routes, binding)
+    allowed = diagram_interactions(routes, binding)
     state = init_state(routes, binding)
 
     # the end event does not match any transition from "off": it stays queued
     entry = ScriptEntry(events=(("Route#1", "end"),))
     record = step_cycle(state, routes, entry, allowed, SplitMix64(0), LEXICOGRAPHIC_FIRST)
-    assert record.spontaneous == ()
+    assert record["spontaneous"] == []
     assert state.instances["Route#1"].queue == ["end"]
 
     # once the route reaches "wait" (guard still false) the queued event fires
     state.instances["Route#1"].current = "wait"
     record = step_cycle(state, routes, None, allowed, SplitMix64(0), LEXICOGRAPHIC_FIRST)
-    assert record.spontaneous == (
+    assert record["spontaneous"] == [
         {"instance": "Route#1", "event": "end", "from": "wait", "to": "done"},
-    )
+    ]
     assert state.instances["Route#1"].queue == []
 
 
 def test_empty_feasible_set_is_idle(star):
     # a lone center with zero satellites has no allowed interactions
     binding = {"n": 1}
-    allowed = compute_allowed(star, binding)
+    allowed = diagram_interactions(star, binding)
     state = init_state(star, binding)
     state.instances["S#1"].current = "idle"
     # disable the satellite by moving it nowhere: instead run with no script
     # and an allowed set restricted to nothing
     record = step_cycle(state, star, None, [], SplitMix64(0), LEXICOGRAPHIC_FIRST)
-    assert record.idle
-    assert record.interaction is None and record.spontaneous == () and record.internal == ()
+    assert record["idle"]
+    assert record["interaction"] is None
+    assert record["spontaneous"] == [] and record["internal"] == []
 
 
 def test_livelock_detection():
@@ -198,7 +199,7 @@ diagram Chain {
     )
     state = init_state(d, {})
     record = step_cycle(state, d, None, [], SplitMix64(0), LEXICOGRAPHIC_FIRST)
-    assert [r["to"] for r in record.internal] == ["b", "c"]
+    assert [r["to"] for r in record["internal"]] == ["b", "c"]
     assert state.instances["T#1"].current == "c"
 
 
@@ -261,6 +262,8 @@ def test_scripted_full_route_cycle(routes):
     assert cycles[3]["interaction"] is not None  # the route switched back on
     stats = replay_validate(trace, routes, binding, script=script)
     assert stats == {"interactions": 4, "idle": 0}
+    with pytest.raises(ReplayError, match="cycle 2: end was not at the queue head"):
+        replay_validate(trace, routes, binding)
 
 
 def test_mutual_exclusion(mutex):
@@ -314,7 +317,7 @@ def test_event_script_json_round_trip():
 
 def test_script_validation_against_model(routes):
     binding = {"n": 1}
-    allowed = compute_allowed(routes, binding)
+    allowed = diagram_interactions(routes, binding)
     state = init_state(routes, binding)
     with pytest.raises(ScriptError):
         step_cycle(state, routes, ScriptEntry(events=(("Route#9", "end"),)), allowed,
@@ -351,8 +354,9 @@ def guarded_routes():
 
 
 @st.composite
-def engine_runs(draw):
-    """A model, binding, run configuration, script and initial guards."""
+def engine_runs(draw, with_initial_guards: bool = True):
+    """A model, binding, run configuration, script and initial guards (None
+    unless ``with_initial_guards``)."""
     model = draw(st.sampled_from(["routes", "guarded_routes", "mutex"]))
     n = draw(st.integers(1, 6))
     config = EngineConfig(
@@ -372,9 +376,10 @@ def engine_runs(draw):
             st.lists(st.tuples(route, st.booleans()), max_size=3),
         )
         script = EventScript(tuple(draw(st.lists(entry, max_size=config.cycles))))
-        initial_guards = draw(
-            st.dictionaries(route, st.fixed_dictionaries({"finished": st.booleans()}))
-        )
+        if with_initial_guards:
+            initial_guards = draw(
+                st.dictionaries(route, st.fixed_dictionaries({"finished": st.booleans()}))
+            )
     return model, {"n": n}, config, script, initial_guards
 
 
@@ -388,14 +393,139 @@ def test_incremental_cycles_match_fresh_compilation(routes, guarded_routes, mute
     d = {"routes": routes, "guarded_routes": guarded_routes, "mutex": mutex}[model]
     trace = run(d, binding, config, script=script, initial_guards=initial_guards)
 
-    allowed = compute_allowed(d, binding)
+    allowed = diagram_interactions(d, binding)
     fresh_state, fresh_rng = init_state(d, binding, initial_guards), SplitMix64(config.seed)
     state, rng = init_state(d, binding, initial_guards), SplitMix64(config.seed)
-    system = CompiledSystem(state, d, [interaction_sort_key(a) for a in allowed])
+    system = CompiledSystem(state, d, allowed)
     for index in range(config.cycles):
         entry = script.entries[index] if index < len(script.entries) else None
         fresh = step_cycle(fresh_state, d, entry, allowed, fresh_rng, config.policy, index)
-        assert fresh.to_dict() == trace["cycles"][index]
+        assert fresh == trace["cycles"][index]
         assert system.step(entry, rng, config.policy, index) == fresh
         assert state == fresh_state
         assert system.enabled_ports() == enabled_ports(state, d)
+
+
+@given(engine_runs(with_initial_guards=False), st.data())
+@settings(max_examples=100, deadline=None)
+def test_replay_accepts_runs_and_rejects_single_field_forgeries(
+    routes, guarded_routes, mutex, case, data
+):
+    model, binding, config, script, _ = case
+    d = {"routes": routes, "guarded_routes": guarded_routes, "mutex": mutex}[model]
+    trace = run(d, binding, config, script=script)
+    cycles = trace["cycles"]
+    stats = {
+        "interactions": sum(c["interaction"] is not None for c in cycles),
+        "idle": sum(c["idle"] for c in cycles),
+    }
+    assert replay_validate(trace, d, binding, script=script) == stats
+
+    def assert_rejected(forge):
+        forged = json.loads(trace_to_json(trace))
+        forge(forged["cycles"])
+        with pytest.raises(ReplayError):
+            replay_validate(forged, d, binding, script=script)
+
+    k = data.draw(st.integers(0, len(cycles) - 1), label="cycle")
+    assert_rejected(lambda c: c[k].update(idle=not c[k]["idle"]))
+    assert_rejected(lambda c: c[k].update(cycle=k + 1))
+
+    paths = [
+        (i, part, j)
+        for i, cycle in enumerate(cycles)
+        for part in ("spontaneous", "interaction", "internal")
+        for j in range(len(cycle[part] or ()))
+    ]
+    if paths:
+        i, part, j = data.draw(st.sampled_from(paths), label="record")
+        record = cycles[i][part][j]
+        states = d.component_type(record["instance"].partition("#")[0]).states
+        for key in ("from", "to"):
+            others = sorted(states - {record[key]})
+            if others:
+                other = data.draw(st.sampled_from(others), label=key)
+                assert_rejected(lambda c: c[i][part][j].update({key: other}))
+        assert_rejected(lambda c: c[i][part][j].update(instance="Nope#1"))
+
+    with_internal = [i for i, cycle in enumerate(cycles) if cycle["internal"]]
+    if with_internal:
+        i = data.draw(st.sampled_from(with_internal), label="cycle with internal records")
+        assert_rejected(lambda c: c[i]["internal"].pop())
+
+
+def _forge_routes_trace(routes, forge):
+    """A lexicographic-first routes trace (n=2, 6 cycles) changed by forge."""
+    trace = run(routes, {"n": 2}, EngineConfig(cycles=6, policy=LEXICOGRAPHIC_FIRST))
+    forged = json.loads(trace_to_json(trace))
+    forge(forged)
+    return forged
+
+
+def _name_one_instance_twice(trace):
+    first, _ = trace["cycles"][0]["interaction"]  # Monitor#1.add with Route#1.on
+    trace["cycles"][0]["interaction"] = [first, dict(first)]
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (lambda t: t.update(schema=2), "trace schema is 2, expected 1"),
+        (lambda t: t.update(model="Other"), "trace model is 'Other'"),
+        (lambda t: t.update(binding={"n": 3}), "trace binding is {'n': 3}"),
+        (lambda t: t.update(cycles={}), "a list of cycles"),
+        (lambda t: t["cycles"][2].update(idle=True), "cycle 2: idle is True, expected False"),
+        (lambda t: t["cycles"][1].update(cycle="1"), "cycle 1: recorded as cycle '1'"),
+        (lambda t: t["cycles"][3].pop("internal"), "cycle 3: malformed record (KeyError"),
+        (lambda t: t["cycles"][0].update(spontaneous=None), "cycle 0: malformed record (TypeError"),
+        (lambda t: t["cycles"][0]["interaction"][0].pop("port"), "cycle 0: malformed record"),
+        (lambda t: t["cycles"][0].update(interaction="on"), "cycle 0: malformed record"),
+        (_name_one_instance_twice, "cycle 0: fired interaction names an instance twice"),
+        # Route#1.on alone is enabled but needs Monitor#1.add
+        (lambda t: t["cycles"][0]["interaction"].pop(0), "['Route.on#1'] is not allowed"),
+    ],
+)
+def test_replay_rejects_malformed_and_mismatched_traces(routes, forge, message):
+    with pytest.raises(ReplayError, match=re.escape(message)):
+        replay_validate(_forge_routes_trace(routes, forge), routes, {"n": 2})
+
+
+def test_replay_rejects_a_cycle_that_stops_short_of_its_internal_fixpoint(routes):
+    # route 1 goes off -> on -> wait; in cycle 2 the guard write enables the
+    # internal wait -> done transition, the only thing that fires
+    script = EventScript((ScriptEntry(), ScriptEntry(), ScriptEntry(
+        guards=(("Route#1", "finished", True),))))
+    trace = run(routes, {"n": 1}, EngineConfig(cycles=3, policy=LEXICOGRAPHIC_FIRST),
+                script=script)
+    assert trace["cycles"][2]["internal"] == [
+        {"instance": "Route#1", "from": "wait", "to": "done"}
+    ]
+    replay_validate(trace, routes, {"n": 1}, script=script)
+    forged = json.loads(trace_to_json(trace))
+    forged["cycles"][2].update(internal=[], idle=True)
+    with pytest.raises(ReplayError, match="cycle 2: Route#1 stopped short of its internal"):
+        replay_validate(forged, routes, {"n": 1}, script=script)
+
+
+def test_replay_checks_every_instance_for_its_fixpoint_in_cycle_0():
+    # T#1 starts in a state with an enabled internal transition and no
+    # record or script touches it, yet the engine fires a -> b in cycle 0
+    d = parse_model(
+        """
+diagram Chain {
+  component T [1] {
+    ports { p }
+    states { a*, b }
+    transitions { : a -> b }
+  }
+}
+"""
+    )
+    trace = run(d, {}, EngineConfig(cycles=2))
+    assert [c["internal"] for c in trace["cycles"]] == [
+        [{"instance": "T#1", "from": "a", "to": "b"}], []
+    ]
+    forged = json.loads(trace_to_json(trace))
+    forged["cycles"][0].update(internal=[], idle=True)
+    with pytest.raises(ReplayError, match="cycle 0: T#1 stopped short of its internal"):
+        replay_validate(forged, d, {})

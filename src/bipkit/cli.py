@@ -2,7 +2,9 @@
 
 Exit codes: 0 success; 1 validation or encodability failure; 2 parse error;
 3 capacity or livelock error; 4 usage error.  The environment variable
-BIPKIT_MAX_NODES overrides the enumeration search bound.
+BIPKIT_MAX_NODES overrides the enumeration search bound.  ``oracle --sweep``
+reports a point whose search exceeds that bound as unknown and goes on; it
+exits 1 if any point disagrees, else 3 if any is unknown, else 0.
 """
 
 from __future__ import annotations
@@ -295,7 +297,8 @@ def cmd_oracle(args) -> int:
     if args.sweep:
         bound = _parse_sweep(args.sweep)
         records = diagram_mod.proposition_sweep(bound, max_nodes=max_nodes)
-        disagreements = [r for r in records if not r.agree]
+        disagreements = [r for r in records if r.agree is False]
+        unknown = [r for r in records if r.count is None]
         if args.json:
             print(
                 json.dumps(
@@ -313,10 +316,18 @@ def cmd_oracle(args) -> int:
             )
         else:
             for r in records:
-                marker = "ok" if r.agree else "DISAGREES"
-                print(f"{r.label}: count={r.count} unique-predicted={r.encodable} {marker}")
-            print(f"{len(records)} points, {len(disagreements)} disagreements")
-        return FAILURE if disagreements else OK
+                if r.count is None:
+                    count, marker = "?", "UNKNOWN"
+                else:
+                    count, marker = r.count, "ok" if r.agree else "DISAGREES"
+                print(f"{r.label}: count={count} unique-predicted={r.encodable} {marker}")
+            print(
+                f"{len(records)} points, {len(disagreements)} disagreements"
+                + (f", {len(unknown)} unknown (raise BIPKIT_MAX_NODES)" if unknown else "")
+            )
+        if disagreements:
+            return FAILURE
+        return CAPACITY if unknown else OK
 
     d = _load(args.file)
     binding = _parse_bindings(args.bind)

@@ -12,6 +12,13 @@ may not exceed the owning type's cardinality, and the matching factor
 n*degree/multiplicity must equal the number of distinct connectors the motif
 can form, i.e. the product over its ends of C(n_q, m_q).  When they hold the
 unique configuration is the set of all possible connectors.
+
+:func:`diagram_interactions` checks the conditions once, then walks every
+possible connector as a frozenset of (port, typing) ends, building no
+:class:`Connector` and no connector tree, and takes each connector's
+interactions in the flat closed form of :func:`connector.flat_interactions`.
+The union over :func:`unique_configuration` of the connector trees is its
+specification (``tests/test_diagram.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .connector import motif_connector_interactions
+from .connector import flat_interactions
 from .errors import CapacityError, EncodabilityError
 from .model import (
     ArchitectureDiagram,
@@ -59,20 +66,6 @@ def cardinality_of(d: ArchitectureDiagram, type_name: str, binding: Binding) -> 
 
 def instance_counts(d: ArchitectureDiagram, binding: Binding) -> dict[str, int]:
     return {ct.name: ct.cardinality.evaluate(binding) for ct in d.component_types}
-
-
-def port_instances(
-    d: ArchitectureDiagram, binding: Binding, refs: Optional[Sequence[PortTypeRef]] = None
-) -> list[PortInstance]:
-    """All port instances of the given port types (default: all motif ports)."""
-    if refs is None:
-        refs = sorted({end.port for motif in d.motifs for end in motif.ends})
-    counts = instance_counts(d, binding)
-    return [
-        PortInstance(ref.component_type, index, ref.port)
-        for ref in sorted(set(refs))
-        for index in range(1, counts[ref.component_type] + 1)
-    ]
 
 
 def matching_factor(d: ArchitectureDiagram, end: MotifEnd, binding: Binding) -> Fraction:
@@ -149,24 +142,29 @@ def check_encodable(d: ArchitectureDiagram, binding: Binding) -> EncodabilityRep
     return EncodabilityReport(tuple(checks))
 
 
-def possible_connectors(
+def _connector_ends(
     d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding
-) -> list[Connector]:
-    """Every connector the motif can form: one m_q-subset of instances per end."""
+) -> Iterator[frozenset[tuple[PortInstance, str]]]:
+    """The ends of every connector the motif can form, one m_q-subset of
+    instances per end, as ``Connector.ends`` frozensets in product order."""
     per_end: list[list[tuple[tuple[PortInstance, str], ...]]] = []
     for end in motif.ends:
         n = cardinality_of(d, end.port.component_type, binding)
         m = end.multiplicity.evaluate(binding)
-        instances = [
-            PortInstance(end.port.component_type, i, end.port.port) for i in range(1, n + 1)
+        ends = [
+            (PortInstance(end.port.component_type, i, end.port.port), end.typing)
+            for i in range(1, n + 1)
         ]
-        per_end.append(
-            [tuple((pi, end.typing) for pi in combo) for combo in itertools.combinations(instances, m)]
-        )
-    connectors = [
-        Connector(frozenset(itertools.chain.from_iterable(parts)))
-        for parts in itertools.product(*per_end)
-    ]
+        per_end.append(list(itertools.combinations(ends, m)))
+    for parts in itertools.product(*per_end):
+        yield frozenset().union(*parts)
+
+
+def possible_connectors(
+    d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding
+) -> list[Connector]:
+    """Every connector the motif can form: one m_q-subset of instances per end."""
+    connectors = [Connector(ends) for ends in _connector_ends(d, motif, binding)]
     return sorted(connectors, key=Connector.sort_key)
 
 
@@ -374,19 +372,19 @@ def enumerate_diagram_configurations(
 def diagram_interactions(d: ArchitectureDiagram, binding: Binding) -> frozenset[Interaction]:
     """Interaction semantics of an encodable diagram.
 
-    The union over motifs, over the connectors of the unique configuration,
-    of each connector's interaction set.  Raises EncodabilityError when some
-    motif admits zero or several configurations.
+    The union over motifs, over the connectors of the unique configuration
+    (every connector the motif can form), of each connector's interaction
+    set in closed form.  Raises EncodabilityError when some motif admits
+    zero or several configurations.
     """
-    check_binding(d, binding)
     report = check_encodable(d, binding)
     if not report.overall:
         bad = ", ".join(f"{e.motif}/{e.port}" for e in report.failures())
         raise EncodabilityError(f"diagram does not define a unique architecture ({bad})")
     result: set[Interaction] = set()
     for motif in d.motifs:
-        for connector in unique_configuration(d, motif, binding):
-            result |= motif_connector_interactions(connector)
+        for ends in _connector_ends(d, motif, binding):
+            result |= flat_interactions(ends)
     return frozenset(result)
 
 
@@ -435,11 +433,13 @@ def single_motif_diagram(
 @dataclass(frozen=True)
 class SweepRecord:
     label: str
-    count: int
+    count: Optional[int]  # None: unknown, the search exceeded max_nodes
     encodable: bool
 
     @property
-    def agree(self) -> bool:
+    def agree(self) -> Optional[bool]:
+        if self.count is None:
+            return None
         return (self.count == 1) == self.encodable
 
 
@@ -459,10 +459,15 @@ def iter_sweep_points(bound: int = 3) -> Iterator[tuple[str, ArchitectureDiagram
 
 def proposition_sweep(bound: int = 3, max_nodes: int = DEFAULT_MAX_NODES) -> list[SweepRecord]:
     """Cross-check brute-force uniqueness against the encodability conditions
-    at every sweep point; every record should have ``agree`` set."""
+    at every sweep point; every record should have ``agree`` set.  A point
+    whose search exceeds ``max_nodes`` is recorded as unknown (``count`` and
+    ``agree`` are None) and the sweep goes on."""
     records = []
     for label, d in iter_sweep_points(bound):
-        result = enumerate_configurations(d, d.motifs[0], {}, limit=2, max_nodes=max_nodes)
+        try:
+            count = len(enumerate_configurations(d, d.motifs[0], {}, limit=2, max_nodes=max_nodes))
+        except CapacityError:
+            count = None
         report = check_encodable(d, {})
-        records.append(SweepRecord(label=label, count=len(result), encodable=report.overall))
+        records.append(SweepRecord(label=label, count=count, encodable=report.overall))
     return records

@@ -493,6 +493,22 @@ def test_oracle_sweep(capsys):
     assert "0 disagreements" in out
 
 
+def test_oracle_sweep_reports_points_over_the_bound_as_unknown(monkeypatch, capsys):
+    monkeypatch.setenv("BIPKIT_MAX_NODES", "3")
+    assert main(["oracle", "--sweep", "n,m,d<=2"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 72 + 1
+    unknown = [line for line in lines if line.endswith(" UNKNOWN")]
+    assert unknown and all(": count=? unique-predicted=" in line for line in unknown)
+    summary = f"72 points, 0 disagreements, {len(unknown)} unknown (raise BIPKIT_MAX_NODES)"
+    assert lines[-1] == summary
+
+    assert main(["oracle", "--sweep", "n,m,d<=2", "--json"]) == 3
+    points = json.loads(capsys.readouterr().out)
+    assert len(points) == 72
+    assert sum(1 for p in points if p["count"] is None and p["agree"] is None) == len(unknown)
+
+
 def test_oracle_file_mode(capsys):
     assert main(["oracle", model_path("ambiguous_pairing.bip"), "--bind", "n=2"]) == 0
     out = capsys.readouterr().out

@@ -72,13 +72,37 @@ def test_binary_rendezvous_and_singleton():
 
 
 def test_duplicate_leaf_rejected():
-    with pytest.raises(LogicDomainError):
+    message = "duplicate port instance X.s#1 in connector"
+    with pytest.raises(LogicDomainError, match=message):
         interaction_set([leaf(S), leaf(S, TRIGGER)])
+    with pytest.raises(LogicDomainError, match=message):
+        flat_interactions([(S, SYNCHRON), (S, TRIGGER)])
+    with pytest.raises(LogicDomainError, match=message):
+        flat_interactions([(S, SYNCHRON), (R1, SYNCHRON), (S, TRIGGER)])
 
 
 def test_empty_connector_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one child"):
         interaction_set([])
+    with pytest.raises(ValueError, match="at least one child"):
+        flat_interactions([])
+
+
+def test_unknown_typing_rejected():
+    with pytest.raises(ValueError, match="unknown typing 'both'"):
+        interaction_set([leaf(S), leaf(R1, "both")])
+    with pytest.raises(ValueError, match="unknown typing 'both'"):
+        flat_interactions([(S, SYNCHRON), (R1, "both")])
+
+
+def test_flat_closed_form_matches_the_tree():
+    """The closed form equals the connector tree with one leaf per end, for
+    every typing of 1..6 ports."""
+    for k in range(1, 7):
+        ports = [pi("X", i, "p") for i in range(1, k + 1)]
+        for typings in itertools.product([SYNCHRON, TRIGGER], repeat=k):
+            tree = interaction_set([leaf(p, typ) for p, typ in zip(ports, typings)])
+            assert flat_interactions(zip(ports, typings)) == tree, typings
 
 
 def test_flat_count_formula():

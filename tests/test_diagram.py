@@ -2,14 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from bipkit import diagram as dg
-from bipkit.errors import CapacityError, EncodabilityError
-from bipkit.model import Configuration, Connector, SYNCHRON, TRIGGER
-from helpers import pi, ports_only
+from bipkit import load_bundled_model
+from bipkit.connector import interaction_set, leaf
+from bipkit.errors import CapacityError, EncodabilityError, LogicDomainError
+from bipkit.model import (
+    ArchitectureDiagram,
+    CardExpr,
+    Configuration,
+    Connector,
+    ConnectorMotif,
+    MotifEnd,
+    PortTypeRef,
+    SYNCHRON,
+    TRIGGER,
+)
+from helpers import pi, ports_only, random_encodable_diagram
 
 
 def pairing(degree: int):
@@ -204,6 +218,74 @@ def test_diagram_interactions_requires_encodability(ambiguous_pairing):
         dg.diagram_interactions(ambiguous_pairing, {"n": 2})
 
 
+def connector_tree_interactions(d, binding):
+    """The specification of diagram_interactions: the union over the unique
+    configuration's connectors of the tree with one leaf per end."""
+    result = set()
+    for motif in d.motifs:
+        for connector in dg.unique_configuration(d, motif, binding):
+            result |= interaction_set([leaf(p, typing) for p, typing in sorted(connector.ends)])
+    return frozenset(result)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ambiguous_pairing.bip",
+        "broadcast_pair.bip",
+        "complete_pairing.bip",
+        "mutex.bip",
+        "star.bip",
+        "switchable_routes.bip",
+    ],
+)
+def test_diagram_interactions_match_connector_trees_on_bundled_models(name):
+    d = load_bundled_model(name)
+    params = sorted(d.parameters)
+    checked = 0
+    for values in itertools.product((1, 2, 3, 4, 5, 20), repeat=len(params)):
+        binding = dict(zip(params, values))
+        if not dg.check_encodable(d, binding).overall:
+            continue
+        got = dg.diagram_interactions(d, binding)
+        assert got == connector_tree_interactions(d, binding), binding
+        checked += 1
+    assert checked
+
+
+def test_diagram_interactions_match_connector_trees_on_random_diagrams():
+    rng = random.Random(0xC0FFEE)
+    accepted = with_trigger = 0
+    while accepted < 100:
+        d = random_encodable_diagram(rng)
+        if d is None:
+            continue
+        assert dg.diagram_interactions(d, {}) == connector_tree_interactions(d, {}), d
+        accepted += 1
+        with_trigger += d.motifs[0].has_trigger
+    assert with_trigger
+
+
+def repeated_port_diagram(typings):
+    """One motif naming A.p once per typing, at n=1."""
+    base = dg.single_motif_diagram([(1, 1, 1)])
+    ends = tuple(
+        MotifEnd(PortTypeRef("A", "p"), CardExpr.lit(1), CardExpr.lit(1), typing)
+        for typing in typings
+    )
+    return ArchitectureDiagram("twice", base.component_types, (ConnectorMotif("only", ends),))
+
+
+def test_diagram_interactions_motif_naming_a_port_twice():
+    # both ends pick A#1, and the connector holds its one port once
+    d = repeated_port_diagram([SYNCHRON, SYNCHRON])
+    assert dg.diagram_interactions(d, {}) == {frozenset({pi("A", 1, "p")})}
+    assert dg.diagram_interactions(d, {}) == connector_tree_interactions(d, {})
+    # one port instance cannot be both a synchron and a trigger
+    with pytest.raises(LogicDomainError):
+        dg.diagram_interactions(repeated_port_diagram([SYNCHRON, TRIGGER]), {})
+
+
 def test_multi_motif_configurations_are_products(routes):
     configurations, truncated = dg.enumerate_diagram_configurations(routes, {"n": 2})
     assert not truncated
@@ -230,6 +312,16 @@ def test_proposition_sweep_all_agree():
     assert len(records) == 27 + 27 * 27
     disagreements = [r for r in records if not r.agree]
     assert disagreements == []
+
+
+def test_proposition_sweep_records_points_over_the_bound_as_unknown():
+    records = dg.proposition_sweep(2, max_nodes=3)
+    full = dg.proposition_sweep(2)
+    assert [r.label for r in records] == [r.label for r in full]
+    unknown = [r for r in records if r.count is None]
+    assert unknown and all(r.agree is None for r in unknown)
+    for r, reference in zip(records, full):
+        assert r.count is None or r == reference
 
 
 def test_sweep_side_invariants():

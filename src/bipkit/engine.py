@@ -17,14 +17,22 @@ byte-identical trace JSON: the only randomness is an explicitly specified
 
 A run compiles the instantiated system once (:class:`CompiledSystem`):
 instances in canonical order, per-type transition tables keyed by (kind,
-state, label), the allowed interactions sorted into canonical order as port
-indices with an inverted index from each port to the interactions using it,
-and a count of missing ports per interaction.  The enabled ports are then
+state, label), and the allowed interactions sorted into canonical order as
+port indices.  A hub port, used by more than isqrt(#interactions)
+interactions, is tracked per group of interactions that share the same hub
+ports; every other port has an inverted index to the interactions using it,
+each of which counts its missing non-hub ports.  The enabled ports are then
 maintained incrementally: only instances touched by a guard update, a
-consumed event, a firing or an internal step are recomputed, so a cycle
-costs what changed rather than the system size.  Each step returns the
-cycle's trace record; :func:`replay_validate` checks those records against
-the same transition tables, one lookup per record.
+consumed event, a firing or an internal step are recomputed, and a hub port
+that toggles updates its groups, not its users, so a cycle costs what
+changed rather than the system size.  Sub-step (b) checks only the queue
+heads that may fire: a head that did not fire stays parked until its
+instance gets an event, a guard write or a move.  Sub-step (c) picks over
+the sorted member lists of the live groups, by index into their sorted
+union.  Each step returns the cycle's trace record; :func:`replay_validate`
+checks those records against the same transition tables, one lookup per
+record, and :func:`trace_to_json` writes the trace as ``json.dumps(trace,
+indent=2, sort_keys=True)`` plus a newline would.
 
 The determinism contract does not depend on that bookkeeping.  The feasible
 candidates are the allowed interactions in canonical sorted order;
@@ -39,7 +47,12 @@ and z ^= z >> 31, all modulo 2**64.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import compress
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from . import diagram as diagram_mod
@@ -252,7 +265,10 @@ def enabled_ports(state: SystemState, d: ArchitectureDiagram) -> frozenset[PortI
 def interaction_sort_key(interaction: Interaction) -> tuple[tuple[str, int, str], ...]:
     """The interaction's ports as sorted (type, index, port) triples; ordering
     interactions by it is the canonical order."""
-    return tuple(sorted((p.component_type, p.index, p.port) for p in interaction))
+    return tuple(sorted(map(_port_key, interaction)))
+
+
+_port_key = attrgetter("component_type", "index", "port")
 
 
 @dataclass(frozen=True)
@@ -296,14 +312,22 @@ class CompiledSystem:
     occurs in an allowed interaction gets an integer id.  Every allowed
     interaction whose ports belong to distinct instances is kept, in
     canonical order (by :func:`interaction_sort_key`), as a tuple of port
-    ids; each port lists the interactions using it, and each interaction
-    counts its ports that are not enabled.  The interactions with no missing
-    port form the feasible set.
+    ids.
+
+    A port used by more than ``isqrt(len(interactions))`` interactions is a
+    hub, like a manager port that every process synchronizes with.  Every
+    other port lists the interactions using it, and each interaction counts
+    its missing (not enabled) non-hub ports; with none missing it is
+    locally ready.  The interactions that share one tuple of hub ports form
+    a group: the group is live when all its hub ports are enabled, and it
+    keeps its locally-ready members as a sorted list of canonical indices.
+    The feasible set is the union of the live groups' member lists, so a
+    hub port that toggles updates its groups, not its many users.
 
     :meth:`step` mutates the instances of the compiled ``state`` in place;
-    the enabled ports, missing counts and feasible set are recomputed only
-    for instances a step touches.  The state stays the only source of
-    truth: after changing it from outside, compile it again.
+    the enabled ports, counts and member lists are recomputed only for
+    instances a step touches.  The state stays the only source of truth:
+    after changing it from outside, compile it again.
     """
 
     def __init__(self, state: SystemState, d: ArchitectureDiagram, allowed: Iterable[Interaction]):
@@ -314,6 +338,7 @@ class CompiledSystem:
         self.position = {key: i for i, key in enumerate(self.ids)}
         self.types = [d.types_by_name[inst.type_name] for inst in instances]
         self.tables = [tables[inst.type_name] for inst in instances]
+        self.enabled = [self._enabled_labels(i) for i in range(len(instances))]
 
         index_of = {(inst.type_name, inst.index): i for i, inst in enumerate(instances)}
         port_ids: list[dict[str, int]] = [{} for _ in instances]  # instance -> label -> id
@@ -341,14 +366,51 @@ class CompiledSystem:
                 for pid in pids:
                     users[pid].append(len(interactions))
                 interactions.append(tuple(pids))
-        self.port_ids, self.ports, self.users = port_ids, ports, users
-        self.interactions = interactions
+        self.port_ids, self.ports, self.interactions = port_ids, ports, interactions
 
-        self.missing = [len(pids) for pids in self.interactions]
-        self.ready = {k for k, count in enumerate(self.missing) if not count}
-        self.enabled: list[frozenset[str]] = [frozenset()] * len(instances)
-        for i in range(len(instances)):
-            self._refresh(i)
+        # Groups, counts and member lists, built in canonical order from the
+        # enabled sets above, so every member list comes out sorted.
+        threshold = math.isqrt(len(interactions))
+        hub = [len(u) > threshold for u in users]
+        enabled = self.enabled
+        off = [label not in enabled[i] for i, label in ports]
+        hub_groups: list[list[int]] = [[] for _ in ports]  # hub port -> its groups
+        hub_missing: list[int] = []  # group -> hub ports not enabled
+        members: list[list[int]] = []  # group -> locally-ready interactions
+        group_of: list[int] = []  # interaction -> group
+        missing: list[int] = []  # interaction -> non-hub ports not enabled
+        groups: dict[tuple[int, ...], int] = {}
+        for k, pids in enumerate(interactions):
+            hubs = ()
+            count = 0
+            for pid in pids:
+                if hub[pid]:
+                    hubs += (pid,)
+                elif off[pid]:
+                    count += 1
+            g = groups.get(hubs)
+            if g is None:
+                g = groups[hubs] = len(members)
+                hub_missing.append(sum(off[pid] for pid in hubs))
+                members.append([])
+                for pid in hubs:
+                    hub_groups[pid].append(g)
+            group_of.append(g)
+            missing.append(count)
+            if not count:
+                members[g].append(k)
+        self.hub_groups, self.hub_missing, self.members = hub_groups, hub_missing, members
+        self.group_of, self.missing = group_of, missing
+        for pid in compress(range(len(ports)), hub):
+            users[pid] = []  # a hub toggle updates its groups instead
+        self.users = users
+        # The live groups with at least one locally-ready member.
+        self.candidates = {g for g, ready in enumerate(members) if ready and not hub_missing[g]}
+
+        # Instances whose queue head may fire: those with a queue at first,
+        # then those that got an event, a guard write or a move since their
+        # head was last checked.  A head that did not fire cannot fire before
+        # one of those happens.
         self.queued = {i for i, inst in enumerate(instances) if inst.queue}
         # Instances that may have an enabled internal transition: at first
         # all of them.  After sub-step (d) every instance sits at its
@@ -364,38 +426,62 @@ class CompiledSystem:
             for label in labels
         )
 
-    def _refresh(self, i: int) -> None:
-        """Recompute instance i's enabled ports and update the missing counts
-        and the feasible set of the interactions using a port that changed."""
+    def _enabled_labels(self, i: int) -> frozenset[str]:
         inst = self.instances[i]
         guards = inst.guards
-        new = frozenset(
+        return frozenset(
             tr.label
             for tr in self.tables[i].enforceable.get(inst.current, ())
             if tr.guard is None or tr.guard.evaluate(guards)
         )
+
+    def _refresh(self, i: int) -> None:
+        """Recompute instance i's enabled ports; a hub port that changed
+        updates its groups, any other port the interactions using it."""
+        new = self._enabled_labels(i)
         old = self.enabled[i]
         if new == old:
             return
         self.enabled[i] = new
-        port_ids, users, missing, ready = self.port_ids[i], self.users, self.missing, self.ready
+        port_ids, users, hub_groups = self.port_ids[i], self.users, self.hub_groups
+        missing, group_of, members = self.missing, self.group_of, self.members
+        hub_missing, candidates = self.hub_missing, self.candidates
         for label in old - new:
             pid = port_ids.get(label)
-            if pid is not None:
-                ready.difference_update(users[pid])
-                for k in users[pid]:
-                    missing[k] += 1
+            if pid is None:
+                continue
+            for g in hub_groups[pid]:
+                hub_missing[g] += 1
+                candidates.discard(g)
+            for k in users[pid]:
+                if not missing[k]:
+                    g = group_of[k]
+                    ready = members[g]
+                    del ready[bisect_left(ready, k)]
+                    if not ready:
+                        candidates.discard(g)
+                missing[k] += 1
         for label in new - old:
             pid = port_ids.get(label)
-            if pid is not None:
-                for k in users[pid]:
-                    missing[k] -= 1
-                    if not missing[k]:
-                        ready.add(k)
+            if pid is None:
+                continue
+            for g in hub_groups[pid]:
+                hub_missing[g] -= 1
+                if not hub_missing[g] and members[g]:
+                    candidates.add(g)
+            for k in users[pid]:
+                missing[k] -= 1
+                if not missing[k]:
+                    g = group_of[k]
+                    insort(members[g], k)
+                    if not hub_missing[g]:
+                        candidates.add(g)
 
     def _move(self, i: int, tr: Transition) -> None:
         self.instances[i].current = tr.destination
         self.touched.add(i)
+        if self.instances[i].queue:
+            self.queued.add(i)
         self._refresh(i)
 
     def step(
@@ -418,6 +504,8 @@ class CompiledSystem:
                 raise ScriptError(f"{target} declares no guard {guard!r}")
             instances[i].guards[guard] = value
             self.touched.add(i)
+            if instances[i].queue:
+                self.queued.add(i)
             self._refresh(i)
 
         # (b) spontaneous events: enqueue, then consume at most one per instance
@@ -431,28 +519,32 @@ class CompiledSystem:
             self.queued.add(i)
 
         spontaneous = []
-        for i in sorted(self.queued):
+        checked = sorted(self.queued)
+        self.queued.clear()
+        for i in checked:
             inst = instances[i]
             head = inst.queue[0]
             tr = tables[i].first_enabled(SPONTANEOUS, inst, head)
             if tr is None:
                 continue
             inst.queue.pop(0)
-            if not inst.queue:
-                self.queued.discard(i)
             spontaneous.append(
                 {"instance": ids[i], "event": head, "from": tr.source, "to": tr.destination}
             )
             self._move(i, tr)
 
-        # (c) one enforceable interaction, picked among the feasible ones
+        # (c) one enforceable interaction, picked among the feasible ones: the
+        # sorted union of the candidate groups' member lists
         fired = None
-        if self.ready:
+        lists = [self.members[g] for g in self.candidates]
+        if lists:
             if policy == LEXICOGRAPHIC_FIRST:
-                choice = min(self.ready)
+                choice = min(ready[0] for ready in lists)
+            elif len(lists) == 1:
+                ready = lists[0]
+                choice = ready[rng.pick_index(len(ready))]
             else:
-                feasible = sorted(self.ready)
-                choice = feasible[rng.pick_index(len(feasible))]
+                choice = _kth_of_union(lists, rng.pick_index(sum(map(len, lists))))
             fired = []
             for pid in self.interactions[choice]:
                 i, label = self.ports[pid]
@@ -489,6 +581,20 @@ class CompiledSystem:
             "internal": internal,
             "idle": not spontaneous and fired is None and not internal,
         }
+
+
+def _kth_of_union(lists: list[list[int]], k: int) -> int:
+    """The k-th (from 0) element of the sorted union of disjoint sorted
+    lists: the least value v with more than k elements at most v."""
+    low = min(ready[0] for ready in lists)
+    high = max(ready[-1] for ready in lists)
+    while low < high:
+        mid = (low + high) // 2
+        if sum(bisect_right(ready, mid) for ready in lists) > k:
+            high = mid
+        else:
+            low = mid + 1
+    return low
 
 
 def step_cycle(
@@ -553,8 +659,56 @@ def run(
     }
 
 
+def _json_container(brackets: str, items: list[str], depth: int) -> str:
+    """A JSON list or object ("[]" or "{}") of rendered items, laid out as
+    ``json.dumps(indent=2)`` lays it out at nesting depth ``depth``."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
 def trace_to_json(trace: dict) -> str:
-    return json.dumps(trace, indent=2, sort_keys=True) + "\n"
+    """The trace file's text: ``json.dumps(trace, indent=2, sort_keys=True)``
+    plus a newline, byte for byte, written for the fixed trace schema.
+
+    The header keys and the five cycle keys are rendered in sorted order
+    directly, every string goes through ``encode_basestring_ascii`` as in
+    json.dumps, and each transition record's text is built once per call."""
+    records: dict[tuple, str] = {}
+
+    def record_list(items: Optional[list[dict]]) -> str:
+        if items is None:
+            return "null"
+        texts = []
+        for item in items:
+            key = tuple(item.items())
+            text = records.get(key)
+            if text is None:
+                fields = [f"{_json_str(name)}: {_json_str(value)}" for name, value in sorted(key)]
+                text = records[key] = _json_container("{}", fields, 4)
+            texts.append(text)
+        return _json_container("[]", texts, 3)
+
+    cycles = [
+        _json_container("{}", [
+            f'"cycle": {c["cycle"]}',
+            f'"idle": {"true" if c["idle"] else "false"}',
+            f'"interaction": {record_list(c["interaction"])}',
+            f'"internal": {record_list(c["internal"])}',
+            f'"spontaneous": {record_list(c["spontaneous"])}',
+        ], 2)
+        for c in trace["cycles"]
+    ]
+    binding = [f"{_json_str(name)}: {value}" for name, value in sorted(trace["binding"].items())]
+    return _json_container("{}", [
+        f'"binding": {_json_container("{}", binding, 1)}',
+        f'"cycles": {_json_container("[]", cycles, 1)}',
+        f'"model": {_json_str(trace["model"])}',
+        f'"policy": {_json_str(trace["policy"])}',
+        f'"schema": {trace["schema"]}',
+        f'"seed": {trace["seed"]}',
+    ], 0) + "\n"
 
 
 class ReplayError(BipError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 # Transition kinds.
 ENFORCEABLE = "enforceable"
@@ -637,5 +637,3 @@ def validate_model(d: ArchitectureDiagram) -> list[ValidationIssue]:
     return sorted(issues)
 
 
-def has_errors(issues: Iterable[ValidationIssue]) -> bool:
-    return any(issue.severity == ERROR for issue in issues)

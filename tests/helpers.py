@@ -124,3 +124,47 @@ def random_encodable_diagram(
     if not in_encoder_envelope(specs, typings):
         return None
     return dg.single_motif_diagram(specs, typings)
+
+
+# Processes that take two lock holders at once; see the two_locks fixture of
+# test_engine.py.
+TWO_LOCKS = """
+diagram TwoLocks {
+  component A [1] {
+    ports { acq, rel, nap, wake }
+    states { free*, busy, asleep }
+    transitions {
+      acq: free -> busy
+      rel: busy -> free
+      nap: free -> asleep
+      wake: asleep -> free
+    }
+  }
+  component B [1] {
+    ports { acq, rel, nap, wake }
+    states { free*, busy, asleep }
+    transitions {
+      acq: free -> busy
+      rel: busy -> free
+      nap: free -> asleep
+      wake: asleep -> free
+    }
+  }
+  component P [n] {
+    ports { acq, rel, tick }
+    states { idle*, using }
+    transitions {
+      acq: idle -> using
+      rel: using -> idle
+      tick: idle -> idle
+    }
+  }
+  motif acquire { A.acq 1:n synchron; B.acq 1:n synchron; P.acq 1:1 synchron }
+  motif release { A.rel 1:n synchron; B.rel 1:n synchron; P.rel 1:1 synchron }
+  motif napA { A.nap 1:1 synchron }
+  motif wakeA { A.wake 1:1 synchron }
+  motif napB { B.nap 1:1 synchron }
+  motif wakeB { B.wake 1:1 synchron }
+  motif tick { P.tick 1:1 synchron }
+}
+"""

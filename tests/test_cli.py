@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from bipkit import bundled_model_path, load_bundled_model, replay_validate
+from bipkit import bundled_model_path, cli, load_bundled_model, replay_validate
 from bipkit.cli import main
 from bipkit.dsl import serialize_model
 
@@ -519,6 +521,21 @@ def test_oracle_file_mode(capsys):
     assert "count=1" in out and "unique-predicted=True" in out
 
 
+def test_oracle_file_mode_reports_motifs_over_the_bound_as_unknown(monkeypatch, capsys):
+    monkeypatch.setenv("BIPKIT_MAX_NODES", "3")
+    assert main(["oracle", model_path("switchable_routes.bip"), "--bind", "n=2"]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        f"motif {name}: count=? unique-predicted=True UNKNOWN"
+        for name in ("report", "switchOff", "switchOn")
+    ]
+    assert err.count("raise the bound") == 3 and "BIPKIT_MAX_NODES" in err
+
+    monkeypatch.setenv("BIPKIT_MAX_NODES", "5")
+    assert main(["oracle", model_path("switchable_routes.bip"), "--bind", "n=2"]) == 0
+    assert capsys.readouterr().out.count("count=1 unique-predicted=True ok") == 3
+
+
 def test_oracle_usage(capsys):
     assert main(["oracle"]) == 4
     assert main(["oracle", model_path("star.bip"), "--sweep", "n,m,d<=2"]) == 4
@@ -561,3 +578,32 @@ def test_check_canonical_model_round_trips_via_cli(tmp_path):
     routes = load_bundled_model("switchable_routes.bip")
     path = write_model(tmp_path, "canonical.bip", serialize_model(routes))
     assert main(["check", path, "--bind", "n=3"]) == 0
+
+
+# stdout, stderr and exit code of usage cases: help, version, unknown
+# commands, missing and extra arguments, as recorded before main() started
+# building only the parser of the named sub-command.
+USAGE_CASES = json.loads((Path(__file__).parent / "data" / "cli_usage.json").read_text())
+
+
+def _usage_id(case) -> str:
+    return " ".join(case["argv"]) or "(no arguments)"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="recorded with Python 3.11 argparse")
+@pytest.mark.parametrize("case", USAGE_CASES, ids=_usage_id)
+def test_usage_text_is_unchanged(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(case["argv"]) == case["code"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("case", USAGE_CASES, ids=_usage_id)
+def test_one_sub_command_parser_reads_like_the_full_parser(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(case["argv"])
+    lazy = capsys.readouterr()
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert main(case["argv"]) == code
+    assert capsys.readouterr() == lazy

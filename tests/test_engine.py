@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipkit import bundled_model_path
+from bipkit import bundled_model_path, load_bundled_model
 from bipkit.diagram import diagram_interactions
 from bipkit.dsl import parse_model
 from bipkit.engine import (
@@ -23,6 +23,7 @@ from bipkit.engine import (
     ReplayError,
     ScriptEntry,
     SplitMix64,
+    _kth_of_union,
     enabled_ports,
     init_state,
     instance_id,
@@ -32,7 +33,7 @@ from bipkit.engine import (
     trace_to_json,
 )
 from bipkit.errors import EncodabilityError, LivelockError, ScriptError
-from helpers import pi
+from helpers import TWO_LOCKS, pi
 
 
 def test_splitmix64_reference_values():
@@ -203,6 +204,31 @@ diagram Chain {
     assert state.instances["T#1"].current == "c"
 
 
+def test_a_guard_write_lets_a_blocked_queue_head_fire():
+    d = parse_model(
+        """
+diagram Gate {
+  component T [1] {
+    ports { p }
+    events { go }
+    guards { open }
+    states { a*, b }
+    transitions {
+      go: a -> b [open]
+      p: b -> b
+    }
+  }
+}
+"""
+    )
+    script = EventScript((ScriptEntry(events=(("T#1", "go"),)), ScriptEntry(),
+                          ScriptEntry(guards=(("T#1", "open", True),))))
+    trace = run(d, {}, EngineConfig(cycles=3), script=script)
+    assert [c["spontaneous"] for c in trace["cycles"]] == [
+        [], [], [{"instance": "T#1", "event": "go", "from": "a", "to": "b"}]
+    ]
+
+
 def test_run_determinism_and_replay(routes):
     binding = {"n": 2}
     config = EngineConfig(cycles=10, seed=42)
@@ -223,6 +249,63 @@ def test_run_zero_cycles(routes):
     assert trace["schema"] == 1
     assert trace["model"] == "SwitchableRoutes"
     assert trace["binding"] == {"n": 2}
+
+
+def trace_json_spec(trace: dict) -> str:
+    """What trace_to_json returns, byte for byte."""
+    return json.dumps(trace, indent=2, sort_keys=True) + "\n"
+
+
+BUNDLED_MODELS = sorted(path.name for path in bundled_model_path("mutex.bip").parent.glob("*.bip"))
+
+
+@pytest.mark.parametrize("name", BUNDLED_MODELS)
+@given(n=st.integers(0, 3), cycles=st.integers(0, 12), seed=st.integers(0, 2**64 - 1),
+       policy=st.sampled_from(POLICIES))
+@settings(max_examples=15, deadline=None)
+def test_trace_json_matches_json_dumps_on_bundled_models(name, n, cycles, seed, policy):
+    # the macro source runs every bundled model, encodable or not
+    d = load_bundled_model(name)
+    binding = {parameter: n for parameter in d.parameters}
+    trace = run(d, binding, EngineConfig(cycles, seed, policy), source=MACRO_SOURCE)
+    assert trace_to_json(trace) == trace_json_spec(trace)
+
+
+def test_trace_json_matches_json_dumps_on_idle_and_empty_runs(routes):
+    # the route switches on, then off, then waits for an end event
+    idle = run(routes, {"n": 1}, EngineConfig(cycles=4))
+    assert [c["idle"] for c in idle["cycles"]] == [False, False, True, True]
+    empty = run(routes, {"n": 2}, EngineConfig(cycles=0))
+    for trace in (idle, empty):
+        assert trace_to_json(trace) == trace_json_spec(trace)
+
+
+# A few fixed strings, so that records repeat, then any text: quotes,
+# backslashes, control and non-ASCII characters, surrogates.
+_TEXT = st.one_of(st.sampled_from(["Route#1", "on", '"', "\\", "\u00e9", "\u2028"]), st.text())
+
+
+def _records(*keys: str):
+    return st.lists(st.fixed_dictionaries({key: _TEXT for key in keys}), max_size=3)
+
+
+@given(st.fixed_dictionaries({
+    "schema": st.integers(0, 2),
+    "model": _TEXT,
+    "binding": st.dictionaries(_TEXT, st.integers(0, 10**6), max_size=3),
+    "seed": st.integers(0, 2**64 - 1),
+    "policy": _TEXT,
+    "cycles": st.lists(st.fixed_dictionaries({
+        "cycle": st.integers(0, 10**5),
+        "idle": st.booleans(),
+        "interaction": st.none() | _records("instance", "port", "from", "to"),
+        "internal": _records("instance", "from", "to"),
+        "spontaneous": _records("instance", "event", "from", "to"),
+    }), max_size=4),
+}))
+@settings(max_examples=200, deadline=None)
+def test_trace_json_matches_json_dumps_on_schema_shaped_traces(trace):
+    assert trace_to_json(trace) == trace_json_spec(trace)
 
 
 def test_run_rejects_non_encodable(ambiguous_pairing):
@@ -353,19 +436,38 @@ def guarded_routes():
     return parse_model(text)
 
 
+@pytest.fixture(scope="module")
+def two_locks():
+    """Processes take two lock holders at once, so an interaction has two
+    hub ports from n=5.  A holder can nap alone, which toggles one hub while
+    the other stays off, and the lone tick interactions sort after the
+    release ones although their group is numbered before them."""
+    return parse_model(TWO_LOCKS)
+
+
+@pytest.fixture(scope="module")
+def engine_models(routes, guarded_routes, mutex, two_locks):
+    return {"routes": routes, "guarded_routes": guarded_routes, "mutex": mutex,
+            "two_locks": two_locks}
+
+
 @st.composite
 def engine_runs(draw, with_initial_guards: bool = True):
     """A model, binding, run configuration, script and initial guards (None
     unless ``with_initial_guards``)."""
-    model = draw(st.sampled_from(["routes", "guarded_routes", "mutex"]))
-    n = draw(st.integers(1, 6))
+    model = draw(st.sampled_from(["routes", "guarded_routes", "mutex", "two_locks"]))
+    # The Manager ports are hubs from mutex n=3, the Monitor ports from
+    # routes n=4; mutex at n>=500 keeps a hub with hundreds of users.
+    n = draw(st.integers(1, 8))
+    if model == "mutex":
+        n = draw(st.sampled_from([n, 500 + n]))
     config = EngineConfig(
         cycles=draw(st.integers(1, 30)),
         seed=draw(st.integers(0, 2**64 - 1)),
         policy=draw(st.sampled_from(POLICIES)),
     )
     script, initial_guards = EventScript(), None
-    if model != "mutex":
+    if "routes" in model:
         route = st.integers(1, n).map(lambda i: f"Route#{i}")
         entry = st.builds(
             lambda ends, writes: ScriptEntry(
@@ -385,12 +487,12 @@ def engine_runs(draw, with_initial_guards: bool = True):
 
 @given(engine_runs())
 @settings(max_examples=100, deadline=None)
-def test_incremental_cycles_match_fresh_compilation(routes, guarded_routes, mutex, case):
+def test_incremental_cycles_match_fresh_compilation(engine_models, case):
     """run keeps one compiled system across cycles; step_cycle compiles afresh
     from the current state every cycle.  Both give the same records, and the
     incrementally maintained enabled set is the from-scratch one."""
     model, binding, config, script, initial_guards = case
-    d = {"routes": routes, "guarded_routes": guarded_routes, "mutex": mutex}[model]
+    d = engine_models[model]
     trace = run(d, binding, config, script=script, initial_guards=initial_guards)
 
     allowed = diagram_interactions(d, binding)
@@ -403,16 +505,53 @@ def test_incremental_cycles_match_fresh_compilation(routes, guarded_routes, mute
         assert fresh == trace["cycles"][index]
         assert system.step(entry, rng, config.policy, index) == fresh
         assert state == fresh_state
-        assert system.enabled_ports() == enabled_ports(state, d)
+        enabled = enabled_ports(state, d)
+        assert system.enabled_ports() == enabled
+        port = [pi(system.instances[i].type_name, system.instances[i].index, label)
+                for i, label in system.ports]
+        assert feasible(system) == [
+            k for k, pids in enumerate(system.interactions)
+            if all(port[pid] in enabled for pid in pids)
+        ]
+
+
+def feasible(system: CompiledSystem) -> list[int]:
+    """The canonical indices of the feasible interactions, as the pick sees
+    them: the union of the candidate groups' member lists."""
+    lists = [system.members[g] for g in system.candidates]
+    assert all(lists) and all(ready == sorted(ready) for ready in lists)
+    return sorted(k for ready in lists for k in ready)
+
+
+@given(st.lists(st.lists(st.integers(0, 60), unique=True), min_size=1).filter(
+    lambda lists: any(lists)), st.data())
+def test_kth_of_union_is_the_kth_of_the_sorted_union(lists, data):
+    seen: set[int] = set()
+    disjoint = []
+    for values in lists:
+        values = sorted(set(values) - seen)
+        seen.update(values)
+        if values:
+            disjoint.append(values)
+    union = sorted(seen)
+    k = data.draw(st.integers(0, len(union) - 1))
+    assert _kth_of_union(disjoint, k) == union[k]
+
+
+@given(engine_runs())
+@settings(max_examples=50, deadline=None)
+def test_trace_json_matches_json_dumps_on_scripted_runs(engine_models, case):
+    model, binding, config, script, initial_guards = case
+    d = engine_models[model]
+    trace = run(d, binding, config, script=script, initial_guards=initial_guards)
+    assert trace_to_json(trace) == trace_json_spec(trace)
 
 
 @given(engine_runs(with_initial_guards=False), st.data())
 @settings(max_examples=100, deadline=None)
-def test_replay_accepts_runs_and_rejects_single_field_forgeries(
-    routes, guarded_routes, mutex, case, data
-):
+def test_replay_accepts_runs_and_rejects_single_field_forgeries(engine_models, case, data):
     model, binding, config, script, _ = case
-    d = {"routes": routes, "guarded_routes": guarded_routes, "mutex": mutex}[model]
+    d = engine_models[model]
     trace = run(d, binding, config, script=script)
     cycles = trace["cycles"]
     stats = {

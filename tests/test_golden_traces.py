@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from bipkit import load_bundled_model
+from bipkit import load_bundled_model, parse_model
 from bipkit.engine import (
     LEXICOGRAPHIC_FIRST,
     UNIFORM_RANDOM,
@@ -22,6 +22,7 @@ from bipkit.engine import (
     run,
     trace_to_json,
 )
+from helpers import TWO_LOCKS
 
 SEEDS = range(5)
 
@@ -41,22 +42,25 @@ def route_script(n: int, cycles: int, seed: int) -> EventScript:
     return EventScript(entries=tuple(entries))
 
 
-# name: (bundled model, binding, cycles, event script seed or None)
+# name: (bundled model or model text, binding, cycles, event script seed or None)
 CASES = {
     "mutex_n2": ("mutex.bip", {"n": 2}, 100, None),
     "mutex_n50": ("mutex.bip", {"n": 50}, 150, None),
+    "mutex_n500": ("mutex.bip", {"n": 500}, 150, None),
     "routes_n3": ("switchable_routes.bip", {"n": 3}, 100, None),
     "routes_n3_script": ("switchable_routes.bip", {"n": 3}, 100, 11),
     "routes_n50": ("switchable_routes.bip", {"n": 50}, 150, None),
     "routes_n50_script": ("switchable_routes.bip", {"n": 50}, 150, 12),
+    "routes_n100_script": ("switchable_routes.bip", {"n": 100}, 150, 13),
     "star_n4": ("star.bip", {"n": 4}, 40, None),
+    "two_locks_n6": (TWO_LOCKS, {"n": 6}, 100, None),
     "broadcast_pair": ("broadcast_pair.bip", {"n1": 1, "n2": 2}, 40, None),
 }
 
 
 def case_trace_digests(name: str, policy: str) -> tuple[str, ...]:
     model, binding, cycles, script_seed = CASES[name]
-    d = load_bundled_model(model)
+    d = load_bundled_model(model) if model.endswith(".bip") else parse_model(model)
     script = None
     if script_seed is not None:
         script = route_script(binding["n"], cycles, script_seed)
@@ -111,6 +115,34 @@ GOLDEN = {
         "89e6a4891a577b1afa77b2d5cd0a2987f5265de1ba97d4fdd466097d05867ce1",
         "c5386932665e3946073df959096fb526da137474d515282763ea53147e43cff7",
         "aae7899cbc8a31722d3d3e671e97c4413c95eb3d6c127d10e3cb749451a80789",
+    ),
+    ("mutex_n500", "uniform-random"): (
+        "2cde57a586d186967e1afc31f37d37e0e6f87b3fae10a33a93761be93abc661e",
+        "fed856934fe00975f8fa40b9b8ee056afc31c6a74c3fb9b77b5cf6e6179175d0",
+        "27190efcfff2266a4eb5c754bc9977ef2c05cfc2e926a413d537551082928e63",
+        "81df06940b897681f9e1557efb2804dd20cf6ad84601570522c2a3244b369617",
+        "bc7ff503f9947e842f4c64d63cabb36ee63f1bc6f3473f5bb2ca6a0c887542ec",
+    ),
+    ("mutex_n500", "lexicographic-first"): (
+        "22f7effd52d460aac6c7a173cf014215135499f84d40fe64ed24d070f1e34da7",
+        "efac298edba266faa2e633953ab6c8e59ef86744c0469c99df8661e7848a9fba",
+        "128880a294c102cb561a09dded15edf315dde7dfaa4a712a5ee2d132f60b3f45",
+        "461dbd5d587bfc7c9d62e5f9ca00f5f687e6dfc52399cbfc5626e46407f18e9b",
+        "539e16ca593661e77177d8f306a47bf80a00f53f8a3d810de40d9ee1fdf2be8a",
+    ),
+    ("routes_n100_script", "uniform-random"): (
+        "b81d19a5b7ea1ddd2e31fac096501e7aa339d9efb7173fba0ff498a06b841ca1",
+        "0748fe209537a773db7ae9f4a30ba97db813edac11012417e00c297a39dea3a9",
+        "2ed218c62669ac4e2c7236ecb39a7a957384483beb8c410760e0cb66b6f8f420",
+        "2c3a4b550c8dfeccb3577b7c382cd55c788c02f56eda252765cd0b021febc512",
+        "11fd5dd0923adf723ec380407472fca9c30a751d48b31a9297ed6a6e1f82e3f8",
+    ),
+    ("routes_n100_script", "lexicographic-first"): (
+        "c2381e53885f8e0fce91079f7f396716111ede07c5bdf09a9762eb2498524c7a",
+        "ab8dbb3f02373a8c46436e9ba6a043febcea5deb52a05b4daf38d5e5515da85f",
+        "ea62fe4d6bd59d94301b71cec63bd584dbb3421f69b378aef1055e56d4f21d3b",
+        "a5d4dc73df749b0d4c5665f72a451a1345c3429e8a38b1847e23337a8d90b9e5",
+        "6c60e2b4893740f184061f9017fe92f2b74784f2c08ecb1b14eee22652b3c49b",
     ),
     ("routes_n3", "uniform-random"): (
         "a376ef5010c743ef7075ea2817c9e1000652bfe72db65d9c13b1f243ffbeec88",
@@ -181,6 +213,20 @@ GOLDEN = {
         "feea9e9e8ca6f81f142d9be964a6a31f3f5f4187190cca5ce9ff3e0949a5dde6",
         "193067cd3a9ec91bde9676293258212206afd6dc4e2be678c2063dc703e61a1a",
         "3cbdd02669b8702ec606e395439dfad8bc59b8ae1f4e7df2ddf9c05bfd02d252",
+    ),
+    ("two_locks_n6", "uniform-random"): (
+        "f7bacd4496b6d14da8c8e4264d600a41affe7603c0ac0d16e53eff2eaca3350e",
+        "d635584a169ff092973c03a87a8ecf45531b798008261c9138785231a8aedec6",
+        "2be41cb9f4c60198631b29fe1007174431ca1e9c28f7ded108eea828d860d6d7",
+        "c93b096833026e7b519fd61eebbd3b649bb74c37239ebc4d0610ee51fe0c32a2",
+        "31fbfecb0b381799556bce0854fc9fafadd39c866ef2b8a5a9c39925eb5e65af",
+    ),
+    ("two_locks_n6", "lexicographic-first"): (
+        "0f0335377bb99ed40ae6bf15d0590316699df997833f59989dde0164f7010fee",
+        "4ccd7ab7fa05b291c6369bdeb7a7de09a113e02426761e76a9681076c6a54604",
+        "7074657306725948b7c5b7926d24abad969492ca2f549f1bd67160d679b5adf1",
+        "d8a546236a94e6e548a250d329239b7b5ff2f1c90fb81216549c4ddbbf560a51",
+        "fe462648d17796ee84579ba27792f85ee2a1a95cbc47c72889b0e5a3c0de3dc4",
     ),
 }
 

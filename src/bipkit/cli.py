@@ -48,6 +48,14 @@ class UsageError(Exception):
     pass
 
 
+class InvalidModel(Exception):
+    """A model with validation errors; ``main`` prints them and exits 1."""
+
+    def __init__(self, issues):
+        super().__init__(issues)
+        self.issues = issues
+
+
 def _int_in(low: int, high: Optional[int] = None):
     """An argparse ``type=`` for integers in [low, high]; a bad value ends in
     a usage error."""
@@ -95,13 +103,29 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, int]:
 
 
 def _require_full_binding(d: ArchitectureDiagram, binding: dict[str, int]) -> None:
-    unbound = sorted(d.parameters - set(binding))
-    if unbound:
-        raise UsageError("unbound parameters: " + ", ".join(unbound) + " (use --bind name=value)")
+    """A binding that ``diagram.check_binding`` rejects is a usage error."""
+    try:
+        diagram_mod.check_binding(d, binding)
+    except KeyError as exc:
+        raise UsageError(f"{exc.args[0]} (use --bind name=value)") from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load(path: str) -> ArchitectureDiagram:
     return load_model(Path(path))
+
+
+def _load_bound(args) -> tuple[ArchitectureDiagram, dict[str, int]]:
+    """The model and its full binding, for the commands that need both; a
+    model with validation errors raises InvalidModel."""
+    d = _load(args.file)
+    binding = _parse_bindings(args.bind)
+    _require_full_binding(d, binding)
+    issues = validate_model(d)
+    if any(i.severity == ERROR for i in issues):
+        raise InvalidModel(issues)
+    return d, binding
 
 
 def _print_issues(issues) -> None:
@@ -172,7 +196,7 @@ def cmd_check(args) -> int:
     failed = any(i.severity == ERROR for i in issues)
 
     binding_full = d.parameters <= set(binding)
-    if binding and not binding_full:
+    if binding:
         _require_full_binding(d, binding)
     if binding_full and not failed:
         report = diagram_mod.check_encodable(d, binding)
@@ -187,14 +211,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_instantiate(args) -> int:
-    d = _load(args.file)
-    binding = _parse_bindings(args.bind)
-    _require_full_binding(d, binding)
-    issues = validate_model(d)
-    if any(i.severity == ERROR for i in issues):
-        _print_issues(issues)
-        return FAILURE
-
+    d, binding = _load_bound(args)
     configurations, truncated = diagram_mod.enumerate_diagram_configurations(
         d, binding, limit=args.limit, max_nodes=_max_nodes()
     )
@@ -233,6 +250,7 @@ def cmd_encode(args) -> int:
         return FAILURE
 
     if d.parameters <= set(binding):
+        _require_full_binding(d, binding)
         report = diagram_mod.check_encodable(d, binding)
         if not report.overall:
             bad = ", ".join(f"{e.motif}/{e.port}" for e in report.failures())
@@ -247,14 +265,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_run(args) -> int:
-    d = _load(args.file)
-    binding = _parse_bindings(args.bind)
-    _require_full_binding(d, binding)
-    issues = validate_model(d)
-    if any(i.severity == ERROR for i in issues):
-        _print_issues(issues)
-        return FAILURE
-
+    d, binding = _load_bound(args)
     report = diagram_mod.check_encodable(d, binding)
     if not report.overall:
         bad = ", ".join(f"{e.motif}/{e.port}" for e in report.failures())
@@ -292,6 +303,8 @@ def _parse_sweep(text: str) -> int:
 def cmd_oracle(args) -> int:
     if bool(args.file) == bool(args.sweep):
         raise UsageError("pass either a model file or --sweep, not both")
+    if args.json and not args.sweep:
+        raise UsageError("--json needs --sweep; a model file's report is text only")
 
     max_nodes = _max_nodes()
     if args.sweep:
@@ -329,9 +342,7 @@ def cmd_oracle(args) -> int:
             return FAILURE
         return CAPACITY if unknown else OK
 
-    d = _load(args.file)
-    binding = _parse_bindings(args.bind)
-    _require_full_binding(d, binding)
+    d, binding = _load_bound(args)
     report = diagram_mod.check_encodable(d, binding)
     disagrees = unknown = False
     for motif in d.motifs:
@@ -486,6 +497,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"bipkit: error: {exc}", file=sys.stderr)
         return USAGE
+    except InvalidModel as exc:
+        _print_issues(exc.issues)
+        return FAILURE
     except OSError as exc:
         print(f"bipkit: cannot read or write: {exc}", file=sys.stderr)
         return USAGE

@@ -51,13 +51,27 @@ DEFAULT_MAX_NODES = 10**6
 
 
 def check_binding(d: ArchitectureDiagram, binding: Binding) -> None:
-    """The binding must cover every parameter with a non-negative integer."""
+    """The binding must cover every parameter with a non-negative integer,
+    and give every motif end a multiplicity of at least 1: KeyError names
+    the unbound parameters, ValueError the first bad value.
+
+    A degree or a cardinality may be 0: an instance on no connector, a type
+    with no instances.  The literal values are validation's to check
+    (``NONPOSITIVE_CARDINALITY``)."""
     missing = sorted(d.parameters - set(binding))
     if missing:
         raise KeyError("unbound parameters: " + ", ".join(missing))
     for name, value in binding.items():
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"parameter {name}={value!r} is not a non-negative integer")
+    for motif in d.motifs:
+        for end in motif.ends:
+            name = end.multiplicity.param
+            if name is not None and binding[name] < 1:
+                raise ValueError(
+                    f"parameter {name}={binding[name]} makes the multiplicity of "
+                    f"motif {motif.name}, end {end.port}, less than 1"
+                )
 
 
 def cardinality_of(d: ArchitectureDiagram, type_name: str, binding: Binding) -> int:
@@ -443,18 +457,30 @@ class SweepRecord:
         return (self.count == 1) == self.encodable
 
 
+def iter_sweep_shapes(bound: int = 3) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """The (n, m, d) specs of every single-motif shape with one or two ends
+    and all of n, m, d in [1, bound]: the one-end shapes first, each list in
+    product order."""
+    specs = list(itertools.product(range(1, bound + 1), repeat=3))
+    for spec in specs:
+        yield (spec,)
+    yield from itertools.product(specs, repeat=2)
+
+
+def _sweep_label(specs: Sequence[tuple[int, int, int]]) -> str:
+    if len(specs) == 1:
+        n, m, deg = specs[0]
+        return f"n={n} m={m} d={deg}"
+    return " | ".join(
+        f"n{k}={n} m{k}={m} d{k}={deg}" for k, (n, m, deg) in enumerate(specs, start=1)
+    )
+
+
 def iter_sweep_points(bound: int = 3) -> Iterator[tuple[str, ArchitectureDiagram]]:
     """Single-motif diagrams with one or two port types, all of n, m, d in
-    [1, bound]."""
-    values = range(1, bound + 1)
-    for n, m, deg in itertools.product(values, repeat=3):
-        yield f"n={n} m={m} d={deg}", single_motif_diagram([(n, m, deg)])
-    for spec1 in itertools.product(values, repeat=3):
-        for spec2 in itertools.product(values, repeat=3):
-            n1, m1, d1 = spec1
-            n2, m2, d2 = spec2
-            label = f"n1={n1} m1={m1} d1={d1} | n2={n2} m2={m2} d2={d2}"
-            yield label, single_motif_diagram([spec1, spec2])
+    [1, bound], each with its label, e.g. ``n1=1 m1=1 d1=2 | n2=2 m2=1 d2=1``."""
+    for specs in iter_sweep_shapes(bound):
+        yield _sweep_label(specs), single_motif_diagram(specs)
 
 
 def proposition_sweep(bound: int = 3, max_nodes: int = DEFAULT_MAX_NODES) -> list[SweepRecord]:

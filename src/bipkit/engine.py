@@ -18,10 +18,12 @@ byte-identical trace JSON: the only randomness is an explicitly specified
 A run compiles the instantiated system once (:class:`CompiledSystem`):
 instances in canonical order, per-type transition tables keyed by (kind,
 state, label), and the allowed interactions sorted into canonical order as
-port indices.  A hub port, used by more than isqrt(#interactions)
-interactions, is tracked per group of interactions that share the same hub
-ports; every other port has an inverted index to the interactions using it,
-each of which counts its missing non-hub ports.  The enabled ports are then
+port indices: an interaction sorts as the tuple of its sorted port
+instances, which are themselves ``(type, index, port)`` tuples.  A hub
+port, used by more than isqrt(#interactions) interactions, is tracked per
+group of interactions that share the same hub ports; every other port has
+an inverted index to the interactions using it, each of which counts its
+missing non-hub ports.  The enabled ports are then
 maintained incrementally: only instances touched by a guard update, a
 consumed event, a firing or an internal step are recomputed, and a hub port
 that toggles updates its groups, not its users, so a cycle costs what
@@ -52,7 +54,6 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from . import diagram as diagram_mod
@@ -262,15 +263,6 @@ def enabled_ports(state: SystemState, d: ArchitectureDiagram) -> frozenset[PortI
     return frozenset(enabled)
 
 
-def interaction_sort_key(interaction: Interaction) -> tuple[tuple[str, int, str], ...]:
-    """The interaction's ports as sorted (type, index, port) triples; ordering
-    interactions by it is the canonical order."""
-    return tuple(sorted(map(_port_key, interaction)))
-
-
-_port_key = attrgetter("component_type", "index", "port")
-
-
 @dataclass(frozen=True)
 class _Transitions:
     """One component type's transitions, each list in declaration order: the
@@ -311,8 +303,9 @@ class CompiledSystem:
     Instances are numbered in canonical order and each port instance that
     occurs in an allowed interaction gets an integer id.  Every allowed
     interaction whose ports belong to distinct instances is kept, in
-    canonical order (by :func:`interaction_sort_key`), as a tuple of port
-    ids.
+    canonical order, as a tuple of port ids.  The canonical order compares
+    interactions as their sorted port instances, each a
+    ``(type, index, port)`` tuple.
 
     A port used by more than ``isqrt(len(interactions))`` interactions is a
     hub, like a manager port that every process synchronizes with.  Every
@@ -345,7 +338,7 @@ class CompiledSystem:
         ports: list[tuple[int, str]] = []  # id -> (instance, label)
         users: list[list[int]] = []  # id -> interactions using the port
         interactions: list[tuple[int, ...]] = []  # port ids in sorted port order
-        for key in sorted(map(interaction_sort_key, allowed)):
+        for key in sorted(tuple(sorted(i)) for i in allowed):
             pids = []
             previous = None
             for type_name, index, label in key:

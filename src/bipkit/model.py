@@ -2,15 +2,17 @@
 
 A model is a set of component types (labeled transition systems with
 enforceable, spontaneous, and internal transitions) and a set of connector
-motifs relating their port types.  Everything here is an immutable value;
-the validators are pure functions returning issue lists rather than raising.
+motifs relating their port types.  Everything here is an immutable value:
+:class:`PortTypeRef` and :class:`PortInstance` are typed tuples equal to
+their field tuples, the rest frozen dataclasses.  The validators are pure
+functions returning issue lists rather than raising.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 # Transition kinds.
 ENFORCEABLE = "enforceable"
@@ -39,9 +41,11 @@ class SourceSpan:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-@dataclass(frozen=True, order=True)
-class PortTypeRef:
-    """A port type qualified by its owning component type, e.g. Route.on."""
+class PortTypeRef(NamedTuple):
+    """A port type qualified by its owning component type, e.g. Route.on.
+
+    A typed tuple: it equals, hashes and sorts as its field tuple
+    ``(component_type, port)``."""
 
     component_type: str
     port: str
@@ -300,9 +304,12 @@ class ArchitectureDiagram:
         raise KeyError(f"no motif named {name!r}")
 
 
-@dataclass(frozen=True, order=True)
-class PortInstance:
-    """A port of one concrete component instance, e.g. Route#2.on."""
+class PortInstance(NamedTuple):
+    """A port of one concrete component instance, e.g. Route.on#2.
+
+    A typed tuple: it equals, hashes and sorts as its field tuple
+    ``(component_type, index, port)``, so the engine orders interactions
+    by their sorted port instances with no key function."""
 
     component_type: str
     index: int

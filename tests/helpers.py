@@ -90,16 +90,11 @@ def in_encoder_envelope(specs: Sequence[tuple[int, int, int]], typings: Sequence
 
 
 def iter_typed_motif_space(bound: int = 3):
-    """Every single-motif diagram shape with 1..2 ends, n,m,d <= bound, and
-    every synchron/trigger typing combination."""
-    values = range(1, bound + 1)
-    for spec in itertools.product(values, repeat=3):
-        for typing in (SYNCHRON, TRIGGER):
-            yield (spec,), (typing,)
-    for spec1 in itertools.product(values, repeat=3):
-        for spec2 in itertools.product(values, repeat=3):
-            for typings in itertools.product((SYNCHRON, TRIGGER), repeat=2):
-                yield (spec1, spec2), typings
+    """Every sweep shape of ``diagram.iter_sweep_shapes`` with every
+    synchron/trigger typing combination."""
+    for specs in dg.iter_sweep_shapes(bound):
+        for typings in itertools.product((SYNCHRON, TRIGGER), repeat=len(specs)):
+            yield specs, typings
 
 
 def random_encodable_diagram(

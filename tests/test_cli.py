@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -542,6 +544,80 @@ def test_oracle_usage(capsys):
     assert main(["oracle", "--sweep", "bogus"]) == 4
 
 
+# A motif end whose multiplicity is a parameter, and one model each for the
+# two validation errors oracle's file mode used to skip.
+PARAMETRIC_MULTIPLICITY = """
+diagram Param {
+  component T [2] {
+    ports { p }
+    states { s* }
+    transitions { p: s -> s }
+  }
+  component U [2] {
+    ports { q }
+    states { s* }
+    transitions { q: s -> s }
+  }
+  motif m { T.p k:1; U.q 1:1 }
+}
+"""
+
+DANGLING_END = PARAMETRIC_MULTIPLICITY.replace("T.p k:1; U.q 1:1", "T.p 1:1; V.q 1:1")
+ZERO_MULTIPLICITY = PARAMETRIC_MULTIPLICITY.replace("T.p k:1; U.q 1:1", "T.p 0:1")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check"],
+        ["check", "--json"],
+        ["instantiate"],
+        ["encode", "--format", "macros"],
+        ["run", "--cycles", "3"],
+        ["oracle"],
+    ],
+    ids=" ".join,
+)
+def test_zero_bound_multiplicity_is_a_usage_error(tmp_path, capsys, command):
+    path = write_model(tmp_path, "param.bip", PARAMETRIC_MULTIPLICITY)
+    name, *rest = command
+    if name in ("encode", "run"):
+        rest += ["--out", str(tmp_path / "out")]
+    assert main([name, path, *rest, "--bind", "k=0"]) == 4
+    out, err = capsys.readouterr()
+    assert err == (
+        "bipkit: error: parameter k=0 makes the multiplicity of motif m, end T.p, less than 1\n"
+    )
+    assert not (tmp_path / "out").exists()
+    # k=1 is a valid binding, and the model is not encodable
+    assert main([name, path, *rest, "--bind", "k=1"]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, issue",
+    [
+        (DANGLING_END, "error[DANGLING_PORT_REF] "),
+        (ZERO_MULTIPLICITY, "error[NONPOSITIVE_CARDINALITY] "),
+    ],
+    ids=["dangling-end", "zero-literal"],
+)
+def test_oracle_file_mode_validates_the_model(tmp_path, capsys, text, issue):
+    path = write_model(tmp_path, "bad.bip", text)
+    for command in ("oracle", "instantiate", "run"):
+        rest = ["--cycles", "1", "--out", str(tmp_path / "t.json")] if command == "run" else []
+        assert main([command, path, *rest]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith(issue + path + ":") and err == ""
+
+
+def test_oracle_json_needs_the_sweep(capsys):
+    assert main(["oracle", model_path("star.bip"), "--bind", "n=2", "--json"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "bipkit: error: --json needs --sweep; a model file's report is text only\n"
+
+
 def test_usage_error_on_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 4
 
@@ -607,3 +683,25 @@ def test_one_sub_command_parser_reads_like_the_full_parser(monkeypatch, capsys, 
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
     assert main(case["argv"]) == code
     assert capsys.readouterr() == lazy
+
+
+# SHA-256 digests of stdout (and of the emitted file, for encode) of
+# instantiate, encode, check --json and oracle --sweep, recorded before port
+# instances became tuples.  Each case runs in a directory holding copies of
+# the bundled models, so the source spans name the bare file.
+OUTPUT_DIGESTS = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", OUTPUT_DIGESTS, ids=lambda case: " ".join(case["argv"]))
+def test_output_digests_are_unchanged(tmp_path, monkeypatch, capsys, case):
+    for path in bundled_model_path("mutex.bip").parent.glob("*.bip"):
+        shutil.copy(path, tmp_path / path.name)
+    monkeypatch.chdir(tmp_path)
+    assert main(case["argv"]) == case["code"]
+    assert _sha256(capsys.readouterr().out) == case["stdout_sha256"]
+    if "out_sha256" in case:
+        assert _sha256((tmp_path / "out").read_text(encoding="utf-8")) == case["out_sha256"]

@@ -304,6 +304,22 @@ def test_binding_checks(star):
         dg.check_encodable(star, {"n": -1})
 
 
+def test_binding_check_needs_each_multiplicity_at_least_one(mutex):
+    d = dg.single_motif_diagram([(2, 1, 1), (2, 1, 1)])
+    motif = d.motifs[0]
+    ends = (MotifEnd(PortTypeRef("A", "p"), CardExpr.var("k"), CardExpr.lit(1)), motif.ends[1])
+    d = ArchitectureDiagram("k", d.component_types, (ConnectorMotif("only", ends),))
+    with pytest.raises(ValueError, match="k=0 makes the multiplicity of motif only, end A.p, less"):
+        dg.check_binding(d, {"k": 0})
+    dg.check_binding(d, {"k": 1})
+    # a parameter bound to 0 may be a cardinality and a degree (mutex's n)
+    dg.check_binding(mutex, {"n": 0})
+    assert [e.port for e in dg.check_encodable(mutex, {"n": 0}).failures()] == [
+        PortTypeRef("Process", "acquire"),
+        PortTypeRef("Process", "release"),
+    ]
+
+
 # ---- the exhaustive sweep (brute force vs the uniqueness conditions) --------
 
 

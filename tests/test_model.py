@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bipkit.model import (
     ArchitectureDiagram,
@@ -13,6 +15,7 @@ from bipkit.model import (
     GuardAtom,
     INTERNAL,
     MotifEnd,
+    PortInstance,
     PortTypeRef,
     SPONTANEOUS,
     TRIGGER,
@@ -246,3 +249,33 @@ def test_card_expr_contract():
     assert CardExpr.var("n").evaluate({"n": 5}) == 5
     with pytest.raises(KeyError):
         CardExpr.var("n").evaluate({})
+
+
+# ---- port types and port instances are typed tuples --------------------------
+
+_NAMES = st.text(min_size=1, max_size=3)
+
+
+@given(st.lists(st.tuples(_NAMES, st.integers(0, 5), _NAMES), min_size=1, max_size=6),
+       _NAMES, _NAMES)
+def test_port_instances_and_types_are_their_field_tuples(fields, type_name, port):
+    instances = [PortInstance(*f) for f in fields]
+    for pi, (ctype, index, label) in zip(instances, fields):
+        assert str(pi) == f"{ctype}.{label}#{index}"
+        assert repr(pi) == f"PortInstance(component_type={ctype!r}, index={index!r}, port={label!r})"
+        assert hash(pi) == hash(tuple(pi)) == hash((ctype, index, label))
+        assert pi.type_ref == PortTypeRef(ctype, label)
+        with pytest.raises(AttributeError):
+            pi.index = index + 1
+    assert sorted(instances) == [PortInstance(*f) for f in sorted(fields)]
+
+    ref = PortTypeRef(type_name, port)
+    assert str(ref) == f"{type_name}.{port}"
+    assert repr(ref) == f"PortTypeRef(component_type={type_name!r}, port={port!r})"
+    assert hash(ref) == hash(tuple(ref)) == hash((type_name, port))
+    with pytest.raises(AttributeError):
+        ref.port = port + "x"
+    refs = [pi.type_ref for pi in instances]
+    assert sorted(refs) == [PortTypeRef(*f) for f in sorted((c, p) for c, _, p in fields)]
+    # a port instance has three fields, a port type two: never equal
+    assert all(pi != ref and pi != pi.type_ref for pi in instances)

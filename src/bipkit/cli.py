@@ -28,7 +28,7 @@ from .errors import (
     MacroEncodingError,
     ScriptError,
 )
-from .model import ArchitectureDiagram, ERROR, validate_model
+from .model import ArchitectureDiagram, ERROR, ValidationIssue, validate_model
 
 OK = 0
 FAILURE = 1
@@ -102,30 +102,31 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, int]:
     return binding
 
 
-def _require_full_binding(d: ArchitectureDiagram, binding: dict[str, int]) -> None:
-    """A binding that ``diagram.check_binding`` rejects is a usage error."""
+def _load_bound(
+    args, partial: bool = False
+) -> tuple[ArchitectureDiagram, Optional[dict[str, int]], list[ValidationIssue]]:
+    """Every model command's prelude: the model, its binding and its
+    validation issues.
+
+    A ``--bind`` that ``diagram.check_binding`` rejects is a usage error,
+    raised before validation.  With ``partial`` (``check`` and ``encode``),
+    an empty ``--bind`` may leave parameters unbound: the binding is then
+    None, and the caller reports the issues.  Without it, a model with
+    validation errors raises InvalidModel."""
+    d = load_model(Path(args.file))
+    binding = _parse_bindings(args.bind)
     try:
         diagram_mod.check_binding(d, binding)
     except KeyError as exc:
-        raise UsageError(f"{exc.args[0]} (use --bind name=value)") from None
+        if binding or not partial:
+            raise UsageError(f"{exc.args[0]} (use --bind name=value)") from None
+        binding = None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _load(path: str) -> ArchitectureDiagram:
-    return load_model(Path(path))
-
-
-def _load_bound(args) -> tuple[ArchitectureDiagram, dict[str, int]]:
-    """The model and its full binding, for the commands that need both; a
-    model with validation errors raises InvalidModel."""
-    d = _load(args.file)
-    binding = _parse_bindings(args.bind)
-    _require_full_binding(d, binding)
     issues = validate_model(d)
-    if any(i.severity == ERROR for i in issues):
+    if not partial and any(i.severity == ERROR for i in issues):
         raise InvalidModel(issues)
-    return d, binding
+    return d, binding, issues
 
 
 def _print_issues(issues) -> None:
@@ -176,9 +177,7 @@ def _write_output(path: Path, content: str, force: bool) -> None:
 
 
 def cmd_check(args) -> int:
-    d = _load(args.file)
-    binding = _parse_bindings(args.bind)
-    issues = validate_model(d)
+    d, binding, issues = _load_bound(args, partial=True)
     payload: dict = {
         "issues": [
             {
@@ -194,11 +193,7 @@ def cmd_check(args) -> int:
     if not args.json:
         _print_issues(issues)
     failed = any(i.severity == ERROR for i in issues)
-
-    binding_full = d.parameters <= set(binding)
-    if binding:
-        _require_full_binding(d, binding)
-    if binding_full and not failed:
+    if binding is not None and not failed:
         report = diagram_mod.check_encodable(d, binding)
         payload["encodability"] = {"overall": report.overall, "ends": _report_rows(report)}
         if not args.json:
@@ -211,7 +206,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_instantiate(args) -> int:
-    d, binding = _load_bound(args)
+    d, binding, _ = _load_bound(args)
     configurations, truncated = diagram_mod.enumerate_diagram_configurations(
         d, binding, limit=args.limit, max_nodes=_max_nodes()
     )
@@ -242,15 +237,12 @@ _FORMATS = {
 
 
 def cmd_encode(args) -> int:
-    d = _load(args.file)
-    binding = _parse_bindings(args.bind)
-    issues = validate_model(d)
+    d, binding, issues = _load_bound(args, partial=True)
     _print_issues(issues)
     if any(i.severity == ERROR for i in issues):
         return FAILURE
 
-    if d.parameters <= set(binding):
-        _require_full_binding(d, binding)
+    if binding is not None:
         report = diagram_mod.check_encodable(d, binding)
         if not report.overall:
             bad = ", ".join(f"{e.motif}/{e.port}" for e in report.failures())
@@ -265,7 +257,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_run(args) -> int:
-    d, binding = _load_bound(args)
+    d, binding, _ = _load_bound(args)
     report = diagram_mod.check_encodable(d, binding)
     if not report.overall:
         bad = ", ".join(f"{e.motif}/{e.port}" for e in report.failures())
@@ -342,7 +334,7 @@ def cmd_oracle(args) -> int:
             return FAILURE
         return CAPACITY if unknown else OK
 
-    d, binding = _load_bound(args)
+    d, binding, _ = _load_bound(args)
     report = diagram_mod.check_encodable(d, binding)
     disagrees = unknown = False
     for motif in d.motifs:

@@ -51,16 +51,24 @@ DEFAULT_MAX_NODES = 10**6
 
 
 def check_binding(d: ArchitectureDiagram, binding: Binding) -> None:
-    """The binding must cover every parameter with a non-negative integer,
-    and give every motif end a multiplicity of at least 1: KeyError names
-    the unbound parameters, ValueError the first bad value.
+    """The binding must name only parameters of the model, cover every one
+    with a non-negative integer, and give every motif end a multiplicity of
+    at least 1: ValueError names the unknown names with the model's
+    parameters, KeyError the unbound parameters, ValueError the first bad
+    value, in that order.
 
     A degree or a cardinality may be 0: an instance on no connector, a type
     with no instances.  The literal values are validation's to check
     (``NONPOSITIVE_CARDINALITY``)."""
-    missing = sorted(d.parameters - set(binding))
-    if missing:
-        raise KeyError("unbound parameters: " + ", ".join(missing))
+    params, names = d.parameters, binding.keys()
+    if not names <= params:
+        known = ", ".join(sorted(params))
+        raise ValueError(
+            "unknown parameters: " + ", ".join(sorted(names - params))
+            + (f" (the model's parameters: {known})" if known else " (the model has none)")
+        )
+    if not params <= names:
+        raise KeyError("unbound parameters: " + ", ".join(sorted(params - names)))
     for name, value in binding.items():
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"parameter {name}={value!r} is not a non-negative integer")
@@ -293,13 +301,6 @@ def enumerate_configurations(
     return EnumerationResult(tuple(found), truncated)
 
 
-def motif_encodability_failures(
-    d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding
-) -> list[EndCheck]:
-    report = check_encodable(d, binding)
-    return [e for e in report.failures() if e.motif == motif.name]
-
-
 def unique_configuration(
     d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding
 ) -> frozenset[Connector]:
@@ -308,7 +309,7 @@ def unique_configuration(
     Closed form, no search; only valid when the uniqueness conditions hold
     for this motif, otherwise EncodabilityError.
     """
-    failures = motif_encodability_failures(d, motif, binding)
+    failures = [e for e in check_encodable(d, binding).failures() if e.motif == motif.name]
     if failures:
         details = "; ".join(
             f"{e.port}: factor {e.factor} vs {e.max_connectors} possible connectors"

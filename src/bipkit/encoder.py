@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import quoteattr
 
 from .errors import MacroEncodingError
 from .logic import AcceptRule, RequireOption, RequireRule
@@ -144,10 +143,6 @@ def emit_macros_text(spec: MacroSpec) -> str:
 # ---- XML --------------------------------------------------------------------
 
 
-def _xml_port(ref: PortTypeRef, indent: str) -> str:
-    return f"{indent}<port id={quoteattr(ref.port)} specType={quoteattr(ref.component_type)}/>"
-
-
 def emit_xml(spec: MacroSpec) -> str:
     """Glue XML: per port type one <require> and one <accept> element.
 
@@ -155,9 +150,16 @@ def emit_xml(spec: MacroSpec) -> str:
     presence-only trigger options carry mode="trigger" so the rule structure
     survives a round-trip through a generic XML reader.
     """
+    # imported here: xml.sax.saxutils imports urllib.request, which every
+    # other command would pay for
+    from xml.sax.saxutils import quoteattr
+
+    def element(tag: str, ref: PortTypeRef, indent: str) -> str:
+        return f"{indent}<{tag} id={quoteattr(ref.port)} specType={quoteattr(ref.component_type)}/>"
+
     lines = ["<glue>"]
     for ref in spec.port_types:
-        effect = f"    <effect id={quoteattr(ref.port)} specType={quoteattr(ref.component_type)}/>"
+        effect = element("effect", ref, "    ")
 
         lines.append("  <require>")
         lines.append(effect)
@@ -166,7 +168,7 @@ def emit_xml(spec: MacroSpec) -> str:
             lines.append(f"    <causes{attr}>")
             for port, count in option.ports:
                 for _ in range(count):
-                    lines.append(_xml_port(port, "      "))
+                    lines.append(element("port", port, "      "))
             lines.append("    </causes>")
         lines.append("  </require>")
 
@@ -174,7 +176,7 @@ def emit_xml(spec: MacroSpec) -> str:
         lines.append(effect)
         lines.append("    <causes>")
         for port in sorted(spec.accept_for(ref).accepted):
-            lines.append(_xml_port(port, "      "))
+            lines.append(element("port", port, "      "))
         lines.append("    </causes>")
         lines.append("  </accept>")
     lines.append("</glue>")

@@ -219,31 +219,18 @@ def instance_id(type_name: str, index: int) -> str:
     return f"{type_name}#{index}"
 
 
-def init_state(
-    d: ArchitectureDiagram,
-    binding: diagram_mod.Binding,
-    initial_guards: Optional[Mapping[str, Mapping[str, bool]]] = None,
-) -> SystemState:
-    """Every instance at its initial state, empty queues, guards false unless
-    overridden by initial_guards[instance_id][guard]."""
+def init_state(d: ArchitectureDiagram, binding: diagram_mod.Binding) -> SystemState:
+    """Every instance at its initial state, with an empty queue and every
+    guard false; a run sets guards only by its event script."""
     diagram_mod.check_binding(d, binding)
-    initial_guards = initial_guards or {}
     instances: dict[str, InstanceState] = {}
     for ct in d.component_types:
         count = ct.cardinality.evaluate(binding)
         defaults = {name: False for name in sorted(ct.guards)}
         initial = ct.initial_state
         for index in range(1, count + 1):
-            key = instance_id(ct.name, index)
-            guards = dict(defaults)
-            overrides = initial_guards.get(key)
-            if overrides:
-                guards.update(overrides)
-                unknown = set(guards) - ct.guards
-                if unknown:
-                    raise ScriptError(f"unknown guards for {key}: {', '.join(sorted(unknown))}")
-            instances[key] = InstanceState(
-                type_name=ct.name, index=index, current=initial, guards=guards
+            instances[instance_id(ct.name, index)] = InstanceState(
+                type_name=ct.name, index=index, current=initial, guards=dict(defaults)
             )
     return SystemState(instances=instances)
 
@@ -625,7 +612,6 @@ def run(
     config: EngineConfig,
     script: Optional[EventScript] = None,
     source: str = DIAGRAM_SOURCE,
-    initial_guards: Optional[Mapping[str, Mapping[str, bool]]] = None,
 ) -> dict:
     """Execute the system for the configured number of cycles.
 
@@ -633,7 +619,7 @@ def run(
     byte-stable on-disk form.
     """
     allowed = _allowed_set(d, binding, source)
-    system = CompiledSystem(init_state(d, binding, initial_guards), d, allowed)
+    system = CompiledSystem(init_state(d, binding), d, allowed)
     rng = SplitMix64(config.seed)
     entries = script.entries if script else ()
 
@@ -716,6 +702,7 @@ def replay_validate(
 ) -> dict:
     """Re-simulate a trace against the model, checking every record with one
     transition lookup; the first fault raises ReplayError naming its cycle.
+    A script entry that the step would refuse raises the step's ScriptError.
 
     What is checked, and the two gaps, are listed in docs/formats.md under
     "Replay".  Returns {"interactions": n, "idle": m}.
@@ -728,7 +715,7 @@ def replay_validate(
             raise ReplayError(f"trace {key} is {trace.get(key)!r}, expected {expected!r}")
     allowed = diagram_mod.diagram_interactions(d, binding)
     instances = init_state(d, binding).instances
-    tables = _transition_tables(d)
+    tables, types = _transition_tables(d), d.types_by_name
     entries = script.entries if script else ()
     # The instances to check for an internal fixpoint at the end of a cycle:
     # all of them in cycle 0, then those that got a guard write or changed
@@ -762,11 +749,22 @@ def replay_validate(
         try:
             if cycle["cycle"] != index:
                 raise ReplayError(f"cycle {index}: recorded as cycle {cycle['cycle']!r}")
+            # the script's entries raise the step's ScriptError
             for target, guard, value in entry.guards:
-                instance(target).guards[guard] = value
+                inst = instances.get(target)
+                if inst is None:
+                    raise ScriptError(f"guard update targets unknown instance {target!r}")
+                if guard not in types[inst.type_name].guards:
+                    raise ScriptError(f"{target} declares no guard {guard!r}")
+                inst.guards[guard] = value
                 touched.add(target)
             for target, event in entry.events:
-                instance(target).queue.append(event)
+                inst = instances.get(target)
+                if inst is None:
+                    raise ScriptError(f"event targets unknown instance {target!r}")
+                if event not in types[inst.type_name].spontaneous_events:
+                    raise ScriptError(f"{target} declares no spontaneous event {event!r}")
+                inst.queue.append(event)
 
             for record in cycle["spontaneous"]:
                 inst, tr = check(SPONTANEOUS, record["event"], record)

@@ -297,12 +297,6 @@ class ArchitectureDiagram:
                         params.add(expr.param)
         return frozenset(params)
 
-    def motif(self, name: str) -> ConnectorMotif:
-        for m in self.motifs:
-            if m.name == name:
-                return m
-        raise KeyError(f"no motif named {name!r}")
-
 
 class PortInstance(NamedTuple):
     """A port of one concrete component instance, e.g. Route.on#2.

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -94,6 +96,51 @@ def test_check_partial_binding_is_usage_error(capsys):
     code = main(["check", model_path("broadcast_pair.bip"), "--bind", "n1=1"])
     assert code == 4
     assert "n2" in capsys.readouterr().err
+
+
+def test_encode_partial_binding_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["encode", model_path("broadcast_pair.bip"), "--bind", "n1=1",
+                 "--format", "macros", "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr() == (
+        "", "bipkit: error: unbound parameters: n2 (use --bind name=value)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("binding", [["typo=3"], ["n=2", "typo=3"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check"],
+        ["instantiate"],
+        ["encode", "--format", "macros"],
+        ["run", "--cycles", "3"],
+        ["oracle"],
+    ],
+    ids=" ".join,
+)
+def test_unknown_parameter_is_a_usage_error(tmp_path, capsys, command, binding):
+    name, *rest = command
+    if name in ("encode", "run"):
+        rest += ["--out", str(tmp_path / "out")]
+    binds = [arg for pair in binding for arg in ("--bind", pair)]
+    assert main([name, model_path("star.bip"), *rest, *binds]) == 4
+    assert capsys.readouterr() == (
+        "", "bipkit: error: unknown parameters: typo (the model's parameters: n)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_leaves_out_the_network_modules():
+    # xml.sax.saxutils imports urllib.request; only emit_xml needs it
+    src = str(Path(cli.__file__).parents[1])
+    probe = ("import sys, bipkit.cli; "
+             "print([m for m in ('urllib.request', 'http.client', 'email') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_check_json(capsys):

@@ -304,6 +304,22 @@ def test_binding_checks(star):
         dg.check_encodable(star, {"n": -1})
 
 
+def test_binding_check_rejects_a_name_that_is_no_parameter(star):
+    message = r"^unknown parameters: typo \(the model's parameters: n\)$"
+    with pytest.raises(ValueError, match=message):
+        dg.check_binding(star, {"n": 2, "typo": 3})
+    # named before the parameter it may have been meant for
+    with pytest.raises(ValueError, match=message):
+        dg.check_binding(star, {"typo": 3})
+    with pytest.raises(ValueError, match=message):
+        dg.check_encodable(star, {"n": 2, "typo": 3})
+    with pytest.raises(ValueError, match=message):
+        dg.enumerate_configurations(star, star.motifs[0], {"n": 2, "typo": 3})
+    d = dg.single_motif_diagram([(2, 1, 1)])
+    with pytest.raises(ValueError, match=r"^unknown parameters: m, n \(the model has none\)$"):
+        dg.check_binding(d, {"n": 1, "m": 1})
+
+
 def test_binding_check_needs_each_multiplicity_at_least_one(mutex):
     d = dg.single_motif_diagram([(2, 1, 1), (2, 1, 1)])
     motif = d.motifs[0]

@@ -59,13 +59,6 @@ def test_init_state_zero_cardinality(routes):
     assert sorted(state.instances) == ["Monitor#1"]
 
 
-def test_init_state_guard_overrides(routes):
-    state = init_state(routes, {"n": 1}, initial_guards={"Route#1": {"finished": True}})
-    assert state.instances["Route#1"].guards["finished"] is True
-    with pytest.raises(ScriptError):
-        init_state(routes, {"n": 1}, initial_guards={"Route#1": {"nope": True}})
-
-
 def test_enabled_ports(routes):
     state = init_state(routes, {"n": 2})
     enabled = enabled_ports(state, routes)
@@ -413,6 +406,37 @@ def test_script_validation_against_model(routes):
                    allowed, SplitMix64(0), LEXICOGRAPHIC_FIRST)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (ScriptEntry(guards=(("Route#1", "nope", True),)), "Route#1 declares no guard 'nope'"),
+        (ScriptEntry(events=(("Route#1", "bogus"),)),
+         "Route#1 declares no spontaneous event 'bogus'"),
+        (ScriptEntry(guards=(("Route#9", "finished", True),)),
+         "guard update targets unknown instance 'Route#9'"),
+        (ScriptEntry(events=(("Route#9", "end"),)), "event targets unknown instance 'Route#9'"),
+    ],
+    ids=["undeclared-guard", "undeclared-event", "guard-unknown-instance",
+         "event-unknown-instance"],
+)
+def test_replay_checks_script_entries_as_the_run_does(routes, entry, message):
+    config = EngineConfig(cycles=3, policy=LEXICOGRAPHIC_FIRST)
+    script = EventScript((ScriptEntry(), entry))
+    with pytest.raises(ScriptError) as ran:
+        run(routes, {"n": 1}, config, script=script)
+    trace = run(routes, {"n": 1}, config)
+    with pytest.raises(ScriptError) as replayed:
+        replay_validate(trace, routes, {"n": 1}, script=script)
+    assert str(ran.value) == str(replayed.value) == message
+
+
+def test_run_rejects_an_unknown_parameter(routes):
+    with pytest.raises(ValueError, match="^unknown parameters: typo "):
+        init_state(routes, {"n": 1, "typo": 3})
+    with pytest.raises(ValueError, match="^unknown parameters: typo "):
+        run(routes, {"n": 1, "typo": 3}, EngineConfig(cycles=1))
+
+
 def test_engine_config_bounds():
     with pytest.raises(ValueError):
         EngineConfig(cycles=-1)
@@ -452,9 +476,9 @@ def engine_models(routes, guarded_routes, mutex, two_locks):
 
 
 @st.composite
-def engine_runs(draw, with_initial_guards: bool = True):
-    """A model, binding, run configuration, script and initial guards (None
-    unless ``with_initial_guards``)."""
+def engine_runs(draw):
+    """A model, binding, run configuration and script.  A routes script may
+    set initial guard values: writes at the front of cycle 0's entry."""
     model = draw(st.sampled_from(["routes", "guarded_routes", "mutex", "two_locks"]))
     # The Manager ports are hubs from mutex n=3, the Monitor ports from
     # routes n=4; mutex at n>=500 keeps a hub with hundreds of users.
@@ -466,7 +490,7 @@ def engine_runs(draw, with_initial_guards: bool = True):
         seed=draw(st.integers(0, 2**64 - 1)),
         policy=draw(st.sampled_from(POLICIES)),
     )
-    script, initial_guards = EventScript(), None
+    script = EventScript()
     if "routes" in model:
         route = st.integers(1, n).map(lambda i: f"Route#{i}")
         entry = st.builds(
@@ -477,12 +501,15 @@ def engine_runs(draw, with_initial_guards: bool = True):
             st.lists(route, max_size=3),
             st.lists(st.tuples(route, st.booleans()), max_size=3),
         )
-        script = EventScript(tuple(draw(st.lists(entry, max_size=config.cycles))))
-        if with_initial_guards:
-            initial_guards = draw(
-                st.dictionaries(route, st.fixed_dictionaries({"finished": st.booleans()}))
-            )
-    return model, {"n": n}, config, script, initial_guards
+        entries = draw(st.lists(entry, max_size=config.cycles))
+        initial = draw(st.dictionaries(route, st.booleans()))
+        first = entries[0] if entries else ScriptEntry()
+        entries[:1] = [ScriptEntry(
+            events=first.events,
+            guards=tuple((r, "finished", v) for r, v in initial.items()) + first.guards,
+        )]
+        script = EventScript(tuple(entries))
+    return model, {"n": n}, config, script
 
 
 @given(engine_runs())
@@ -491,13 +518,13 @@ def test_incremental_cycles_match_fresh_compilation(engine_models, case):
     """run keeps one compiled system across cycles; step_cycle compiles afresh
     from the current state every cycle.  Both give the same records, and the
     incrementally maintained enabled set is the from-scratch one."""
-    model, binding, config, script, initial_guards = case
+    model, binding, config, script = case
     d = engine_models[model]
-    trace = run(d, binding, config, script=script, initial_guards=initial_guards)
+    trace = run(d, binding, config, script=script)
 
     allowed = diagram_interactions(d, binding)
-    fresh_state, fresh_rng = init_state(d, binding, initial_guards), SplitMix64(config.seed)
-    state, rng = init_state(d, binding, initial_guards), SplitMix64(config.seed)
+    fresh_state, fresh_rng = init_state(d, binding), SplitMix64(config.seed)
+    state, rng = init_state(d, binding), SplitMix64(config.seed)
     system = CompiledSystem(state, d, allowed)
     for index in range(config.cycles):
         entry = script.entries[index] if index < len(script.entries) else None
@@ -541,16 +568,16 @@ def test_kth_of_union_is_the_kth_of_the_sorted_union(lists, data):
 @given(engine_runs())
 @settings(max_examples=50, deadline=None)
 def test_trace_json_matches_json_dumps_on_scripted_runs(engine_models, case):
-    model, binding, config, script, initial_guards = case
+    model, binding, config, script = case
     d = engine_models[model]
-    trace = run(d, binding, config, script=script, initial_guards=initial_guards)
+    trace = run(d, binding, config, script=script)
     assert trace_to_json(trace) == trace_json_spec(trace)
 
 
-@given(engine_runs(with_initial_guards=False), st.data())
+@given(engine_runs(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_replay_accepts_runs_and_rejects_single_field_forgeries(engine_models, case, data):
-    model, binding, config, script, _ = case
+    model, binding, config, script = case
     d = engine_models[model]
     trace = run(d, binding, config, script=script)
     cycles = trace["cycles"]

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import __version__
 from . import diagram as diagram_mod
 from . import engine as engine_mod
-from .dsl import ParseFailure, load_model
+from .dsl import ParseFailure, load_model, read_text
 from .encoder import emit_macros_text, emit_xml, encode_macros, export_behavior_json
 from .errors import (
     CapacityError,
@@ -266,7 +266,7 @@ def cmd_run(args) -> int:
 
     script = None
     if args.events:
-        script = engine_mod.EventScript.from_json(Path(args.events).read_text(encoding="utf-8"))
+        script = engine_mod.EventScript.from_json(read_text(args.events))
 
     config = engine_mod.EngineConfig(cycles=args.cycles, seed=args.seed, policy=args.policy)
     trace = engine_mod.run(d, binding, config, script=script, source=args.source)
@@ -297,6 +297,11 @@ def cmd_oracle(args) -> int:
         raise UsageError("pass either a model file or --sweep, not both")
     if args.json and not args.sweep:
         raise UsageError("--json needs --sweep; a model file's report is text only")
+    if args.sweep and (args.bind or args.limit is not None):
+        raise UsageError("--bind and --limit need a model file; --sweep draws its own diagrams")
+    limit = 1000 if args.limit is None else args.limit
+    if limit < 1:
+        raise UsageError(f"--limit: {limit} is not at least 1")
 
     max_nodes = _max_nodes()
     if args.sweep:
@@ -342,7 +347,7 @@ def cmd_oracle(args) -> int:
         try:
             # at least 2 so that a truncated count still separates 1 from many
             result = diagram_mod.enumerate_configurations(
-                d, motif, binding, limit=max(2, args.limit), max_nodes=max_nodes
+                d, motif, binding, limit=max(2, limit), max_nodes=max_nodes
             )
         except CapacityError as exc:
             # like a sweep point over the bound: unknown, and go on
@@ -429,7 +434,7 @@ def _add_oracle(sub) -> None:
     p_orc.add_argument("file", nargs="?", help="model file (.bip)")
     p_orc.add_argument("--bind", action="append", default=[], metavar="NAME=VALUE")
     p_orc.add_argument("--sweep", metavar='"n,m,d<=K"', help="sweep all small single-motif diagrams")
-    p_orc.add_argument("--limit", type=int, default=1000)
+    p_orc.add_argument("--limit", type=int)  # 1000 in file mode; the sweep takes none
     p_orc.add_argument("--json", action="store_true")
     p_orc.set_defaults(func=cmd_oracle)
 

@@ -379,10 +379,26 @@ def parse_model(text: str, filename: str = "<string>") -> ArchitectureDiagram:
     return parser.diagram()
 
 
+def read_text(path) -> str:
+    """An input file's UTF-8 text, newlines translated as text mode does.
+    I/O problems surface as OSError; the first byte that is no UTF-8 raises
+    ParseFailure located at its line and byte column."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        span = SourceSpan(str(path), line, column, line, column)
+        found = f"byte 0x{data[exc.start]:02x}"
+        raise ParseFailure([ParseError(span, "UTF-8 text", found)]) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_model(path) -> ArchitectureDiagram:
     """Read and parse a model file; I/O problems surface as OSError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read(), filename=str(path))
+    return parse_model(read_text(path), filename=str(path))
 
 
 def parse_guard_expr(

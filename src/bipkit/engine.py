@@ -13,7 +13,10 @@ Each cycle runs four ordered sub-steps:
 
 A cycle in which nothing fired is recorded as idle.  Identical inputs give
 byte-identical trace JSON: the only randomness is an explicitly specified
-64-bit generator seeded from the run configuration.
+64-bit generator seeded from the run configuration.  The event script's
+entries that a run uses are checked against the model once, before cycle
+0, by the same function for :func:`run` and :func:`replay_validate`; a bad
+item raises ScriptError at its script path, and the step only applies.
 
 A run compiles the instantiated system once (:class:`CompiledSystem`):
 instances in canonical order, per-type transition tables keyed by (kind,
@@ -203,25 +206,17 @@ class InstanceState:
     guards: dict[str, bool] = field(default_factory=dict)
 
 
-@dataclass
-class SystemState:
-    """Runtime state of every instance; owned exclusively by one run.
-
-    ``instances`` maps each instance id to its state in canonical (type
-    name, index) order, the order in which every sub-step visits instances
-    and records what fired; :func:`init_state` builds it in that order.
-    """
-
-    instances: dict[str, InstanceState]
-
-
 def instance_id(type_name: str, index: int) -> str:
     return f"{type_name}#{index}"
 
 
-def init_state(d: ArchitectureDiagram, binding: diagram_mod.Binding) -> SystemState:
+def init_state(d: ArchitectureDiagram, binding: diagram_mod.Binding) -> dict[str, InstanceState]:
     """Every instance at its initial state, with an empty queue and every
-    guard false; a run sets guards only by its event script."""
+    guard false; a run sets guards only by its event script.
+
+    The mapping goes from instance id to state in canonical (type name,
+    index) order, the order in which every sub-step visits instances and
+    records what fired.  A run owns it exclusively."""
     diagram_mod.check_binding(d, binding)
     instances: dict[str, InstanceState] = {}
     for ct in d.component_types:
@@ -232,17 +227,50 @@ def init_state(d: ArchitectureDiagram, binding: diagram_mod.Binding) -> SystemSt
             instances[instance_id(ct.name, index)] = InstanceState(
                 type_name=ct.name, index=index, current=initial, guards=dict(defaults)
             )
-    return SystemState(instances=instances)
+    return instances
+
+
+def _check_script(
+    entries: tuple[ScriptEntry, ...], instances: Mapping[str, InstanceState], d: ArchitectureDiagram
+) -> None:
+    """Check the script entries a run uses against the model, before cycle 0.
+
+    An item whose target is no instance, or that names a guard or
+    spontaneous event its instance's type does not declare, raises
+    ScriptError located at its path in the script, e.g.
+    ``cycles[2].events[0]: event targets unknown instance 'Route#9'``."""
+    types = d.types_by_name
+    # An item's position is looked up only when it raises: the first equal
+    # item is the one raising, since an earlier copy would have raised.
+    for index, entry in enumerate(entries):
+        for item in entry.guards:
+            target, guard, _ = item
+            inst = instances.get(target)
+            if inst is None or guard not in types[inst.type_name].guards:
+                problem = (f"guard update targets unknown instance {target!r}" if inst is None
+                           else f"{target} declares no guard {guard!r}")
+                position = entry.guards.index(item)
+                raise ScriptError(f"cycles[{index}].guards[{position}]: {problem}")
+        for item in entry.events:
+            target, event = item
+            inst = instances.get(target)
+            if inst is None or event not in types[inst.type_name].spontaneous_events:
+                problem = (f"event targets unknown instance {target!r}" if inst is None
+                           else f"{target} declares no spontaneous event {event!r}")
+                position = entry.events.index(item)
+                raise ScriptError(f"cycles[{index}].events[{position}]: {problem}")
 
 
 def _guard_true(tr: Transition, guards: Mapping[str, bool]) -> bool:
     return tr.guard is None or tr.guard.evaluate(guards)
 
 
-def enabled_ports(state: SystemState, d: ArchitectureDiagram) -> frozenset[PortInstance]:
+def enabled_ports(
+    state: Mapping[str, InstanceState], d: ArchitectureDiagram
+) -> frozenset[PortInstance]:
     """Port instances whose enforceable transition is ready to fire."""
     enabled = set()
-    for inst in state.instances.values():
+    for inst in state.values():
         ct = d.component_type(inst.type_name)
         for tr in ct.transitions:
             if tr.kind == ENFORCEABLE and tr.source == inst.current and _guard_true(tr, inst.guards):
@@ -310,13 +338,13 @@ class CompiledSystem:
     after changing it from outside, compile it again.
     """
 
-    def __init__(self, state: SystemState, d: ArchitectureDiagram, allowed: Iterable[Interaction]):
-        instances = list(state.instances.values())
+    def __init__(self, state: Mapping[str, InstanceState], d: ArchitectureDiagram,
+                 allowed: Iterable[Interaction]):
+        instances = list(state.values())
         tables = _transition_tables(d)
         self.instances = instances
-        self.ids = list(state.instances)
+        self.ids = list(state)
         self.position = {key: i for i, key in enumerate(self.ids)}
-        self.types = [d.types_by_name[inst.type_name] for inst in instances]
         self.tables = [tables[inst.type_name] for inst in instances]
         self.enabled = [self._enabled_labels(i) for i in range(len(instances))]
 
@@ -471,17 +499,14 @@ class CompiledSystem:
         policy: str,
         cycle_index: int = 0,
     ) -> dict:
-        """Run one engine cycle and return its trace record."""
+        """Run one engine cycle and return its trace record.  The entry is
+        one that :func:`run` checked against the model before cycle 0."""
         entry = entry or _NO_SCRIPT
-        instances, ids, tables = self.instances, self.ids, self.tables
+        instances, ids, tables, position = self.instances, self.ids, self.tables, self.position
 
         # (a) guard updates
         for target, guard, value in entry.guards:
-            i = self.position.get(target)
-            if i is None:
-                raise ScriptError(f"guard update targets unknown instance {target!r}")
-            if guard not in self.types[i].guards:
-                raise ScriptError(f"{target} declares no guard {guard!r}")
+            i = position[target]
             instances[i].guards[guard] = value
             self.touched.add(i)
             if instances[i].queue:
@@ -490,11 +515,7 @@ class CompiledSystem:
 
         # (b) spontaneous events: enqueue, then consume at most one per instance
         for target, event in entry.events:
-            i = self.position.get(target)
-            if i is None:
-                raise ScriptError(f"event targets unknown instance {target!r}")
-            if event not in self.types[i].spontaneous_events:
-                raise ScriptError(f"{target} declares no spontaneous event {event!r}")
+            i = position[target]
             instances[i].queue.append(event)
             self.queued.add(i)
 
@@ -577,23 +598,6 @@ def _kth_of_union(lists: list[list[int]], k: int) -> int:
     return low
 
 
-def step_cycle(
-    state: SystemState,
-    d: ArchitectureDiagram,
-    entry: Optional[ScriptEntry],
-    allowed: Iterable[Interaction],
-    rng: SplitMix64,
-    policy: str,
-    cycle_index: int = 0,
-) -> dict:
-    """Run one engine cycle, mutating ``state`` and returning its trace record.
-
-    Compiles the system from ``state`` and takes one step of it, which is
-    exactly what each cycle of :func:`run` does on its compiled system.
-    """
-    return CompiledSystem(state, d, allowed).step(entry, rng, policy, cycle_index)
-
-
 def _allowed_set(
     d: ArchitectureDiagram, binding: diagram_mod.Binding, source: str
 ) -> frozenset[Interaction]:
@@ -619,9 +623,11 @@ def run(
     byte-stable on-disk form.
     """
     allowed = _allowed_set(d, binding, source)
-    system = CompiledSystem(init_state(d, binding), d, allowed)
+    state = init_state(d, binding)
+    entries = script.entries[:config.cycles] if script else ()
+    _check_script(entries, state, d)
+    system = CompiledSystem(state, d, allowed)
     rng = SplitMix64(config.seed)
-    entries = script.entries if script else ()
 
     cycles = []
     for index in range(config.cycles):
@@ -702,7 +708,8 @@ def replay_validate(
 ) -> dict:
     """Re-simulate a trace against the model, checking every record with one
     transition lookup; the first fault raises ReplayError naming its cycle.
-    A script entry that the step would refuse raises the step's ScriptError.
+    The script entries the trace covers are checked first, as :func:`run`
+    checks them, and raise the same located ScriptError.
 
     What is checked, and the two gaps, are listed in docs/formats.md under
     "Replay".  Returns {"interactions": n, "idle": m}.
@@ -714,9 +721,10 @@ def replay_validate(
         if trace.get(key) != expected:
             raise ReplayError(f"trace {key} is {trace.get(key)!r}, expected {expected!r}")
     allowed = diagram_mod.diagram_interactions(d, binding)
-    instances = init_state(d, binding).instances
-    tables, types = _transition_tables(d), d.types_by_name
-    entries = script.entries if script else ()
+    instances = init_state(d, binding)
+    tables = _transition_tables(d)
+    entries = script.entries[:len(trace["cycles"])] if script else ()
+    _check_script(entries, instances, d)
     # The instances to check for an internal fixpoint at the end of a cycle:
     # all of them in cycle 0, then those that got a guard write or changed
     # state.  The others are still at the fixpoint an earlier cycle checked.
@@ -749,22 +757,11 @@ def replay_validate(
         try:
             if cycle["cycle"] != index:
                 raise ReplayError(f"cycle {index}: recorded as cycle {cycle['cycle']!r}")
-            # the script's entries raise the step's ScriptError
             for target, guard, value in entry.guards:
-                inst = instances.get(target)
-                if inst is None:
-                    raise ScriptError(f"guard update targets unknown instance {target!r}")
-                if guard not in types[inst.type_name].guards:
-                    raise ScriptError(f"{target} declares no guard {guard!r}")
-                inst.guards[guard] = value
+                instances[target].guards[guard] = value
                 touched.add(target)
             for target, event in entry.events:
-                inst = instances.get(target)
-                if inst is None:
-                    raise ScriptError(f"event targets unknown instance {target!r}")
-                if event not in types[inst.type_name].spontaneous_events:
-                    raise ScriptError(f"{target} declares no spontaneous event {event!r}")
-                inst.queue.append(event)
+                instances[target].queue.append(event)
 
             for record in cycle["spontaneous"]:
                 inst, tr = check(SPONTANEOUS, record["event"], record)

@@ -452,6 +452,51 @@ def test_run_rejects_malformed_event_script(tmp_path, capsys, entry, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"guards": [{"target": "Route#1", "guard": "nope", "value": True}]},
+         "cycles[1].guards[0]: Route#1 declares no guard 'nope'"),
+        ({"events": [{"target": "Route#1", "event": "bogus"}]},
+         "cycles[1].events[0]: Route#1 declares no spontaneous event 'bogus'"),
+        ({"guards": [{"target": "Route#9", "guard": "finished", "value": True}]},
+         "cycles[1].guards[0]: guard update targets unknown instance 'Route#9'"),
+        ({"events": [{"target": "Route#1", "event": "end"}, {"target": "Route#9", "event": "end"}]},
+         "cycles[1].events[1]: event targets unknown instance 'Route#9'"),
+    ],
+    ids=["undeclared-guard", "undeclared-event", "guard-unknown-instance",
+         "event-unknown-instance"],
+)
+def test_run_locates_a_script_entry_the_model_refuses(tmp_path, capsys, entry, message):
+    # the four faults test_replay_checks_script_entries_as_the_run_does gives
+    # run and replay, through the command line
+    script = tmp_path / "bad.json"
+    script.write_text(json.dumps({"schema": 1, "cycles": [{}, entry]}))
+    out = tmp_path / "t.json"
+    argv = ["run", model_path("switchable_routes.bip"), "--bind", "n=1", "--events", str(script),
+            "--out", str(out)]
+    assert main([*argv, "--cycles", "3"]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not out.exists()
+    # a run that ends before the bad entry never uses it
+    assert main([*argv, "--cycles", "1"]) == 0
+    assert out.exists()
+
+
+def test_input_that_is_no_utf8_is_a_located_parse_error(tmp_path, capsys):
+    model = tmp_path / "bad.bip"
+    model.write_bytes(b"diagram D {\n  comp\xffonent\n}\n")
+    assert main(["check", str(model)]) == 2
+    assert capsys.readouterr() == ("", f"{model}:2:7: expected UTF-8 text, found byte 0xff\n")
+    script = tmp_path / "bad.json"
+    script.write_bytes(b'{"schema": 1, "cycles": [\xfe]}')
+    out = tmp_path / "t.json"
+    assert main(["run", model_path("switchable_routes.bip"), "--bind", "n=1", "--cycles", "2",
+                 "--events", str(script), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"{script}:1:26: expected UTF-8 text, found byte 0xfe\n")
+    assert not out.exists()
+
+
 def test_run_source_macros(tmp_path):
     out_d = tmp_path / "d.json"
     out_m = tmp_path / "m.json"
@@ -656,6 +701,30 @@ def test_oracle_file_mode_validates_the_model(tmp_path, capsys, text, issue):
         assert main([command, path, *rest]) == 1
         out, err = capsys.readouterr()
         assert out.startswith(issue + path + ":") and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sweep", "n,m,d<=1", "--bind", "typo=3"], "--bind and --limit need a model file"),
+        (["--sweep", "n,m,d<=1", "--bind", "n=2"], "--bind and --limit need a model file"),
+        (["--sweep", "n,m,d<=1", "--limit", "5"], "--bind and --limit need a model file"),
+        (["--sweep", "n,m,d<=1", "--limit", "1000", "--json"], "--bind and --limit need a model"),
+        ([model_path("star.bip"), "--bind", "n=2", "--limit", "-7"], "--limit: -7 is not at least 1"),
+        ([model_path("star.bip"), "--bind", "n=2", "--limit", "0"], "--limit: 0 is not at least 1"),
+    ],
+)
+def test_oracle_rejects_flags_it_would_ignore_or_misread(capsys, argv, message):
+    assert main(["oracle", *argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bipkit: error: " + message) and err.count("\n") == 1
+
+
+def test_oracle_file_mode_limit_one_still_separates_one_from_many(capsys):
+    assert main(["oracle", model_path("ambiguous_pairing.bip"), "--bind", "n=2",
+                 "--limit", "1"]) == 0
+    assert "count=2+ unique-predicted=False ok" in capsys.readouterr().out
 
 
 def test_oracle_json_needs_the_sweep(capsys):

@@ -29,7 +29,6 @@ from bipkit.engine import (
     instance_id,
     replay_validate,
     run,
-    step_cycle,
     trace_to_json,
 )
 from bipkit.errors import EncodabilityError, LivelockError, ScriptError
@@ -46,17 +45,43 @@ def test_splitmix64_reference_values():
 
 def test_init_state(routes):
     state = init_state(routes, {"n": 2})
-    assert sorted(state.instances) == ["Monitor#1", "Route#1", "Route#2"]
-    assert state.instances["Route#1"].current == "off"
-    assert state.instances["Route#2"].current == "off"
-    assert state.instances["Monitor#1"].current == "watching"
-    assert state.instances["Route#1"].guards == {"finished": False}
-    assert state.instances["Route#1"].queue == []
+    assert sorted(state) == ["Monitor#1", "Route#1", "Route#2"]
+    assert state["Route#1"].current == "off"
+    assert state["Route#2"].current == "off"
+    assert state["Monitor#1"].current == "watching"
+    assert state["Route#1"].guards == {"finished": False}
+    assert state["Route#1"].queue == []
+
+
+def test_init_state_is_the_instance_mapping_in_canonical_order():
+    # declared Z before A; indices order as numbers, so Z#10 follows Z#9
+    d = parse_model(
+        """
+diagram Order {
+  component Z [n] {
+    ports { p }
+    states { a* }
+    transitions { p: a -> a }
+  }
+  component A [1] {
+    ports { p }
+    states { a* }
+    transitions { p: a -> a }
+  }
+}
+"""
+    )
+    state = init_state(d, {"n": 10})
+    assert type(state) is dict
+    assert list(state) == ["A#1"] + [f"Z#{i}" for i in range(1, 11)]
+    assert [(inst.type_name, inst.index) for inst in state.values()] == [
+        ("A", 1), *(("Z", i) for i in range(1, 11))
+    ]
 
 
 def test_init_state_zero_cardinality(routes):
     state = init_state(routes, {"n": 0})
-    assert sorted(state.instances) == ["Monitor#1"]
+    assert sorted(state) == ["Monitor#1"]
 
 
 def test_enabled_ports(routes):
@@ -69,7 +94,7 @@ def test_enabled_ports(routes):
         pi("Monitor", 1, "rm"),
     }
     # at "wait" only spontaneous/internal transitions leave, so no ports
-    state.instances["Route#1"].current = "wait"
+    state["Route#1"].current = "wait"
     assert pi("Route", 1, "on") not in enabled_ports(state, routes)
     assert not {p for p in enabled_ports(state, routes) if p.index == 1 and
                 p.component_type == "Route"}
@@ -91,7 +116,7 @@ diagram G {
     )
     state = init_state(d, {})
     assert enabled_ports(state, d) == frozenset()
-    state.instances["T#1"].guards["go"] = True
+    state["T#1"].guards["go"] = True
     assert enabled_ports(state, d) == {pi("T", 1, "p")}
 
 
@@ -99,13 +124,13 @@ def test_step_cycle_fires_switch_on(routes):
     binding = {"n": 2}
     allowed = diagram_interactions(routes, binding)
     state = init_state(routes, binding)
-    record = step_cycle(state, routes, None, allowed, SplitMix64(7), LEXICOGRAPHIC_FIRST)
+    record = CompiledSystem(state, routes, allowed).step(None, SplitMix64(7), LEXICOGRAPHIC_FIRST)
     assert record["interaction"] is not None
     fired = {(r["instance"], r["port"]) for r in record["interaction"]}
     assert fired in ({("Route#1", "on"), ("Monitor#1", "add")},
                      {("Route#2", "on"), ("Monitor#1", "add")})
     route = "Route#1" if ("Route#1", "on") in fired else "Route#2"
-    assert state.instances[route].current == "on"
+    assert state[route].current == "on"
     assert not record["idle"]
 
 
@@ -113,12 +138,12 @@ def test_internal_transition_fires_on_guard(routes):
     binding = {"n": 1}
     allowed = diagram_interactions(routes, binding)
     state = init_state(routes, binding)
-    state.instances["Route#1"].current = "wait"
+    state["Route#1"].current = "wait"
     entry = ScriptEntry(guards=(("Route#1", "finished", True),))
-    record = step_cycle(state, routes, entry, allowed, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    record = CompiledSystem(state, routes, allowed).step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert {"instance": "Route#1", "from": "wait", "to": "done"} in record["internal"]
     # from "done" the finished/rm interaction fired in the same cycle
-    assert state.instances["Route#1"].current in ("done", "off")
+    assert state["Route#1"].current in ("done", "off")
 
 
 def test_spontaneous_event_consumption(routes):
@@ -128,17 +153,17 @@ def test_spontaneous_event_consumption(routes):
 
     # the end event does not match any transition from "off": it stays queued
     entry = ScriptEntry(events=(("Route#1", "end"),))
-    record = step_cycle(state, routes, entry, allowed, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    record = CompiledSystem(state, routes, allowed).step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["spontaneous"] == []
-    assert state.instances["Route#1"].queue == ["end"]
+    assert state["Route#1"].queue == ["end"]
 
     # once the route reaches "wait" (guard still false) the queued event fires
-    state.instances["Route#1"].current = "wait"
-    record = step_cycle(state, routes, None, allowed, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    state["Route#1"].current = "wait"
+    record = CompiledSystem(state, routes, allowed).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["spontaneous"] == [
         {"instance": "Route#1", "event": "end", "from": "wait", "to": "done"},
     ]
-    assert state.instances["Route#1"].queue == []
+    assert state["Route#1"].queue == []
 
 
 def test_empty_feasible_set_is_idle(star):
@@ -146,10 +171,10 @@ def test_empty_feasible_set_is_idle(star):
     binding = {"n": 1}
     allowed = diagram_interactions(star, binding)
     state = init_state(star, binding)
-    state.instances["S#1"].current = "idle"
+    state["S#1"].current = "idle"
     # disable the satellite by moving it nowhere: instead run with no script
     # and an allowed set restricted to nothing
-    record = step_cycle(state, star, None, [], SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    record = CompiledSystem(state, star, []).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["idle"]
     assert record["interaction"] is None
     assert record["spontaneous"] == [] and record["internal"] == []
@@ -172,7 +197,7 @@ diagram Spin {
     )
     state = init_state(d, {})
     with pytest.raises(LivelockError) as err:
-        step_cycle(state, d, None, [], SplitMix64(0), LEXICOGRAPHIC_FIRST)
+        CompiledSystem(state, d, []).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert err.value.instance == "T#1"
 
 
@@ -192,9 +217,9 @@ diagram Chain {
 """
     )
     state = init_state(d, {})
-    record = step_cycle(state, d, None, [], SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    record = CompiledSystem(state, d, []).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert [r["to"] for r in record["internal"]] == ["b", "c"]
-    assert state.instances["T#1"].current == "c"
+    assert state["T#1"].current == "c"
 
 
 def test_a_guard_write_lets_a_blocked_queue_head_fire():
@@ -392,29 +417,25 @@ def test_event_script_json_round_trip():
 
 
 def test_script_validation_against_model(routes):
-    binding = {"n": 1}
-    allowed = diagram_interactions(routes, binding)
-    state = init_state(routes, binding)
-    with pytest.raises(ScriptError):
-        step_cycle(state, routes, ScriptEntry(events=(("Route#9", "end"),)), allowed,
-                   SplitMix64(0), LEXICOGRAPHIC_FIRST)
-    with pytest.raises(ScriptError):
-        step_cycle(state, routes, ScriptEntry(events=(("Route#1", "nothing"),)), allowed,
-                   SplitMix64(0), LEXICOGRAPHIC_FIRST)
-    with pytest.raises(ScriptError):
-        step_cycle(state, routes, ScriptEntry(guards=(("Monitor#1", "finished", True),)),
-                   allowed, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    config = EngineConfig(cycles=1)
+    for entry in (ScriptEntry(events=(("Route#9", "end"),)),
+                  ScriptEntry(events=(("Route#1", "nothing"),)),
+                  ScriptEntry(guards=(("Monitor#1", "finished", True),))):
+        with pytest.raises(ScriptError):
+            run(routes, {"n": 1}, config, script=EventScript((entry,)))
 
 
 @pytest.mark.parametrize(
     "entry, message",
     [
-        (ScriptEntry(guards=(("Route#1", "nope", True),)), "Route#1 declares no guard 'nope'"),
+        (ScriptEntry(guards=(("Route#1", "nope", True),)),
+         "cycles[1].guards[0]: Route#1 declares no guard 'nope'"),
         (ScriptEntry(events=(("Route#1", "bogus"),)),
-         "Route#1 declares no spontaneous event 'bogus'"),
+         "cycles[1].events[0]: Route#1 declares no spontaneous event 'bogus'"),
         (ScriptEntry(guards=(("Route#9", "finished", True),)),
-         "guard update targets unknown instance 'Route#9'"),
-        (ScriptEntry(events=(("Route#9", "end"),)), "event targets unknown instance 'Route#9'"),
+         "cycles[1].guards[0]: guard update targets unknown instance 'Route#9'"),
+        (ScriptEntry(events=(("Route#9", "end"),)),
+         "cycles[1].events[0]: event targets unknown instance 'Route#9'"),
     ],
     ids=["undeclared-guard", "undeclared-event", "guard-unknown-instance",
          "event-unknown-instance"],
@@ -428,6 +449,42 @@ def test_replay_checks_script_entries_as_the_run_does(routes, entry, message):
     with pytest.raises(ScriptError) as replayed:
         replay_validate(trace, routes, {"n": 1}, script=script)
     assert str(ran.value) == str(replayed.value) == message
+
+
+def test_a_bad_entry_past_the_last_cycle_is_never_checked(routes):
+    script = EventScript((ScriptEntry(), ScriptEntry(events=(("Route#9", "end"),))))
+    trace = run(routes, {"n": 1}, EngineConfig(cycles=1), script=script)
+    assert replay_validate(trace, routes, {"n": 1}, script=script) == {"interactions": 1, "idle": 0}
+    with pytest.raises(ScriptError, match=re.escape("cycles[1].events[0]: event targets")):
+        run(routes, {"n": 1}, EngineConfig(cycles=2), script=script)
+
+
+def test_a_bad_script_entry_wins_over_a_fault_in_an_earlier_cycle(routes):
+    # T#1 livelocks in cycle 0, but the script is checked before cycle 0
+    spin = parse_model(
+        """
+diagram Spin {
+  component T [1] {
+    ports { p }
+    guards { g }
+    states { a*, b }
+    transitions {
+      : a -> b
+      : b -> a
+    }
+  }
+}
+"""
+    )
+    script = EventScript((ScriptEntry(), ScriptEntry(guards=(("T#1", "h", True),))))
+    with pytest.raises(ScriptError, match=re.escape("cycles[1].guards[0]: T#1 declares no guard")):
+        run(spin, {}, EngineConfig(cycles=2), script=script)
+    # a replay fault in cycle 0 and a bad entry for cycle 2
+    forged = json.loads(trace_to_json(run(routes, {"n": 1}, EngineConfig(cycles=3))))
+    forged["cycles"][0].update(idle=True)
+    script = EventScript((ScriptEntry(), ScriptEntry(), ScriptEntry(events=(("Route#2", "end"),))))
+    with pytest.raises(ScriptError, match=re.escape("cycles[2].events[0]: event targets")):
+        replay_validate(forged, routes, {"n": 1}, script=script)
 
 
 def test_run_rejects_an_unknown_parameter(routes):
@@ -515,9 +572,9 @@ def engine_runs(draw):
 @given(engine_runs())
 @settings(max_examples=100, deadline=None)
 def test_incremental_cycles_match_fresh_compilation(engine_models, case):
-    """run keeps one compiled system across cycles; step_cycle compiles afresh
-    from the current state every cycle.  Both give the same records, and the
-    incrementally maintained enabled set is the from-scratch one."""
+    """run keeps one compiled system across cycles; the fresh one here is
+    compiled from the current state every cycle.  Both give the same records,
+    and the incrementally maintained enabled set is the from-scratch one."""
     model, binding, config, script = case
     d = engine_models[model]
     trace = run(d, binding, config, script=script)
@@ -528,7 +585,8 @@ def test_incremental_cycles_match_fresh_compilation(engine_models, case):
     system = CompiledSystem(state, d, allowed)
     for index in range(config.cycles):
         entry = script.entries[index] if index < len(script.entries) else None
-        fresh = step_cycle(fresh_state, d, entry, allowed, fresh_rng, config.policy, index)
+        fresh = CompiledSystem(fresh_state, d, allowed).step(entry, fresh_rng, config.policy,
+                                                             index)
         assert fresh == trace["cycles"][index]
         assert system.step(entry, rng, config.policy, index) == fresh
         assert state == fresh_state

@@ -210,8 +210,13 @@ def cmd_instantiate(args) -> int:
     configurations, truncated = diagram_mod.enumerate_diagram_configurations(
         d, binding, limit=args.limit, max_nodes=_max_nodes()
     )
+    # Configurations share their connectors: render each one once, keyed by
+    # its ends (a frozenset, which keeps its hash).
+    names: dict[frozenset, str] = {}
     rendered = [
-        sorted(str(c) for c in configuration.connectors()) for configuration in configurations
+        sorted(names.get(c.ends) or names.setdefault(c.ends, str(c))
+               for c in configuration.connectors())
+        for configuration in configurations
     ]
     if args.json:
         print(
@@ -266,7 +271,13 @@ def cmd_run(args) -> int:
 
     script = None
     if args.events:
-        script = engine_mod.EventScript.from_json(read_text(args.events))
+        text = read_text(args.events)
+        try:
+            script = engine_mod.EventScript.from_json(text)
+        except json.JSONDecodeError as exc:
+            print(f"{args.events}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}",
+                  file=sys.stderr)
+            return PARSE_ERROR
 
     config = engine_mod.EngineConfig(cycles=args.cycles, seed=args.seed, policy=args.policy)
     trace = engine_mod.run(d, binding, config, script=script, source=args.source)
@@ -481,9 +492,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseFailure as exc:
         for error in exc.errors:
             print(str(error), file=sys.stderr)
-        return PARSE_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"invalid JSON: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except (CapacityError, LivelockError) as exc:
         print(str(exc), file=sys.stderr)

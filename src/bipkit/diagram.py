@@ -234,26 +234,28 @@ def enumerate_configurations(
         for i in range(1, n + 1):
             degrees[PortInstance(end.port.component_type, i, end.port.port)] = deg
 
+    # The search works on instance numbers: need[k] is the degree instance k
+    # still lacks, avail[k] the connectors not yet passed over that hold it.
+    number = {pi: k for k, pi in enumerate(degrees)}
+    need = list(degrees.values())
+    unmet = sum(need)
     pool = possible_connectors(d, motif, binding)
-    membership = [sorted(c.port_instances) for c in pool]
-
-    # avail[i] = connectors not yet passed over that contain instance i.
-    avail: dict[PortInstance, int] = {pi: 0 for pi in degrees}
+    membership = [tuple(number[pi] for pi in c.port_instances) for c in pool]
+    avail = [0] * len(need)
     for members in membership:
-        for pi in members:
-            avail[pi] += 1
+        for k in members:
+            avail[k] += 1
 
-    need = dict(degrees)
     chosen: list[Connector] = []
     found: list[frozenset[Connector]] = []
     truncated = False
     visited = 0
 
-    def dfs(idx: int) -> bool:
+    def dfs(idx: int, passed: Sequence[int]) -> bool:
         """Include-first DFS from pool[idx]; returns False once the limit
         stops enumeration.  Including a connector recurses; passing over one
         moves on in the loop, so recursion is as deep as the chosen list."""
-        nonlocal visited, truncated
+        nonlocal visited, truncated, unmet
         start = idx
         try:
             while True:
@@ -264,7 +266,7 @@ def enumerate_configurations(
                         "raise the bound with max_nodes (BIPKIT_MAX_NODES for the command line)"
                     )
                 if len(chosen) == size:
-                    if all(v == 0 for v in need.values()):
+                    if unmet == 0:
                         found.append(frozenset(chosen))
                         if limit is not None and len(found) >= limit:
                             truncated = True
@@ -272,32 +274,40 @@ def enumerate_configurations(
                     return True
                 if size - len(chosen) > len(pool) - idx:
                     return True
-                # No instance may need more connectors than remain in pool[idx:].
-                if any(need[pi] > avail[pi] for pi in need):
-                    return True
+                # No instance may need more connectors than remain in
+                # pool[idx:]; including one lowers need and avail alike, so
+                # only what was passed over (all, at the root) can break it.
+                for k in passed:
+                    if need[k] > avail[k]:
+                        return True
 
-                members = membership[idx]
-                for pi in members:
-                    avail[pi] -= 1
+                passed = membership[idx]
+                for k in passed:
+                    avail[k] -= 1
                 idx += 1
-                if all(need[pi] > 0 for pi in members):
-                    for pi in members:
-                        need[pi] -= 1
+                for k in passed:
+                    if not need[k]:
+                        break
+                else:
+                    for k in passed:
+                        need[k] -= 1
+                    unmet -= len(passed)
                     chosen.append(pool[idx - 1])
-                    ok = dfs(idx)
+                    ok = dfs(idx, ())
                     chosen.pop()
-                    for pi in members:
-                        need[pi] += 1
+                    unmet += len(passed)
+                    for k in passed:
+                        need[k] += 1
                     if not ok:
                         return False
         finally:
             # Give back the connectors this frame passed over.
             for members in membership[start:idx]:
-                for pi in members:
-                    avail[pi] += 1
+                for k in members:
+                    avail[k] += 1
 
     if pool and 0 < size <= len(pool):
-        dfs(0)
+        dfs(0, range(len(need)))
     return EnumerationResult(tuple(found), truncated)
 
 

@@ -143,6 +143,13 @@ def test_importing_the_cli_leaves_out_the_network_modules():
     assert result.stdout == "[]\n"
 
 
+def test_python_m_bipkit_runs_the_cli():
+    src = str(Path(cli.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-m", "bipkit", "--version"], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (result.returncode, result.stdout) == (0, "bipkit 0.1.0\n")
+
+
 def test_check_json(capsys):
     code = main(["check", model_path("complete_pairing.bip"), "--bind", "n=2", "--json"])
     assert code == 0
@@ -494,6 +501,18 @@ def test_input_that_is_no_utf8_is_a_located_parse_error(tmp_path, capsys):
     assert main(["run", model_path("switchable_routes.bip"), "--bind", "n=1", "--cycles", "2",
                  "--events", str(script), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"{script}:1:26: expected UTF-8 text, found byte 0xfe\n")
+    assert not out.exists()
+
+
+def test_an_event_script_that_is_no_json_is_a_located_parse_error(tmp_path, capsys):
+    script = tmp_path / "bad.json"
+    script.write_text("{\n")
+    out = tmp_path / "t.json"
+    assert main(["run", model_path("switchable_routes.bip"), "--bind", "n=2", "--cycles", "3",
+                 "--events", str(script), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"{script}:2:1: invalid JSON: Expecting property name enclosed in double quotes\n"
+    )
     assert not out.exists()
 
 

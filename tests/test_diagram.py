@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +145,81 @@ def test_enumerate_search_size(request, model, n, limit, count, truncated, nodes
     assert (len(result), result.truncated) == (count, truncated)
     with pytest.raises(CapacityError):
         dg.enumerate_configurations(d, motif, binding, limit=limit, max_nodes=nodes - 1)
+
+
+# The smallest max_nodes that lets each search finish, recorded on the
+# dict-keyed search that the numbered one replaced: every sweep point at
+# bound 3 with limit 2, as proposition_sweep searches it, and the larger
+# searches of two bundled models.
+SEARCH_NODES = json.loads((Path(__file__).parent / "data" / "search_nodes.json").read_text())
+
+
+def assert_search_nodes(d, binding, limit, nodes, label):
+    motif = d.motifs[0]
+    dg.enumerate_configurations(d, motif, binding, limit=limit, max_nodes=nodes)
+    if nodes:  # a search that never starts visits no node and cannot run out
+        with pytest.raises(CapacityError):
+            dg.enumerate_configurations(d, motif, binding, limit=limit, max_nodes=nodes - 1)
+            pytest.fail(f"{label}: finished below {nodes} nodes")
+
+
+def test_search_nodes_on_the_sweep():
+    points = dict(dg.iter_sweep_points(SEARCH_NODES["sweep_bound"]))
+    assert points.keys() == SEARCH_NODES["sweep"].keys()
+    for label, nodes in SEARCH_NODES["sweep"].items():
+        assert_search_nodes(points[label], {}, SEARCH_NODES["sweep_limit"], nodes, label)
+
+
+@pytest.mark.parametrize(
+    "case", SEARCH_NODES["models"], ids=lambda c: f"{c['model']}-n{c['n']}-limit{c['limit']}"
+)
+def test_search_nodes_on_bundled_models(case):
+    d = load_bundled_model(case["model"] + ".bip")
+    assert_search_nodes(d, {"n": case["n"]}, case["limit"], case["nodes"], str(case))
+
+
+def reference_configurations(d, motif, binding, limit):
+    """The search's specification: every ``size``-combination of the pool, in
+    combination order, that gives each instance exactly its degree, cut at
+    ``limit`` with ``truncated`` set.  ``size`` is the first end's matching
+    factor; a configuration has at least one connector."""
+    size = dg.matching_factor(d, motif.ends[0], binding)
+    if size.denominator != 1 or size < 1:
+        return (), False
+    degrees = Counter()
+    for end in motif.ends:
+        for i in range(1, dg.cardinality_of(d, end.port.component_type, binding) + 1):
+            degrees[pi(end.port.component_type, i, end.port.port)] = end.degree.evaluate(binding)
+    found = []
+    for combo in itertools.combinations(dg.possible_connectors(d, motif, binding), int(size)):
+        if Counter(p for c in combo for p in c.port_instances) == degrees:
+            found.append(frozenset(combo))
+            if len(found) == limit:
+                return tuple(found), True
+    return tuple(found), False
+
+
+def assert_search_matches_reference(d, binding, label):
+    motif = d.motifs[0]
+    for limit in (None, 1, 2):
+        result = dg.enumerate_configurations(d, motif, binding, limit=limit)
+        expected = reference_configurations(d, motif, binding, limit)
+        assert (result.configurations, result.truncated) == expected, (label, limit)
+
+
+def test_search_matches_the_reference_on_the_sweep():
+    for label, d in dg.iter_sweep_points(3):
+        assert_search_matches_reference(d, {}, label)
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [("ambiguous_pairing", n) for n in range(1, 5)]
+    + [("complete_pairing", n) for n in range(1, 5)]
+    + [("star", n) for n in range(1, 4)],
+)
+def test_search_matches_the_reference_on_bundled_models(request, model, n):
+    assert_search_matches_reference(request.getfixturevalue(model), {"n": n}, model)
 
 
 def test_unique_configuration_closed_form(complete_pairing, star):

@@ -17,6 +17,7 @@ from .diagram import (
     check_encodable,
     conforms,
     diagram_interactions,
+    diagram_orbits,
     enumerate_configurations,
     enumerate_diagram_configurations,
     matching_factor,
@@ -58,6 +59,7 @@ from .logic import (
     RequireOption,
     RequireRule,
     allowed_interactions,
+    allowed_orbits,
     eval_pil,
     expand_accept,
     expand_require,
@@ -73,6 +75,7 @@ from .model import (
     ConnectorMotif,
     Interaction,
     MotifEnd,
+    Orbit,
     PortInstance,
     PortTypeRef,
     Transition,

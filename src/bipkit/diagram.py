@@ -4,21 +4,18 @@ A connector motif plus a cardinality binding defines a set of configurations
 (sets of connectors).  This module enumerates them by backtracking (the
 brute-force oracle), checks conformance of a given configuration, computes
 matching factors, and decides whether the diagram pins down exactly one
-configuration, in which case it is expressible in the macro notation and
-:func:`diagram_interactions` gives its interaction semantics in closed form.
+configuration.  The uniqueness conditions, per motif and end: the
+multiplicity may not exceed the owning type's cardinality, and the matching
+factor n*degree/multiplicity must equal the number of connectors the motif
+can form, the product over its ends of C(n_q, m_q).  The unique
+configuration is then the set of all of them.
 
-The uniqueness conditions, per connector motif and per end: the multiplicity
-may not exceed the owning type's cardinality, and the matching factor
-n*degree/multiplicity must equal the number of distinct connectors the motif
-can form, i.e. the product over its ends of C(n_q, m_q).  When they hold the
-unique configuration is the set of all possible connectors.
-
-:func:`diagram_interactions` checks the conditions once, then walks every
-possible connector as a frozenset of (port, typing) ends, building no
-:class:`Connector` and no connector tree, and takes each connector's
-interactions in the flat closed form of :func:`connector.flat_interactions`.
-The union over :func:`unique_configuration` of the connector trees is its
-specification (``tests/test_diagram.py``).
+Its interactions are closed under renumbering the instances of a type, so
+:func:`diagram_orbits` gives them in closed form as a few orbits
+(``model.Orbit``), counted per motif without building a connector, and
+:func:`diagram_interactions` expands them.  The union over
+:func:`unique_configuration` of the connector trees is their specification
+(``tests/test_diagram.py``).
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .connector import flat_interactions
-from .errors import CapacityError, EncodabilityError
+from .errors import CapacityError, EncodabilityError, LogicDomainError
 from .model import (
     ArchitectureDiagram,
     CardExpr,
@@ -40,9 +36,12 @@ from .model import (
     ConnectorMotif,
     Interaction,
     MotifEnd,
+    Orbit,
     PortInstance,
     PortTypeRef,
     SYNCHRON,
+    TRIGGER,
+    orbits_interactions,
 )
 
 Binding = Mapping[str, int]
@@ -76,10 +75,8 @@ def check_binding(d: ArchitectureDiagram, binding: Binding) -> None:
         for end in motif.ends:
             name = end.multiplicity.param
             if name is not None and binding[name] < 1:
-                raise ValueError(
-                    f"parameter {name}={binding[name]} makes the multiplicity of "
-                    f"motif {motif.name}, end {end.port}, less than 1"
-                )
+                raise ValueError(f"parameter {name}={binding[name]} makes the multiplicity of "
+                                 f"motif {motif.name}, end {end.port}, less than 1")
 
 
 def cardinality_of(d: ArchitectureDiagram, type_name: str, binding: Binding) -> int:
@@ -100,12 +97,8 @@ def matching_factor(d: ArchitectureDiagram, end: MotifEnd, binding: Binding) -> 
 
 def max_connectors(d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding) -> int:
     """Number of distinct connectors the motif can form: prod of C(n_q, m_q)."""
-    product = 1
-    for end in motif.ends:
-        n = cardinality_of(d, end.port.component_type, binding)
-        m = end.multiplicity.evaluate(binding)
-        product *= math.comb(n, m)
-    return product
+    return math.prod(math.comb(cardinality_of(d, end.port.component_type, binding),
+                               end.multiplicity.evaluate(binding)) for end in motif.ends)
 
 
 @dataclass(frozen=True)
@@ -142,25 +135,14 @@ def check_encodable(d: ArchitectureDiagram, binding: Binding) -> EncodabilityRep
     check_binding(d, binding)
     checks = []
     for motif in d.motifs:
-        limit = max_connectors(d, motif, binding)
-        for end in motif.ends:
-            n = cardinality_of(d, end.port.component_type, binding)
-            m = end.multiplicity.evaluate(binding)
-            deg = end.degree.evaluate(binding)
-            factor = matching_factor(d, end, binding)
-            checks.append(
-                EndCheck(
-                    motif=motif.name,
-                    port=end.port,
-                    cardinality=n,
-                    multiplicity=m,
-                    degree=deg,
-                    factor=factor,
-                    max_connectors=limit,
-                    multiplicity_ok=m <= n,
-                    factor_ok=factor == limit,
-                )
-            )
+        values = [(cardinality_of(d, end.port.component_type, binding),
+                   end.multiplicity.evaluate(binding), end.degree.evaluate(binding))
+                  for end in motif.ends]
+        limit = math.prod(math.comb(n, m) for n, m, _ in values)
+        for end, (n, m, deg) in zip(motif.ends, values):
+            factor = Fraction(n * deg, m)
+            checks.append(EndCheck(motif.name, end.port, n, m, deg, factor, limit,
+                                   multiplicity_ok=m <= n, factor_ok=factor == limit))
     return EncodabilityReport(tuple(checks))
 
 
@@ -172,12 +154,9 @@ def _connector_ends(
     per_end: list[list[tuple[tuple[PortInstance, str], ...]]] = []
     for end in motif.ends:
         n = cardinality_of(d, end.port.component_type, binding)
-        m = end.multiplicity.evaluate(binding)
-        ends = [
-            (PortInstance(end.port.component_type, i, end.port.port), end.typing)
-            for i in range(1, n + 1)
-        ]
-        per_end.append(list(itertools.combinations(ends, m)))
+        ends = [(PortInstance(end.port.component_type, i, end.port.port), end.typing)
+                for i in range(1, n + 1)]
+        per_end.append(list(itertools.combinations(ends, end.multiplicity.evaluate(binding))))
     for parts in itertools.product(*per_end):
         yield frozenset().union(*parts)
 
@@ -217,6 +196,8 @@ def enumerate_configurations(
     check_binding(d, binding)
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
+    if len(motif.port_types) < len(motif.ends):
+        raise ValueError(f"motif {motif.name} names a port type twice")
 
     # All matching factors must be one equal integer: the configuration size.
     factors = {matching_factor(d, end, binding) for end in motif.ends}
@@ -227,18 +208,19 @@ def enumerate_configurations(
         return EnumerationResult((), False)
     size = int(size)
 
-    degrees: dict[PortInstance, int] = {}
-    for end in motif.ends:
-        n = cardinality_of(d, end.port.component_type, binding)
-        deg = end.degree.evaluate(binding)
-        for i in range(1, n + 1):
-            degrees[PortInstance(end.port.component_type, i, end.port.port)] = deg
+    degrees = {PortInstance(end.port.component_type, i, end.port.port): end.degree.evaluate(binding)
+               for end in motif.ends
+               for i in range(1, cardinality_of(d, end.port.component_type, binding) + 1)}
 
     # The search works on instance numbers: need[k] is the degree instance k
     # still lacks, avail[k] the connectors not yet passed over that hold it.
+    # An instance of end q is in len(pool)*m_q/n_q connectors and needs
+    # size*m_q/n_q, so no root prune is needed while size <= len(pool).  A
+    # connector has sum(m_q) distinct members (the ends name distinct port
+    # types) and is included only while each still needs it, so `size` of
+    # them consume the whole need, size*sum(m_q): every degree is then met.
     number = {pi: k for k, pi in enumerate(degrees)}
     need = list(degrees.values())
-    unmet = sum(need)
     pool = possible_connectors(d, motif, binding)
     membership = [tuple(number[pi] for pi in c.port_instances) for c in pool]
     avail = [0] * len(need)
@@ -255,7 +237,7 @@ def enumerate_configurations(
         """Include-first DFS from pool[idx]; returns False once the limit
         stops enumeration.  Including a connector recurses; passing over one
         moves on in the loop, so recursion is as deep as the chosen list."""
-        nonlocal visited, truncated, unmet
+        nonlocal visited, truncated
         start = idx
         try:
             while True:
@@ -266,17 +248,16 @@ def enumerate_configurations(
                         "raise the bound with max_nodes (BIPKIT_MAX_NODES for the command line)"
                     )
                 if len(chosen) == size:
-                    if unmet == 0:
-                        found.append(frozenset(chosen))
-                        if limit is not None and len(found) >= limit:
-                            truncated = True
-                            return False
+                    found.append(frozenset(chosen))
+                    if limit is not None and len(found) >= limit:
+                        truncated = True
+                        return False
                     return True
                 if size - len(chosen) > len(pool) - idx:
                     return True
                 # No instance may need more connectors than remain in
                 # pool[idx:]; including one lowers need and avail alike, so
-                # only what was passed over (all, at the root) can break it.
+                # only what was passed over can break it.
                 for k in passed:
                     if need[k] > avail[k]:
                         return True
@@ -291,11 +272,9 @@ def enumerate_configurations(
                 else:
                     for k in passed:
                         need[k] -= 1
-                    unmet -= len(passed)
                     chosen.append(pool[idx - 1])
                     ok = dfs(idx, ())
                     chosen.pop()
-                    unmet += len(passed)
                     for k in passed:
                         need[k] += 1
                     if not ok:
@@ -307,18 +286,16 @@ def enumerate_configurations(
                     avail[k] += 1
 
     if pool and 0 < size <= len(pool):
-        dfs(0, range(len(need)))
+        dfs(0, ())
     return EnumerationResult(tuple(found), truncated)
 
 
 def unique_configuration(
     d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding
 ) -> frozenset[Connector]:
-    """The single conforming configuration: all possible connectors.
-
-    Closed form, no search; only valid when the uniqueness conditions hold
-    for this motif, otherwise EncodabilityError.
-    """
+    """The single conforming configuration: all possible connectors, in
+    closed form.  Raises EncodabilityError unless the uniqueness conditions
+    hold for this motif."""
     failures = [e for e in check_encodable(d, binding).failures() if e.motif == motif.name]
     if failures:
         details = "; ".join(
@@ -334,14 +311,11 @@ def conforms(configuration: Configuration, d: ArchitectureDiagram, binding: Bind
     """Does the configuration satisfy every motif's multiplicity/typing and
     degree constraints under the binding?"""
     check_binding(d, binding)
-    group_names = {name for name, _ in configuration.groups}
-    if group_names - {m.name for m in d.motifs}:
+    groups = dict(configuration.groups)
+    if groups.keys() - {m.name for m in d.motifs}:
         return False
     for motif in d.motifs:
-        try:
-            group = configuration.group(motif.name)
-        except KeyError:
-            group = frozenset()
+        group = groups.get(motif.name)
         if not group:
             return False
         motif_ports = motif.port_types
@@ -349,9 +323,7 @@ def conforms(configuration: Configuration, d: ArchitectureDiagram, binding: Bind
             by_ref: dict[PortTypeRef, int] = {}
             for pi, typing in connector.ends:
                 ref = pi.type_ref
-                if ref not in motif_ports:
-                    return False
-                if typing != motif.end_for(ref).typing:
+                if ref not in motif_ports or typing != motif.end_for(ref).typing:
                     return False
                 by_ref[ref] = by_ref.get(ref, 0) + 1
             for end in motif.ends:
@@ -380,9 +352,7 @@ def enumerate_diagram_configurations(
         for motif in d.motifs
     ]
     truncated = any(result.truncated for _, result in per_motif)
-    groups = [
-        [(name, option) for option in result.configurations] for name, result in per_motif
-    ]
+    groups = [[(name, option) for option in result.configurations] for name, result in per_motif]
     if any(not g for g in groups):
         return (), truncated
     configurations: list[Configuration] = []
@@ -394,37 +364,76 @@ def enumerate_diagram_configurations(
     return tuple(configurations), truncated
 
 
-def diagram_interactions(d: ArchitectureDiagram, binding: Binding) -> frozenset[Interaction]:
-    """Interaction semantics of an encodable diagram.
+def _type_orbits(ends: Sequence[MotifEnd], sizes: Sequence[int], n: int, exact: bool):
+    """The ways the ends of one component type take part in an interaction of
+    one connector, up to renumbering, as sorted (signature, count) parts: end
+    e with all m_e of its instances when ``exact``, else any 0..m_e.  Ends on
+    one type may share instances, n at most in all: ``fill`` counts those of
+    each group of ends, largest first, whose signature is the group's ports."""
+    if len(ends) == 1:
+        low, high = sizes[0] if exact else 0, min(sizes[0], n)
+        return {(((ends[0].port,), k),) if k else () for k in range(low, high + 1)}
+    groups = [group for size in range(len(ends), 0, -1)
+              for group in itertools.combinations(range(len(ends)), size)]
 
-    The union over motifs, over the connectors of the unique configuration
-    (every connector the motif can form), of each connector's interaction
-    set in closed form.  Raises EncodabilityError when some motif admits
-    zero or several configurations.
-    """
+    def fill(i, left, room):
+        if i == len(groups):
+            if not (exact and any(left)):
+                yield {}
+            return
+        top = min(room, *(left[e] for e in groups[i]))
+        for k in range(top if exact and len(groups[i]) == 1 else 0, top + 1):
+            rest = [c - k if e in groups[i] else c for e, c in enumerate(left)]
+            for counts in fill(i + 1, rest, room - k):
+                if k:
+                    signature = tuple(sorted({ends[e].port for e in groups[i]}))
+                    counts[signature] = counts.get(signature, 0) + k
+                yield counts
+
+    return {tuple(sorted(counts.items())) for counts in fill(0, list(sizes), n)}
+
+
+def diagram_orbits(d: ArchitectureDiagram, binding: Binding) -> list[Orbit]:
+    """Interaction semantics of an encodable diagram, as sorted orbits: the
+    unique configuration holds every connector each motif can form, so a
+    motif gives every way its component types take part (:func:`_type_orbits`),
+    with a trigger instance among them when it has a trigger end.  Raises
+    EncodabilityError when some motif admits zero or several configurations."""
     report = check_encodable(d, binding)
     if not report.overall:
         bad = ", ".join(f"{e.motif}/{e.port}" for e in report.failures())
         raise EncodabilityError(f"diagram does not define a unique architecture ({bad})")
-    result: set[Interaction] = set()
+    orbits: set[Orbit] = set()
     for motif in d.motifs:
-        for ends in _connector_ends(d, motif, binding):
-            result |= flat_interactions(ends)
-    return frozenset(result)
+        typings: dict[PortTypeRef, str] = {}
+        by_type: dict[str, list[MotifEnd]] = {}
+        for end in motif.ends:
+            if typings.setdefault(end.port, end.typing) != end.typing:
+                raise LogicDomainError(f"motif {motif.name}: {end.port} is synchron and trigger")
+            by_type.setdefault(end.port.component_type, []).append(end)
+        exact = TRIGGER not in typings.values()
+        per_type = [_type_orbits(ends, [end.multiplicity.evaluate(binding) for end in ends],
+                                 cardinality_of(d, ctype, binding), exact)
+                    for ctype, ends in sorted(by_type.items())]
+        for parts in itertools.product(*per_type):
+            orbit = tuple(itertools.chain.from_iterable(parts))
+            if exact or any(typings[ref] == TRIGGER for signature, _ in orbit for ref in signature):
+                orbits.add(orbit)
+    return sorted(orbits)
+
+
+def diagram_interactions(d: ArchitectureDiagram, binding: Binding) -> frozenset[Interaction]:
+    """Interaction semantics of an encodable diagram: the expansion of
+    :func:`diagram_orbits`."""
+    return orbits_interactions(diagram_orbits(d, binding), instance_counts(d, binding))
 
 
 # ---- exhaustive sweep over small single-motif diagrams ---------------------
 
 
 def _loop_type(name: str, port: str, cardinality: int) -> ComponentType:
-    return ComponentType(
-        name=name,
-        cardinality=CardExpr.lit(cardinality),
-        port_types=frozenset({port}),
-        states=frozenset({"s"}),
-        initial_states=frozenset({"s"}),
-        transitions=(),
-    )
+    return ComponentType(name, CardExpr.lit(cardinality), frozenset({port}),
+                         states=frozenset({"s"}), initial_states=frozenset({"s"}))
 
 
 def single_motif_diagram(
@@ -440,19 +449,10 @@ def single_motif_diagram(
     names = ["A", "B", "C", "D"][: len(specs)]
     types = [_loop_type(name, "p", n) for name, (n, _, _) in zip(names, specs)]
     ends = tuple(
-        MotifEnd(
-            port=PortTypeRef(name, "p"),
-            multiplicity=CardExpr.lit(m),
-            degree=CardExpr.lit(deg),
-            typing=typing,
-        )
+        MotifEnd(PortTypeRef(name, "p"), CardExpr.lit(m), CardExpr.lit(deg), typing)
         for name, (_, m, deg), typing in zip(names, specs, typings)
     )
-    return ArchitectureDiagram(
-        name="sweep",
-        component_types=tuple(types),
-        motifs=(ConnectorMotif(name="only", ends=ends),),
-    )
+    return ArchitectureDiagram("sweep", tuple(types), (ConnectorMotif("only", ends),))
 
 
 @dataclass(frozen=True)

@@ -18,25 +18,28 @@ entries that a run uses are checked against the model once, before cycle
 0, by the same function for :func:`run` and :func:`replay_validate`; a bad
 item raises ScriptError at its script path, and the step only applies.
 
-A run compiles the instantiated system once (:class:`CompiledSystem`):
-instances in canonical order, per-type transition tables keyed by (kind,
-state, label), and the allowed interactions sorted into canonical order as
-port indices: an interaction sorts as the tuple of its sorted port
-instances, which are themselves ``(type, index, port)`` tuples.  A hub
-port, used by more than isqrt(#interactions) interactions, is tracked per
-group of interactions that share the same hub ports; every other port has
-an inverted index to the interactions using it, each of which counts its
-missing non-hub ports.  The enabled ports are then
-maintained incrementally: only instances touched by a guard update, a
-consumed event, a firing or an internal step are recomputed, and a hub port
-that toggles updates its groups, not its users, so a cycle costs what
-changed rather than the system size.  Sub-step (b) checks only the queue
-heads that may fire: a head that did not fire stays parked until its
-instance gets an event, a guard write or a move.  Sub-step (c) picks over
-the sorted member lists of the live groups, by index into their sorted
-union.  Each step returns the cycle's trace record; :func:`replay_validate`
-checks those records against the same transition tables, one lookup per
-record, and :func:`trace_to_json` writes the trace as ``json.dumps(trace,
+The allowed set comes in as orbits (``model.Orbit``), from the diagram or
+from the macros.  A run compiles the instantiated system once
+(:class:`CompiledSystem`): instances in canonical order, per-type transition
+tables keyed by (kind, state, label), port ids in canonical (type, index,
+port) order, and each orbit expanded straight into sorted port-id tuples
+that one integer sort puts in canonical order.  A hub port, used by more
+than isqrt(#interactions) interactions, is tracked per group of
+interactions that share the same hub ports; every other port has an
+inverted index to the interactions using it, each of which counts its
+missing non-hub ports.  The enabled ports are then maintained
+incrementally: only instances touched by a guard update, a consumed event,
+a firing or an internal step are recomputed, and a hub port that toggles
+updates its groups, not its users, so a cycle costs what changed rather
+than the system size.  Sub-step (b) checks only the queue heads that may
+fire: a head that did not fire stays parked until its instance gets an
+event, a guard write or a move.  Sub-step (c) picks over the sorted member
+lists of the live groups, by index into their sorted union.  Each step
+returns the cycle's trace record.  :func:`replay_validate` checks those
+records against the same transition tables, one lookup per record, and a
+fired interaction by its orbit: its instances are distinct, so it is
+allowed when the multiset of its (type, port) pairs is an orbit of the
+diagram.  :func:`trace_to_json` writes the trace as ``json.dumps(trace,
 indent=2, sort_keys=True)`` plus a newline would.
 
 The determinism contract does not depend on that bookkeeping.  The feasible
@@ -55,22 +58,23 @@ import json
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Mapping, Optional
 
 from . import diagram as diagram_mod
 from .encoder import encode_macros
 from .errors import BipError, LivelockError, ScriptError
-from .logic import allowed_interactions
+from .logic import allowed_orbits
 from .model import (
     ArchitectureDiagram,
     ENFORCEABLE,
     INTERNAL,
-    Interaction,
+    Orbit,
     PortInstance,
     SPONTANEOUS,
     Transition,
+    expand_orbit,
 )
 
 MASK64 = (1 << 64) - 1
@@ -315,12 +319,13 @@ def _transition_tables(d: ArchitectureDiagram) -> dict[str, _Transitions]:
 class CompiledSystem:
     """An instantiated system compiled for stepping.
 
-    Instances are numbered in canonical order and each port instance that
-    occurs in an allowed interaction gets an integer id.  Every allowed
-    interaction whose ports belong to distinct instances is kept, in
-    canonical order, as a tuple of port ids.  The canonical order compares
-    interactions as their sorted port instances, each a
-    ``(type, index, port)`` tuple.
+    The state lists its instances in canonical order, as :func:`init_state`
+    gives them, and each port that a single-port signature of the orbits
+    names gets an integer id in canonical ``(type, index, port)`` order.  An orbit expands into its
+    interactions as sorted tuples of port ids, so sorting them as tuples
+    gives the canonical order: interactions compared as their sorted port
+    instances.  An interaction naming one instance twice is never feasible,
+    so an orbit with a multi-port signature is skipped.
 
     A port used by more than ``isqrt(len(interactions))`` interactions is a
     hub, like a manager port that every process synchronizes with.  Every
@@ -339,7 +344,7 @@ class CompiledSystem:
     """
 
     def __init__(self, state: Mapping[str, InstanceState], d: ArchitectureDiagram,
-                 allowed: Iterable[Interaction]):
+                 orbits: Iterable[Orbit]):
         instances = list(state.values())
         tables = _transition_tables(d)
         self.instances = instances
@@ -348,32 +353,35 @@ class CompiledSystem:
         self.tables = [tables[inst.type_name] for inst in instances]
         self.enabled = [self._enabled_labels(i) for i in range(len(instances))]
 
-        index_of = {(inst.type_name, inst.index): i for i, inst in enumerate(instances)}
-        port_ids: list[dict[str, int]] = [{} for _ in instances]  # instance -> label -> id
+        orbits = [orbit for orbit in orbits if all(len(sig) == 1 for sig, _ in orbit)]
+        names: dict[str, set[str]] = {}  # type -> its ports the orbits name
+        for (ref,), _ in chain.from_iterable(orbits):
+            names.setdefault(ref.component_type, set()).add(ref.port)
+        ids_of: dict[tuple[str, str], list[int]] = {}  # (type, label) -> ids by index
+        port_ids: list[dict[str, int]] = []  # instance -> label -> id
         ports: list[tuple[int, str]] = []  # id -> (instance, label)
-        users: list[list[int]] = []  # id -> interactions using the port
-        interactions: list[tuple[int, ...]] = []  # port ids in sorted port order
-        for key in sorted(tuple(sorted(i)) for i in allowed):
-            pids = []
-            previous = None
-            for type_name, index, label in key:
-                i = index_of.get((type_name, index))
-                # An interaction naming no instance of this system, or one
-                # instance twice, is never feasible.  A sorted key lists the
-                # ports of one instance next to each other.
-                if i is None or i == previous:
-                    break
-                previous = i
-                pid = port_ids[i].get(label)
-                if pid is None:
-                    pid = port_ids[i][label] = len(ports)
-                    ports.append((i, label))
-                    users.append([])
-                pids.append(pid)
-            else:
-                for pid in pids:
-                    users[pid].append(len(interactions))
-                interactions.append(tuple(pids))
+        for i, inst in enumerate(instances):
+            port_ids.append({})
+            for label in sorted(names.get(inst.type_name, ())):
+                port_ids[i][label] = len(ports)
+                ids_of.setdefault((inst.type_name, label), [-1]).append(len(ports))
+                ports.append((i, label))
+
+        # expand_orbit joins types in name order and a part's instance numbers
+        # increase, so only a type with several parts needs its ids sorted.
+        def render(parts, chosen):
+            if len(parts) == 1:
+                return tuple(map(ids_of[parts[0][0][0]].__getitem__, chosen[0]))
+            return tuple(sorted(ids_of[sig[0]][i]
+                                for (sig, _), nums in zip(parts, chosen) for i in nums))
+
+        counts = {ctype: len(ids) - 1 for (ctype, _), ids in ids_of.items()}
+        interactions = [pids for orbit in orbits for pids in expand_orbit(orbit, counts, render)]
+        interactions.sort()
+        users: list[list[int]] = [[] for _ in ports]  # id -> interactions using the port
+        for k, pids in enumerate(interactions):
+            for pid in pids:
+                users[pid].append(k)
         self.port_ids, self.ports, self.interactions = port_ids, ports, interactions
 
         # Groups, counts and member lists, built in canonical order from the
@@ -428,20 +436,14 @@ class CompiledSystem:
     def enabled_ports(self) -> frozenset[PortInstance]:
         """The maintained enabled set; between steps it equals
         :func:`enabled_ports` of the compiled state."""
-        return frozenset(
-            PortInstance(inst.type_name, inst.index, label)
-            for inst, labels in zip(self.instances, self.enabled)
-            for label in labels
-        )
+        return frozenset(PortInstance(inst.type_name, inst.index, label)
+                         for inst, labels in zip(self.instances, self.enabled) for label in labels)
 
     def _enabled_labels(self, i: int) -> frozenset[str]:
         inst = self.instances[i]
         guards = inst.guards
-        return frozenset(
-            tr.label
-            for tr in self.tables[i].enforceable.get(inst.current, ())
-            if tr.guard is None or tr.guard.evaluate(guards)
-        )
+        return frozenset(tr.label for tr in self.tables[i].enforceable.get(inst.current, ())
+                         if tr.guard is None or tr.guard.evaluate(guards))
 
     def _refresh(self, i: int) -> None:
         """Recompute instance i's enabled ports; a hub port that changed
@@ -598,15 +600,12 @@ def _kth_of_union(lists: list[list[int]], k: int) -> int:
     return low
 
 
-def _allowed_set(
-    d: ArchitectureDiagram, binding: diagram_mod.Binding, source: str
-) -> frozenset[Interaction]:
+def _orbits(d: ArchitectureDiagram, binding: diagram_mod.Binding, source: str) -> list[Orbit]:
     if source == DIAGRAM_SOURCE:
-        return diagram_mod.diagram_interactions(d, binding)
+        return diagram_mod.diagram_orbits(d, binding)
     if source == MACRO_SOURCE:
-        counts = diagram_mod.instance_counts(d, binding)
         spec = encode_macros(d)
-        return allowed_interactions(spec.requires, spec.accepts, counts)
+        return allowed_orbits(spec.requires, spec.accepts, diagram_mod.instance_counts(d, binding))
     raise ValueError(f"unknown interaction source {source!r}")
 
 
@@ -622,11 +621,11 @@ def run(
     Returns the trace object; serialize with :func:`trace_to_json` for the
     byte-stable on-disk form.
     """
-    allowed = _allowed_set(d, binding, source)
+    orbits = _orbits(d, binding, source)
     state = init_state(d, binding)
     entries = script.entries[:config.cycles] if script else ()
     _check_script(entries, state, d)
-    system = CompiledSystem(state, d, allowed)
+    system = CompiledSystem(state, d, orbits)
     rng = SplitMix64(config.seed)
 
     cycles = []
@@ -720,7 +719,11 @@ def replay_validate(
     for key, expected in header.items():
         if trace.get(key) != expected:
             raise ReplayError(f"trace {key} is {trace.get(key)!r}, expected {expected!r}")
-    allowed = diagram_mod.diagram_interactions(d, binding)
+    # A fired interaction names distinct instances, so it is allowed when its
+    # sorted (type, port) pairs list each single-port signature count times.
+    allowed = {tuple(chain.from_iterable(sig * k for sig, k in orbit))
+               for orbit in diagram_mod.diagram_orbits(d, binding)
+               if all(len(sig) == 1 for sig, _ in orbit)}
     instances = init_state(d, binding)
     tables = _transition_tables(d)
     entries = script.entries[:len(trace["cycles"])] if script else ()
@@ -775,14 +778,11 @@ def replay_validate(
                 moves = [check(ENFORCEABLE, record["port"], record) for record in records]
                 if len({record["instance"] for record in records}) != len(records):
                     raise ReplayError(f"cycle {index}: fired interaction names an instance twice")
-                ports = frozenset(
-                    PortInstance(inst.type_name, inst.index, record["port"])
-                    for (inst, _), record in zip(moves, records)
-                )
-                if ports not in allowed:
-                    raise ReplayError(
-                        f"cycle {index}: fired interaction {sorted(map(str, ports))} is not allowed"
-                    )
+                if tuple(sorted((inst.type_name, r["port"])
+                                for (inst, _), r in zip(moves, records))) not in allowed:
+                    ports = sorted(str(PortInstance(inst.type_name, inst.index, r["port"]))
+                                   for (inst, _), r in zip(moves, records))
+                    raise ReplayError(f"cycle {index}: fired interaction {ports} is not allowed")
                 for inst, tr in moves:
                     inst.current = tr.destination
                 fired_count += 1

@@ -24,13 +24,14 @@ the accepted set is excluded whenever the effect port participates (for the
 effect's own port type, other instances are excluded, never the effect
 itself).
 
-Two functions compute the allowed set of a rule set.  The runtime path,
-:func:`allowed_interactions`, solves the rules by instance symmetry: the
-rules compare instances only by (in)equality, so the allowed set is closed
-under permuting the instances of a type, and it suffices to count how many
-instances carry each set of rule ports (Emerson & Sistla, *Symmetry and
-model checking*, 1996).  Its cost grows with the number of allowed
-interactions, not with the number of port subsets.  The specification,
+The runtime path, :func:`allowed_orbits`, solves a rule set by instance
+symmetry: the rules compare instances only by (in)equality, so the allowed
+set is closed under permuting the instances of a type, and it suffices to
+count how many instances carry each set of rule ports (Emerson & Sistla,
+*Symmetry and model checking*, 1996).  It returns the accepted count vectors
+as orbits (``model.Orbit``) without expanding them; its cost grows with the
+number of orbits tried, not with the number of port subsets.
+:func:`allowed_interactions` is their expansion.  The specification,
 :func:`allowed_interactions_spec`, expands every rule to FOIL, grounds it
 and enumerates the subset lattice of a capped port universe; tests compare
 the two.
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError, LogicDomainError
-from .model import Interaction, PortInstance, PortTypeRef
+from .model import Interaction, Orbit, PortInstance, PortTypeRef, orbits_interactions
 
 DEFAULT_MAX_PORTS = 20
 
@@ -575,20 +576,19 @@ def _holds(constraint: _Constraint, counts: Sequence[int]) -> bool:
     return any(all(low <= counts[i] <= high for i, low, high in alt) for alt in constraint)
 
 
-def allowed_interactions(
+def allowed_orbits(
     requires: Sequence[RequireRule],
     accepts: Sequence[AcceptRule],
     instances: Mapping[str, int],
-) -> frozenset[Interaction]:
-    """Interactions satisfying every Require and Accept rule.
+) -> list[Orbit]:
+    """The orbits of the interactions satisfying every Require and Accept
+    rule, in sorted order.
 
-    Equal to :func:`allowed_interactions_spec` but solved by instance
-    symmetry: the rules compare instances only by (in)equality, so whether an
+    The rules compare instances only by (in)equality, so whether an
     interaction is allowed depends only on how many instances of each type
     carry each signature (the non-empty set of rule port types an instance
-    contributes).  Such count vectors (orbits) are enumerated depth first,
-    pruned on over-counts that more instances never repair, checked once,
-    and each accepted orbit is expanded into its interactions.
+    contributes).  Such count vectors are enumerated depth first, pruned on
+    over-counts that more instances never repair, and checked once.
     """
     refs = sorted(rule_port_types(requires, accepts))
     index = {ref: i for i, ref in enumerate(refs)}
@@ -613,13 +613,13 @@ def allowed_interactions(
     counts = [0] * len(refs)
     orbit: list[tuple[tuple[PortTypeRef, ...], int]] = []
     active: list[_Constraint] = []
-    result: set[Interaction] = set()
+    result: list[Orbit] = []
 
     def visit(start: int) -> None:
         # Each call is one orbit; the slots it may still add follow the last
         # one added, so the recursion is as deep as the orbit has signatures.
         if orbit and all(_holds(c, counts) for c in active):
-            result.update(orbit_interactions(orbit, instances))
+            result.append(tuple(sorted(orbit)))
         for i in range(start, len(slots)):
             signature, ports, cons = slots[i]
             ctype = signature[0].component_type
@@ -642,38 +642,14 @@ def allowed_interactions(
             orbit.pop()
 
     visit(0)
-    return frozenset(result)
+    return sorted(result)
 
 
-def orbit_interactions(
-    orbit: Sequence[tuple[tuple[PortTypeRef, ...], int]], instances: Mapping[str, int]
-) -> list[Interaction]:
-    """Every interaction of one orbit, each exactly once.
-
-    ``orbit`` lists (signature, count) pairs: that many distinct instances of
-    the signature's component type carry exactly its port types.  Each
-    signature takes its instance indices from those the earlier signatures
-    of its type left free, so the list has the multinomial length.
-    """
-    by_type: dict[str, list[tuple[tuple[PortTypeRef, ...], int]]] = {}
-    for signature, k in orbit:
-        by_type.setdefault(signature[0].component_type, []).append((signature, k))
-    placements = [
-        list(_placements(parts, range(1, instances.get(ctype, 0) + 1)))
-        for ctype, parts in by_type.items()
-    ]
-    return [
-        frozenset(itertools.chain.from_iterable(pick)) for pick in itertools.product(*placements)
-    ]
-
-
-def _placements(parts, free):
-    (signature, k), rest = parts[0], parts[1:]
-    for chosen in itertools.combinations(free, k):
-        here = tuple(PortInstance(q.component_type, i, q.port) for i in chosen for q in signature)
-        if not rest:
-            yield here
-            continue
-        taken = set(chosen)
-        for tail in _placements(rest, [i for i in free if i not in taken]):
-            yield here + tail
+def allowed_interactions(
+    requires: Sequence[RequireRule],
+    accepts: Sequence[AcceptRule],
+    instances: Mapping[str, int],
+) -> frozenset[Interaction]:
+    """Interactions satisfying every Require and Accept rule: the expansion
+    of :func:`allowed_orbits`, equal to :func:`allowed_interactions_spec`."""
+    return orbits_interactions(allowed_orbits(requires, accepts, instances), instances)

@@ -4,13 +4,15 @@ A model is a set of component types (labeled transition systems with
 enforceable, spontaneous, and internal transitions) and a set of connector
 motifs relating their port types.  Everything here is an immutable value:
 :class:`PortTypeRef` and :class:`PortInstance` are typed tuples equal to
-their field tuples, the rest frozen dataclasses.  The validators are pure
-functions returning issue lists rather than raising.
+their field tuples, the rest frozen dataclasses.  An allowed set is held
+as orbits (:data:`Orbit`), which one placement generator expands.  The
+validators are pure functions returning issue lists rather than raising.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Optional
 
@@ -320,6 +322,60 @@ class PortInstance(NamedTuple):
 # An interaction is a non-empty frozenset of PortInstance; we use the bare
 # frozenset to keep the set algebra free of wrappers.
 Interaction = frozenset
+
+# An orbit is a sorted tuple of (signature, count) pairs, a signature being a
+# sorted tuple of one component type's PortTypeRefs: its interactions are
+# those in which, for each pair, ``count`` distinct instances of that type
+# take part with exactly the signature's ports.  Renumbering the instances of
+# a type maps an orbit onto itself, and an allowed set closed under that (the
+# diagram's and the macros') is the disjoint union of a few orbits (Emerson &
+# Sistla, *Symmetry and model checking*, 1996).
+Orbit = tuple
+
+
+def _placements(parts, free):
+    """Every way to give the (signature, count) parts of one component type
+    distinct instance numbers from ``free``: one increasing tuple per part."""
+    (_, k), rest = parts[0], parts[1:]
+    for chosen in itertools.combinations(free, k):
+        if not rest:
+            yield (chosen,)
+            continue
+        taken = set(chosen)
+        for tail in _placements(rest, [i for i in free if i not in taken]):
+            yield (chosen,) + tail
+
+
+def expand_orbit(orbit: Orbit, instances: Mapping[str, int], render) -> list[tuple]:
+    """Every interaction of one orbit, each exactly once, as the concatenation
+    of ``render(parts, chosen)`` over its component types in name order:
+    each type's parts take distinct instance numbers from 1 to its count in
+    ``instances``, one increasing tuple per part in ``chosen``."""
+    expansion = [()]
+    for ctype, parts in itertools.groupby(orbit, key=lambda part: part[0][0][0]):
+        parts = tuple(parts)
+        free = range(1, instances.get(ctype, 0) + 1)
+        rendered = [render(parts, chosen) for chosen in _placements(parts, free)]
+        expansion = [head + tail for head in expansion for tail in rendered]
+    return expansion
+
+
+def _port_instances(parts, chosen) -> tuple[PortInstance, ...]:
+    return tuple(PortInstance(q.component_type, i, q.port)
+                 for (signature, _), numbers in zip(parts, chosen)
+                 for i in numbers for q in signature)
+
+
+def orbit_interactions(orbit: Orbit, instances: Mapping[str, int]) -> list[Interaction]:
+    """Every interaction of one orbit, each exactly once: a list of the
+    multinomial length."""
+    return [frozenset(ports) for ports in expand_orbit(orbit, instances, _port_instances)]
+
+
+def orbits_interactions(orbits, instances: Mapping[str, int]) -> frozenset[Interaction]:
+    """The allowed set that a list of orbits describes."""
+    return frozenset(itertools.chain.from_iterable(
+        orbit_interactions(orbit, instances) for orbit in orbits))
 
 
 @dataclass(frozen=True)

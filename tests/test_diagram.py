@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bipkit import diagram as dg
-from bipkit import load_bundled_model
+from bipkit import encode_macros, load_bundled_model
 from bipkit.connector import interaction_set, leaf
 from bipkit.errors import CapacityError, EncodabilityError, LogicDomainError
+from bipkit.logic import allowed_orbits
 from bipkit.model import (
     ArchitectureDiagram,
     CardExpr,
@@ -26,7 +30,7 @@ from bipkit.model import (
     SYNCHRON,
     TRIGGER,
 )
-from helpers import pi, ports_only, random_encodable_diagram
+from helpers import loop_type, pi, ports_only, random_encodable_diagram
 
 
 def pairing(degree: int):
@@ -344,6 +348,62 @@ def test_diagram_interactions_match_connector_trees_on_random_diagrams():
     assert with_trigger
 
 
+@st.composite
+def shared_type_diagrams(draw):
+    """An encodable one-motif diagram whose one to three ends name distinct
+    ports of two component types with two ports each, so two or three ends
+    may sit on one type and share its instances, each end with any typing."""
+    cardinality = {"A": draw(st.integers(1, 3)), "B": draw(st.integers(1, 3))}
+    refs = draw(st.lists(st.sampled_from(
+        [PortTypeRef(t, p) for t in "AB" for p in "pq"]), min_size=1, max_size=3, unique=True))
+    sizes = [draw(st.integers(1, cardinality[ref.component_type])) for ref in refs]
+    typings = [draw(st.sampled_from([SYNCHRON, TRIGGER])) for _ in refs]
+    connectors = 1
+    for ref, m in zip(refs, sizes):
+        connectors *= math.comb(cardinality[ref.component_type], m)
+    ends = []
+    for ref, m, typing in zip(refs, sizes, typings):
+        degree, rest = divmod(connectors * m, cardinality[ref.component_type])
+        assume(not rest)
+        ends.append(MotifEnd(ref, CardExpr.lit(m), CardExpr.lit(degree), typing))
+    types = tuple(loop_type(t, ["p", "q"], CardExpr.lit(n)) for t, n in cardinality.items())
+    return ArchitectureDiagram("shared", types, (ConnectorMotif("only", tuple(ends)),))
+
+
+@given(shared_type_diagrams())
+@settings(max_examples=300, deadline=None)
+def test_orbit_expansion_matches_connector_trees_on_shared_types(d):
+    assert dg.check_encodable(d, {}).overall
+    assert dg.diagram_interactions(d, {}) == connector_tree_interactions(d, {})
+
+
+@pytest.mark.parametrize("name, binding, count", [
+    ("mutex.bip", {"n": 200}, 2),
+    ("switchable_routes.bip", {"n": 100}, 3),
+    ("star.bip", {"n": 40}, 1),
+    ("broadcast_pair.bip", {"n1": 1, "n2": 2}, 4),
+])
+def test_orbit_counts_of_bundled_models(name, binding, count):
+    """The macros' orbit solver gives the same sorted list."""
+    d = load_bundled_model(name)
+    orbits = dg.diagram_orbits(d, binding)
+    assert len(orbits) == count
+    spec = encode_macros(d)
+    assert allowed_orbits(spec.requires, spec.accepts, dg.instance_counts(d, binding)) == orbits
+
+
+def test_orbits_of_two_ends_on_one_type():
+    """A.p and A.q, one instance each out of two: the instances differ, or
+    one instance takes part through both ends."""
+    ends = (MotifEnd(PortTypeRef("A", "p"), CardExpr.lit(1), CardExpr.lit(2)),
+            MotifEnd(PortTypeRef("A", "q"), CardExpr.lit(1), CardExpr.lit(2)))
+    d = ArchitectureDiagram("two", (loop_type("A", ["p", "q"], CardExpr.lit(2)),),
+                            (ConnectorMotif("only", ends),))
+    p, q = PortTypeRef("A", "p"), PortTypeRef("A", "q")
+    assert dg.diagram_orbits(d, {}) == [(((p,), 1), ((q,), 1)), (((p, q), 1),)]
+    assert ports_only(dg.diagram_interactions(d, {})) == {"p1 q1", "p2 q2", "p1 q2", "p2 q1"}
+
+
 def repeated_port_diagram(typings):
     """One motif naming A.p once per typing, at n=1."""
     base = dg.single_motif_diagram([(1, 1, 1)])
@@ -362,6 +422,14 @@ def test_diagram_interactions_motif_naming_a_port_twice():
     # one port instance cannot be both a synchron and a trigger
     with pytest.raises(LogicDomainError):
         dg.diagram_interactions(repeated_port_diagram([SYNCHRON, TRIGGER]), {})
+
+
+def test_search_rejects_a_motif_naming_a_port_twice():
+    """The search's counting argument needs distinct port types per motif,
+    which validation requires; a library caller gets ValueError."""
+    d = repeated_port_diagram([SYNCHRON, SYNCHRON])
+    with pytest.raises(ValueError, match="^motif only names a port type twice$"):
+        dg.enumerate_configurations(d, d.motifs[0], {})
 
 
 def test_multi_motif_configurations_are_products(routes):

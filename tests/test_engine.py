@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipkit import bundled_model_path, load_bundled_model
-from bipkit.diagram import diagram_interactions
+from bipkit.diagram import diagram_interactions, diagram_orbits
 from bipkit.dsl import parse_model
 from bipkit.engine import (
     DIAGRAM_SOURCE,
@@ -122,9 +122,9 @@ diagram G {
 
 def test_step_cycle_fires_switch_on(routes):
     binding = {"n": 2}
-    allowed = diagram_interactions(routes, binding)
+    orbits = diagram_orbits(routes, binding)
     state = init_state(routes, binding)
-    record = CompiledSystem(state, routes, allowed).step(None, SplitMix64(7), LEXICOGRAPHIC_FIRST)
+    record = CompiledSystem(state, routes, orbits).step(None, SplitMix64(7), LEXICOGRAPHIC_FIRST)
     assert record["interaction"] is not None
     fired = {(r["instance"], r["port"]) for r in record["interaction"]}
     assert fired in ({("Route#1", "on"), ("Monitor#1", "add")},
@@ -136,11 +136,11 @@ def test_step_cycle_fires_switch_on(routes):
 
 def test_internal_transition_fires_on_guard(routes):
     binding = {"n": 1}
-    allowed = diagram_interactions(routes, binding)
+    orbits = diagram_orbits(routes, binding)
     state = init_state(routes, binding)
     state["Route#1"].current = "wait"
     entry = ScriptEntry(guards=(("Route#1", "finished", True),))
-    record = CompiledSystem(state, routes, allowed).step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    record = CompiledSystem(state, routes, orbits).step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert {"instance": "Route#1", "from": "wait", "to": "done"} in record["internal"]
     # from "done" the finished/rm interaction fired in the same cycle
     assert state["Route#1"].current in ("done", "off")
@@ -148,18 +148,18 @@ def test_internal_transition_fires_on_guard(routes):
 
 def test_spontaneous_event_consumption(routes):
     binding = {"n": 1}
-    allowed = diagram_interactions(routes, binding)
+    orbits = diagram_orbits(routes, binding)
     state = init_state(routes, binding)
 
     # the end event does not match any transition from "off": it stays queued
     entry = ScriptEntry(events=(("Route#1", "end"),))
-    record = CompiledSystem(state, routes, allowed).step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    record = CompiledSystem(state, routes, orbits).step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["spontaneous"] == []
     assert state["Route#1"].queue == ["end"]
 
     # once the route reaches "wait" (guard still false) the queued event fires
     state["Route#1"].current = "wait"
-    record = CompiledSystem(state, routes, allowed).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    record = CompiledSystem(state, routes, orbits).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["spontaneous"] == [
         {"instance": "Route#1", "event": "end", "from": "wait", "to": "done"},
     ]
@@ -579,14 +579,14 @@ def test_incremental_cycles_match_fresh_compilation(engine_models, case):
     d = engine_models[model]
     trace = run(d, binding, config, script=script)
 
-    allowed = diagram_interactions(d, binding)
+    orbits = diagram_orbits(d, binding)
     fresh_state, fresh_rng = init_state(d, binding), SplitMix64(config.seed)
     state, rng = init_state(d, binding), SplitMix64(config.seed)
-    system = CompiledSystem(state, d, allowed)
+    system = CompiledSystem(state, d, orbits)
     for index in range(config.cycles):
         entry = script.entries[index] if index < len(script.entries) else None
-        fresh = CompiledSystem(fresh_state, d, allowed).step(entry, fresh_rng, config.policy,
-                                                             index)
+        fresh = CompiledSystem(fresh_state, d, orbits).step(entry, fresh_rng, config.policy,
+                                                            index)
         assert fresh == trace["cycles"][index]
         assert system.step(entry, rng, config.policy, index) == fresh
         assert state == fresh_state
@@ -598,6 +598,38 @@ def test_incremental_cycles_match_fresh_compilation(engine_models, case):
             k for k, pids in enumerate(system.interactions)
             if all(port[pid] in enabled for pid in pids)
         ]
+
+
+# One instance may take part through both ends, an orbit the engine skips.
+SHARED_TYPE = """
+diagram Shared {
+  component T [n] {
+    ports { p, q }
+    states { s* }
+    transitions {
+      p: s -> s
+      q: s -> s
+    }
+  }
+  motif both { T.p 1:n synchron; T.q 1:n synchron }
+}
+"""
+
+
+@pytest.mark.parametrize("model", ["routes", "guarded_routes", "mutex", "two_locks", "shared"])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_compiled_interactions_are_the_sorted_allowed_set(engine_models, model, n):
+    """Compiled from orbits, the interaction list is the allowed set's
+    interactions that name distinct instances, each as its sorted port
+    instances, in sorted order."""
+    d = parse_model(SHARED_TYPE) if model == "shared" else engine_models[model]
+    binding = {"n": n}
+    system = CompiledSystem(init_state(d, binding), d, diagram_orbits(d, binding))
+    port = [pi(system.instances[i].type_name, system.instances[i].index, label)
+            for i, label in system.ports]
+    expected = [key for key in sorted(tuple(sorted(i)) for i in diagram_interactions(d, binding))
+                if len({(p.component_type, p.index) for p in key}) == len(key)]
+    assert [tuple(port[pid] for pid in pids) for pids in system.interactions] == expected
 
 
 def feasible(system: CompiledSystem) -> list[int]:
@@ -712,6 +744,23 @@ def _name_one_instance_twice(trace):
 def test_replay_rejects_malformed_and_mismatched_traces(routes, forge, message):
     with pytest.raises(ReplayError, match=re.escape(message)):
         replay_validate(_forge_routes_trace(routes, forge), routes, {"n": 2})
+
+
+def test_replay_counts_the_instances_taking_part_with_each_port(mutex):
+    """A second idle process joins a fired acquire: each record matches an
+    enabled transition and the instances are distinct, but two processes
+    acquire together, which no orbit allows.  A key holding the (type, port)
+    pairs as a set, not counted, would accept it."""
+    trace = run(mutex, {"n": 3}, EngineConfig(cycles=1, policy=LEXICOGRAPHIC_FIRST))
+    records = trace["cycles"][0]["interaction"]
+    assert [(r["instance"], r["port"]) for r in records] == [
+        ("Manager#1", "acquire"), ("Process#1", "acquire")]
+    replay_validate(trace, mutex, {"n": 3})
+    records.append({"instance": "Process#2", "port": "acquire", "from": "idle", "to": "using"})
+    message = ("cycle 0: fired interaction ['Manager.acquire#1', 'Process.acquire#1', "
+               "'Process.acquire#2'] is not allowed")
+    with pytest.raises(ReplayError, match=re.escape(message)):
+        replay_validate(trace, mutex, {"n": 3})
 
 
 def test_replay_rejects_a_cycle_that_stops_short_of_its_internal_fixpoint(routes):

@@ -39,13 +39,12 @@ from bipkit.logic import (
     f_and,
     forall,
     instantiate_foil,
-    orbit_interactions,
     p_and,
     p_false,
     rule_port_types,
     satisfying_interactions,
 )
-from bipkit.model import PortTypeRef
+from bipkit.model import PortTypeRef, orbit_interactions
 from helpers import (
     in_encoder_envelope,
     iter_typed_motif_space,

@@ -4,7 +4,6 @@ from importlib import resources
 
 from .connector import (
     ConnectorNode,
-    flat_interactions,
     inner,
     interaction_set,
     leaf,

@@ -250,8 +250,8 @@ def cmd_encode(args) -> int:
     if binding is not None:
         report = diagram_mod.check_encodable(d, binding)
         if not report.overall:
-            bad = ", ".join(f"{e.motif}/{e.port}" for e in report.failures())
-            print(f"warning: the tested binding fails the uniqueness conditions ({bad})")
+            print(f"warning: the tested binding fails the uniqueness conditions "
+                  f"({report.failing_ends})")
 
     suffix, render = _FORMATS[args.format]
     content = render(d)
@@ -265,8 +265,7 @@ def cmd_run(args) -> int:
     d, binding, _ = _load_bound(args)
     report = diagram_mod.check_encodable(d, binding)
     if not report.overall:
-        bad = ", ".join(f"{e.motif}/{e.port}" for e in report.failures())
-        print(f"not encodable: {bad}")
+        print(f"not encodable: {report.failing_ends}")
         return FAILURE
 
     script = None

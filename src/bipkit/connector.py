@@ -6,19 +6,17 @@ from each chosen child: if every child is a synchron, all children must be
 chosen; otherwise any non-empty subset of children containing at least one
 trigger may form an interaction.
 
-A flat connector, one whose arms are all leaves, has a closed form (Bliudze
-and Sifakis, *The Algebra of Connectors*): all its ports when no end is a
-trigger, otherwise every non-empty set of triggers joined with every set of
-synchrons.  :func:`flat_interactions` computes that directly; the tree
-(:func:`interaction_set`) serves hierarchical connectors and is the
-executable specification of the flat form.
+A flat connector, such as a diagram motif forms, is the tree with one leaf
+per end (:func:`motif_connector_interactions`).  The engine never expands a
+connector: it takes the allowed set as orbits (``diagram.diagram_orbits``),
+and this tree is their specification.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import LogicDomainError
 from .model import Connector, Interaction, PortInstance, SYNCHRON, TRIGGER
@@ -100,42 +98,6 @@ def interaction_set(children: Sequence[ConnectorNode]) -> frozenset[Interaction]
 
 
 def motif_connector_interactions(connector: Connector) -> frozenset[Interaction]:
-    """Interactions of a flat connector produced by a diagram motif."""
-    return flat_interactions(connector.ends)
-
-
-def _subsets(ports: Sequence[PortInstance], start: int) -> list[frozenset[PortInstance]]:
-    """Every subset of ``ports`` with at least ``start`` elements."""
-    return [
-        frozenset(combo)
-        for size in range(start, len(ports) + 1)
-        for combo in itertools.combinations(ports, size)
-    ]
-
-
-def flat_interactions(ends: Iterable[tuple[PortInstance, str]]) -> frozenset[Interaction]:
-    """Interactions of a flat connector given as (port, typing) pairs, in
-    closed form: the set of all ports when no end is a trigger, otherwise
-    each non-empty set of triggers joined with each set of synchrons.
-
-    Equals ``interaction_set([leaf(port, typing) ...])`` and raises the same
-    errors: ValueError for no ends or an unknown typing, LogicDomainError
-    for a repeated port.
-    """
-    ends = tuple(ends)
-    if not ends:
-        raise ValueError("a connector needs at least one child")
-    ports, typings = zip(*ends)
-    kinds = set(typings)
-    if not kinds <= {SYNCHRON, TRIGGER}:
-        unknown = next(typing for typing in typings if typing not in (SYNCHRON, TRIGGER))
-        raise ValueError(f"unknown typing {unknown!r}")
-    every_port = frozenset(ports)
-    if len(every_port) < len(ports):
-        repeated = next(port for i, port in enumerate(ports) if port in ports[:i])
-        raise LogicDomainError(f"duplicate port instance {repeated} in connector")
-    if TRIGGER not in kinds:
-        return frozenset({every_port})
-    triggers = _subsets([port for port, typing in ends if typing == TRIGGER], 1)
-    synchrons = _subsets([port for port, typing in ends if typing == SYNCHRON], 0)
-    return frozenset(fired | joined for fired in triggers for joined in synchrons)
+    """Interactions of a flat connector produced by a diagram motif: the tree
+    with one leaf per end."""
+    return interaction_set([leaf(port, typing) for port, typing in sorted(connector.ends)])

@@ -8,7 +8,9 @@ configuration.  The uniqueness conditions, per motif and end: the
 multiplicity may not exceed the owning type's cardinality, and the matching
 factor n*degree/multiplicity must equal the number of connectors the motif
 can form, the product over its ends of C(n_q, m_q).  The unique
-configuration is then the set of all of them.
+configuration is then the set of all of them.  Each function evaluates an
+end's (n, m, d) once, through ``_end_numbers``; :func:`diagram_orbits` reads
+them from the :func:`check_encodable` report it needs anyway.
 
 Its interactions are closed under renumbering the instances of a type, so
 :func:`diagram_orbits` gives them in closed form as a few orbits
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
@@ -79,26 +82,27 @@ def check_binding(d: ArchitectureDiagram, binding: Binding) -> None:
                                  f"motif {motif.name}, end {end.port}, less than 1")
 
 
-def cardinality_of(d: ArchitectureDiagram, type_name: str, binding: Binding) -> int:
-    return d.component_type(type_name).cardinality.evaluate(binding)
-
-
 def instance_counts(d: ArchitectureDiagram, binding: Binding) -> dict[str, int]:
     return {ct.name: ct.cardinality.evaluate(binding) for ct in d.component_types}
 
 
+def _end_numbers(d: ArchitectureDiagram, end: MotifEnd, binding: Binding) -> tuple[int, int, int]:
+    """(n, m, d) of a motif end: its port type's cardinality, its multiplicity
+    and its degree under the binding."""
+    return (d.component_type(end.port.component_type).cardinality.evaluate(binding),
+            end.multiplicity.evaluate(binding), end.degree.evaluate(binding))
+
+
 def matching_factor(d: ArchitectureDiagram, end: MotifEnd, binding: Binding) -> Fraction:
     """n * degree / multiplicity for the end's port type, as an exact rational."""
-    n = cardinality_of(d, end.port.component_type, binding)
-    m = end.multiplicity.evaluate(binding)
-    deg = end.degree.evaluate(binding)
+    n, m, deg = _end_numbers(d, end, binding)
     return Fraction(n * deg, m)
 
 
 def max_connectors(d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding) -> int:
     """Number of distinct connectors the motif can form: prod of C(n_q, m_q)."""
-    return math.prod(math.comb(cardinality_of(d, end.port.component_type, binding),
-                               end.multiplicity.evaluate(binding)) for end in motif.ends)
+    numbers = [_end_numbers(d, end, binding) for end in motif.ends]
+    return math.prod(math.comb(n, m) for n, m, _ in numbers)
 
 
 @dataclass(frozen=True)
@@ -129,15 +133,18 @@ class EncodabilityReport:
     def failures(self) -> list[EndCheck]:
         return [e for e in self.ends if not e.ok]
 
+    @property
+    def failing_ends(self) -> str:
+        """The failing ends as ``motif/Type.port, ...``."""
+        return ", ".join(f"{e.motif}/{e.port}" for e in self.failures())
+
 
 def check_encodable(d: ArchitectureDiagram, binding: Binding) -> EncodabilityReport:
     """Evaluate the uniqueness conditions for every end of every motif."""
     check_binding(d, binding)
     checks = []
     for motif in d.motifs:
-        values = [(cardinality_of(d, end.port.component_type, binding),
-                   end.multiplicity.evaluate(binding), end.degree.evaluate(binding))
-                  for end in motif.ends]
+        values = [_end_numbers(d, end, binding) for end in motif.ends]
         limit = math.prod(math.comb(n, m) for n, m, _ in values)
         for end, (n, m, deg) in zip(motif.ends, values):
             factor = Fraction(n * deg, m)
@@ -146,26 +153,17 @@ def check_encodable(d: ArchitectureDiagram, binding: Binding) -> EncodabilityRep
     return EncodabilityReport(tuple(checks))
 
 
-def _connector_ends(
-    d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding
-) -> Iterator[frozenset[tuple[PortInstance, str]]]:
-    """The ends of every connector the motif can form, one m_q-subset of
-    instances per end, as ``Connector.ends`` frozensets in product order."""
-    per_end: list[list[tuple[tuple[PortInstance, str], ...]]] = []
-    for end in motif.ends:
-        n = cardinality_of(d, end.port.component_type, binding)
-        ends = [(PortInstance(end.port.component_type, i, end.port.port), end.typing)
-                for i in range(1, n + 1)]
-        per_end.append(list(itertools.combinations(ends, end.multiplicity.evaluate(binding))))
-    for parts in itertools.product(*per_end):
-        yield frozenset().union(*parts)
-
-
 def possible_connectors(
     d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding
 ) -> list[Connector]:
     """Every connector the motif can form: one m_q-subset of instances per end."""
-    connectors = [Connector(ends) for ends in _connector_ends(d, motif, binding)]
+    per_end = []
+    for end in motif.ends:
+        n, m, _ = _end_numbers(d, end, binding)
+        ends = [(PortInstance(end.port.component_type, i, end.port.port), end.typing)
+                for i in range(1, n + 1)]
+        per_end.append(itertools.combinations(ends, m))
+    connectors = [Connector(frozenset().union(*parts)) for parts in itertools.product(*per_end)]
     return sorted(connectors, key=Connector.sort_key)
 
 
@@ -199,18 +197,17 @@ def enumerate_configurations(
     if len(motif.port_types) < len(motif.ends):
         raise ValueError(f"motif {motif.name} names a port type twice")
 
-    # All matching factors must be one equal integer: the configuration size.
-    factors = {matching_factor(d, end, binding) for end in motif.ends}
+    # All matching factors n*d/m must be one equal integer: the configuration size.
+    numbers = [_end_numbers(d, end, binding) for end in motif.ends]
+    factors = {divmod(n * deg, m) for n, m, deg in numbers}
     if len(factors) != 1:
         return EnumerationResult((), False)
-    size = next(iter(factors))
-    if size.denominator != 1 or size == 0:
+    size, rest = factors.pop()
+    if rest or size == 0:
         return EnumerationResult((), False)
-    size = int(size)
 
-    degrees = {PortInstance(end.port.component_type, i, end.port.port): end.degree.evaluate(binding)
-               for end in motif.ends
-               for i in range(1, cardinality_of(d, end.port.component_type, binding) + 1)}
+    degrees = {PortInstance(end.port.component_type, i, end.port.port): deg
+               for end, (n, _, deg) in zip(motif.ends, numbers) for i in range(1, n + 1)}
 
     # The search works on instance numbers: need[k] is the degree instance k
     # still lacks, avail[k] the connectors not yet passed over that hold it.
@@ -309,7 +306,7 @@ def unique_configuration(
 
 def conforms(configuration: Configuration, d: ArchitectureDiagram, binding: Binding) -> bool:
     """Does the configuration satisfy every motif's multiplicity/typing and
-    degree constraints under the binding?"""
+    degree constraints under the binding, on instances numbered 1..n?"""
     check_binding(d, binding)
     groups = dict(configuration.groups)
     if groups.keys() - {m.name for m in d.motifs}:
@@ -318,24 +315,23 @@ def conforms(configuration: Configuration, d: ArchitectureDiagram, binding: Bind
         group = groups.get(motif.name)
         if not group:
             return False
-        motif_ports = motif.port_types
+        numbers = [(end, _end_numbers(d, end, binding)) for end in motif.ends]
+        cardinality = {end.port: n for end, (n, _, _) in numbers}
         for connector in group:
             by_ref: dict[PortTypeRef, int] = {}
             for pi, typing in connector.ends:
                 ref = pi.type_ref
-                if ref not in motif_ports or typing != motif.end_for(ref).typing:
+                if (ref not in cardinality or typing != motif.end_for(ref).typing
+                        or not 1 <= pi.index <= cardinality[ref]):
                     return False
                 by_ref[ref] = by_ref.get(ref, 0) + 1
-            for end in motif.ends:
-                if by_ref.get(end.port, 0) != end.multiplicity.evaluate(binding):
+            for end, (_, m, _) in numbers:
+                if by_ref.get(end.port, 0) != m:
                     return False
-        for end in motif.ends:
-            n = cardinality_of(d, end.port.component_type, binding)
-            deg = end.degree.evaluate(binding)
+        involved = Counter(pi for connector in group for pi, _ in connector.ends)
+        for end, (n, _, deg) in numbers:
             for i in range(1, n + 1):
-                pi = PortInstance(end.port.component_type, i, end.port.port)
-                involved = sum(1 for c in group if pi in c.port_instances)
-                if involved != deg:
+                if involved[PortInstance(end.port.component_type, i, end.port.port)] != deg:
                     return False
     return True
 
@@ -364,12 +360,13 @@ def enumerate_diagram_configurations(
     return tuple(configurations), truncated
 
 
-def _type_orbits(ends: Sequence[MotifEnd], sizes: Sequence[int], n: int, exact: bool):
+def _type_orbits(ends: Sequence[EndCheck], exact: bool):
     """The ways the ends of one component type take part in an interaction of
     one connector, up to renumbering, as sorted (signature, count) parts: end
     e with all m_e of its instances when ``exact``, else any 0..m_e.  Ends on
     one type may share instances, n at most in all: ``fill`` counts those of
     each group of ends, largest first, whose signature is the group's ports."""
+    sizes, n = [end.multiplicity for end in ends], ends[0].cardinality
     if len(ends) == 1:
         low, high = sizes[0] if exact else 0, min(sizes[0], n)
         return {(((ends[0].port,), k),) if k else () for k in range(low, high + 1)}
@@ -401,20 +398,19 @@ def diagram_orbits(d: ArchitectureDiagram, binding: Binding) -> list[Orbit]:
     EncodabilityError when some motif admits zero or several configurations."""
     report = check_encodable(d, binding)
     if not report.overall:
-        bad = ", ".join(f"{e.motif}/{e.port}" for e in report.failures())
-        raise EncodabilityError(f"diagram does not define a unique architecture ({bad})")
+        raise EncodabilityError(
+            f"diagram does not define a unique architecture ({report.failing_ends})")
     orbits: set[Orbit] = set()
+    checks = iter(report.ends)
     for motif in d.motifs:
         typings: dict[PortTypeRef, str] = {}
-        by_type: dict[str, list[MotifEnd]] = {}
-        for end in motif.ends:
+        by_type: dict[str, list[EndCheck]] = {}
+        for end, check in zip(motif.ends, checks):
             if typings.setdefault(end.port, end.typing) != end.typing:
                 raise LogicDomainError(f"motif {motif.name}: {end.port} is synchron and trigger")
-            by_type.setdefault(end.port.component_type, []).append(end)
+            by_type.setdefault(end.port.component_type, []).append(check)
         exact = TRIGGER not in typings.values()
-        per_type = [_type_orbits(ends, [end.multiplicity.evaluate(binding) for end in ends],
-                                 cardinality_of(d, ctype, binding), exact)
-                    for ctype, ends in sorted(by_type.items())]
+        per_type = [_type_orbits(ends, exact) for _, ends in sorted(by_type.items())]
         for parts in itertools.product(*per_type):
             orbit = tuple(itertools.chain.from_iterable(parts))
             if exact or any(typings[ref] == TRIGGER for signature, _ in orbit for ref in signature):

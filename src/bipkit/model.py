@@ -418,12 +418,6 @@ class Configuration:
         for _, group in self.groups:
             yield from group
 
-    def group(self, motif_name: str) -> frozenset[Connector]:
-        for name, group in self.groups:
-            if name == motif_name:
-                return group
-        raise KeyError(f"no group for motif {motif_name!r}")
-
 
 @dataclass(frozen=True, order=True)
 class ValidationIssue:

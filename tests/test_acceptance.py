@@ -13,7 +13,7 @@ import time
 import xml.etree.ElementTree as ET
 
 from bipkit import diagram as dg
-from bipkit.connector import flat_interactions, inner, interaction_set, leaf
+from bipkit.connector import inner, interaction_set, leaf
 from bipkit.encoder import emit_macros_text, emit_xml, encode_macros
 from bipkit.engine import EngineConfig, replay_validate, run, trace_to_json
 from bipkit.model import SYNCHRON, TRIGGER
@@ -71,7 +71,7 @@ def test_criterion_1_connector_golden_suite():
             assert ports_only(interaction_set(children)) == expected
 
         p, q1, q2 = pi("T1", 1, "p"), pi("T2", 1, "q"), pi("T2", 2, "q")
-        fanin = flat_interactions([(p, SYNCHRON), (q1, TRIGGER), (q2, TRIGGER)])
+        fanin = interaction_set([leaf(p, SYNCHRON), leaf(q1, TRIGGER), leaf(q2, TRIGGER)])
         assert ports_only(fanin) == {"q1", "q2", "q1 q2", "p1 q1", "p1 q2", "p1 q1 q2"}
     report("criterion 1: connector semantics golden suite", timer)
 

@@ -295,7 +295,10 @@ def test_encode_warns_on_non_encodable_binding(tmp_path, capsys):
         ]
     )
     assert code == 0  # encoding is binding independent; only a warning prints
-    assert "warning" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "warning: the tested binding fails the uniqueness conditions (pair/T1.p, pair/T2.q)",
+        str(out),
+    ]
     assert out.exists()
 
 
@@ -367,7 +370,7 @@ def test_run_non_encodable_fails_before_cycles(tmp_path, capsys):
     )
     assert code == 1
     assert not out.exists()
-    assert "not encodable" in capsys.readouterr().out
+    assert capsys.readouterr().out == "not encodable: pair/T1.p, pair/T2.q\n"
 
 
 def test_run_livelock_exit(tmp_path, capsys):

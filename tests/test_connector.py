@@ -6,13 +6,7 @@ import itertools
 
 import pytest
 
-from bipkit.connector import (
-    flat_interactions,
-    inner,
-    interaction_set,
-    leaf,
-    motif_connector_interactions,
-)
+from bipkit.connector import inner, interaction_set, leaf, motif_connector_interactions
 from bipkit.errors import LogicDomainError
 from bipkit.model import Connector, SYNCHRON, TRIGGER
 from helpers import pi, ports_only
@@ -76,33 +70,26 @@ def test_duplicate_leaf_rejected():
     with pytest.raises(LogicDomainError, match=message):
         interaction_set([leaf(S), leaf(S, TRIGGER)])
     with pytest.raises(LogicDomainError, match=message):
-        flat_interactions([(S, SYNCHRON), (S, TRIGGER)])
-    with pytest.raises(LogicDomainError, match=message):
-        flat_interactions([(S, SYNCHRON), (R1, SYNCHRON), (S, TRIGGER)])
+        interaction_set([leaf(S), leaf(R1), leaf(S, TRIGGER)])
 
 
 def test_empty_connector_rejected():
     with pytest.raises(ValueError, match="at least one child"):
         interaction_set([])
     with pytest.raises(ValueError, match="at least one child"):
-        flat_interactions([])
+        motif_connector_interactions(Connector(frozenset()))
 
 
 def test_unknown_typing_rejected():
     with pytest.raises(ValueError, match="unknown typing 'both'"):
         interaction_set([leaf(S), leaf(R1, "both")])
     with pytest.raises(ValueError, match="unknown typing 'both'"):
-        flat_interactions([(S, SYNCHRON), (R1, "both")])
+        motif_connector_interactions(Connector.of((S, SYNCHRON), (R1, "both")))
 
 
-def test_flat_closed_form_matches_the_tree():
-    """The closed form equals the connector tree with one leaf per end, for
-    every typing of 1..6 ports."""
-    for k in range(1, 7):
-        ports = [pi("X", i, "p") for i in range(1, k + 1)]
-        for typings in itertools.product([SYNCHRON, TRIGGER], repeat=k):
-            tree = interaction_set([leaf(p, typ) for p, typ in zip(ports, typings)])
-            assert flat_interactions(zip(ports, typings)) == tree, typings
+def flat(ports, typings):
+    """The flat connector with one leaf per (port, typing)."""
+    return interaction_set([leaf(p, typ) for p, typ in zip(ports, typings)])
 
 
 def test_flat_count_formula():
@@ -110,7 +97,7 @@ def test_flat_count_formula():
     for k in range(1, 7):
         ports = [pi("X", i, "p") for i in range(1, k + 1)]
         for typings in itertools.product([SYNCHRON, TRIGGER], repeat=k):
-            got = flat_interactions(zip(ports, typings))
+            got = flat(ports, typings)
             t = sum(1 for typ in typings if typ == TRIGGER)
             expected = (2**t - 1) * 2 ** (k - t) if t else 1
             assert len(got) == expected, (k, typings)
@@ -120,7 +107,7 @@ def test_interactions_are_nonempty_subsets_of_leaves():
     for k in range(1, 6):
         ports = [pi("X", i, "p") for i in range(1, k + 1)]
         for typings in itertools.product([SYNCHRON, TRIGGER], repeat=k):
-            for interaction in flat_interactions(zip(ports, typings)):
+            for interaction in flat(ports, typings):
                 assert interaction
                 assert interaction <= set(ports)
 
@@ -129,12 +116,12 @@ def test_retyping_synchron_to_trigger_never_shrinks():
     for k in range(1, 6):
         ports = [pi("X", i, "p") for i in range(1, k + 1)]
         for typings in itertools.product([SYNCHRON, TRIGGER], repeat=k):
-            base = flat_interactions(zip(ports, typings))
+            base = flat(ports, typings)
             for j, typ in enumerate(typings):
                 if typ == SYNCHRON:
                     retyped = list(typings)
                     retyped[j] = TRIGGER
-                    wider = flat_interactions(zip(ports, retyped))
+                    wider = flat(ports, retyped)
                     assert base <= wider
 
 

@@ -192,7 +192,7 @@ def reference_configurations(d, motif, binding, limit):
         return (), False
     degrees = Counter()
     for end in motif.ends:
-        for i in range(1, dg.cardinality_of(d, end.port.component_type, binding) + 1):
+        for i in range(1, dg.instance_counts(d, binding)[end.port.component_type] + 1):
             degrees[pi(end.port.component_type, i, end.port.port)] = end.degree.evaluate(binding)
     found = []
     for combo in itertools.combinations(dg.possible_connectors(d, motif, binding), int(size)):
@@ -252,8 +252,12 @@ def test_unique_configuration_single_connector(broadcast_pair):
 
 
 def test_unique_configuration_requires_the_conditions(ambiguous_pairing):
-    with pytest.raises(EncodabilityError):
+    with pytest.raises(EncodabilityError) as info:
         dg.unique_configuration(ambiguous_pairing, ambiguous_pairing.motifs[0], {"n": 2})
+    assert str(info.value) == (
+        "motif pair has no unique configuration: T1.p: factor 2 vs 4 possible connectors; "
+        "T2.q: factor 2 vs 4 possible connectors"
+    )
 
 
 def test_conforms(complete_pairing, ambiguous_pairing, broadcast_pair):
@@ -278,6 +282,16 @@ def test_conforms(complete_pairing, ambiguous_pairing, broadcast_pair):
     )
 
 
+def test_conforms_rejects_instances_that_do_not_exist(complete_pairing):
+    """A connector on an instance numbered outside 1..n is no connector of
+    the diagram, even where the real instances keep their degrees."""
+    full = dg.unique_configuration(complete_pairing, complete_pairing.motifs[0], {"n": 2})
+    for i in (3, 0):
+        ghost = Connector.of((pi("T1", i, "p"), SYNCHRON), (pi("T2", i, "q"), SYNCHRON))
+        config = Configuration((("pair", full | {ghost}),))
+        assert not dg.conforms(config, complete_pairing, {"n": 2}), i
+
+
 def test_conforms_rejects_unknown_groups(complete_pairing):
     full = dg.unique_configuration(complete_pairing, complete_pairing.motifs[0], {"n": 2})
     config = Configuration((("pair", full), ("ghost", full)))
@@ -296,8 +310,11 @@ def test_diagram_interactions_goldens(broadcast_pair, complete_pairing, star):
 
 
 def test_diagram_interactions_requires_encodability(ambiguous_pairing):
-    with pytest.raises(EncodabilityError):
-        dg.diagram_interactions(ambiguous_pairing, {"n": 2})
+    message = "diagram does not define a unique architecture (pair/T1.p, pair/T2.q)"
+    for build in (dg.diagram_orbits, dg.diagram_interactions):
+        with pytest.raises(EncodabilityError) as info:
+            build(ambiguous_pairing, {"n": 2})
+        assert str(info.value) == message
 
 
 def connector_tree_interactions(d, binding):
@@ -523,7 +540,7 @@ def test_sweep_side_invariants():
             # connector without the present one (the exchange property)
             for connector in connectors:
                 for end in motif.ends:
-                    n = dg.cardinality_of(d, end.port.component_type, {})
+                    n = dg.instance_counts(d, {})[end.port.component_type]
                     members = {
                         p for p in connector.port_instances if p.type_ref == end.port
                     }

@@ -96,8 +96,6 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, int]:
             number = int(value)
         except ValueError:
             raise UsageError(f"--bind {name}: {value!r} is not an integer") from None
-        if number < 0:
-            raise UsageError(f"--bind {name}: value must be non-negative")
         binding[name] = number
     return binding
 
@@ -420,7 +418,7 @@ def _add_run(sub) -> None:
     p_run.add_argument(
         "--cycles", type=_int_in(0, engine_mod.DEFAULT_MAX_CYCLES), required=True
     )
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_int_in(0, engine_mod.MASK64), default=0)
     p_run.add_argument("--events", help="event script JSON")
     p_run.add_argument(
         "--policy", choices=engine_mod.POLICIES, default=engine_mod.UNIFORM_RANDOM
@@ -489,8 +487,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ParseFailure as exc:
-        for error in exc.errors:
-            print(str(error), file=sys.stderr)
+        print(str(exc), file=sys.stderr)
         return PARSE_ERROR
     except (CapacityError, LivelockError) as exc:
         print(str(exc), file=sys.stderr)

@@ -22,6 +22,7 @@ Its interactions are closed under renumbering the instances of a type, so
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -37,6 +38,7 @@ from .model import (
     Configuration,
     Connector,
     ConnectorMotif,
+    ENFORCEABLE,
     Interaction,
     MotifEnd,
     Orbit,
@@ -44,6 +46,7 @@ from .model import (
     PortTypeRef,
     SYNCHRON,
     TRIGGER,
+    Transition,
     orbits_interactions,
 )
 
@@ -427,9 +430,19 @@ def diagram_interactions(d: ArchitectureDiagram, binding: Binding) -> frozenset[
 # ---- exhaustive sweep over small single-motif diagrams ---------------------
 
 
-def _loop_type(name: str, port: str, cardinality: int) -> ComponentType:
-    return ComponentType(name, CardExpr.lit(cardinality), frozenset({port}),
-                         states=frozenset({"s"}), initial_states=frozenset({"s"}))
+def loop_type(name: str, ports: Sequence[str], cardinality: CardExpr) -> ComponentType:
+    """A component type with one state, on which each port self-loops."""
+    return ComponentType(
+        name, cardinality, frozenset(ports),
+        states=frozenset({"s"}), initial_states=frozenset({"s"}),
+        transitions=tuple(Transition(ENFORCEABLE, p, "s", "s") for p in sorted(ports)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_type(name: str, cardinality: int) -> ComponentType:
+    # A sweep builds hundreds of diagrams from a dozen distinct types.
+    return loop_type(name, ["p"], CardExpr.lit(cardinality))
 
 
 def single_motif_diagram(
@@ -443,7 +456,7 @@ def single_motif_diagram(
     if typings is None:
         typings = [SYNCHRON] * len(specs)
     names = ["A", "B", "C", "D"][: len(specs)]
-    types = [_loop_type(name, "p", n) for name, (n, _, _) in zip(names, specs)]
+    types = [_sweep_type(name, n) for name, (n, _, _) in zip(names, specs)]
     ends = tuple(
         MotifEnd(PortTypeRef(name, "p"), CardExpr.lit(m), CardExpr.lit(deg), typing)
         for name, (_, m, deg), typing in zip(names, specs, typings)

@@ -20,13 +20,19 @@ Grammar (normative for this toolchain):
 Comments run from "//" to end of line.  A transition with no leading label
 is internal; a label naming a spontaneous event is spontaneous; a label
 naming a port is enforceable.  An omitted end typing defaults to synchron.
+
+Parsing stops at the first error: :class:`ParseFailure` holds one
+:class:`ParseError`, located at the start (line and column) of the token
+it is about; every construct's span is its start too.  A guard expression
+parses on its own with ``parse_guard_expr(text)``; whether its atoms are
+declared guards is model validation's to check (UNDECLARED_GUARD).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import BipError
 from .model import (
@@ -76,22 +82,24 @@ class ParseError:
 
 
 class ParseFailure(BipError):
-    """Raised when a model or expression cannot be parsed; no partial result."""
+    """A model or expression that cannot be parsed: ``error`` is the first
+    error, where parsing stopped.  There is no partial result."""
 
-    def __init__(self, errors: Sequence[ParseError]):
-        self.errors = list(errors)
-        super().__init__("; ".join(str(e) for e in self.errors))
+    def __init__(self, error: ParseError):
+        self.error = error
+        super().__init__(str(error))
 
 
+# One alternative per token kind, named as the kind; "skip" is whitespace or
+# a comment, and "bad" any character no other alternative takes.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
+    (?P<skip>[ \t\r]+|//[^\n]*)
   | (?P<nl>\n)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>[0-9]+)
-  | (?P<arrow>->)
-  | (?P<punct>[{}\[\]():;,.*!&|-])
+  | (?P<punct>->|[{}\[\]():;,.*!&|-])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -102,44 +110,29 @@ PUNCT = "punct"
 EOF = "eof"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
     def span(self, file: str) -> SourceSpan:
-        width = max(len(self.text), 1)
-        return SourceSpan(file, self.line, self.col, self.line, self.col + width - 1)
+        return SourceSpan(file, self.line, self.col)
 
 
 def _tokenize(text: str, file: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(file, line, col, line, col)
-            raise ParseFailure([ParseError(span, "a token", repr(text[pos]))])
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
         if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        elif kind == "ident":
-            tokens.append(_Token(IDENT, value, line, col))
-            col += len(value)
-        elif kind == "int":
-            tokens.append(_Token(INT, value, line, col))
-            col += len(value)
-        else:  # arrow or punct
-            tokens.append(_Token(PUNCT, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token(EOF, "", line, col))
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            span = SourceSpan(file, line, m.start() - line_start + 1)
+            raise ParseFailure(ParseError(span, "a token", repr(m.group())))
+        elif kind != "skip":
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(_Token(EOF, "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -149,8 +142,8 @@ class _Parser:
         self.file = file
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
         tok = self.peek()
@@ -165,7 +158,7 @@ class _Parser:
     def fail(self, expected: str):
         tok = self.peek()
         found = repr(tok.text) if tok.kind != EOF else "end of input"
-        raise ParseFailure([ParseError(tok.span(self.file), expected, found)])
+        raise ParseFailure(ParseError(tok.span(self.file), expected, found))
 
     def expect(self, kind: str, text: Optional[str] = None) -> _Token:
         if not self.at(kind, text):
@@ -177,22 +170,24 @@ class _Parser:
             self.fail(what)
         return self.advance()
 
-    def keyword(self, word: str) -> _Token:
-        if not (self.at(IDENT) and self.peek().text == word):
-            self.fail(f"'{word}'")
-        return self.advance()
+    def accept(self, kind: str, text: str) -> bool:
+        """Consume the next token if it is ``text``; say whether it was."""
+        if self.at(kind, text):
+            self.advance()
+            return True
+        return False
 
     # ---- grammar productions -------------------------------------------
 
     def diagram(self) -> ArchitectureDiagram:
-        start = self.keyword("diagram")
+        start = self.expect(IDENT, "diagram")
         name = self.expect_ident("a diagram name")
         self.expect(PUNCT, "{")
         component_types = []
-        while self.at(IDENT) and self.peek().text == "component":
+        while self.at(IDENT, "component"):
             component_types.append(self.component_type())
         motifs = []
-        while self.at(IDENT) and self.peek().text == "motif":
+        while self.at(IDENT, "motif"):
             motifs.append(self.motif())
         self.expect(PUNCT, "}")
         self.expect(EOF)
@@ -204,41 +199,36 @@ class _Parser:
         )
 
     def component_type(self) -> ComponentType:
-        start = self.keyword("component")
+        start = self.expect(IDENT, "component")
         name = self.expect_ident("a component type name")
         self.expect(PUNCT, "[")
         cardinality = self.card_expr()
         self.expect(PUNCT, "]")
         self.expect(PUNCT, "{")
 
-        self.keyword("ports")
+        self.expect(IDENT, "ports")
         ports = self.ident_set("a port name")
         events: frozenset[str] = frozenset()
         guards: frozenset[str] = frozenset()
-        if self.at(IDENT, "events"):
-            self.advance()
+        if self.accept(IDENT, "events"):
             events = self.ident_set("an event name")
-        if self.at(IDENT, "guards"):
-            self.advance()
+        if self.accept(IDENT, "guards"):
             guards = self.ident_set("a guard name")
 
-        self.keyword("states")
+        self.expect(IDENT, "states")
         self.expect(PUNCT, "{")
         states: list[str] = []
         initial: list[str] = []
         while True:
             state = self.expect_ident("a state name")
             states.append(state.text)
-            if self.at(PUNCT, "*"):
-                self.advance()
+            if self.accept(PUNCT, "*"):
                 initial.append(state.text)
-            if self.at(PUNCT, ","):
-                self.advance()
-                continue
-            break
+            if not self.accept(PUNCT, ","):
+                break
         self.expect(PUNCT, "}")
 
-        self.keyword("transitions")
+        self.expect(IDENT, "transitions")
         self.expect(PUNCT, "{")
         transitions = []
         while not self.at(PUNCT, "}"):
@@ -261,8 +251,7 @@ class _Parser:
     def ident_set(self, what: str) -> frozenset[str]:
         self.expect(PUNCT, "{")
         names = [self.expect_ident(what).text]
-        while self.at(PUNCT, ","):
-            self.advance()
+        while self.accept(PUNCT, ","):
             names.append(self.expect_ident(what).text)
         self.expect(PUNCT, "}")
         return frozenset(names)
@@ -277,8 +266,7 @@ class _Parser:
         self.expect(PUNCT, "->")
         destination = self.expect_ident("a destination state").text
         guard = None
-        if self.at(PUNCT, "["):
-            self.advance()
+        if self.accept(PUNCT, "["):
             guard = self.guard_expr()
             self.expect(PUNCT, "]")
 
@@ -290,13 +278,7 @@ class _Parser:
             kind = ENFORCEABLE
         else:
             raise ParseFailure(
-                [
-                    ParseError(
-                        start.span(self.file),
-                        "a declared port or event name",
-                        repr(label),
-                    )
-                ]
+                ParseError(start.span(self.file), "a declared port or event name", repr(label))
             )
         return Transition(
             kind=kind,
@@ -308,12 +290,11 @@ class _Parser:
         )
 
     def motif(self) -> ConnectorMotif:
-        start = self.keyword("motif")
+        start = self.expect(IDENT, "motif")
         name = self.expect_ident("a motif name")
         self.expect(PUNCT, "{")
         ends = [self.motif_end()]
-        while self.at(PUNCT, ";"):
-            self.advance()
+        while self.accept(PUNCT, ";"):
             ends.append(self.motif_end())
         self.expect(PUNCT, "}")
         return ConnectorMotif(name=name.text, ends=tuple(ends), span=start.span(self.file))
@@ -348,24 +329,20 @@ class _Parser:
 
     def guard_expr(self) -> GuardExpr:
         expr = self.guard_term()
-        while self.at(PUNCT, "|"):
-            self.advance()
+        while self.accept(PUNCT, "|"):
             expr = GuardOr(expr, self.guard_term())
         return expr
 
     def guard_term(self) -> GuardExpr:
         expr = self.guard_factor()
-        while self.at(PUNCT, "&"):
-            self.advance()
+        while self.accept(PUNCT, "&"):
             expr = GuardAnd(expr, self.guard_factor())
         return expr
 
     def guard_factor(self) -> GuardExpr:
-        if self.at(PUNCT, "!"):
-            self.advance()
+        if self.accept(PUNCT, "!"):
             return GuardNot(self.guard_factor())
-        if self.at(PUNCT, "("):
-            self.advance()
+        if self.accept(PUNCT, "("):
             expr = self.guard_expr()
             self.expect(PUNCT, ")")
             return expr
@@ -390,9 +367,9 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         column = exc.start - data.rfind(b"\n", 0, exc.start)
-        span = SourceSpan(str(path), line, column, line, column)
+        span = SourceSpan(str(path), line, column)
         found = f"byte 0x{data[exc.start]:02x}"
-        raise ParseFailure([ParseError(span, "UTF-8 text", found)]) from None
+        raise ParseFailure(ParseError(span, "UTF-8 text", found)) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -401,30 +378,11 @@ def load_model(path) -> ArchitectureDiagram:
     return parse_model(read_text(path), filename=str(path))
 
 
-def parse_guard_expr(
-    text: str,
-    declared_guards: Optional[frozenset[str]] = None,
-    filename: str = "<guard>",
-) -> GuardExpr:
-    """Parse a guard expression on its own.
-
-    When ``declared_guards`` is given, atoms outside that set fail with an
-    UNDECLARED_GUARD parse error; pass None to defer that check to model
-    validation.
-    """
+def parse_guard_expr(text: str, filename: str = "<guard>") -> GuardExpr:
+    """Parse a guard expression on its own; its atoms are not checked."""
     parser = _Parser(_tokenize(text, filename), filename)
     expr = parser.guard_expr()
     parser.expect(EOF)
-    if declared_guards is not None:
-        unknown = sorted(expr.atoms() - declared_guards)
-        if unknown:
-            span = SourceSpan(filename, 1, 1, 1, max(len(text), 1))
-            raise ParseFailure(
-                [
-                    ParseError(span, "a declared guard name (UNDECLARED_GUARD)", repr(name))
-                    for name in unknown
-                ]
-            )
     return expr
 
 

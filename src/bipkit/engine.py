@@ -118,6 +118,8 @@ class EngineConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if not 0 <= self.cycles <= DEFAULT_MAX_CYCLES:
             raise ValueError(f"cycles must lie in [0, {DEFAULT_MAX_CYCLES}]")
+        if not 0 <= self.seed <= MASK64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -704,11 +706,13 @@ def replay_validate(
     d: ArchitectureDiagram,
     binding: diagram_mod.Binding,
     script: Optional[EventScript] = None,
+    source: str = DIAGRAM_SOURCE,
 ) -> dict:
     """Re-simulate a trace against the model, checking every record with one
     transition lookup; the first fault raises ReplayError naming its cycle.
     The script entries the trace covers are checked first, as :func:`run`
-    checks them, and raise the same located ScriptError.
+    checks them, and raise the same located ScriptError.  A fired
+    interaction must be in the allowed set of ``source``, as in :func:`run`.
 
     What is checked, and the two gaps, are listed in docs/formats.md under
     "Replay".  Returns {"interactions": n, "idle": m}.
@@ -722,7 +726,7 @@ def replay_validate(
     # A fired interaction names distinct instances, so it is allowed when its
     # sorted (type, port) pairs list each single-port signature count times.
     allowed = {tuple(chain.from_iterable(sig * k for sig, k in orbit))
-               for orbit in diagram_mod.diagram_orbits(d, binding)
+               for orbit in _orbits(d, binding, source)
                if all(len(sig) == 1 for sig, _ in orbit)}
     instances = init_state(d, binding)
     tables = _transition_tables(d)

@@ -31,13 +31,11 @@ WARNING = "warning"
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Region of a source file, 1-based, end-inclusive."""
+    """Where a construct starts in a source file: 1-based line and column."""
 
     file: str
     start_line: int
     start_col: int
-    end_line: int
-    end_col: int
 
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"

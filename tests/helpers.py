@@ -12,8 +12,6 @@ from bipkit import encode_macros
 from bipkit.logic import allowed_interactions
 from bipkit.model import (
     ArchitectureDiagram,
-    CardExpr,
-    ComponentType,
     Interaction,
     PortInstance,
     SYNCHRON,
@@ -54,23 +52,6 @@ def macro_interactions(
     spec = encode_macros(d)
     counts = dg.instance_counts(d, binding)
     return solve(spec.requires, spec.accepts, counts)
-
-
-def loop_type(name: str, ports: Sequence[str], cardinality: CardExpr) -> ComponentType:
-    """A component type whose every port self-loops on a single state."""
-    from bipkit.model import ENFORCEABLE, Transition
-
-    return ComponentType(
-        name=name,
-        cardinality=cardinality,
-        port_types=frozenset(ports),
-        states=frozenset({"s"}),
-        initial_states=frozenset({"s"}),
-        transitions=tuple(
-            Transition(kind=ENFORCEABLE, label=p, source="s", destination="s")
-            for p in sorted(ports)
-        ),
-    )
 
 
 def in_encoder_envelope(specs: Sequence[tuple[int, int, int]], typings: Sequence[str]) -> bool:

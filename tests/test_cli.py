@@ -214,6 +214,28 @@ def test_instantiate_limit(capsys):
     assert "1 configuration (truncated)" in out
 
 
+# Two motifs with two configurations each: the product has four.
+TWO_BY_TWO = """
+diagram TwoByTwo {
+  component A [2] { ports { p } states { s* } transitions { p: s -> s } }
+  component B [2] { ports { q } states { s* } transitions { q: s -> s } }
+  motif sync { A.p 1:1 synchron; B.q 1:1 synchron }
+  motif trig { A.p 1:1 trigger; B.q 1:1 trigger }
+}
+"""
+
+
+def test_instantiate_truncates_the_product_of_the_motifs(tmp_path, capsys):
+    """Each motif stays under the limit; their product does not."""
+    path = write_model(tmp_path, "two_by_two.bip", TWO_BY_TWO)
+    assert main(["instantiate", path, "--limit", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[-1] == "3 configurations (truncated)"
+    assert main(["instantiate", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and lines[-1] == "4 configurations"
+
+
 def test_instantiate_deep_search_does_not_recurse_per_connector(capsys):
     # n=40 has 1,600 candidate connectors, far beyond the recursion limit
     code = main(
@@ -493,6 +515,20 @@ def test_run_locates_a_script_entry_the_model_refuses(tmp_path, capsys, entry, m
     assert out.exists()
 
 
+@pytest.mark.parametrize("cycles, message", [
+    ({}, "cycles: expected a list"),
+    ([1], "cycles[0]: expected an object"),
+])
+def test_run_rejects_a_script_whose_cycles_are_malformed(tmp_path, capsys, cycles, message):
+    script = tmp_path / "bad.json"
+    script.write_text(json.dumps({"schema": 1, "cycles": cycles}))
+    out = tmp_path / "t.json"
+    assert main(["run", model_path("switchable_routes.bip"), "--bind", "n=2", "--cycles", "3",
+                 "--events", str(script), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not out.exists()
+
+
 def test_input_that_is_no_utf8_is_a_located_parse_error(tmp_path, capsys):
     model = tmp_path / "bad.bip"
     model.write_bytes(b"diagram D {\n  comp\xffonent\n}\n")
@@ -764,6 +800,26 @@ def test_bad_bind_values(capsys):
     assert main(["check", model_path("star.bip"), "--bind", "n=-1"]) == 4
     assert main(["check", model_path("star.bip"), "--bind", "n"]) == 4
     assert main(["check", model_path("star.bip"), "--bind", "n=two"]) == 4
+
+
+def test_a_negative_bind_value_is_refused_by_the_binding_rule(capsys):
+    assert main(["check", model_path("star.bip"), "--bind", "n=-1"]) == 4
+    assert capsys.readouterr() == (
+        "", "bipkit: error: parameter n=-1 is not a non-negative integer\n")
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**64), "99999999999999999999999"])
+def test_a_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, seed):
+    out = tmp_path / "trace.json"
+    assert main(["run", model_path("mutex.bip"), "--bind", "n=2", "--cycles", "3",
+                 "--seed", seed, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bipkit run")
+    assert err.splitlines()[-1] == (
+        f"bipkit run: error: argument --seed: {seed} is not in [0, {2**64 - 1}]")
+    assert not out.exists()
+    assert main(["run", model_path("mutex.bip"), "--bind", "n=2", "--cycles", "3",
+                 "--seed", str(2**64 - 1), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize(

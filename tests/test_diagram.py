@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from bipkit import diagram as dg
 from bipkit import encode_macros, load_bundled_model
 from bipkit.connector import interaction_set, leaf
+from bipkit.diagram import loop_type
 from bipkit.errors import CapacityError, EncodabilityError, LogicDomainError
 from bipkit.logic import allowed_orbits
 from bipkit.model import (
@@ -30,7 +31,7 @@ from bipkit.model import (
     SYNCHRON,
     TRIGGER,
 )
-from helpers import loop_type, pi, ports_only, random_encodable_diagram
+from helpers import pi, ports_only, random_encodable_diagram
 
 
 def pairing(degree: int):

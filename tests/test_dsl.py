@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipkit.dsl import ParseFailure, parse_guard_expr, parse_model, serialize_model
+from bipkit.dsl import (
+    ParseFailure,
+    load_model,
+    parse_guard_expr,
+    parse_model,
+    read_text,
+    serialize_model,
+)
 from bipkit.model import (
     ArchitectureDiagram,
     CardExpr,
@@ -55,14 +62,14 @@ def test_switchable_routes_parses(routes):
 def test_empty_input():
     with pytest.raises(ParseFailure) as err:
         parse_model("")
-    assert err.value.errors[0].expected == "'diagram'"
-    assert err.value.errors[0].found == "end of input"
+    assert err.value.error.expected == "'diagram'"
+    assert err.value.error.found == "end of input"
 
 
 def test_parse_error_has_position():
     with pytest.raises(ParseFailure) as err:
         parse_model("diagram D {\n  component X 3 {}\n}")
-    (error,) = err.value.errors
+    error = err.value.error
     assert error.span.start_line == 2
     assert error.span.start_col >= 13
 
@@ -79,7 +86,52 @@ diagram D {
 """
     with pytest.raises(ParseFailure) as err:
         parse_model(text)
-    assert "port or event" in err.value.errors[0].expected
+    assert "port or event" in err.value.error.expected
+
+
+# Each text recorded verbatim from the hand-stepped lexer the one-pass lexer
+# replaced.
+@pytest.mark.parametrize("text, message", [
+    ("diagram D {\n  component X @ [1] {}\n}",
+     "m.bip:2:15: expected a token, found '@'"),
+    ("diagram D {\n// a comment\n\tcomponent X [1] { ports { p } states { s* } "
+     "transitions { p: s => s } }\n}",
+     "m.bip:3:65: expected a token, found '='"),
+    ("diagram D {\n// note\n\tcomponent X 3 {}\n}",
+     "m.bip:3:14: expected '[', found '3'"),
+    ("diagram D {\n  component X [1] {\n    ports { p }\n",
+     "m.bip:4:1: expected 'states', found end of input"),
+    ("diagram D {\n  component T [1] {\n    ports { p }\n    states { a* }\n"
+     "    transitions { oops: a -> a }\n  }\n}\n",
+     "m.bip:5:19: expected a declared port or event name, found 'oops'"),
+])
+def test_parse_error_texts_are_pinned(text, message):
+    with pytest.raises(ParseFailure) as err:
+        parse_model(text, "m.bip")
+    assert str(err.value) == message
+
+
+def test_file_error_texts_are_pinned(tmp_path):
+    no_utf8 = tmp_path / "bad.bip"
+    no_utf8.write_bytes(b"diagram D {\n  // caf\xe9\n}\n")
+    with pytest.raises(ParseFailure) as err:
+        read_text(no_utf8)
+    assert str(err.value) == f"{no_utf8}:2:9: expected UTF-8 text, found byte 0xe9"
+    crlf = tmp_path / "crlf.bip"
+    crlf.write_bytes(b"diagram D {\r\n  component X [1] {\r\n    ports { p } states { s* } "
+                     b"transitions { p: s -> }\r\n  }\r\n}\r\n")
+    with pytest.raises(ParseFailure) as err:
+        load_model(crlf)
+    assert str(err.value) == f"{crlf}:3:53: expected a destination state, found '}}'"
+
+
+def test_guard_error_texts_are_pinned():
+    with pytest.raises(ParseFailure) as err:
+        parse_guard_expr("a &")
+    assert str(err.value) == "<guard>:1:4: expected a guard name, found end of input"
+    with pytest.raises(ParseFailure) as err:
+        parse_guard_expr("(a")
+    assert str(err.value) == "<guard>:1:3: expected ')', found end of input"
 
 
 def test_crlf_is_accepted(star):
@@ -109,11 +161,9 @@ def test_serialized_form_is_canonical(routes):
 
 
 def test_guard_expr_goldens():
-    assert parse_guard_expr("!finished", frozenset({"finished"})) == GuardNot(
-        GuardAtom("finished")
-    )
-    assert parse_guard_expr("finished", frozenset({"finished"})) == GuardAtom("finished")
-    assert parse_guard_expr("a & (b | !c)", frozenset("abc")) == GuardAnd(
+    assert parse_guard_expr("!finished") == GuardNot(GuardAtom("finished"))
+    assert parse_guard_expr("finished") == GuardAtom("finished")
+    assert parse_guard_expr("a & (b | !c)") == GuardAnd(
         GuardAtom("a"), GuardOr(GuardAtom("b"), GuardNot(GuardAtom("c")))
     )
 
@@ -129,13 +179,6 @@ def test_guard_expr_precedence():
     assert parse_guard_expr("a & b & c") == GuardAnd(
         GuardAnd(GuardAtom("a"), GuardAtom("b")), GuardAtom("c")
     )
-
-
-def test_guard_expr_undeclared_atom():
-    with pytest.raises(ParseFailure) as err:
-        parse_guard_expr("a & g", frozenset({"a"}))
-    assert "UNDECLARED_GUARD" in err.value.errors[0].expected
-    assert "'g'" in err.value.errors[0].found
 
 
 def test_guard_expr_syntax_error():
@@ -175,7 +218,7 @@ def test_parser_total(text):
         model = parse_model(text)
         assert isinstance(model, ArchitectureDiagram)
     except ParseFailure as failure:
-        assert failure.errors
+        assert failure.error
 
 
 # ---- property: serialize/parse round trip on generated diagrams -------------

@@ -340,6 +340,29 @@ def test_source_equivalence(routes, mutex):
             assert trace_to_json(via_diagram) == trace_to_json(via_macros)
 
 
+FAN3 = """
+diagram Fan3 {
+  component A [1] { ports { p } states { s* } transitions { p: s -> s } }
+  component B [3] { ports { q } states { s* } transitions { q: s -> s } }
+  motif fan { A.p 1:3 synchron; B.q 2:2 trigger }
+}
+"""
+
+
+def test_replay_checks_a_macro_trace_against_the_macro_set():
+    """Outside the encoder envelope (a trigger end of multiplicity 2 of 3)
+    the macros allow more than the diagram: all three B instances may fire
+    together.  Replay takes its allowed set from the source the run used."""
+    d = parse_model(FAN3)
+    for seed in range(4):
+        trace = run(d, {}, EngineConfig(cycles=30, seed=seed), source=MACRO_SOURCE)
+        assert replay_validate(trace, d, {}, source=MACRO_SOURCE) == {
+            "interactions": 30, "idle": 0}
+        with pytest.raises(ReplayError, match=re.escape(
+                "fired interaction ['B.q#1', 'B.q#2', 'B.q#3'] is not allowed")):
+            replay_validate(trace, d, {})
+
+
 def test_scripted_full_route_cycle(routes):
     """Hand-written script walking one route through its whole loop."""
     binding = {"n": 1}
@@ -501,6 +524,13 @@ def test_engine_config_bounds():
         EngineConfig(cycles=10**6)
     with pytest.raises(ValueError):
         EngineConfig(cycles=1, policy="coin-flip")
+
+
+def test_engine_config_seed_is_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\)$"):
+            EngineConfig(cycles=1, seed=seed)
+    EngineConfig(cycles=1, seed=2**64 - 1)
 
 
 def test_instance_id_round_trip():

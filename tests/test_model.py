@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bipkit.diagram import loop_type
 from bipkit.model import (
     ArchitectureDiagram,
     CardExpr,
@@ -24,7 +25,6 @@ from bipkit.model import (
     validate_diagram,
     validate_model,
 )
-from helpers import loop_type
 
 
 def make_route() -> ComponentType:

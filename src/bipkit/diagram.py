@@ -156,18 +156,58 @@ def check_encodable(d: ArchitectureDiagram, binding: Binding) -> EncodabilityRep
     return EncodabilityReport(tuple(checks))
 
 
+def _connector_picks(
+    motif: ConnectorMotif, numbers: Sequence[tuple[int, int, int]]
+) -> tuple[list[tuple[PortInstance, str, int]], Iterator[tuple[int, ...]]]:
+    """The motif's port instances with their typings and ends, sorted, and
+    every connector the motif can form as increasing positions in that list,
+    generated lazily in lexicographic order (the order of the connectors'
+    sorted ends): a connector picks m_e instances of each end e.
+
+    A pick grows by the next position of an end still short of its quota,
+    while every such end keeps enough instances from that position on, and
+    backtracks past the last such position.  The loop does not recurse, so
+    a wide connector cannot reach Python's recursion limit."""
+    members = sorted((PortInstance(end.port.component_type, i, end.port.port), end.typing, e)
+                     for e, (end, (n, _, _)) in enumerate(zip(motif.ends, numbers))
+                     for i in range(1, n + 1))
+    where: list[list[int]] = [[] for _ in numbers]
+    for i, (_, _, e) in enumerate(members):
+        where[e].append(i)
+    quota = [m for _, m, _ in numbers]
+
+    def picks() -> Iterator[tuple[int, ...]]:
+        picked: list[int] = []
+        i = 0
+        while True:
+            last = [w[-q] for w, q in zip(where, quota) if q]
+            if not last:
+                yield tuple(picked)
+            stop = min(last, default=-1)
+            while i <= stop and not quota[members[i][2]]:
+                i += 1
+            if i <= stop:
+                quota[members[i][2]] -= 1
+                picked.append(i)
+            elif picked:
+                i = picked.pop()
+                quota[members[i][2]] += 1
+            else:
+                return
+            i += 1
+
+    if any(m > len(w) for m, w in zip(quota, where)):
+        return members, iter(())
+    return members, picks()
+
+
 def possible_connectors(
     d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding
 ) -> list[Connector]:
-    """Every connector the motif can form: one m_q-subset of instances per end."""
-    per_end = []
-    for end in motif.ends:
-        n, m, _ = _end_numbers(d, end, binding)
-        ends = [(PortInstance(end.port.component_type, i, end.port.port), end.typing)
-                for i in range(1, n + 1)]
-        per_end.append(itertools.combinations(ends, m))
-    connectors = [Connector(frozenset().union(*parts)) for parts in itertools.product(*per_end)]
-    return sorted(connectors, key=Connector.sort_key)
+    """Every connector the motif can form, one m_q-subset of instances per
+    end, in the order of their sorted ends."""
+    members, picks = _connector_picks(motif, [_end_numbers(d, end, binding) for end in motif.ends])
+    return [Connector(frozenset(members[k][:2] for k in pick)) for pick in picks]
 
 
 @dataclass(frozen=True)
@@ -209,32 +249,29 @@ def enumerate_configurations(
     if rest or size == 0:
         return EnumerationResult((), False)
 
-    degrees = {PortInstance(end.port.component_type, i, end.port.port): deg
-               for end, (n, _, deg) in zip(motif.ends, numbers) for i in range(1, n + 1)}
+    # The search works on positions k in the sorted instance list: need[k]
+    # is the degree instance k still lacks, avail[k] the connectors not yet
+    # passed over that hold it (at the root total*m_q/n_q for an instance of
+    # end q).  It needs size*m_q/n_q, so no root prune is needed while
+    # size <= total.  A connector has sum(m_q) distinct members (the ends
+    # name distinct port types) and is included only while each still needs
+    # it, so `size` of them consume the whole need, size*sum(m_q): every
+    # degree is then met.  Each visited node moves one connector on along
+    # its path, so the search reads no connector past max_nodes - 1, and
+    # only those are generated.
+    members, picks = _connector_picks(motif, numbers)
+    need = [numbers[e][2] for _, _, e in members]
+    total = math.prod(math.comb(n, m) for n, m, _ in numbers)
+    avail = [total * numbers[e][1] // numbers[e][0] for _, _, e in members]
+    membership = list(itertools.islice(picks, min(total, max_nodes)))
 
-    # The search works on instance numbers: need[k] is the degree instance k
-    # still lacks, avail[k] the connectors not yet passed over that hold it.
-    # An instance of end q is in len(pool)*m_q/n_q connectors and needs
-    # size*m_q/n_q, so no root prune is needed while size <= len(pool).  A
-    # connector has sum(m_q) distinct members (the ends name distinct port
-    # types) and is included only while each still needs it, so `size` of
-    # them consume the whole need, size*sum(m_q): every degree is then met.
-    number = {pi: k for k, pi in enumerate(degrees)}
-    need = list(degrees.values())
-    pool = possible_connectors(d, motif, binding)
-    membership = [tuple(number[pi] for pi in c.port_instances) for c in pool]
-    avail = [0] * len(need)
-    for members in membership:
-        for k in members:
-            avail[k] += 1
-
-    chosen: list[Connector] = []
-    found: list[frozenset[Connector]] = []
+    chosen: list[int] = []
+    found: list[tuple[int, ...]] = []
     truncated = False
     visited = 0
 
     def dfs(idx: int, passed: Sequence[int]) -> bool:
-        """Include-first DFS from pool[idx]; returns False once the limit
+        """Include-first DFS from membership[idx]; returns False once the limit
         stops enumeration.  Including a connector recurses; passing over one
         moves on in the loop, so recursion is as deep as the chosen list."""
         nonlocal visited, truncated
@@ -248,16 +285,16 @@ def enumerate_configurations(
                         "raise the bound with max_nodes (BIPKIT_MAX_NODES for the command line)"
                     )
                 if len(chosen) == size:
-                    found.append(frozenset(chosen))
+                    found.append(tuple(chosen))
                     if limit is not None and len(found) >= limit:
                         truncated = True
                         return False
                     return True
-                if size - len(chosen) > len(pool) - idx:
+                if size - len(chosen) > total - idx:
                     return True
-                # No instance may need more connectors than remain in
-                # pool[idx:]; including one lowers need and avail alike, so
-                # only what was passed over can break it.
+                # No instance may need more connectors than remain from
+                # idx on; including one lowers need and avail alike, so only
+                # what was passed over can break it.
                 for k in passed:
                     if need[k] > avail[k]:
                         return True
@@ -272,7 +309,7 @@ def enumerate_configurations(
                 else:
                     for k in passed:
                         need[k] -= 1
-                    chosen.append(pool[idx - 1])
+                    chosen.append(idx - 1)
                     ok = dfs(idx, ())
                     chosen.pop()
                     for k in passed:
@@ -281,13 +318,18 @@ def enumerate_configurations(
                         return False
         finally:
             # Give back the connectors this frame passed over.
-            for members in membership[start:idx]:
-                for k in members:
+            for passed_over in membership[start:idx]:
+                for k in passed_over:
                     avail[k] += 1
 
-    if pool and 0 < size <= len(pool):
+    if 0 < size <= total:
         dfs(0, ())
-    return EnumerationResult(tuple(found), truncated)
+    # Connectors are built only for the configurations found, each once.
+    connectors = {i: Connector(frozenset(members[k][:2] for k in membership[i]))
+                  for i in set().union(*found)}
+    return EnumerationResult(
+        tuple(frozenset(map(connectors.__getitem__, configuration)) for configuration in found),
+        truncated)
 
 
 def unique_configuration(
@@ -319,13 +361,13 @@ def conforms(configuration: Configuration, d: ArchitectureDiagram, binding: Bind
         if not group:
             return False
         numbers = [(end, _end_numbers(d, end, binding)) for end in motif.ends]
-        cardinality = {end.port: n for end, (n, _, _) in numbers}
+        ends = {end.port: (n, end.typing) for end, (n, _, _) in numbers}
         for connector in group:
             by_ref: dict[PortTypeRef, int] = {}
             for pi, typing in connector.ends:
                 ref = pi.type_ref
-                if (ref not in cardinality or typing != motif.end_for(ref).typing
-                        or not 1 <= pi.index <= cardinality[ref]):
+                n, end_typing = ends.get(ref, (0, None))
+                if typing != end_typing or not 1 <= pi.index <= n:
                     return False
                 by_ref[ref] = by_ref.get(ref, 0) + 1
             for end, (_, m, _) in numbers:

@@ -1,6 +1,7 @@
 """Encode a diagram into Require/Accept macros; emit text, XML, behavior JSON.
 
-The encoding walks every port type through each motif attached to it:
+The encoding makes one pass over the motifs in name order and gives each
+end's port type:
 
   * singleton motif: dash in both the require and accept sets;
   * accept side: all motif port types, including the port itself when its
@@ -11,7 +12,8 @@ The encoding walks every port type through each motif attached to it:
     counted option holding every other port type as many times as its
     multiplicity plus the port's own type multiplicity-minus-one times.
 
-A port sitting in several motifs accumulates options and accepted sets; the
+A port sitting in several motifs accumulates options in motif order, each
+kept once at its first place, and the union of the accepted sets; the
 encoding is binding-independent, so all multiplicities must be literals.
 """
 
@@ -26,7 +28,6 @@ from .logic import AcceptRule, RequireOption, RequireRule
 from .model import (
     ArchitectureDiagram,
     ComponentType,
-    ConnectorMotif,
     PortTypeRef,
     TRIGGER,
 )
@@ -60,62 +61,46 @@ class MacroSpec:
         raise KeyError(f"no accept rule for {ref}")
 
 
-def _literal_multiplicity(motif: ConnectorMotif, ref: PortTypeRef) -> int:
-    expr = motif.end_for(ref).multiplicity
-    if not expr.is_literal:
-        raise MacroEncodingError(
-            f"multiplicity of {ref} in motif {motif.name} is the parameter "
-            f"{expr.param!r}; the macro encoding needs literal multiplicities"
-        )
-    return expr.literal
-
-
 def encode_macros(d: ArchitectureDiagram) -> MacroSpec:
-    """Require/Accept rules for every port type appearing in some motif."""
-    used = sorted({end.port for motif in d.motifs for end in motif.ends})
-    requires: list[RequireRule] = []
-    accepts: list[AcceptRule] = []
+    """Require/Accept rules for every port type appearing in some motif, in
+    one pass over the motifs in name order."""
+    options: dict[PortTypeRef, dict[RequireOption, None]] = {}
+    accepted: dict[PortTypeRef, set[PortTypeRef]] = {}
+    dash = RequireOption.dash()
+    for motif in d.motifs:
+        multiplicity: dict[PortTypeRef, int] = {}
+        for end in motif.ends:
+            expr = end.multiplicity
+            if not expr.is_literal:
+                raise MacroEncodingError(
+                    f"multiplicity of {end.port} in motif {motif.name} is the parameter "
+                    f"{expr.param!r}; the macro encoding needs literal multiplicities"
+                )
+            multiplicity[end.port] = expr.literal
+        ports = multiplicity.keys()
+        triggers = dict.fromkeys(RequireOption.trigger(q) for q in
+                                 sorted(e.port for e in motif.ends if e.typing == TRIGGER))
 
-    for p in used:
-        options: list[RequireOption] = []
-        accepted: set[PortTypeRef] = set()
-        for motif in d.motifs:
-            if p not in motif.port_types:
-                continue
-            ports = motif.port_types
-            end_p = motif.end_for(p)
-            m_p = _literal_multiplicity(motif, p)
-
-            if len(ports) == 1:
-                options.append(RequireOption.dash())
-                continue
-
-            accepted |= ports if m_p > 1 else ports - {p}
-
-            if end_p.typing == TRIGGER:
-                options.append(RequireOption.dash())
-            elif motif.has_trigger:
-                for end in sorted(motif.ends, key=lambda e: e.port):
-                    if end.typing == TRIGGER:
-                        options.append(RequireOption.trigger(end.port))
+        for end in motif.ends:
+            p, m_p = end.port, multiplicity[end.port]
+            rule = options.setdefault(p, {})
+            accepts = accepted.setdefault(p, set())
+            if len(ports) > 1:
+                accepts.update(ports if m_p > 1 else ports - {p})
+            if len(ports) == 1 or end.typing == TRIGGER:
+                rule[dash] = None
+            elif triggers:
+                rule.update(triggers)
             else:
-                counts = {
-                    end.port: _literal_multiplicity(motif, end.port)
-                    for end in motif.ends
-                    if end.port != p
-                }
+                counts = {q: m for q, m in multiplicity.items() if q != p}
                 if m_p > 1:
                     counts[p] = m_p - 1
-                options.append(RequireOption.counted(counts))
+                rule[RequireOption.counted(counts)] = None
 
-        deduped: list[RequireOption] = []
-        for option in options:
-            if option not in deduped:
-                deduped.append(option)
-        requires.append(RequireRule(effect=p, options=tuple(deduped)))
-        accepts.append(AcceptRule(effect=p, accepted=frozenset(accepted)))
-
-    return MacroSpec(requires=tuple(requires), accepts=tuple(accepts))
+    return MacroSpec(
+        requires=tuple(RequireRule(p, tuple(rule)) for p, rule in options.items()),
+        accepts=tuple(AcceptRule(p, frozenset(accepts)) for p, accepts in accepted.items()),
+    )
 
 
 # ---- macro text -------------------------------------------------------------
@@ -187,29 +172,25 @@ def parse_macros_xml(text: str) -> MacroSpec:
     """Rebuild a MacroSpec from emitted glue XML (used for round-trip checks)."""
     import xml.etree.ElementTree as ET
 
+    def ref(element) -> PortTypeRef:
+        return PortTypeRef(element.get("specType"), element.get("id"))
+
     root = ET.fromstring(text)
     requires: list[RequireRule] = []
     accepts: list[AcceptRule] = []
     for element in root:
-        effect_el = element.find("effect")
-        effect = PortTypeRef(effect_el.get("specType"), effect_el.get("id"))
+        effect = ref(element.find("effect"))
         causes = element.findall("causes")
         if element.tag == "require":
-            options = []
-            for block in causes:
-                counts: dict[PortTypeRef, int] = {}
-                for port_el in block.findall("port"):
-                    ref = PortTypeRef(port_el.get("specType"), port_el.get("id"))
-                    counts[ref] = counts.get(ref, 0) + 1
-                exact = block.get("mode") != "trigger"
-                options.append(RequireOption(ports=tuple(sorted(counts.items())), exact=exact))
-            requires.append(RequireRule(effect=effect, options=tuple(options)))
+            options = tuple(
+                RequireOption(ports=tuple((ref(port), 1) for port in block.findall("port")),
+                              exact=block.get("mode") != "trigger")
+                for block in causes
+            )
+            requires.append(RequireRule(effect=effect, options=options))
         elif element.tag == "accept":
-            accepted: set[PortTypeRef] = set()
-            for block in causes:
-                for port_el in block.findall("port"):
-                    accepted.add(PortTypeRef(port_el.get("specType"), port_el.get("id")))
-            accepts.append(AcceptRule(effect=effect, accepted=frozenset(accepted)))
+            accepted = frozenset(ref(port) for block in causes for port in block.findall("port"))
+            accepts.append(AcceptRule(effect=effect, accepted=accepted))
         else:
             raise ValueError(f"unexpected element <{element.tag}> in glue XML")
     return MacroSpec(requires=tuple(requires), accepts=tuple(accepts))

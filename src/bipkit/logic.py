@@ -367,7 +367,7 @@ class RequireOption:
 
     @classmethod
     def counted(cls, counts: Mapping[PortTypeRef, int]) -> "RequireOption":
-        return cls(ports=tuple(sorted(counts.items())), exact=True)
+        return cls(ports=tuple(counts.items()), exact=True)
 
     @classmethod
     def trigger(cls, port: PortTypeRef) -> "RequireOption":

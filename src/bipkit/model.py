@@ -242,12 +242,6 @@ class ConnectorMotif:
     def port_types(self) -> frozenset[PortTypeRef]:
         return frozenset(e.port for e in self.ends)
 
-    def end_for(self, port: PortTypeRef) -> MotifEnd:
-        for end in self.ends:
-            if end.port == port:
-                return end
-        raise KeyError(f"{port} is not an end of motif {self.name}")
-
     @property
     def has_trigger(self) -> bool:
         return any(e.typing == TRIGGER for e in self.ends)
@@ -394,9 +388,6 @@ class Connector:
     @property
     def port_instances(self) -> frozenset[PortInstance]:
         return frozenset(pi for pi, _ in self.ends)
-
-    def sort_key(self) -> tuple:
-        return tuple(sorted(self.ends))
 
     def __str__(self) -> str:
         parts = [str(pi) + ("^" if typing == TRIGGER else "") for pi, typing in sorted(self.ends)]
@@ -650,13 +641,16 @@ def validate_diagram(d: ArchitectureDiagram) -> list[ValidationIssue]:
             _check_card(end.multiplicity, eloc, end.span, issues)
             _check_card(end.degree, eloc, end.span, issues)
 
-            if end.typing == TRIGGER and (end.multiplicity.literal or 0) > 1:
+            m = end.multiplicity.literal or 0
+            if m > 1 and motif.has_trigger and (ct is None or ct.cardinality.literal != m):
                 issues.append(
                     ValidationIssue(
                         eloc,
                         TRIGGER_MULTIPLICITY,
                         WARNING,
-                        "trigger end with multiplicity > 1: the macro encoding cannot "
+                        ("trigger end" if end.typing == TRIGGER
+                         else "synchron end in a motif with a trigger end")
+                        + " with multiplicity > 1: the macro encoding cannot "
                         "bound how many instances join unless multiplicity equals the "
                         "type cardinality",
                         end.span,

@@ -254,6 +254,43 @@ def test_instantiate_capacity(monkeypatch, capsys):
     assert "BIPKIT_MAX_NODES" in err
 
 
+# C(40,20) candidate connectors with n=40, k=20: far more than fit in memory.
+HUGE_POOL = """
+diagram HugePool {
+  component A [n] {
+    ports { p }
+    states { s* }
+    transitions { p: s -> s }
+  }
+  component B [1] {
+    ports { q }
+    states { s* }
+    transitions { q: s -> s }
+  }
+  motif m { A.p k:1 synchron; B.q 1:2 synchron }
+}
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux enforces it")
+@pytest.mark.parametrize("command", ["instantiate", "oracle"])
+def test_node_bound_also_bounds_memory(tmp_path, command):
+    """The search generates only the connectors it can reach within the node
+    bound, so a pool too large to build still ends in exit 3."""
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).parents[1])
+    argv = [command, write_model(tmp_path, "huge.bip", HUGE_POOL), "--bind", "n=40", "--bind", "k=20"]
+    result = subprocess.run([sys.executable, "-m", "bipkit", *argv], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src, "BIPKIT_MAX_NODES": "100"},
+                            preexec_fn=limit_address_space, timeout=300)
+    assert result.returncode == 3, result.stderr[-300:]
+    assert "configuration search exceeded 100 nodes for motif m" in result.stderr
+
+
 def test_bad_max_nodes(monkeypatch, capsys):
     monkeypatch.setenv("BIPKIT_MAX_NODES", "lots")
     assert main(["instantiate", model_path("ambiguous_pairing.bip"), "--bind", "n=2"]) == 4
@@ -686,6 +723,40 @@ def test_oracle_file_mode_reports_motifs_over_the_bound_as_unknown(monkeypatch, 
     monkeypatch.setenv("BIPKIT_MAX_NODES", "5")
     assert main(["oracle", model_path("switchable_routes.bip"), "--bind", "n=2"]) == 0
     assert capsys.readouterr().out.count("count=1 unique-predicted=True ok") == 3
+
+
+def test_oracle_sweep_disagreement_exits_1(monkeypatch, capsys):
+    from bipkit import diagram
+
+    record = diagram.SweepRecord(label="n=1 m=1 d=1", count=2, encodable=True)
+    monkeypatch.setattr(diagram, "proposition_sweep", lambda bound, max_nodes: [record])
+    assert main(["oracle", "--sweep", "n,m,d<=1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "n=1 m=1 d=1: count=2 unique-predicted=True DISAGREES",
+        "1 points, 1 disagreements",
+    ]
+
+    assert main(["oracle", "--sweep", "n,m,d<=1", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"point": "n=1 m=1 d=1", "count": 2, "unique": True, "agree": False}
+    ]
+
+
+def test_oracle_file_mode_disagreement_exits_1(monkeypatch, capsys):
+    import dataclasses
+
+    from bipkit import diagram
+
+    check_encodable = diagram.check_encodable
+
+    def flipped(d, binding):
+        report = check_encodable(d, binding)
+        return diagram.EncodabilityReport(tuple(
+            dataclasses.replace(end, factor_ok=not end.factor_ok) for end in report.ends))
+
+    monkeypatch.setattr(diagram, "check_encodable", flipped)
+    assert main(["oracle", model_path("complete_pairing.bip"), "--bind", "n=2"]) == 1
+    assert capsys.readouterr().out == "motif pair: count=1 unique-predicted=False DISAGREES\n"
 
 
 def test_oracle_usage(capsys):

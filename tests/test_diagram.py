@@ -183,6 +183,38 @@ def test_search_nodes_on_bundled_models(case):
     assert_search_nodes(d, {"n": case["n"]}, case["limit"], case["nodes"], str(case))
 
 
+def reference_pool(d, motif, binding):
+    """The pool's specification: one m-subset of instances per end, every
+    combination, sorted by the connectors' sorted ends."""
+    per_end = []
+    for end in motif.ends:
+        n = dg.instance_counts(d, binding)[end.port.component_type]
+        ends = [(pi(end.port.component_type, i, end.port.port), end.typing) for i in range(1, n + 1)]
+        per_end.append(itertools.combinations(ends, end.multiplicity.evaluate(binding)))
+    connectors = [Connector(frozenset().union(*parts)) for parts in itertools.product(*per_end)]
+    return sorted(connectors, key=lambda c: sorted(c.ends))
+
+
+def two_ports_on_one_type(n, m1, m2):
+    a = dg.loop_type("A", ["p", "r"], CardExpr.lit(n))
+    b = dg.loop_type("B", ["q"], CardExpr.lit(2))
+    ends = (MotifEnd(PortTypeRef("A", "p"), CardExpr.lit(m1), CardExpr.lit(1)),
+            MotifEnd(PortTypeRef("A", "r"), CardExpr.lit(m2), CardExpr.lit(1), TRIGGER),
+            MotifEnd(PortTypeRef("B", "q"), CardExpr.lit(1), CardExpr.lit(1)))
+    return ArchitectureDiagram("two", (a, b), (ConnectorMotif("m", ends),))
+
+
+def test_possible_connectors_come_in_sorted_order():
+    diagrams = [d for _, d in dg.iter_sweep_points(3)]
+    diagrams += [two_ports_on_one_type(n, m1, m2)
+                 for n, m1, m2 in itertools.product(range(1, 5), repeat=3)]
+    # one connector of 1501 instances: the pool generator does not recurse
+    diagrams.append(dg.single_motif_diagram([(1500, 1500, 1), (1, 1, 1)]))
+    for d in diagrams:
+        motif = d.motifs[0]
+        assert dg.possible_connectors(d, motif, {}) == reference_pool(d, motif, {}), d
+
+
 def reference_configurations(d, motif, binding, limit):
     """The search's specification: every ``size``-combination of the pool, in
     combination order, that gives each instance exactly its degree, cut at

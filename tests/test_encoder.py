@@ -20,7 +20,16 @@ from bipkit.encoder import (
 )
 from bipkit.errors import MacroEncodingError
 from bipkit.logic import AcceptRule, RequireOption, RequireRule
-from bipkit.model import PortTypeRef, SYNCHRON, TRIGGER
+from bipkit.model import (
+    ArchitectureDiagram,
+    CardExpr,
+    ConnectorMotif,
+    MotifEnd,
+    PortTypeRef,
+    SYNCHRON,
+    TRIGGER,
+    validate_diagram,
+)
 from helpers import (
     in_encoder_envelope,
     iter_typed_motif_space,
@@ -119,8 +128,6 @@ def test_every_motif_port_gets_exactly_one_rule_pair(routes):
 
 def test_parameterized_multiplicity_is_rejected(star):
     # fabricate a motif whose multiplicity is a parameter
-    from bipkit.model import ArchitectureDiagram, CardExpr, ConnectorMotif, MotifEnd
-
     motif = ConnectorMotif(
         name="bad",
         ends=(
@@ -141,6 +148,61 @@ def test_parameterized_multiplicity_is_rejected(star):
     )
     with pytest.raises(MacroEncodingError):
         encode_macros(d)
+
+
+@pytest.mark.parametrize(
+    "motifs, named",
+    [
+        # the first motif in name order, not the first port type in order
+        ({"b": [("C", "p", "m")], "a": [("S", "q", "k")]}, "S.q in motif a is the parameter 'k'"),
+        # within a motif, the first end in declaration order
+        ({"a": [("S", "q", "k"), ("C", "p", "m")]}, "S.q in motif a is the parameter 'k'"),
+    ],
+)
+def test_parameterized_multiplicity_error_names_the_first_end(star, motifs, named):
+    d = ArchitectureDiagram(
+        name="bad",
+        component_types=star.component_types,
+        motifs=tuple(
+            ConnectorMotif(name, tuple(
+                MotifEnd(PortTypeRef(t, p), CardExpr.var(param), CardExpr.lit(1))
+                for t, p, param in ends
+            ))
+            for name, ends in motifs.items()
+        ),
+    )
+    with pytest.raises(MacroEncodingError) as err:
+        encode_macros(d)
+    assert str(err.value) == (
+        f"multiplicity of {named}; the macro encoding needs literal multiplicities"
+    )
+
+
+def test_options_keep_motif_order_and_first_place():
+    """A port in several motifs gets its options in motif-name order, the
+    presence options of a trigger motif in port order, and a repeated
+    option once, at its first place."""
+    types = tuple(dg.loop_type(t, ["p", "q"], CardExpr.lit(1)) for t in "ABC")
+    Ap, Bp, Bq, Cp = (PortTypeRef(t, p) for t, p in [("A", "p"), ("B", "p"), ("B", "q"), ("C", "p")])
+
+    def motif(name, *ends):
+        return ConnectorMotif(name, tuple(
+            MotifEnd(ref, CardExpr.lit(1), CardExpr.lit(1), typing) for ref, typing in ends))
+
+    d = ArchitectureDiagram("order", types, (
+        motif("z", (Ap, SYNCHRON), (Bp, SYNCHRON)),
+        motif("m", (Ap, SYNCHRON), (Cp, TRIGGER), (Bq, TRIGGER)),
+        motif("a", (Ap, SYNCHRON), (Bp, SYNCHRON)),
+    ))
+    assert encode_macros(d).require_for(Ap).options == (
+        RequireOption.counted({Bp: 1}),
+        RequireOption.trigger(Bq),
+        RequireOption.trigger(Cp),
+    )
+    assert lines(emit_macros_text(encode_macros(d)))[:2] == [
+        "A.p Require B.p ; B.q ; C.p",
+        "A.p Accept B.p B.q C.p",
+    ]
 
 
 # ---- XML --------------------------------------------------------------------
@@ -278,6 +340,23 @@ def test_equivalence_exhaustive_inside_envelope():
         assert equivalence_holds(d, {}), (specs, typings)
         checked += 1
     assert checked > 100  # the envelope is not trivially small
+
+
+def test_validator_warns_exactly_outside_the_envelope():
+    """On every encodable sweep shape (n, m, d <= 3, any typings) validation
+    warns iff the shape lies outside the encoder envelope iff the macro set
+    differs from the diagram set."""
+    shapes = warned = 0
+    for specs, typings in iter_typed_motif_space(3):
+        d = dg.single_motif_diagram(specs, typings)
+        if not dg.check_encodable(d, {}).overall:
+            continue
+        warns = bool(validate_diagram(d))
+        assert warns == (not in_encoder_envelope(specs, typings)), (specs, typings)
+        assert warns == (not equivalence_holds(d, {})), (specs, typings)
+        shapes += 1
+        warned += warns
+    assert (shapes, warned) == (136, 24)
 
 
 def test_known_gaps_outside_envelope():

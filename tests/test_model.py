@@ -13,12 +13,15 @@ from bipkit.model import (
     ComponentType,
     ConnectorMotif,
     ENFORCEABLE,
+    GuardAnd,
     GuardAtom,
+    GuardOr,
     INTERNAL,
     MotifEnd,
     PortInstance,
     PortTypeRef,
     SPONTANEOUS,
+    SYNCHRON,
     TRIGGER,
     Transition,
     validate_behavior,
@@ -139,6 +142,45 @@ def test_empty_ports_and_bad_labels_and_states():
     }
 
 
+def one_state_type(transitions=(), initial="a", events=(), guards=()) -> ComponentType:
+    return ComponentType(
+        name="T",
+        cardinality=CardExpr.lit(1),
+        port_types=frozenset({"p"}),
+        spontaneous_events=frozenset(events),
+        guards=frozenset(guards),
+        states=frozenset({"a"}),
+        initial_states=frozenset({initial}),
+        transitions=tuple(transitions),
+    )
+
+
+def guarded_by(guard) -> ComponentType:
+    return one_state_type([Transition(ENFORCEABLE, "p", "a", "a", guard=guard)], guards={"g"})
+
+
+@pytest.mark.parametrize(
+    "ct, motifs, expected",
+    [
+        (one_state_type(initial="z"), (), ("UNDECLARED_INITIAL_STATE", "component[T].state[z]")),
+        (one_state_type([Transition(SPONTANEOUS, "e", "a", "a")]), (),
+         ("BAD_TRANSITION_LABEL", "component[T].transition[0]")),
+        (one_state_type([Transition("urgent", "p", "a", "a")]), (),
+         ("BAD_TRANSITION_LABEL", "component[T].transition[0]")),
+        (one_state_type(), (ConnectorMotif("m0", ()),), ("EMPTY_MOTIF", "motif[m0]")),
+        (guarded_by(GuardAnd(GuardAtom("g"), GuardAtom("h"))), (),
+         ("UNDECLARED_GUARD", "component[T].transition[0]")),
+        (guarded_by(GuardOr(GuardAtom("h"), GuardAtom("g"))), (),
+         ("UNDECLARED_GUARD", "component[T].transition[0]")),
+    ],
+    ids=["undeclared-initial", "spontaneous-not-event", "unknown-kind", "empty-motif",
+         "guard-and", "guard-or"],
+)
+def test_validation_branch(ct, motifs, expected):
+    d = ArchitectureDiagram(name="d", component_types=(ct,), motifs=motifs)
+    assert [(i.code, i.location) for i in validate_model(d)] == [expected]
+
+
 def two_type_diagram(motifs) -> ArchitectureDiagram:
     return ArchitectureDiagram(
         name="d",
@@ -194,6 +236,24 @@ def test_trigger_multiplicity_warning(broadcast_pair):
     issues = validate_diagram(broadcast_pair)
     assert [(i.code, i.severity) for i in issues] == [("TRIGGER_MULTIPLICITY", "warning")]
     assert validate_model(broadcast_pair) == issues
+
+
+def test_trigger_multiplicity_warns_on_a_partial_synchron_end():
+    """A synchron end with 1 < m < n in a motif with a trigger: the macros
+    let any 1..m of its instances join, which the diagram does not."""
+    d = ArchitectureDiagram(
+        name="d",
+        component_types=(loop_type("A", ["p"], CardExpr.lit(3)),
+                         loop_type("B", ["q"], CardExpr.lit(1))),
+        motifs=(ConnectorMotif(name="fan", ends=(
+            generic_end(PortTypeRef("A", "p"), 2, 2, SYNCHRON),
+            generic_end(PortTypeRef("B", "q"), 1, 3, TRIGGER),
+        )),),
+    )
+    issues = validate_diagram(d)
+    assert [(i.code, i.location, i.severity) for i in issues] == [
+        ("TRIGGER_MULTIPLICITY", "motif[fan].end[A.p]", "warning")]
+    assert issues[0].message.startswith("synchron end in a motif with a trigger end")
 
 
 def test_singleton_multiplicity_warning():

@@ -951,9 +951,10 @@ def test_one_sub_command_parser_reads_like_the_full_parser(monkeypatch, capsys, 
 
 
 # SHA-256 digests of stdout (and of the emitted file, for encode) of
-# instantiate, encode, check --json and oracle --sweep, recorded before port
-# instances became tuples.  Each case runs in a directory holding copies of
-# the bundled models, so the source spans name the bare file.
+# instantiate, encode, check (table and --json), run and oracle (sweep and
+# model), each recorded before a change to the code that prints it.  Each
+# case runs in a directory holding copies of the bundled models, so the
+# source spans name the bare file.
 OUTPUT_DIGESTS = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
 
 

@@ -19,8 +19,6 @@ from .diagram import (
     diagram_orbits,
     enumerate_configurations,
     enumerate_diagram_configurations,
-    matching_factor,
-    max_connectors,
     proposition_sweep,
     unique_configuration,
 )

@@ -141,7 +141,7 @@ def _report_rows(report: diagram_mod.EncodabilityReport) -> list[dict]:
             "m": e.multiplicity,
             "d": e.degree,
             "factor": str(e.factor),
-            "max_connectors": e.max_connectors,
+            "max_connectors": e.connectors,
             "multiplicity_ok": e.multiplicity_ok,
             "factor_ok": e.factor_ok,
         }
@@ -159,11 +159,11 @@ def _print_report(report: diagram_mod.EncodabilityReport) -> None:
             if not e.multiplicity_ok:
                 parts.append(f"m={e.multiplicity} > n={e.cardinality}")
             if not e.factor_ok:
-                parts.append(f"s={e.factor}, required {e.max_connectors}")
+                parts.append(f"s={e.factor}, required {e.connectors}")
             verdict = "; ".join(parts)
         print(
             f"{e.motif:<12} {str(e.port):<20} {e.cardinality:>3} {e.multiplicity:>3} "
-            f"{e.degree:>3} {str(e.factor):>6} {e.max_connectors:>5}  {verdict}"
+            f"{e.degree:>3} {str(e.factor):>6} {e.connectors:>5}  {verdict}"
         )
     print("encodable" if report.overall else "not encodable: no unique architecture")
 
@@ -343,33 +343,31 @@ def cmd_oracle(args) -> int:
                 f"{len(records)} points, {len(disagreements)} disagreements"
                 + (f", {len(unknown)} unknown (raise BIPKIT_MAX_NODES)" if unknown else "")
             )
-        if disagreements:
-            return FAILURE
-        return CAPACITY if unknown else OK
-
-    d, binding, _ = _load_bound(args)
-    report = diagram_mod.check_encodable(d, binding)
-    disagrees = unknown = False
-    for motif in d.motifs:
-        predicted = all(e.ok for e in report.ends if e.motif == motif.name)
-        try:
-            # at least 2 so that a truncated count still separates 1 from many
-            result = diagram_mod.enumerate_configurations(
-                d, motif, binding, limit=max(2, limit), max_nodes=max_nodes
-            )
-        except CapacityError as exc:
-            # like a sweep point over the bound: unknown, and go on
-            print(str(exc), file=sys.stderr)
-            print(f"motif {motif.name}: count=? unique-predicted={predicted} UNKNOWN")
-            unknown = True
-            continue
-        count = len(result)
-        agree = (count == 1) == predicted
-        marker = "ok" if agree else "DISAGREES"
-        suffix = "+" if result.truncated else ""
-        print(f"motif {motif.name}: count={count}{suffix} unique-predicted={predicted} {marker}")
-        disagrees = disagrees or not agree
-    if disagrees:
+    else:
+        d, binding, _ = _load_bound(args)
+        report = diagram_mod.check_encodable(d, binding)
+        disagreements, unknown = [], []
+        for motif in d.motifs:
+            predicted = not report.failures(motif.name)
+            try:
+                # at least 2 so that a truncated count still separates 1 from many
+                result = diagram_mod.enumerate_configurations(
+                    d, motif, binding, limit=max(2, limit), max_nodes=max_nodes
+                )
+            except CapacityError as exc:
+                # like a sweep point over the bound: unknown, and go on
+                print(str(exc), file=sys.stderr)
+                print(f"motif {motif.name}: count=? unique-predicted={predicted} UNKNOWN")
+                unknown.append(motif)
+                continue
+            count = len(result)
+            agree = (count == 1) == predicted
+            marker = "ok" if agree else "DISAGREES"
+            suffix = "+" if result.truncated else ""
+            print(f"motif {motif.name}: count={count}{suffix} unique-predicted={predicted} {marker}")
+            if not agree:
+                disagreements.append(motif)
+    if disagreements:
         return FAILURE
     return CAPACITY if unknown else OK
 

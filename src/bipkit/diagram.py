@@ -2,15 +2,15 @@
 
 A connector motif plus a cardinality binding defines a set of configurations
 (sets of connectors).  This module enumerates them by backtracking (the
-brute-force oracle), checks conformance of a given configuration, computes
-matching factors, and decides whether the diagram pins down exactly one
-configuration.  The uniqueness conditions, per motif and end: the
-multiplicity may not exceed the owning type's cardinality, and the matching
-factor n*degree/multiplicity must equal the number of connectors the motif
-can form, the product over its ends of C(n_q, m_q).  The unique
-configuration is then the set of all of them.  Each function evaluates an
-end's (n, m, d) once, through ``_end_numbers``; :func:`diagram_orbits` reads
-them from the :func:`check_encodable` report it needs anyway.
+brute-force oracle), checks conformance of a given configuration, and
+decides whether the diagram pins down exactly one configuration.  The
+uniqueness conditions, per motif and end: the multiplicity may not exceed
+the owning type's cardinality, and the matching factor n*degree/multiplicity
+must equal the number of connectors the motif can form, the product over its
+ends of C(n_q, m_q).  The unique configuration is then the set of all of
+them.  :func:`check_encodable` alone decides them, one :class:`EndCheck` per
+end.  Each function evaluates an end's (n, m, d) once, through
+``_end_numbers``; :func:`diagram_orbits` reads them from that report.
 
 Its interactions are closed under renumbering the instances of a type, so
 :func:`diagram_orbits` gives them in closed form as a few orbits
@@ -96,33 +96,36 @@ def _end_numbers(d: ArchitectureDiagram, end: MotifEnd, binding: Binding) -> tup
             end.multiplicity.evaluate(binding), end.degree.evaluate(binding))
 
 
-def matching_factor(d: ArchitectureDiagram, end: MotifEnd, binding: Binding) -> Fraction:
-    """n * degree / multiplicity for the end's port type, as an exact rational."""
-    n, m, deg = _end_numbers(d, end, binding)
-    return Fraction(n * deg, m)
-
-
-def max_connectors(d: ArchitectureDiagram, motif: ConnectorMotif, binding: Binding) -> int:
-    """Number of distinct connectors the motif can form: prod of C(n_q, m_q)."""
-    numbers = [_end_numbers(d, end, binding) for end in motif.ends]
-    return math.prod(math.comb(n, m) for n, m, _ in numbers)
-
-
 @dataclass(frozen=True)
 class EndCheck:
+    """One motif end under a binding: its port type's cardinality n, its
+    multiplicity m, its degree d, and the number of connectors C its motif
+    can form, the product over the motif's ends of C(n_q, m_q)."""
+
     motif: str
     port: PortTypeRef
     cardinality: int
     multiplicity: int
     degree: int
-    factor: Fraction
-    max_connectors: int
-    multiplicity_ok: bool  # multiplicity <= cardinality
-    factor_ok: bool  # factor == max_connectors (an exact integer equality)
+    connectors: int
+
+    @property
+    def multiplicity_ok(self) -> bool:
+        return self.multiplicity <= self.cardinality
+
+    @property
+    def factor_ok(self) -> bool:
+        """The matching factor n*d/m equals C, compared in integers."""
+        return self.cardinality * self.degree == self.connectors * self.multiplicity
 
     @property
     def ok(self) -> bool:
         return self.multiplicity_ok and self.factor_ok
+
+    @property
+    def factor(self) -> Fraction:
+        """The matching factor as an exact rational, for display."""
+        return Fraction(self.cardinality * self.degree, self.multiplicity)
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,9 @@ class EncodabilityReport:
     def overall(self) -> bool:
         return all(e.ok for e in self.ends)
 
-    def failures(self) -> list[EndCheck]:
-        return [e for e in self.ends if not e.ok]
+    def failures(self, motif: Optional[str] = None) -> list[EndCheck]:
+        """The failing ends, of the named motif only when one is given."""
+        return [e for e in self.ends if not e.ok and motif in (None, e.motif)]
 
     @property
     def failing_ends(self) -> str:
@@ -148,11 +152,9 @@ def check_encodable(d: ArchitectureDiagram, binding: Binding) -> EncodabilityRep
     checks = []
     for motif in d.motifs:
         values = [_end_numbers(d, end, binding) for end in motif.ends]
-        limit = math.prod(math.comb(n, m) for n, m, _ in values)
-        for end, (n, m, deg) in zip(motif.ends, values):
-            factor = Fraction(n * deg, m)
-            checks.append(EndCheck(motif.name, end.port, n, m, deg, factor, limit,
-                                   multiplicity_ok=m <= n, factor_ok=factor == limit))
+        connectors = math.prod(math.comb(n, m) for n, m, _ in values)
+        checks.extend(EndCheck(motif.name, end.port, n, m, deg, connectors)
+                      for end, (n, m, deg) in zip(motif.ends, values))
     return EncodabilityReport(tuple(checks))
 
 
@@ -338,10 +340,10 @@ def unique_configuration(
     """The single conforming configuration: all possible connectors, in
     closed form.  Raises EncodabilityError unless the uniqueness conditions
     hold for this motif."""
-    failures = [e for e in check_encodable(d, binding).failures() if e.motif == motif.name]
+    failures = check_encodable(d, binding).failures(motif.name)
     if failures:
         details = "; ".join(
-            f"{e.port}: factor {e.factor} vs {e.max_connectors} possible connectors"
+            f"{e.port}: factor {e.factor} vs {e.connectors} possible connectors"
             + ("" if e.multiplicity_ok else f", multiplicity {e.multiplicity} > {e.cardinality}")
             for e in failures
         )

@@ -118,7 +118,7 @@ class EngineConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if not 0 <= self.cycles <= DEFAULT_MAX_CYCLES:
             raise ValueError(f"cycles must lie in [0, {DEFAULT_MAX_CYCLES}]")
-        if not 0 <= self.seed <= MASK64:
+        if type(self.seed) is not int or not 0 <= self.seed <= MASK64:
             raise ValueError("seed must lie in [0, 2**64)")
 
 
@@ -146,21 +146,6 @@ class EventScript:
         if not isinstance(cycles, list):
             raise ScriptError("cycles: expected a list")
         return cls(entries=tuple(_script_entry(raw, index) for index, raw in enumerate(cycles)))
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": 1,
-            "cycles": [
-                {
-                    "events": [{"target": t, "event": e} for t, e in entry.events],
-                    "guards": [
-                        {"target": t, "guard": g, "value": v} for t, g, v in entry.guards
-                    ],
-                }
-                for entry in self.entries
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # The fields of the objects a script cycle lists under each key, with their
@@ -701,6 +686,11 @@ class ReplayError(BipError):
     """A trace failed replay validation."""
 
 
+def _typed(value):
+    """A JSON value that keeps each scalar's type: true and 1.0 are not 1."""
+    return {k: _typed(v) for k, v in value.items()} if type(value) is dict else (type(value), value)
+
+
 def replay_validate(
     trace: dict,
     d: ArchitectureDiagram,
@@ -721,8 +711,12 @@ def replay_validate(
         raise ReplayError("a trace is an object with a list of cycles")
     header = {"schema": TRACE_SCHEMA, "model": d.name, "binding": dict(binding)}
     for key, expected in header.items():
-        if trace.get(key) != expected:
+        if _typed(trace.get(key)) != _typed(expected):
             raise ReplayError(f"trace {key} is {trace.get(key)!r}, expected {expected!r}")
+    try:  # the seed and the policy a run accepts
+        EngineConfig(0, trace.get("seed"), trace.get("policy"))
+    except ValueError as exc:
+        raise ReplayError(f"trace header: {exc}") from None
     # A fired interaction names distinct instances, so it is allowed when its
     # sorted (type, port) pairs list each single-port signature count times.
     allowed = {tuple(chain.from_iterable(sig * k for sig, k in orbit))
@@ -762,7 +756,7 @@ def replay_validate(
     for index, cycle in enumerate(trace["cycles"]):
         entry = entries[index] if index < len(entries) else _NO_SCRIPT
         try:
-            if cycle["cycle"] != index:
+            if type(cycle["cycle"]) is not int or cycle["cycle"] != index:
                 raise ReplayError(f"cycle {index}: recorded as cycle {cycle['cycle']!r}")
             for target, guard, value in entry.guards:
                 instances[target].guards[guard] = value

@@ -26,9 +26,9 @@ class MacroEncodingError(BipError):
 class LivelockError(BipError):
     """An instance kept firing internal transitions past its per-cycle budget."""
 
-    def __init__(self, instance: str, message: str | None = None):
+    def __init__(self, instance: str):
         self.instance = instance
-        super().__init__(message or f"internal-transition budget exhausted for {instance}")
+        super().__init__(f"internal-transition budget exhausted for {instance}")
 
 
 class ScriptError(BipError):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -750,9 +752,10 @@ def test_oracle_file_mode_disagreement_exits_1(monkeypatch, capsys):
     check_encodable = diagram.check_encodable
 
     def flipped(d, binding):
+        # one connector more than the motif can form: no end's factor matches
         report = check_encodable(d, binding)
         return diagram.EncodabilityReport(tuple(
-            dataclasses.replace(end, factor_ok=not end.factor_ok) for end in report.ends))
+            dataclasses.replace(end, connectors=end.connectors + 1) for end in report.ends))
 
     monkeypatch.setattr(diagram, "check_encodable", flipped)
     assert main(["oracle", model_path("complete_pairing.bip"), "--bind", "n=2"]) == 1
@@ -971,3 +974,28 @@ def test_output_digests_are_unchanged(tmp_path, monkeypatch, capsys, case):
     assert _sha256(capsys.readouterr().out) == case["stdout_sha256"]
     if "out_sha256" in case:
         assert _sha256((tmp_path / "out").read_text(encoding="utf-8")) == case["out_sha256"]
+
+
+def test_readme_worked_session(tmp_path, monkeypatch, capsys):
+    """Each command of the README's worked session, run in a directory that
+    holds the bundled models at their checkout paths, prints the text the
+    README shows under it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    session = readme.split("A worked session", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    models = tmp_path / "src" / "bipkit" / "models"
+    models.mkdir(parents=True)
+    for path in bundled_model_path("mutex.bip").parent.glob("*.bip"):
+        shutil.copy(path, models / path.name)
+    monkeypatch.chdir(tmp_path)
+    steps = re.split(r"^\$ ", session.replace("\\\n", ""), flags=re.M)[1:]
+    assert len(steps) == 5
+    for step in steps:
+        command, _, shown = step.partition("\n")
+        argv = shlex.split(command)
+        if argv[0] == "cat":
+            printed = Path(argv[1]).read_text(encoding="utf-8")
+        else:
+            assert argv[0] == "bipkit", command
+            main(argv[1:])
+            printed = capsys.readouterr().out
+        assert printed == shown, command

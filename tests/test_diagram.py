@@ -43,40 +43,39 @@ def connector_names(configuration) -> set[str]:
     return {str(c) for c in configuration}
 
 
-def test_matching_factor_goldens():
-    d1 = pairing(degree=1)
-    for end in d1.motifs[0].ends:
-        assert dg.matching_factor(d1, end, {}) == 2
+def end_checks(d):
+    return dg.check_encodable(d, {}).ends
 
-    d2 = pairing(degree=2)
-    for end in d2.motifs[0].ends:
-        assert dg.matching_factor(d2, end, {}) == 4
+
+def test_matching_factor_goldens():
+    assert [e.factor for e in end_checks(pairing(degree=1))] == [2, 2]
+    assert [e.factor for e in end_checks(pairing(degree=2))] == [4, 4]
 
     # multiplicity n with degree 1 gives factor exactly 1
-    d3 = dg.single_motif_diagram([(3, 3, 1)], [SYNCHRON])
-    assert dg.matching_factor(d3, d3.motifs[0].ends[0], {}) == 1
+    (end,) = end_checks(dg.single_motif_diagram([(3, 3, 1)], [SYNCHRON]))
+    assert end.factor == 1 and end.factor_ok
 
-    # factors are exact rationals, never floats
-    d4 = dg.single_motif_diagram([(3, 2, 1)], [SYNCHRON])
-    assert dg.matching_factor(d4, d4.motifs[0].ends[0], {}) == Fraction(3, 2)
+    # factors are exact rationals, never floats, and are compared in integers
+    (end,) = end_checks(dg.single_motif_diagram([(3, 2, 1)], [SYNCHRON]))
+    assert end.factor == Fraction(3, 2) and end.connectors == 3 and not end.factor_ok
 
 
 def test_max_connectors():
-    d = pairing(degree=1)
-    assert dg.max_connectors(d, d.motifs[0], {}) == 4  # C(2,1) * C(2,1)
+    # C(2,1) * C(2,1), on every end of the motif
+    assert [e.connectors for e in end_checks(pairing(degree=1))] == [4, 4]
 
-    single = dg.single_motif_diagram([(3, 3, 1)], [SYNCHRON])
-    assert dg.max_connectors(single, single.motifs[0], {}) == 1
+    (end,) = end_checks(dg.single_motif_diagram([(3, 3, 1)], [SYNCHRON]))
+    assert end.connectors == 1
 
-    oversized = dg.single_motif_diagram([(2, 3, 1)], [SYNCHRON])
-    assert dg.max_connectors(oversized, oversized.motifs[0], {}) == 0
+    (end,) = end_checks(dg.single_motif_diagram([(2, 3, 1)], [SYNCHRON]))
+    assert end.connectors == 0 and not end.multiplicity_ok
 
 
 def test_check_encodable_goldens(ambiguous_pairing, complete_pairing, broadcast_pair):
     report = dg.check_encodable(ambiguous_pairing, {"n": 2})
     assert not report.overall
     assert [str(e.factor) for e in report.ends] == ["2", "2"]
-    assert all(e.max_connectors == 4 and not e.factor_ok for e in report.ends)
+    assert all(e.connectors == 4 and not e.factor_ok for e in report.ends)
 
     report = dg.check_encodable(complete_pairing, {"n": 2})
     assert report.overall
@@ -85,7 +84,7 @@ def test_check_encodable_goldens(ambiguous_pairing, complete_pairing, broadcast_
     # the two-against-one fan-in: factor 1 = C(1,1) * C(2,2)
     report = dg.check_encodable(broadcast_pair, {"n1": 1, "n2": 2})
     assert report.overall
-    assert all(e.factor == 1 and e.max_connectors == 1 for e in report.ends)
+    assert all(e.factor == 1 and e.connectors == 1 for e in report.ends)
 
 
 def test_enumerate_ambiguous_pairing(ambiguous_pairing):
@@ -220,7 +219,7 @@ def reference_configurations(d, motif, binding, limit):
     combination order, that gives each instance exactly its degree, cut at
     ``limit`` with ``truncated`` set.  ``size`` is the first end's matching
     factor; a configuration has at least one connector."""
-    size = dg.matching_factor(d, motif.ends[0], binding)
+    size = dg.check_encodable(d, binding).ends[0].factor
     if size.denominator != 1 or size < 1:
         return (), False
     degrees = Counter()
@@ -526,10 +525,12 @@ def test_binding_check_needs_each_multiplicity_at_least_one(mutex):
     dg.check_binding(d, {"k": 1})
     # a parameter bound to 0 may be a cardinality and a degree (mutex's n)
     dg.check_binding(mutex, {"n": 0})
-    assert [e.port for e in dg.check_encodable(mutex, {"n": 0}).failures()] == [
+    report = dg.check_encodable(mutex, {"n": 0})
+    assert [e.port for e in report.failures()] == [
         PortTypeRef("Process", "acquire"),
         PortTypeRef("Process", "release"),
     ]
+    assert [e.port for e in report.failures("release")] == [PortTypeRef("Process", "release")]
 
 
 # ---- the exhaustive sweep (brute force vs the uniqueness conditions) --------
@@ -562,7 +563,7 @@ def test_sweep_side_invariants():
         result = dg.enumerate_configurations(d, motif, {})
         report = dg.check_encodable(d, {})
 
-        factors = {dg.matching_factor(d, end, {}) for end in motif.ends}
+        factors = {end.factor for end in report.ends}
         if len(factors) > 1 or next(iter(factors)).denominator != 1:
             assert result.configurations == (), label
             continue
@@ -591,5 +592,5 @@ def test_sweep_side_invariants():
         if report.overall:
             unique = dg.unique_configuration(d, motif, {})
             assert result.configurations == (unique,), label
-            for end in motif.ends:
-                assert len(unique) == dg.matching_factor(d, end, {}), label
+            for end in report.ends:
+                assert len(unique) == end.factor, label

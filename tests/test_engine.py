@@ -427,16 +427,19 @@ def test_replay_rejects_wrong_states(routes):
         replay_validate(forged, routes, binding)
 
 
-def test_event_script_json_round_trip():
-    script = EventScript(
-        entries=(
-            ScriptEntry(events=(("Route#1", "end"),), guards=(("Route#1", "finished", True),)),
-            ScriptEntry(),
-        )
-    )
-    assert EventScript.from_json(script.to_json()) == script
-    with pytest.raises(ScriptError):
-        EventScript.from_json("{}")
+def test_event_script_from_json():
+    text = json.dumps({"schema": 1, "cycles": [
+        {"events": [{"target": "Route#1", "event": "end"}],
+         "guards": [{"target": "Route#1", "guard": "finished", "value": True}]},
+        {},
+    ]})
+    assert EventScript.from_json(text) == EventScript(entries=(
+        ScriptEntry(events=(("Route#1", "end"),), guards=(("Route#1", "finished", True),)),
+        ScriptEntry(),
+    ))
+    for text in ("{}", '{"schema": 2, "cycles": []}', "[]"):
+        with pytest.raises(ScriptError):
+            EventScript.from_json(text)
 
 
 def test_script_validation_against_model(routes):
@@ -527,7 +530,7 @@ def test_engine_config_bounds():
 
 
 def test_engine_config_seed_is_64_bits():
-    for seed in (-1, 2**64):
+    for seed in (-1, 2**64, True, 1.0, "1"):
         with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\)$"):
             EngineConfig(cycles=1, seed=seed)
     EngineConfig(cycles=1, seed=2**64 - 1)
@@ -716,6 +719,7 @@ def test_replay_accepts_runs_and_rejects_single_field_forgeries(engine_models, c
     k = data.draw(st.integers(0, len(cycles) - 1), label="cycle")
     assert_rejected(lambda c: c[k].update(idle=not c[k]["idle"]))
     assert_rejected(lambda c: c[k].update(cycle=k + 1))
+    assert_rejected(lambda c: c[k].update(cycle=float(k)))
 
     paths = [
         (i, part, j)
@@ -757,11 +761,22 @@ def _name_one_instance_twice(trace):
     "forge, message",
     [
         (lambda t: t.update(schema=2), "trace schema is 2, expected 1"),
+        (lambda t: t.update(schema=True), "trace schema is True, expected 1"),
+        (lambda t: t.update(schema=1.0), "trace schema is 1.0, expected 1"),
+        (lambda t: t.update(binding={"n": 2.0}), "trace binding is {'n': 2.0}, expected"),
+        (lambda t: t.update(seed=-5), "trace header: seed must lie in [0, 2**64)"),
+        (lambda t: t.update(seed="nope"), "trace header: seed must lie in [0, 2**64)"),
+        (lambda t: t.update(seed=True), "trace header: seed must lie in [0, 2**64)"),
+        (lambda t: t.update(seed=2**64), "trace header: seed must lie in [0, 2**64)"),
+        (lambda t: t.pop("seed"), "trace header: seed must lie in [0, 2**64)"),
+        (lambda t: t.update(policy="nope"), "trace header: unknown policy 'nope'"),
+        (lambda t: t.update(policy=-5), "trace header: unknown policy -5"),
         (lambda t: t.update(model="Other"), "trace model is 'Other'"),
         (lambda t: t.update(binding={"n": 3}), "trace binding is {'n': 3}"),
         (lambda t: t.update(cycles={}), "a list of cycles"),
         (lambda t: t["cycles"][2].update(idle=True), "cycle 2: idle is True, expected False"),
         (lambda t: t["cycles"][1].update(cycle="1"), "cycle 1: recorded as cycle '1'"),
+        (lambda t: t["cycles"][1].update(cycle=True), "cycle 1: recorded as cycle True"),
         (lambda t: t["cycles"][3].pop("internal"), "cycle 3: malformed record (KeyError"),
         (lambda t: t["cycles"][0].update(spontaneous=None), "cycle 0: malformed record (TypeError"),
         (lambda t: t["cycles"][0]["interaction"][0].pop("port"), "cycle 0: malformed record"),
@@ -774,6 +789,15 @@ def _name_one_instance_twice(trace):
 def test_replay_rejects_malformed_and_mismatched_traces(routes, forge, message):
     with pytest.raises(ReplayError, match=re.escape(message)):
         replay_validate(_forge_routes_trace(routes, forge), routes, {"n": 2})
+
+
+def test_replay_tells_a_binding_of_true_from_the_integer_1(routes):
+    trace = json.loads(trace_to_json(run(routes, {"n": 1}, EngineConfig(cycles=3))))
+    replay_validate(trace, routes, {"n": 1})
+    trace["binding"]["n"] = True
+    with pytest.raises(ReplayError, match=re.escape(
+            "trace binding is {'n': True}, expected {'n': 1}")):
+        replay_validate(trace, routes, {"n": 1})
 
 
 def test_replay_counts_the_instances_taking_part_with_each_port(mutex):

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 validation or encodability failure; 2 parse error;
 3 capacity or livelock error; 4 usage error.  The environment variable
-BIPKIT_MAX_NODES overrides the enumeration search bound.  ``oracle --sweep``
-reports a point whose search exceeds that bound as unknown and goes on; it
-exits 1 if any point disagrees, else 3 if any is unknown, else 0.
+BIPKIT_MAX_NODES overrides the enumeration search bound.  ``oracle MODEL``
+and ``oracle --sweep`` report a motif or point whose search exceeds that
+bound as unknown and go on; each exits 1 if any motif or point disagrees,
+else 3 if any is unknown, else 0.
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ def check_binding(d: ArchitectureDiagram, binding: Binding) -> None:
     if not params <= names:
         raise KeyError("unbound parameters: " + ", ".join(sorted(params - names)))
     for name, value in binding.items():
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise ValueError(f"parameter {name}={value!r} is not a non-negative integer")
     for motif in d.motifs:
         for end in motif.ends:

@@ -19,28 +19,22 @@ entries that a run uses are checked against the model once, before cycle
 item raises ScriptError at its script path, and the step only applies.
 
 The allowed set comes in as orbits (``model.Orbit``), from the diagram or
-from the macros.  A run compiles the instantiated system once
-(:class:`CompiledSystem`): instances in canonical order, per-type transition
-tables keyed by (kind, state, label), port ids in canonical (type, index,
-port) order, and each orbit expanded straight into sorted port-id tuples
-that one integer sort puts in canonical order.  A hub port, used by more
-than isqrt(#interactions) interactions, is tracked per group of
-interactions that share the same hub ports; every other port has an
-inverted index to the interactions using it, each of which counts its
-missing non-hub ports.  The enabled ports are then maintained
-incrementally: only instances touched by a guard update, a consumed event,
-a firing or an internal step are recomputed, and a hub port that toggles
-updates its groups, not its users, so a cycle costs what changed rather
-than the system size.  Sub-step (b) checks only the queue heads that may
-fire: a head that did not fire stays parked until its instance gets an
-event, a guard write or a move.  Sub-step (c) picks over the sorted member
-lists of the live groups, by index into their sorted union.  Each step
-returns the cycle's trace record.  :func:`replay_validate` checks those
-records against the same transition tables, one lookup per record, and a
-fired interaction by its orbit: its instances are distinct, so it is
-allowed when the multiset of its (type, port) pairs is an orbit of the
-diagram.  :func:`trace_to_json` writes the trace as ``json.dumps(trace,
-indent=2, sort_keys=True)`` plus a newline would.
+from the macros, and is never expanded.  A run compiles the instantiated
+system once (:class:`CompiledSystem`): instances in canonical order,
+per-type transition tables keyed by (kind, state, label), and per (type,
+label) that an orbit names, the eligible list of instances whose port is
+enabled.  Only instances touched by a guard update, a consumed event, a
+firing or an internal step are recomputed, so a cycle costs what changed
+rather than the system size; a queue head that did not fire stays parked
+until its instance gets an event, a guard write or a move.  Sub-step (c)
+counts each orbit's feasible interactions from the eligible lists and
+builds the picked one by a descent over the counts.  Each step returns the
+cycle's trace record.  :func:`replay_validate` checks those records against
+the same transition tables, one lookup per record, and a fired interaction
+by its orbit: its instances are distinct, so it is allowed when the
+multiset of its (type, port) pairs is an orbit of the diagram.
+:func:`trace_to_json` writes the trace as ``json.dumps(trace, indent=2,
+sort_keys=True)`` plus a newline would.
 
 The determinism contract does not depend on that bookkeeping.  The feasible
 candidates are the allowed interactions in canonical sorted order;
@@ -55,10 +49,10 @@ and z ^= z >> 31, all modulo 2**64.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, groupby
+from math import comb
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Mapping, Optional
 
@@ -74,7 +68,6 @@ from .model import (
     PortInstance,
     SPONTANEOUS,
     Transition,
-    expand_orbit,
 )
 
 MASK64 = (1 << 64) - 1
@@ -306,29 +299,16 @@ def _transition_tables(d: ArchitectureDiagram) -> dict[str, _Transitions]:
 class CompiledSystem:
     """An instantiated system compiled for stepping.
 
-    The state lists its instances in canonical order, as :func:`init_state`
-    gives them, and each port that a single-port signature of the orbits
-    names gets an integer id in canonical ``(type, index, port)`` order.  An orbit expands into its
-    interactions as sorted tuples of port ids, so sorting them as tuples
-    gives the canonical order: interactions compared as their sorted port
-    instances.  An interaction naming one instance twice is never feasible,
-    so an orbit with a multi-port signature is skipped.
-
-    A port used by more than ``isqrt(len(interactions))`` interactions is a
-    hub, like a manager port that every process synchronizes with.  Every
-    other port lists the interactions using it, and each interaction counts
-    its missing (not enabled) non-hub ports; with none missing it is
-    locally ready.  The interactions that share one tuple of hub ports form
-    a group: the group is live when all its hub ports are enabled, and it
-    keeps its locally-ready members as a sorted list of canonical indices.
-    The feasible set is the union of the live groups' member lists, so a
-    hub port that toggles updates its groups, not its many users.
-
-    :meth:`step` mutates the instances of the compiled ``state`` in place;
-    the enabled ports, counts and member lists are recomputed only for
-    instances a step touches.  The state stays the only source of truth:
-    after changing it from outside, compile it again.
-    """
+    Instances are in canonical order, as :func:`init_state` gives them.  An
+    orbit is kept as its parts ``(type, label, count)`` grouped by type in
+    name order (one with a multi-port signature names an instance twice and
+    is dropped), and each ``(type, label)`` it names as its eligible list:
+    the sorted indices of the instances whose port is enabled.  An orbit's
+    feasible count is a product over its types: C(e, r) for one part of
+    count r, and a sum over the instances' enabled-label classes where the
+    parts of one type draw disjoint instances.  :meth:`step` mutates the
+    compiled ``state`` in place; after changing it from outside, compile
+    it again."""
 
     def __init__(self, state: Mapping[str, InstanceState], d: ArchitectureDiagram,
                  orbits: Iterable[Orbit]):
@@ -337,87 +317,31 @@ class CompiledSystem:
         self.instances = instances
         self.ids = list(state)
         self.position = {key: i for i, key in enumerate(self.ids)}
+        self.offset = {inst.type_name: i - inst.index for i, inst in enumerate(instances)}
         self.tables = [tables[inst.type_name] for inst in instances]
         self.enabled = [self._enabled_labels(i) for i in range(len(instances))]
 
-        orbits = [orbit for orbit in orbits if all(len(sig) == 1 for sig, _ in orbit)]
-        names: dict[str, set[str]] = {}  # type -> its ports the orbits name
-        for (ref,), _ in chain.from_iterable(orbits):
-            names.setdefault(ref.component_type, set()).add(ref.port)
-        ids_of: dict[tuple[str, str], list[int]] = {}  # (type, label) -> ids by index
-        port_ids: list[dict[str, int]] = []  # instance -> label -> id
-        ports: list[tuple[int, str]] = []  # id -> (instance, label)
-        for i, inst in enumerate(instances):
-            port_ids.append({})
-            for label in sorted(names.get(inst.type_name, ())):
-                port_ids[i][label] = len(ports)
-                ids_of.setdefault((inst.type_name, label), [-1]).append(len(ports))
-                ports.append((i, label))
+        self.eligible: dict[tuple[str, str], list[int]] = {}  # (type, label) -> indices
+        self.orbits = [  # each as its (type, ((label, count, eligible list), ...)) groups
+            tuple((ctype, tuple((sig[0].port, k, self.eligible.setdefault((ctype, sig[0].port), []))
+                                for sig, k in parts))
+                  for ctype, parts in groupby(orbit, key=lambda part: part[0][0].component_type))
+            for orbit in sorted(orbits) if all(len(sig) == 1 for sig, _ in orbit)]
+        for inst, labels in zip(instances, self.enabled):
+            for label in labels:
+                eligible = self.eligible.get((inst.type_name, label))
+                if eligible is not None:
+                    eligible.append(inst.index)
+        starts = [o for o, groups in enumerate(self.orbits)  # sorted, one first type is a run
+                  if not o or groups[0][0] != self.orbits[o - 1][0][0]]
+        self.runs = list(zip(starts, starts[1:] + [len(self.orbits)]))  # the pick's first level
+        self.counts: Optional[list[int]] = None  # recounted after an eligible list changes
 
-        # expand_orbit joins types in name order and a part's instance numbers
-        # increase, so only a type with several parts needs its ids sorted.
-        def render(parts, chosen):
-            if len(parts) == 1:
-                return tuple(map(ids_of[parts[0][0][0]].__getitem__, chosen[0]))
-            return tuple(sorted(ids_of[sig[0]][i]
-                                for (sig, _), nums in zip(parts, chosen) for i in nums))
-
-        counts = {ctype: len(ids) - 1 for (ctype, _), ids in ids_of.items()}
-        interactions = [pids for orbit in orbits for pids in expand_orbit(orbit, counts, render)]
-        interactions.sort()
-        users: list[list[int]] = [[] for _ in ports]  # id -> interactions using the port
-        for k, pids in enumerate(interactions):
-            for pid in pids:
-                users[pid].append(k)
-        self.port_ids, self.ports, self.interactions = port_ids, ports, interactions
-
-        # Groups, counts and member lists, built in canonical order from the
-        # enabled sets above, so every member list comes out sorted.
-        threshold = math.isqrt(len(interactions))
-        hub = [len(u) > threshold for u in users]
-        enabled = self.enabled
-        off = [label not in enabled[i] for i, label in ports]
-        hub_groups: list[list[int]] = [[] for _ in ports]  # hub port -> its groups
-        hub_missing: list[int] = []  # group -> hub ports not enabled
-        members: list[list[int]] = []  # group -> locally-ready interactions
-        group_of: list[int] = []  # interaction -> group
-        missing: list[int] = []  # interaction -> non-hub ports not enabled
-        groups: dict[tuple[int, ...], int] = {}
-        for k, pids in enumerate(interactions):
-            hubs = ()
-            count = 0
-            for pid in pids:
-                if hub[pid]:
-                    hubs += (pid,)
-                elif off[pid]:
-                    count += 1
-            g = groups.get(hubs)
-            if g is None:
-                g = groups[hubs] = len(members)
-                hub_missing.append(sum(off[pid] for pid in hubs))
-                members.append([])
-                for pid in hubs:
-                    hub_groups[pid].append(g)
-            group_of.append(g)
-            missing.append(count)
-            if not count:
-                members[g].append(k)
-        self.hub_groups, self.hub_missing, self.members = hub_groups, hub_missing, members
-        self.group_of, self.missing = group_of, missing
-        for pid in compress(range(len(ports)), hub):
-            users[pid] = []  # a hub toggle updates its groups instead
-        self.users = users
-        # The live groups with at least one locally-ready member.
-        self.candidates = {g for g, ready in enumerate(members) if ready and not hub_missing[g]}
-
-        # Instances whose queue head may fire: those with a queue at first,
-        # then those that got an event, a guard write or a move since their
-        # head was last checked.  A head that did not fire cannot fire before
-        # one of those happens.
+        # The instances whose queue head may fire (at first, those with a
+        # queue) and that may have an enabled internal transition (at first,
+        # all).  Then only those that got an event, a guard write or a move
+        # since sub-steps (b) and (d) last looked at them can.
         self.queued = {i for i, inst in enumerate(instances) if inst.queue}
-        # Instances that may have an enabled internal transition: at first
-        # all of them.  After sub-step (d) every instance sits at its
-        # fixpoint, so only those touched since need another look.
         self.touched = set(range(len(instances)))
 
     def enabled_ports(self) -> frozenset[PortInstance]:
@@ -433,52 +357,113 @@ class CompiledSystem:
                          if tr.guard is None or tr.guard.evaluate(guards))
 
     def _refresh(self, i: int) -> None:
-        """Recompute instance i's enabled ports; a hub port that changed
-        updates its groups, any other port the interactions using it."""
+        """Instance i changed: mark it for sub-steps (b) and (d), recompute
+        its enabled ports and move it into or out of the eligible lists."""
+        self.touched.add(i)
+        if self.instances[i].queue:
+            self.queued.add(i)
         new = self._enabled_labels(i)
         old = self.enabled[i]
         if new == old:
             return
         self.enabled[i] = new
-        port_ids, users, hub_groups = self.port_ids[i], self.users, self.hub_groups
-        missing, group_of, members = self.missing, self.group_of, self.members
-        hub_missing, candidates = self.hub_missing, self.candidates
-        for label in old - new:
-            pid = port_ids.get(label)
-            if pid is None:
-                continue
-            for g in hub_groups[pid]:
-                hub_missing[g] += 1
-                candidates.discard(g)
-            for k in users[pid]:
-                if not missing[k]:
-                    g = group_of[k]
-                    ready = members[g]
-                    del ready[bisect_left(ready, k)]
-                    if not ready:
-                        candidates.discard(g)
-                missing[k] += 1
-        for label in new - old:
-            pid = port_ids.get(label)
-            if pid is None:
-                continue
-            for g in hub_groups[pid]:
-                hub_missing[g] -= 1
-                if not hub_missing[g] and members[g]:
-                    candidates.add(g)
-            for k in users[pid]:
-                missing[k] -= 1
-                if not missing[k]:
-                    g = group_of[k]
-                    insort(members[g], k)
-                    if not hub_missing[g]:
-                        candidates.add(g)
+        inst = self.instances[i]
+        for label in old ^ new:
+            eligible = self.eligible.get((inst.type_name, label))
+            if eligible is not None:
+                self.counts = None
+                if label in new:
+                    insort(eligible, inst.index)
+                else:
+                    del eligible[bisect_left(eligible, inst.index)]
+
+    def feasible(self) -> list[int]:
+        """Each orbit's number of feasible interactions."""
+        if self.counts is None:
+            self.counts = [_count(groups) for groups in self.orbits]
+        return self.counts
+
+    def interaction(self, k: int) -> list[tuple[str, int, str]]:
+        """The k-th (from 0) feasible interaction in canonical order, as its
+        sorted (type, index, label) port instances, built one port at a time
+        over the orbits matching the prefix, each with its draws left and its
+        completions.  One orbit left unranks each one-part type's draw.  Else
+        the orbit with nothing left (the prefix) comes first, then the others
+        by next type in name order; within a type, a bisection finds the next
+        instance J (completions up to J: the total less those above J)."""
+        ports: list[tuple[str, int, str]] = []
+        counts = self.feasible()
+        for start, stop in self.runs:
+            total = sum(counts[start:stop])
+            if k < total:
+                break
+            k -= total
+        alive = [(groups, 0, n)
+                 for groups, n in zip(self.orbits[start:stop], counts[start:stop]) if n]
+        while True:
+            if len(alive) == 1:
+                groups, low, n = alive[0]
+                for g, (ctype, parts) in enumerate(groups):
+                    if len(parts) > 1:
+                        alive = [(groups[g:], low, n)]
+                        break
+                    (label, r, eligible), = parts
+                    if low:
+                        eligible, low = eligible[bisect_right(eligible, low):], 0
+                    n //= comb(len(eligible), r)  # the completions after this type
+                    draw, k = divmod(k, n)
+                    if r == 1:
+                        ports.append((ctype, eligible[draw], label))
+                    else:
+                        ports += [(ctype, index, label) for index in _unrank(eligible, r, draw)]
+                else:
+                    return ports
+            by_type: dict[str, list] = {}
+            for entry in alive:
+                if entry[0]:
+                    by_type.setdefault(entry[0][0][0], []).append(entry)
+                elif k:
+                    k -= 1
+                else:
+                    return ports
+            for ctype in sorted(by_type):
+                members = by_type[ctype]
+                total = sum([n for _, _, n in members])
+                if k < total:
+                    break
+                k -= total
+            low = members[0][1]
+            parts = sorted({label: e for groups, _, _ in members  # labels at J go sorted
+                            for label, _, e in groups[0][1]}.items())
+            lo, hi, under = low + 1, max([e[-1] for _, e in parts if e]), 0
+            while lo < hi:  # the least J with more than k completions up to J
+                mid = (lo + hi) // 2
+                below = total - sum([_count(groups, mid) for groups, _, _ in members])
+                if below > k:
+                    hi = mid
+                else:
+                    lo, under = mid + 1, below
+            k -= under
+            for label, eligible in parts:
+                at = bisect_left(eligible, lo)
+                if at == len(eligible) or eligible[at] != lo:
+                    continue
+                alive = []  # the members drawing label at lo, less that draw
+                for groups, _, _ in members:
+                    (_, first), rest = groups[0], groups[1:]
+                    for j, (name, r, e) in enumerate(first):
+                        if name == label:
+                            first = first[:j] + ((name, r - 1, e),) * (r > 1) + first[j + 1:]
+                            rest, bound = (((ctype, first),) + rest, lo) if first else (rest, 0)
+                            alive.append((rest, bound, _count(rest, bound)))
+                total = sum([n for _, _, n in alive])
+                if k < total:
+                    break
+                k -= total
+            ports.append((ctype, lo, label))
 
     def _move(self, i: int, tr: Transition) -> None:
         self.instances[i].current = tr.destination
-        self.touched.add(i)
-        if self.instances[i].queue:
-            self.queued.add(i)
         self._refresh(i)
 
     def step(
@@ -497,9 +482,6 @@ class CompiledSystem:
         for target, guard, value in entry.guards:
             i = position[target]
             instances[i].guards[guard] = value
-            self.touched.add(i)
-            if instances[i].queue:
-                self.queued.add(i)
             self._refresh(i)
 
         # (b) spontaneous events: enqueue, then consume at most one per instance
@@ -523,26 +505,19 @@ class CompiledSystem:
             )
             self._move(i, tr)
 
-        # (c) one enforceable interaction, picked among the feasible ones: the
-        # sorted union of the candidate groups' member lists
+        # (c) one enforceable interaction: the k-th feasible one in canonical
+        # order, k by policy
         fired = None
-        lists = [self.members[g] for g in self.candidates]
-        if lists:
-            if policy == LEXICOGRAPHIC_FIRST:
-                choice = min(ready[0] for ready in lists)
-            elif len(lists) == 1:
-                ready = lists[0]
-                choice = ready[rng.pick_index(len(ready))]
-            else:
-                choice = _kth_of_union(lists, rng.pick_index(sum(map(len, lists))))
+        n = sum(self.feasible())
+        if n:
+            k = 0 if policy == LEXICOGRAPHIC_FIRST else rng.pick_index(n)
             fired = []
-            for pid in self.interactions[choice]:
-                i, label = self.ports[pid]
-                inst = instances[i]
-                tr = tables[i].first_enabled(ENFORCEABLE, inst, label)
+            for ctype, index, label in self.interaction(k):
+                i = self.offset[ctype] + index
+                tr = tables[i].first_enabled(ENFORCEABLE, instances[i], label)
                 if tr is None:
-                    port = PortInstance(inst.type_name, inst.index, label)
-                    raise BipError(f"port {port} was enabled but lost its transition")
+                    raise BipError(f"port {ctype}.{label}#{index} was enabled but lost its "
+                                   "transition")
                 fired.append(
                     {"instance": ids[i], "port": label, "from": tr.source, "to": tr.destination}
                 )
@@ -573,18 +548,42 @@ class CompiledSystem:
         }
 
 
-def _kth_of_union(lists: list[list[int]], k: int) -> int:
-    """The k-th (from 0) element of the sorted union of disjoint sorted
-    lists: the least value v with more than k elements at most v."""
-    low = min(ready[0] for ready in lists)
-    high = max(ready[-1] for ready in lists)
-    while low < high:
-        mid = (low + high) // 2
-        if sum(bisect_right(ready, mid) for ready in lists) > k:
-            high = mid
-        else:
-            low = mid + 1
-    return low
+def _count(groups: tuple, low: int = 0) -> int:
+    """How many ways the groups' parts draw distinct eligible instances,
+    those of the first group's type numbered above ``low``."""
+    count = 1
+    for _, parts in groups:
+        if len(parts) == 1:
+            (_, r, eligible), = parts
+            count *= comb(len(eligible) - bisect_right(eligible, low) if low else len(eligible), r)
+        else:  # disjoint draws: a sum over each instance's class of parts
+            classes: dict[int, int] = {}
+            for bit, (_, _, eligible) in enumerate(parts):
+                for index in eligible[bisect_right(eligible, low):]:
+                    classes[index] = classes.get(index, 0) | 1 << bit
+            ways = {tuple(r for _, r, _ in parts): 1}  # draws left per part -> ways
+            for mask in classes.values():
+                for left, w in list(ways.items()):
+                    for bit, r in enumerate(left):
+                        if r and mask >> bit & 1:
+                            key = left[:bit] + (r - 1,) + left[bit + 1:]
+                            ways[key] = ways.get(key, 0) + w
+            count *= ways.get((0,) * len(parts), 0)
+        low = 0
+    return count
+
+
+def _unrank(items: list[int], r: int, q: int) -> list[int]:
+    """The q-th (from 0) r-subset of the sorted ``items`` in lexicographic
+    order, by the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3)."""
+    chosen, at = [], 0
+    for j in range(r, 0, -1):
+        while q >= comb(len(items) - at - 1, j - 1):
+            q -= comb(len(items) - at - 1, j - 1)
+            at += 1
+        chosen.append(items[at])
+        at += 1
+    return chosen
 
 
 def _orbits(d: ArchitectureDiagram, binding: diagram_mod.Binding, source: str) -> list[Orbit]:

@@ -338,30 +338,21 @@ def _placements(parts, free):
             yield (chosen,) + tail
 
 
-def expand_orbit(orbit: Orbit, instances: Mapping[str, int], render) -> list[tuple]:
-    """Every interaction of one orbit, each exactly once, as the concatenation
-    of ``render(parts, chosen)`` over its component types in name order:
-    each type's parts take distinct instance numbers from 1 to its count in
-    ``instances``, one increasing tuple per part in ``chosen``."""
+def orbit_interactions(orbit: Orbit, instances: Mapping[str, int]) -> list[Interaction]:
+    """Every interaction of one orbit, each exactly once: a list of the
+    multinomial length.  Component types join in name order, and each
+    type's parts take distinct instance numbers from 1 to its count in
+    ``instances``, one increasing tuple per part."""
     expansion = [()]
     for ctype, parts in itertools.groupby(orbit, key=lambda part: part[0][0][0]):
         parts = tuple(parts)
         free = range(1, instances.get(ctype, 0) + 1)
-        rendered = [render(parts, chosen) for chosen in _placements(parts, free)]
+        rendered = [tuple(PortInstance(q.component_type, i, q.port)
+                          for (signature, _), numbers in zip(parts, chosen)
+                          for i in numbers for q in signature)
+                    for chosen in _placements(parts, free)]
         expansion = [head + tail for head in expansion for tail in rendered]
-    return expansion
-
-
-def _port_instances(parts, chosen) -> tuple[PortInstance, ...]:
-    return tuple(PortInstance(q.component_type, i, q.port)
-                 for (signature, _), numbers in zip(parts, chosen)
-                 for i in numbers for q in signature)
-
-
-def orbit_interactions(orbit: Orbit, instances: Mapping[str, int]) -> list[Interaction]:
-    """Every interaction of one orbit, each exactly once: a list of the
-    multinomial length."""
-    return [frozenset(ports) for ports in expand_orbit(orbit, instances, _port_instances)]
+    return [frozenset(ports) for ports in expansion]
 
 
 def orbits_interactions(orbits, instances: Mapping[str, int]) -> frozenset[Interaction]:

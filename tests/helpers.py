@@ -9,6 +9,7 @@ from typing import Iterable, Optional, Sequence
 
 from bipkit import diagram as dg
 from bipkit import encode_macros
+from bipkit.engine import LEXICOGRAPHIC_FIRST, SplitMix64, enabled_ports
 from bipkit.logic import allowed_interactions
 from bipkit.model import (
     ArchitectureDiagram,
@@ -16,6 +17,7 @@ from bipkit.model import (
     PortInstance,
     SYNCHRON,
     TRIGGER,
+    orbits_interactions,
 )
 
 
@@ -142,5 +144,61 @@ diagram TwoLocks {
   motif napB { B.nap 1:1 synchron }
   motif wakeB { B.wake 1:1 synchron }
   motif tick { P.tick 1:1 synchron }
+}
+"""
+
+
+# ---- the engine's pick, as the determinism contract states it --------------
+
+
+def sorted_allowed(d: ArchitectureDiagram, binding, orbits) -> list[tuple[PortInstance, ...]]:
+    """The canonical list the engine picks from: the allowed interactions
+    that name distinct instances, each as its sorted port instances, sorted.
+    An interaction naming one instance twice is never feasible."""
+    keys = sorted(tuple(sorted(interaction)) for interaction in
+                  orbits_interactions(orbits, dg.instance_counts(d, binding)))
+    return [key for key in keys if len({(p.component_type, p.index) for p in key}) == len(key)]
+
+
+def feasible_spec(allowed: list[tuple[PortInstance, ...]], state,
+                  d: ArchitectureDiagram) -> list[tuple[PortInstance, ...]]:
+    """The allowed interactions, in canonical order, whose ports are all
+    enabled in ``state``."""
+    enabled = enabled_ports(state, d)
+    return [key for key in allowed if enabled.issuperset(key)]
+
+
+def pick_spec(feasible: list[tuple[PortInstance, ...]], rng: SplitMix64,
+              policy: str) -> Optional[tuple[PortInstance, ...]]:
+    """lexicographic-first takes the first feasible interaction; uniform-random
+    takes feasible[next() % n] and draws only when n > 0."""
+    if not feasible:
+        return None
+    return feasible[0 if policy == LEXICOGRAPHIC_FIRST else rng.pick_index(len(feasible))]
+
+
+# One sender broadcasts to any subset of n receivers: 2^n interactions in
+# n + 1 orbits.  Both types have two states, so eligibility toggles.
+BROADCAST = """
+diagram Broadcast {
+  component R [n] {
+    ports { r, u }
+    states { x*, y }
+    transitions {
+      r: x -> y
+      u: y -> x
+    }
+  }
+  component S [1] {
+    ports { s, t }
+    states { a*, b }
+    transitions {
+      s: a -> b
+      t: b -> a
+    }
+  }
+  motif send { S.s 1:1 trigger; R.r n:1 synchron }
+  motif reset { S.t 1:1 synchron }
+  motif undo { R.u 1:1 synchron }
 }
 """

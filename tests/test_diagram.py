@@ -18,6 +18,7 @@ from bipkit import diagram as dg
 from bipkit import encode_macros, load_bundled_model
 from bipkit.connector import interaction_set, leaf
 from bipkit.diagram import loop_type
+from bipkit.engine import EngineConfig, init_state, run
 from bipkit.errors import CapacityError, EncodabilityError, LogicDomainError
 from bipkit.logic import allowed_orbits
 from bipkit.model import (
@@ -531,6 +532,15 @@ def test_binding_check_needs_each_multiplicity_at_least_one(mutex):
         PortTypeRef("Process", "release"),
     ]
     assert [e.port for e in report.failures("release")] == [PortTypeRef("Process", "release")]
+
+
+def test_a_bool_is_not_an_integer_binding(mutex):
+    # isinstance(True, int) holds, so an isinstance check would take True as 1
+    message = "parameter n=True is not a non-negative integer"
+    for call in (lambda b: dg.check_encodable(mutex, b), lambda b: init_state(mutex, b),
+                 lambda b: run(mutex, b, EngineConfig(cycles=1))):
+        with pytest.raises(ValueError, match=message):
+            call({"n": True})
 
 
 # ---- the exhaustive sweep (brute force vs the uniqueness conditions) --------

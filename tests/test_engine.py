@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 
@@ -23,7 +24,6 @@ from bipkit.engine import (
     ReplayError,
     ScriptEntry,
     SplitMix64,
-    _kth_of_union,
     enabled_ports,
     init_state,
     instance_id,
@@ -32,7 +32,15 @@ from bipkit.engine import (
     trace_to_json,
 )
 from bipkit.errors import EncodabilityError, LivelockError, ScriptError
-from helpers import TWO_LOCKS, pi
+from bipkit.model import PortTypeRef
+from helpers import (
+    BROADCAST,
+    TWO_LOCKS,
+    feasible_spec,
+    pi,
+    pick_spec,
+    sorted_allowed,
+)
 
 
 def test_splitmix64_reference_values():
@@ -552,10 +560,11 @@ def guarded_routes():
 
 @pytest.fixture(scope="module")
 def two_locks():
-    """Processes take two lock holders at once, so an interaction has two
-    hub ports from n=5.  A holder can nap alone, which toggles one hub while
-    the other stays off, and the lone tick interactions sort after the
-    release ones although their group is numbered before them."""
+    """Processes take two lock holders at once, in an orbit over three
+    types.  Four orbits start at holder A, so the pick orders them by
+    label at A#1; a holder can nap alone, which takes its ports out of the
+    eligible lists while the other holder's stay, and the lone tick
+    interactions sort after all of them."""
     return parse_model(TWO_LOCKS)
 
 
@@ -570,8 +579,7 @@ def engine_runs(draw):
     """A model, binding, run configuration and script.  A routes script may
     set initial guard values: writes at the front of cycle 0's entry."""
     model = draw(st.sampled_from(["routes", "guarded_routes", "mutex", "two_locks"]))
-    # The Manager ports are hubs from mutex n=3, the Monitor ports from
-    # routes n=4; mutex at n>=500 keeps a hub with hundreds of users.
+    # mutex at n>=500 keeps eligible lists of hundreds of processes.
     n = draw(st.integers(1, 8))
     if model == "mutex":
         n = draw(st.sampled_from([n, 500 + n]))
@@ -604,44 +612,51 @@ def engine_runs(draw):
 
 @given(engine_runs())
 @settings(max_examples=100, deadline=None)
-def test_incremental_cycles_match_fresh_compilation(engine_models, case):
-    """run keeps one compiled system across cycles; the fresh one here is
-    compiled from the current state every cycle.  Both give the same records,
-    and the incrementally maintained enabled set is the from-scratch one."""
+def test_each_cycle_fires_the_specification_pick(engine_models, case):
+    """run keeps one compiled system across cycles.  In every cycle, the
+    interaction it fires is the one the specification picks from the state
+    after sub-steps (a) and (b), and the incrementally maintained enabled set
+    is the from-scratch one."""
     model, binding, config, script = case
     d = engine_models[model]
     trace = run(d, binding, config, script=script)
 
     orbits = diagram_orbits(d, binding)
-    fresh_state, fresh_rng = init_state(d, binding), SplitMix64(config.seed)
-    state, rng = init_state(d, binding), SplitMix64(config.seed)
+    allowed = sorted_allowed(d, binding, orbits)
+    state, rng, spec_rng = init_state(d, binding), SplitMix64(config.seed), SplitMix64(config.seed)
     system = CompiledSystem(state, d, orbits)
     for index in range(config.cycles):
-        entry = script.entries[index] if index < len(script.entries) else None
-        fresh = CompiledSystem(fresh_state, d, orbits).step(entry, fresh_rng, config.policy,
-                                                            index)
-        assert fresh == trace["cycles"][index]
-        assert system.step(entry, rng, config.policy, index) == fresh
-        assert state == fresh_state
-        enabled = enabled_ports(state, d)
-        assert system.enabled_ports() == enabled
-        port = [pi(system.instances[i].type_name, system.instances[i].index, label)
-                for i, label in system.ports]
-        assert feasible(system) == [
-            k for k, pids in enumerate(system.interactions)
-            if all(port[pid] in enabled for pid in pids)
-        ]
+        entry = script.entries[index] if index < len(script.entries) else ScriptEntry()
+        before = copy.deepcopy(state)
+        record = system.step(entry, rng, config.policy, index)
+        assert record == trace["cycles"][index]
+        for target, guard, value in entry.guards:
+            before[target].guards[guard] = value
+        for target, event in entry.events:
+            before[target].queue.append(event)
+        for moved in record["spontaneous"]:
+            before[moved["instance"]].queue.pop(0)
+            before[moved["instance"]].current = moved["to"]
+        pick = pick_spec(feasible_spec(allowed, before, d), spec_rng, config.policy)
+        fired = record["interaction"]
+        assert (None if fired is None else [(r["instance"], r["port"]) for r in fired]) == (
+            None if pick is None else [(instance_id(p.component_type, p.index), p.port)
+                                       for p in pick])
+        assert system.enabled_ports() == enabled_ports(state, d)
 
 
-# One instance may take part through both ends, an orbit the engine skips.
+# One instance may take part through both ends, an orbit the engine skips;
+# the other orbit draws two distinct instances of T, one per port, and an
+# instance in s may serve either.
 SHARED_TYPE = """
 diagram Shared {
   component T [n] {
     ports { p, q }
-    states { s* }
+    states { s*, t }
     transitions {
-      p: s -> s
+      p: s -> t
       q: s -> s
+      q: t -> s
     }
   }
   motif both { T.p 1:n synchron; T.q 1:n synchron }
@@ -649,43 +664,117 @@ diagram Shared {
 """
 
 
-@pytest.mark.parametrize("model", ["routes", "guarded_routes", "mutex", "two_locks", "shared"])
+@pytest.fixture(scope="module")
+def pick_models(engine_models):
+    return {**engine_models, "shared": parse_model(SHARED_TYPE),
+            "broadcast": parse_model(BROADCAST)}
+
+
+def feasible_engine(system: CompiledSystem) -> list[tuple]:
+    """Every feasible interaction as the engine ranks them, k = 0 .. n-1."""
+    return [tuple(system.interaction(k)) for k in range(sum(system.feasible()))]
+
+
+@pytest.mark.parametrize("model", ["routes", "guarded_routes", "mutex", "two_locks", "shared",
+                                   "broadcast"])
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
-def test_compiled_interactions_are_the_sorted_allowed_set(engine_models, model, n):
-    """Compiled from orbits, the interaction list is the allowed set's
-    interactions that name distinct instances, each as its sorted port
-    instances, in sorted order."""
-    d = parse_model(SHARED_TYPE) if model == "shared" else engine_models[model]
+def test_compiled_interactions_are_the_sorted_allowed_set(pick_models, model, n):
+    """Compiled from orbits, the engine ranks the feasible interactions of
+    the initial state as the specification lists them: the allowed
+    interactions that name distinct instances and whose ports are all
+    enabled, each as its sorted port instances, in sorted order."""
+    d = pick_models[model]
     binding = {"n": n}
-    system = CompiledSystem(init_state(d, binding), d, diagram_orbits(d, binding))
-    port = [pi(system.instances[i].type_name, system.instances[i].index, label)
-            for i, label in system.ports]
-    expected = [key for key in sorted(tuple(sorted(i)) for i in diagram_interactions(d, binding))
-                if len({(p.component_type, p.index) for p in key}) == len(key)]
-    assert [tuple(port[pid] for pid in pids) for pids in system.interactions] == expected
+    orbits = diagram_orbits(d, binding)
+    state = init_state(d, binding)
+    expected = feasible_spec(sorted_allowed(d, binding, orbits), state, d)
+    assert feasible_engine(CompiledSystem(state, d, orbits)) == expected
 
 
-def feasible(system: CompiledSystem) -> list[int]:
-    """The canonical indices of the feasible interactions, as the pick sees
-    them: the union of the candidate groups' member lists."""
-    lists = [system.members[g] for g in system.candidates]
-    assert all(lists) and all(ready == sorted(ready) for ready in lists)
-    return sorted(k for ready in lists for k in ready)
+@st.composite
+def pick_runs(draw):
+    """engine_runs, or an unscripted run of the shared-type or broadcast
+    model at n <= 6."""
+    model = draw(st.sampled_from(["engine", "shared", "broadcast"]))
+    if model == "engine":
+        return draw(engine_runs())
+    config = EngineConfig(cycles=draw(st.integers(1, 30)), seed=draw(st.integers(0, 2**64 - 1)),
+                          policy=draw(st.sampled_from(POLICIES)))
+    return model, {"n": draw(st.integers(1, 6))}, config, EventScript()
 
 
-@given(st.lists(st.lists(st.integers(0, 60), unique=True), min_size=1).filter(
-    lambda lists: any(lists)), st.data())
-def test_kth_of_union_is_the_kth_of_the_sorted_union(lists, data):
-    seen: set[int] = set()
-    disjoint = []
-    for values in lists:
-        values = sorted(set(values) - seen)
-        seen.update(values)
-        if values:
-            disjoint.append(values)
-    union = sorted(seen)
-    k = data.draw(st.integers(0, len(union) - 1))
-    assert _kth_of_union(disjoint, k) == union[k]
+@given(pick_runs())
+@settings(max_examples=100, deadline=None)
+def test_the_kth_interaction_is_the_specification_kth(pick_models, case):
+    """In every state a scripted run reaches, the engine's k-th feasible
+    interaction is the specification's k-th, for every k in range(n)."""
+    model, binding, config, script = case
+    d = pick_models[model]
+    orbits = diagram_orbits(d, binding)
+    allowed = sorted_allowed(d, binding, orbits)
+    state, rng = init_state(d, binding), SplitMix64(config.seed)
+    system = CompiledSystem(state, d, orbits)
+    for index in range(config.cycles):
+        assert feasible_engine(system) == feasible_spec(allowed, state, d)
+        entry = script.entries[index] if index < len(script.entries) else None
+        system.step(entry, rng, config.policy, index)
+
+
+# Two types whose three ports are each gated by a guard of their own, so a
+# test sets the enabled ports directly.
+GUARDED_PORTS = "diagram Gated {" + "".join(f"""
+  component {name} [n] {{
+    ports {{ p, q, r }}
+    guards {{ gp, gq, gr }}
+    states {{ s* }}
+    transitions {{
+      p: s -> s [gp]
+      q: s -> s [gq]
+      r: s -> s [gr]
+    }}
+  }}""" for name in "AB") + "\n}\n"
+
+
+@st.composite
+def orbit_sets(draw):
+    """A few distinct orbits over the types of GUARDED_PORTS: one to three
+    parts per type, each drawing one or two instances, and now and then a
+    multi-port signature, which names one instance twice."""
+    orbits = set()
+    for _ in range(draw(st.integers(1, 4))):
+        parts = []
+        for ctype in draw(st.lists(st.sampled_from("AB"), min_size=1, max_size=2, unique=True)):
+            ports = draw(st.lists(st.sampled_from("pqr"), min_size=1, max_size=3, unique=True))
+            if draw(st.integers(0, 9)) == 0:
+                parts.append((tuple(sorted(PortTypeRef(ctype, p) for p in ports)), 1))
+            else:
+                parts += [((PortTypeRef(ctype, p),), draw(st.integers(1, 2))) for p in ports]
+        orbits.add(tuple(sorted(parts)))
+    return sorted(orbits)
+
+
+@given(st.integers(1, 4), orbit_sets(), st.data())
+@settings(deadline=None)
+def test_the_kth_interaction_on_any_orbit_shape(n, orbits, data):
+    """Several parts on one type, counts above 1 and orbits sharing a type:
+    in a state with any enabled ports, the engine's k-th interaction is the
+    specification's k-th, for every k in range(n)."""
+    d, binding = parse_model(GUARDED_PORTS), {"n": n}
+    state = init_state(d, binding)
+    for inst in state.values():
+        for guard in sorted(inst.guards):
+            inst.guards[guard] = data.draw(st.booleans())
+    expected = feasible_spec(sorted_allowed(d, binding, orbits), state, d)
+    assert feasible_engine(CompiledSystem(state, d, orbits)) == expected
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_the_engine_does_not_expand_the_allowed_set(policy):
+    """The broadcast model at n=40 allows about 2^40 interactions: a run and
+    its replay finish only if neither lists them."""
+    d, binding = parse_model(BROADCAST), {"n": 40}
+    trace = run(d, binding, EngineConfig(cycles=50, seed=3, policy=policy))
+    assert replay_validate(trace, d, binding) == {"interactions": 50, "idle": 0}
 
 
 @given(engine_runs())

@@ -19,22 +19,21 @@ entries that a run uses are checked against the model once, before cycle
 item raises ScriptError at its script path, and the step only applies.
 
 The allowed set comes in as orbits (``model.Orbit``), from the diagram or
-from the macros, and is never expanded.  A run compiles the instantiated
-system once (:class:`CompiledSystem`): instances in canonical order,
-per-type transition tables keyed by (kind, state, label), and per (type,
-label) that an orbit names, the eligible list of instances whose port is
-enabled.  Only instances touched by a guard update, a consumed event, a
-firing or an internal step are recomputed, so a cycle costs what changed
-rather than the system size; a queue head that did not fire stays parked
-until its instance gets an event, a guard write or a move.  Sub-step (c)
-counts each orbit's feasible interactions from the eligible lists and
-builds the picked one by a descent over the counts.  Each step returns the
-cycle's trace record.  :func:`replay_validate` checks those records against
-the same transition tables, one lookup per record, and a fired interaction
-by its orbit: its instances are distinct, so it is allowed when the
-multiset of its (type, port) pairs is an orbit of the diagram.
-:func:`trace_to_json` writes the trace as ``json.dumps(trace, indent=2,
-sort_keys=True)`` plus a newline would.
+from the macros, and is never expanded.  A run compiles the system once
+(:class:`CompiledSystem`): instances in canonical order, per-type
+transition tables, and per (type, label) an orbit names the eligible list
+of instances whose port is enabled.  Only instances touched by a guard
+update, a consumed event, a firing or an internal step are recomputed, so a
+cycle costs what changed, not the system size; a queue head that did not
+fire stays parked until its instance gets an event, a guard write or a
+move.  Sub-step (c) counts each orbit's feasible interactions from the
+eligible lists and builds the pick by a descent over the counts.  Each step
+returns the cycle's trace record.  :func:`replay_validate` checks those
+records against the same transition tables, one lookup per record, and a
+fired interaction by its orbit: its instances are distinct, so it is
+allowed when the multiset of its (type, port) pairs is an orbit of the
+diagram.  :func:`trace_to_json` writes the trace as ``json.dumps(trace,
+indent=2, sort_keys=True)`` plus a newline would.
 
 The determinism contract does not depend on that bookkeeping.  The feasible
 candidates are the allowed interactions in canonical sorted order;
@@ -122,6 +121,7 @@ class ScriptEntry:
 
 
 _NO_SCRIPT = ScriptEntry()
+_NO_PORTS: tuple = (frozenset(), ())  # a state with no enforceable transition
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,8 @@ class _Transitions:
     first enabled entry is the one that fires.  Internal transitions are
     listed under the label ""."""
 
-    enforceable: dict[str, list[Transition]]  # state -> transitions
+    # state -> (its unguarded enforceable labels, its guarded enforceable transitions)
+    enforceable: dict[str, tuple[frozenset[str], list[Transition]]]
     labeled: dict[tuple[str, str, str], list[Transition]]  # (kind, state, label) -> transitions
     budget: int  # internal firings allowed per instance and cycle: |states|
 
@@ -285,13 +286,15 @@ class _Transitions:
 def _transition_tables(d: ArchitectureDiagram) -> dict[str, _Transitions]:
     tables = {}
     for ct in d.component_types:
-        enforceable: dict = {}
         labeled: dict = {}
         for tr in ct.transitions:
             label = "" if tr.kind == INTERNAL else tr.label
             labeled.setdefault((tr.kind, tr.source, label), []).append(tr)
-            if tr.kind == ENFORCEABLE:
-                enforceable.setdefault(tr.source, []).append(tr)
+        enforceable = {}
+        for state in {tr.source for tr in ct.transitions}:
+            ports = [tr for tr in ct.transitions if tr.kind == ENFORCEABLE and tr.source == state]
+            enforceable[state] = (frozenset(tr.label for tr in ports if tr.guard is None),
+                                  [tr for tr in ports if tr.guard is not None])
         tables[ct.name] = _Transitions(enforceable, labeled, len(ct.states))
     return tables
 
@@ -302,19 +305,17 @@ class CompiledSystem:
     Instances are in canonical order, as :func:`init_state` gives them.  An
     orbit is kept as its parts ``(type, label, count)`` grouped by type in
     name order (one with a multi-port signature names an instance twice and
-    is dropped), and each ``(type, label)`` it names as its eligible list:
-    the sorted indices of the instances whose port is enabled.  An orbit's
-    feasible count is a product over its types: C(e, r) for one part of
-    count r, and a sum over the instances' enabled-label classes where the
-    parts of one type draw disjoint instances.  :meth:`step` mutates the
-    compiled ``state`` in place; after changing it from outside, compile
-    it again."""
+    is dropped), each ``(type, label)`` with its eligible list, the sorted
+    indices of the instances whose port is enabled.  An orbit's feasible
+    count is a product over its types: C(e, r) for one part of count r, and
+    a sum over the instances' enabled-label classes where parts of one type
+    draw disjoint instances.  :meth:`step` mutates the compiled ``state``;
+    after changing it from outside, compile it again."""
 
     def __init__(self, state: Mapping[str, InstanceState], d: ArchitectureDiagram,
                  orbits: Iterable[Orbit]):
-        instances = list(state.values())
+        self.instances = instances = list(state.values())
         tables = _transition_tables(d)
-        self.instances = instances
         self.ids = list(state)
         self.position = {key: i for i, key in enumerate(self.ids)}
         self.offset = {inst.type_name: i - inst.index for i, inst in enumerate(instances)}
@@ -352,9 +353,9 @@ class CompiledSystem:
 
     def _enabled_labels(self, i: int) -> frozenset[str]:
         inst = self.instances[i]
-        guards = inst.guards
-        return frozenset(tr.label for tr in self.tables[i].enforceable.get(inst.current, ())
-                         if tr.guard is None or tr.guard.evaluate(guards))
+        unguarded, guarded = self.tables[i].enforceable.get(inst.current, _NO_PORTS)
+        return (unguarded.union(tr.label for tr in guarded if tr.guard.evaluate(inst.guards))
+                if guarded else unguarded)
 
     def _refresh(self, i: int) -> None:
         """Instance i changed: mark it for sub-steps (b) and (d), recompute
@@ -362,8 +363,7 @@ class CompiledSystem:
         self.touched.add(i)
         if self.instances[i].queue:
             self.queued.add(i)
-        new = self._enabled_labels(i)
-        old = self.enabled[i]
+        new, old = self._enabled_labels(i), self.enabled[i]
         if new == old:
             return
         self.enabled[i] = new
@@ -384,13 +384,13 @@ class CompiledSystem:
         return self.counts
 
     def interaction(self, k: int) -> list[tuple[str, int, str]]:
-        """The k-th (from 0) feasible interaction in canonical order, as its
-        sorted (type, index, label) port instances, built one port at a time
-        over the orbits matching the prefix, each with its draws left and its
-        completions.  One orbit left unranks each one-part type's draw.  Else
-        the orbit with nothing left (the prefix) comes first, then the others
-        by next type in name order; within a type, a bisection finds the next
-        instance J (completions up to J: the total less those above J)."""
+        """The k-th (from 0) feasible interaction in canonical order as sorted
+        (type, index, label) ports, built a port at a time over the orbits
+        matching the prefix, each with its draws left and its completions.
+        One orbit left unranks each one-part type's draw.  Else the orbit
+        with nothing left (the prefix) comes first, then the others by next
+        type in name order; a bisection finds their next instance J
+        (completions up to J: the total less those above J)."""
         ports: list[tuple[str, int, str]] = []
         counts = self.feasible()
         for start, stop in self.runs:

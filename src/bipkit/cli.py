@@ -276,6 +276,9 @@ def cmd_run(args) -> int:
             print(f"{args.events}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}",
                   file=sys.stderr)
             return PARSE_ERROR
+        except RecursionError:
+            print(f"{args.events}: invalid JSON: nested too deeply", file=sys.stderr)
+            return PARSE_ERROR
 
     config = engine_mod.EngineConfig(cycles=args.cycles, seed=args.seed, policy=args.policy)
     trace = engine_mod.run(d, binding, config, script=script, source=args.source)

@@ -1,10 +1,17 @@
 """Diagram instantiation: configurations, conformance, and encodability.
 
 A connector motif plus a cardinality binding defines a set of configurations
-(sets of connectors).  This module enumerates them by backtracking (the
-brute-force oracle), checks conformance of a given configuration, and
-decides whether the diagram pins down exactly one configuration.  The
-uniqueness conditions, per motif and end: the multiplicity may not exceed
+(sets of connectors).  This module enumerates them (the brute-force oracle),
+checks conformance of a given configuration, and decides whether the diagram
+pins down exactly one configuration.
+
+Enumeration solves two exact covers with multiplicities, and one iterative
+backtracking search, :func:`_exact_picks`, does both: a connector picks m_e
+instances of each end e (:func:`_connector_picks`, the pool), and a
+configuration picks connectors from the pool so that each instance lies in
+exactly its degree's worth of them (:func:`enumerate_configurations`).
+
+The uniqueness conditions, per motif and end: the multiplicity may not exceed
 the owning type's cardinality, and the matching factor n*degree/multiplicity
 must equal the number of connectors the motif can form, the product over its
 ends of C(n_q, m_q).  The unique configuration is then the set of all of
@@ -158,49 +165,88 @@ def check_encodable(d: ArchitectureDiagram, binding: Binding) -> EncodabilityRep
     return EncodabilityReport(tuple(checks))
 
 
+def _exact_picks(
+    items: Sequence[Sequence[int]], need: list[int], avail: list[int], size: int, total: int,
+    max_nodes: float = math.inf, motif: str = "",
+) -> Iterator[tuple[int, ...]]:
+    """Every increasing ``size``-tuple of positions that covers each counter
+    k exactly ``need[k]`` times, in lexicographic order: an exact cover with
+    multiplicities.  ``items[i]`` lists the counters position i covers, for a
+    prefix of the ``total`` positions; every item has one width, and ``size``
+    times it is sum(need).  ``avail[k]`` counts the positions that cover k.
+
+    The search is depth-first and tries a position in before it passes over
+    it.  need[k], what k still lacks, and avail[k], the positions not yet
+    passed over that cover k, change in place.  A position goes in only while
+    each of its counters needs it, so ``size`` of them meet every need.  A
+    branch is cut when too few positions remain, or when a counter of the
+    position just passed over needs more than it can still get: going in
+    lowers need and avail alike.  One node is one step of the loop, and node
+    ``max_nodes + 1`` raises CapacityError, so no position past
+    ``max_nodes - 1`` is read.  A frame starts after its last included
+    position, so those positions are the whole stack: the loop does not
+    recurse."""
+    if any(n > a for n, a in zip(need, avail)):
+        return
+    chosen: list[int] = []
+    idx, passed = 0, ()
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > max_nodes:
+            raise CapacityError(
+                f"configuration search exceeded {max_nodes} nodes for motif {motif}; "
+                "raise the bound with max_nodes (BIPKIT_MAX_NODES for the command line)"
+            )
+        if len(chosen) == size:
+            yield tuple(chosen)
+        elif size - len(chosen) <= total - idx:
+            for k in passed:
+                if need[k] > avail[k]:
+                    break
+            else:
+                passed = items[idx]
+                for k in passed:
+                    avail[k] -= 1
+                idx += 1
+                for k in passed:
+                    if not need[k]:
+                        break
+                else:
+                    for k in passed:
+                        need[k] -= 1
+                    chosen.append(idx - 1)
+                    passed = ()
+                continue
+        # Back up: give back what this frame passed over, then pass over
+        # the position that opened it.
+        start = chosen[-1] + 1 if chosen else 0
+        for passed_over in items[start:idx]:
+            for k in passed_over:
+                avail[k] += 1
+        if not chosen:
+            return
+        idx = chosen.pop()
+        passed = items[idx]
+        for k in passed:
+            need[k] += 1
+        idx += 1
+
+
 def _connector_picks(
     motif: ConnectorMotif, numbers: Sequence[tuple[int, int, int]]
 ) -> tuple[list[tuple[PortInstance, str, int]], Iterator[tuple[int, ...]]]:
     """The motif's port instances with their typings and ends, sorted, and
     every connector the motif can form as increasing positions in that list,
     generated lazily in lexicographic order (the order of the connectors'
-    sorted ends): a connector picks m_e instances of each end e.
-
-    A pick grows by the next position of an end still short of its quota,
-    while every such end keeps enough instances from that position on, and
-    backtracks past the last such position.  The loop does not recurse, so
-    a wide connector cannot reach Python's recursion limit."""
+    sorted ends): a connector picks m_e instances of each end e, an exact
+    cover of the ends by the instances."""
     members = sorted((PortInstance(end.port.component_type, i, end.port.port), end.typing, e)
                      for e, (end, (n, _, _)) in enumerate(zip(motif.ends, numbers))
                      for i in range(1, n + 1))
-    where: list[list[int]] = [[] for _ in numbers]
-    for i, (_, _, e) in enumerate(members):
-        where[e].append(i)
     quota = [m for _, m, _ in numbers]
-
-    def picks() -> Iterator[tuple[int, ...]]:
-        picked: list[int] = []
-        i = 0
-        while True:
-            last = [w[-q] for w, q in zip(where, quota) if q]
-            if not last:
-                yield tuple(picked)
-            stop = min(last, default=-1)
-            while i <= stop and not quota[members[i][2]]:
-                i += 1
-            if i <= stop:
-                quota[members[i][2]] -= 1
-                picked.append(i)
-            elif picked:
-                i = picked.pop()
-                quota[members[i][2]] += 1
-            else:
-                return
-            i += 1
-
-    if any(m > len(w) for m, w in zip(quota, where)):
-        return members, iter(())
-    return members, picks()
+    return members, _exact_picks([(e,) for _, _, e in members], quota,
+                                 [n for n, _, _ in numbers], sum(quota), len(members))
 
 
 def possible_connectors(
@@ -251,87 +297,22 @@ def enumerate_configurations(
     if rest or size == 0:
         return EnumerationResult((), False)
 
-    # The search works on positions k in the sorted instance list: need[k]
-    # is the degree instance k still lacks, avail[k] the connectors not yet
-    # passed over that hold it (at the root total*m_q/n_q for an instance of
-    # end q).  It needs size*m_q/n_q, so no root prune is needed while
-    # size <= total.  A connector has sum(m_q) distinct members (the ends
-    # name distinct port types) and is included only while each still needs
-    # it, so `size` of them consume the whole need, size*sum(m_q): every
-    # degree is then met.  Each visited node moves one connector on along
-    # its path, so the search reads no connector past max_nodes - 1, and
-    # only those are generated.
+    # Connectors cover instances, each of end q by total*m_q/n_q of them.
+    # Each node moves one connector on along its path, so the search reads
+    # no connector past max_nodes - 1, and only those are generated.
     members, picks = _connector_picks(motif, numbers)
-    need = [numbers[e][2] for _, _, e in members]
     total = math.prod(math.comb(n, m) for n, m, _ in numbers)
-    avail = [total * numbers[e][1] // numbers[e][0] for _, _, e in members]
     membership = list(itertools.islice(picks, min(total, max_nodes)))
-
-    chosen: list[int] = []
-    found: list[tuple[int, ...]] = []
-    truncated = False
-    visited = 0
-
-    def dfs(idx: int, passed: Sequence[int]) -> bool:
-        """Include-first DFS from membership[idx]; returns False once the limit
-        stops enumeration.  Including a connector recurses; passing over one
-        moves on in the loop, so recursion is as deep as the chosen list."""
-        nonlocal visited, truncated
-        start = idx
-        try:
-            while True:
-                visited += 1
-                if visited > max_nodes:
-                    raise CapacityError(
-                        f"configuration search exceeded {max_nodes} nodes for motif {motif.name}; "
-                        "raise the bound with max_nodes (BIPKIT_MAX_NODES for the command line)"
-                    )
-                if len(chosen) == size:
-                    found.append(tuple(chosen))
-                    if limit is not None and len(found) >= limit:
-                        truncated = True
-                        return False
-                    return True
-                if size - len(chosen) > total - idx:
-                    return True
-                # No instance may need more connectors than remain from
-                # idx on; including one lowers need and avail alike, so only
-                # what was passed over can break it.
-                for k in passed:
-                    if need[k] > avail[k]:
-                        return True
-
-                passed = membership[idx]
-                for k in passed:
-                    avail[k] -= 1
-                idx += 1
-                for k in passed:
-                    if not need[k]:
-                        break
-                else:
-                    for k in passed:
-                        need[k] -= 1
-                    chosen.append(idx - 1)
-                    ok = dfs(idx, ())
-                    chosen.pop()
-                    for k in passed:
-                        need[k] += 1
-                    if not ok:
-                        return False
-        finally:
-            # Give back the connectors this frame passed over.
-            for passed_over in membership[start:idx]:
-                for k in passed_over:
-                    avail[k] += 1
-
-    if 0 < size <= total:
-        dfs(0, ())
+    found = list(itertools.islice(_exact_picks(
+        membership, [numbers[e][2] for _, _, e in members],
+        [total * numbers[e][1] // numbers[e][0] for _, _, e in members],
+        size, total, max_nodes, motif.name), limit))
     # Connectors are built only for the configurations found, each once.
     connectors = {i: Connector(frozenset(members[k][:2] for k in membership[i]))
                   for i in set().union(*found)}
     return EnumerationResult(
         tuple(frozenset(map(connectors.__getitem__, configuration)) for configuration in found),
-        truncated)
+        limit is not None and len(found) == limit)
 
 
 def unique_configuration(
@@ -414,9 +395,6 @@ def _type_orbits(ends: Sequence[EndCheck], exact: bool):
     one type may share instances, n at most in all: ``fill`` counts those of
     each group of ends, largest first, whose signature is the group's ports."""
     sizes, n = [end.multiplicity for end in ends], ends[0].cardinality
-    if len(ends) == 1:
-        low, high = sizes[0] if exact else 0, min(sizes[0], n)
-        return {(((ends[0].port,), k),) if k else () for k in range(low, high + 1)}
     groups = [group for size in range(len(ends), 0, -1)
               for group in itertools.combinations(range(len(ends)), size)]
 

@@ -15,7 +15,8 @@ Grammar (normative for this toolchain):
     motif         ::= "motif" ident "{" end (";" end)* "}"
     end           ::= ident "." ident cardExpr ":" cardExpr ("trigger" | "synchron")?
     cardExpr      ::= integer | ident
-    guardExpr     ::= standard precedence ! > & > |, parentheses override
+    guardExpr     ::= standard precedence ! > & > |, parentheses override;
+                      at most 100 operators (!, &, | and "(") per guard
 
 Comments run from "//" to end of line.  A transition with no leading label
 is internal; a label naming a spontaneous event is spontaneous; a label
@@ -54,6 +55,10 @@ from .model import (
     SYNCHRON,
     Transition,
 )
+
+# The most operators (!, &, | and "(") in one guard: every recursive walk
+# over a guard's tree stays far below Python's recursion limit.
+MAX_GUARD_OPERATORS = 100
 
 KEYWORDS = frozenset(
     {
@@ -141,6 +146,7 @@ class _Parser:
         self.tokens = tokens
         self.file = file
         self.pos = 0
+        self.operators = 0  # in the guard being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -267,6 +273,7 @@ class _Parser:
         destination = self.expect_ident("a destination state").text
         guard = None
         if self.accept(PUNCT, "["):
+            self.operators = 0
             guard = self.guard_expr()
             self.expect(PUNCT, "]")
 
@@ -327,22 +334,31 @@ class _Parser:
     # Guard expressions: ! binds tightest, then &, then |; both binary
     # operators are left-associative.
 
+    def operator(self, text: str) -> bool:
+        """Consume the guard operator ``text`` if it is next, failing at the
+        one past MAX_GUARD_OPERATORS."""
+        if self.at(PUNCT, text):
+            self.operators += 1
+            if self.operators > MAX_GUARD_OPERATORS:
+                self.fail(f"at most {MAX_GUARD_OPERATORS} operators in a guard")
+        return self.accept(PUNCT, text)
+
     def guard_expr(self) -> GuardExpr:
         expr = self.guard_term()
-        while self.accept(PUNCT, "|"):
+        while self.operator("|"):
             expr = GuardOr(expr, self.guard_term())
         return expr
 
     def guard_term(self) -> GuardExpr:
         expr = self.guard_factor()
-        while self.accept(PUNCT, "&"):
+        while self.operator("&"):
             expr = GuardAnd(expr, self.guard_factor())
         return expr
 
     def guard_factor(self) -> GuardExpr:
-        if self.accept(PUNCT, "!"):
+        if self.operator("!"):
             return GuardNot(self.guard_factor())
-        if self.accept(PUNCT, "("):
+        if self.operator("("):
             expr = self.guard_expr()
             self.expect(PUNCT, ")")
             return expr

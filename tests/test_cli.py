@@ -238,13 +238,23 @@ def test_instantiate_truncates_the_product_of_the_motifs(tmp_path, capsys):
     assert len(lines) == 5 and lines[-1] == "4 configurations"
 
 
-def test_instantiate_deep_search_does_not_recurse_per_connector(capsys):
-    # n=40 has 1,600 candidate connectors, far beyond the recursion limit
+@pytest.mark.parametrize("model, n", [
+    ("ambiguous_pairing", 40),  # 1,600 candidate connectors
+    ("mutex", 1000),  # 1,000 connectors in the configuration
+])
+def test_instantiate_deep_search_does_not_recurse_per_connector(capsys, model, n):
+    # both are far beyond the recursion limit
     code = main(
-        ["instantiate", model_path("ambiguous_pairing.bip"), "--bind", "n=40", "--limit", "1"]
+        ["instantiate", model_path(f"{model}.bip"), "--bind", f"n={n}", "--limit", "1"]
     )
     assert code == 0
     assert capsys.readouterr().out.splitlines()[-1] == "1 configuration (truncated)"
+
+
+def test_oracle_deep_search_does_not_recurse_per_connector(capsys):
+    assert main(["oracle", model_path("mutex.bip"), "--bind", "n=1000"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"motif {name}: count=1 unique-predicted=True ok" for name in ("acquire", "release")]
 
 
 def test_instantiate_capacity(monkeypatch, capsys):
@@ -591,6 +601,39 @@ def test_an_event_script_that_is_no_json_is_a_located_parse_error(tmp_path, caps
     assert capsys.readouterr() == (
         "", f"{script}:2:1: invalid JSON: Expecting property name enclosed in double quotes\n"
     )
+    assert not out.exists()
+
+
+# Guards nested or chained far past the recursion limit.
+DEEP_GUARDS = {
+    "parentheses": "(" * 3000 + "finished" + ")" * 3000,
+    "negations": "!" * 3000 + "finished",
+    "conjunction": " & ".join(["finished"] * 3000),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_GUARDS))
+def test_check_stops_a_deep_guard_at_the_operator_past_the_bound(tmp_path, capsys, kind):
+    text = Path(model_path("switchable_routes.bip")).read_text(encoding="utf-8")
+    text = text.replace(": wait -> done [finished]", f": wait -> done [{DEEP_GUARDS[kind]}]")
+    path = write_model(tmp_path, "deep.bip", text)
+    # the 101st operator of the guard, counting !, &, | and (
+    start = text.index(DEEP_GUARDS[kind])
+    at = [i for i in range(start, len(text)) if text[i] in "!&|("][100]
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    assert main(["check", path, "--bind", "n=2"]) == 2
+    assert capsys.readouterr() == ("", f"{path}:{line}:{col}: expected at most 100 operators "
+                                       f"in a guard, found '{text[at]}'\n")
+
+
+def test_an_event_script_nested_too_deeply_is_a_parse_error(tmp_path, capsys):
+    script = tmp_path / "deep.json"
+    # deeper than the JSON decoder's recursion limit on every supported Python
+    script.write_text('{"schema": 1, "cycles": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out = tmp_path / "t.json"
+    assert main(["run", model_path("switchable_routes.bip"), "--bind", "n=2", "--cycles", "3",
+                 "--events", str(script), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"{script}: invalid JSON: nested too deeply\n")
     assert not out.exists()
 
 

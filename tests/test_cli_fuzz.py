@@ -35,12 +35,13 @@ CARDINALITIES = ["0", "1", "2", "5", "n", "n1", "m", "-1", "x", "n+1", ""]
 def models(draw) -> tuple[bytes, list[str]]:
     """A bundled model and its parameters; the model maybe with a few
     mutations: a cardinality replaced, a span deleted, a line dropped or
-    doubled, a token spliced in, or a byte that is no UTF-8."""
+    doubled, a token spliced in, a guard of 1,000-3,000 nested or chained
+    operators added to a transition, or a byte that is no UTF-8."""
     name = draw(st.sampled_from(sorted(MODELS)))
     text = MODELS[name]
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
         kind = draw(st.sampled_from(["cardinality", "cardinality", "delete", "line", "splice",
-                                     "byte"]))
+                                     "deep", "byte"]))
         if kind == "cardinality":
             spans = [m.span(1) for m in re.finditer(r"\[([^\]]*)\]", text)]
             if spans:
@@ -57,6 +58,12 @@ def models(draw) -> tuple[bytes, list[str]]:
         elif kind == "splice":
             at = draw(st.integers(0, len(text)))
             text = text[:at] + draw(st.sampled_from(TOKENS)) + text[at:]
+        elif kind == "deep":
+            spots = [m.end() for m in re.finditer(r"->\s*\w+", text)]
+            if spots:
+                at = draw(st.sampled_from(spots))
+                run = draw(st.sampled_from(["(", "!", "x & "])) * draw(st.integers(1000, 3000))
+                text = text[:at] + f" [{run}x]" + text[at:]
         else:
             at = draw(st.integers(0, len(text)))
             return text[:at].encode() + b"\xff" + text[at:].encode(), PARAMETERS[name]
@@ -108,6 +115,8 @@ SCRIPTS = st.one_of(
     st.sampled_from([b"", b"{", b"[1,", b"nul", b'{"schema": 1, "cycles": [}', b"\xff\xfe"]),
     st.text(max_size=20).map(lambda text: text.encode("utf-8", "surrogatepass")),
     JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    st.integers(2500, 3500).map(
+        lambda depth: b'{"schema": 1, "cycles": ' + b"[" * depth + b"]" * depth + b"}"),
     st.builds(lambda schema, cycles: json.dumps({"schema": schema, "cycles": cycles}).encode(),
               st.sampled_from([1, 1, 1, 2, "1"]), st.lists(SCRIPT_ENTRIES, max_size=4)),
 )

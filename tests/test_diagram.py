@@ -155,7 +155,9 @@ def test_enumerate_search_size(request, model, n, limit, count, truncated, nodes
 # The smallest max_nodes that lets each search finish, recorded on the
 # dict-keyed search that the numbered one replaced: every sweep point at
 # bound 3 with limit 2, as proposition_sweep searches it, and the larger
-# searches of two bundled models.
+# searches of two bundled models.  The mutex cases at n=1000 were recorded
+# on the recursive search under sys.setrecursionlimit(20000), before the
+# loop form replaced it.
 SEARCH_NODES = json.loads((Path(__file__).parent / "data" / "search_nodes.json").read_text())
 
 

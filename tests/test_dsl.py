@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipkit.dsl import (
+    MAX_GUARD_OPERATORS,
     ParseFailure,
     load_model,
     parse_guard_expr,
@@ -194,6 +195,39 @@ def test_guard_expr_rendering_round_trips():
     for text in ("!finished", "a & (b | !c)", "!(a | b) & c", "a | b & c"):
         expr = parse_guard_expr(text)
         assert parse_guard_expr(str(expr)) == expr
+
+
+# A guard of k operators of one kind.
+GUARD_RUNS = {
+    "!": lambda k: "!" * k + "a",
+    "&": lambda k: "a" + " & a" * k,
+    "|": lambda k: "a" + " | a" * k,
+    "(": lambda k: "(" * k + "a" + ")" * k,
+}
+
+
+@pytest.mark.parametrize("op", sorted(GUARD_RUNS))
+def test_a_guard_holds_at_most_the_bound_of_operators(op):
+    expr = parse_guard_expr(GUARD_RUNS[op](MAX_GUARD_OPERATORS))
+    assert parse_guard_expr(str(expr)) == expr
+    text = GUARD_RUNS[op](MAX_GUARD_OPERATORS + 1)
+    column = [i for i, c in enumerate(text, start=1) if c == op][MAX_GUARD_OPERATORS]
+    with pytest.raises(ParseFailure) as err:
+        parse_guard_expr(text)
+    assert str(err.value) == (f"<guard>:1:{column}: expected at most {MAX_GUARD_OPERATORS} "
+                              f"operators in a guard, found '{op}'")
+
+
+def test_the_operator_bound_counts_every_kind_and_each_guard_anew():
+    half = MAX_GUARD_OPERATORS // 2
+    text = "!" * half + "(" * half + "a & b" + ")" * half
+    with pytest.raises(ParseFailure) as err:
+        parse_guard_expr(text)
+    assert err.value.error.span.start_col == text.index("&") + 1
+    guard = "!" * MAX_GUARD_OPERATORS + "g"
+    model = parse_model("diagram D { component X [1] { ports { p } guards { g } states { s* } "
+                        f"transitions {{ p: s -> s [{guard}] : s -> s [{guard}] }} }} }}")
+    assert [str(t.guard) for t in model.component_types[0].transitions] == [guard, guard]
 
 
 # ---- evaluation of guards against truth tables ------------------------------

@@ -322,20 +322,8 @@ def cmd_oracle(args) -> int:
         disagreements = [r for r in records if r.agree is False]
         unknown = [r for r in records if r.count is None]
         if args.json:
-            print(
-                json.dumps(
-                    [
-                        {
-                            "point": r.label,
-                            "count": r.count,
-                            "unique": r.encodable,
-                            "agree": r.agree,
-                        }
-                        for r in records
-                    ],
-                    indent=2,
-                )
-            )
+            print(json.dumps([{"point": r.label, "count": r.count, "unique": r.encodable,
+                               "agree": r.agree} for r in records], indent=2))
         else:
             for r in records:
                 if r.count is None:

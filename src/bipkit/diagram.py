@@ -7,16 +7,17 @@ pins down exactly one configuration.
 
 Enumeration solves two exact covers with multiplicities, and one iterative
 backtracking search, :func:`_exact_picks`, does both: a connector picks m_e
-instances of each end e (:func:`_connector_picks`, the pool), and a
-configuration picks connectors from the pool so that each instance lies in
-exactly its degree's worth of them (:func:`enumerate_configurations`).
+instances of each end e (:func:`_pool`), and a configuration picks connectors
+from the pool so that each instance lies in exactly its degree's worth of
+them.  :func:`_search` runs both on numbers alone, so the sweep
+(:func:`proposition_sweep`) builds no diagram.
 
 The uniqueness conditions, per motif and end: the multiplicity may not exceed
 the owning type's cardinality, and the matching factor n*degree/multiplicity
 must equal the number of connectors the motif can form, the product over its
 ends of C(n_q, m_q).  The unique configuration is then the set of all of
 them.  :func:`check_encodable` alone decides them, one :class:`EndCheck` per
-end.  Each function evaluates an end's (n, m, d) once, through
+end (:func:`_end_checks`).  Each function evaluates an end's (n, m, d) once, through
 ``_end_numbers``; :func:`diagram_orbits` reads them from that report.
 
 Its interactions are closed under renumbering the instances of a type, so
@@ -29,7 +30,6 @@ Its interactions are closed under renumbering the instances of a type, so
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -58,6 +58,7 @@ from .model import (
 )
 
 Binding = Mapping[str, int]
+Numbers = Sequence[tuple[int, int, int]]  # a motif's ends, each as (n, m, d)
 
 DEFAULT_MAX_NODES = 10**6
 
@@ -153,15 +154,20 @@ class EncodabilityReport:
         return ", ".join(f"{e.motif}/{e.port}" for e in self.failures())
 
 
+def _end_checks(motif: str, ports: Sequence[PortTypeRef], numbers: Numbers) -> list[EndCheck]:
+    """The rows of one motif's ends, from each end's port and (n, m, d)."""
+    connectors = math.prod(math.comb(n, m) for n, m, _ in numbers)
+    return [EndCheck(motif, port, n, m, deg, connectors)
+            for port, (n, m, deg) in zip(ports, numbers)]
+
+
 def check_encodable(d: ArchitectureDiagram, binding: Binding) -> EncodabilityReport:
     """Evaluate the uniqueness conditions for every end of every motif."""
     check_binding(d, binding)
     checks = []
     for motif in d.motifs:
-        values = [_end_numbers(d, end, binding) for end in motif.ends]
-        connectors = math.prod(math.comb(n, m) for n, m, _ in values)
-        checks.extend(EndCheck(motif.name, end.port, n, m, deg, connectors)
-                      for end, (n, m, deg) in zip(motif.ends, values))
+        checks += _end_checks(motif.name, [end.port for end in motif.ends],
+                              [_end_numbers(d, end, binding) for end in motif.ends])
     return EncodabilityReport(tuple(checks))
 
 
@@ -233,20 +239,24 @@ def _exact_picks(
         idx += 1
 
 
-def _connector_picks(
-    motif: ConnectorMotif, numbers: Sequence[tuple[int, int, int]]
-) -> tuple[list[tuple[PortInstance, str, int]], Iterator[tuple[int, ...]]]:
-    """The motif's port instances with their typings and ends, sorted, and
-    every connector the motif can form as increasing positions in that list,
-    generated lazily in lexicographic order (the order of the connectors'
-    sorted ends): a connector picks m_e instances of each end e, an exact
-    cover of the ends by the instances."""
+def _members(
+    motif: ConnectorMotif, numbers: Numbers
+) -> tuple[list[tuple[PortInstance, str]], list[int]]:
+    """The motif's port instances with their typings, sorted, and the end of each."""
     members = sorted((PortInstance(end.port.component_type, i, end.port.port), end.typing, e)
                      for e, (end, (n, _, _)) in enumerate(zip(motif.ends, numbers))
                      for i in range(1, n + 1))
+    return [member[:2] for member in members], [e for _, _, e in members]
+
+
+def _pool(ends: Sequence[int], numbers: Numbers) -> Iterator[tuple[int, ...]]:
+    """Every connector a motif can form, as increasing positions in its
+    sorted port instances (``ends[k]`` the end of position k), lazily in
+    lexicographic order: a connector picks m_e instances of each end e, an
+    exact cover of the ends by the instances."""
     quota = [m for _, m, _ in numbers]
-    return members, _exact_picks([(e,) for _, _, e in members], quota,
-                                 [n for n, _, _ in numbers], sum(quota), len(members))
+    return _exact_picks([(e,) for e in ends], quota, [n for n, _, _ in numbers],
+                        sum(quota), len(ends))
 
 
 def possible_connectors(
@@ -254,8 +264,32 @@ def possible_connectors(
 ) -> list[Connector]:
     """Every connector the motif can form, one m_q-subset of instances per
     end, in the order of their sorted ends."""
-    members, picks = _connector_picks(motif, [_end_numbers(d, end, binding) for end in motif.ends])
-    return [Connector(frozenset(members[k][:2] for k in pick)) for pick in picks]
+    numbers = [_end_numbers(d, end, binding) for end in motif.ends]
+    members, ends = _members(motif, numbers)
+    return [Connector(frozenset(members[k] for k in pick)) for pick in _pool(ends, numbers)]
+
+
+def _configuration_size(numbers: Numbers) -> int:
+    """Connectors per configuration: the matching factor n*d/m when every
+    end's is one equal integer, else 0, and there is no configuration."""
+    factors = {divmod(n * deg, m) for n, m, deg in numbers}
+    size, rest = factors.pop() if len(factors) == 1 else (0, 0)
+    return 0 if rest else size
+
+
+def _search(ends: Sequence[int], numbers: Numbers, size: int, limit: Optional[int],
+            max_nodes: int, motif: str) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The search on numbers, for a :func:`_configuration_size` of at least
+    1: the pool (:func:`_pool`) and the first ``limit`` configurations, each
+    as increasing positions in the pool."""
+    # Connectors cover instances, each of end q by total*m_q/n_q of them.
+    # Each node moves one connector on along its path, so the search reads
+    # no connector past max_nodes - 1, and only those are generated.
+    total = math.prod(math.comb(n, m) for n, m, _ in numbers)
+    pool = list(itertools.islice(_pool(ends, numbers), min(total, max_nodes)))
+    return pool, list(itertools.islice(_exact_picks(
+        pool, [numbers[e][2] for e in ends], [total * numbers[e][1] // numbers[e][0] for e in ends],
+        size, total, max_nodes, motif), limit))
 
 
 @dataclass(frozen=True)
@@ -288,27 +322,14 @@ def enumerate_configurations(
     if len(motif.port_types) < len(motif.ends):
         raise ValueError(f"motif {motif.name} names a port type twice")
 
-    # All matching factors n*d/m must be one equal integer: the configuration size.
     numbers = [_end_numbers(d, end, binding) for end in motif.ends]
-    factors = {divmod(n * deg, m) for n, m, deg in numbers}
-    if len(factors) != 1:
+    size = _configuration_size(numbers)
+    if not size:
         return EnumerationResult((), False)
-    size, rest = factors.pop()
-    if rest or size == 0:
-        return EnumerationResult((), False)
-
-    # Connectors cover instances, each of end q by total*m_q/n_q of them.
-    # Each node moves one connector on along its path, so the search reads
-    # no connector past max_nodes - 1, and only those are generated.
-    members, picks = _connector_picks(motif, numbers)
-    total = math.prod(math.comb(n, m) for n, m, _ in numbers)
-    membership = list(itertools.islice(picks, min(total, max_nodes)))
-    found = list(itertools.islice(_exact_picks(
-        membership, [numbers[e][2] for _, _, e in members],
-        [total * numbers[e][1] // numbers[e][0] for _, _, e in members],
-        size, total, max_nodes, motif.name), limit))
+    members, ends = _members(motif, numbers)
+    pool, found = _search(ends, numbers, size, limit, max_nodes, motif.name)
     # Connectors are built only for the configurations found, each once.
-    connectors = {i: Connector(frozenset(members[k][:2] for k in membership[i]))
+    connectors = {i: Connector(frozenset(members[k] for k in pool[i]))
                   for i in set().union(*found)}
     return EnumerationResult(
         tuple(frozenset(map(connectors.__getitem__, configuration)) for configuration in found),
@@ -461,14 +482,8 @@ def loop_type(name: str, ports: Sequence[str], cardinality: CardExpr) -> Compone
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _sweep_type(name: str, cardinality: int) -> ComponentType:
-    # A sweep builds hundreds of diagrams from a dozen distinct types.
-    return loop_type(name, ["p"], CardExpr.lit(cardinality))
-
-
 def single_motif_diagram(
-    specs: Sequence[tuple[int, int, int]], typings: Optional[Sequence[str]] = None
+    specs: Numbers, typings: Optional[Sequence[str]] = None
 ) -> ArchitectureDiagram:
     """A diagram with one motif over one or two fresh component types.
 
@@ -477,11 +492,10 @@ def single_motif_diagram(
     """
     if typings is None:
         typings = [SYNCHRON] * len(specs)
-    names = ["A", "B", "C", "D"][: len(specs)]
-    types = [_sweep_type(name, n) for name, (n, _, _) in zip(names, specs)]
+    types = [loop_type(name, ["p"], CardExpr.lit(n)) for name, (n, _, _) in zip("ABCD", specs)]
     ends = tuple(
         MotifEnd(PortTypeRef(name, "p"), CardExpr.lit(m), CardExpr.lit(deg), typing)
-        for name, (_, m, deg), typing in zip(names, specs, typings)
+        for name, (_, m, deg), typing in zip("ABCD", specs, typings)
     )
     return ArchitectureDiagram("sweep", tuple(types), (ConnectorMotif("only", ends),))
 
@@ -509,33 +523,27 @@ def iter_sweep_shapes(bound: int = 3) -> Iterator[tuple[tuple[int, int, int], ..
     yield from itertools.product(specs, repeat=2)
 
 
-def _sweep_label(specs: Sequence[tuple[int, int, int]]) -> str:
+def _sweep_label(specs: Numbers) -> str:
     if len(specs) == 1:
-        n, m, deg = specs[0]
-        return f"n={n} m={m} d={deg}"
-    return " | ".join(
-        f"n{k}={n} m{k}={m} d{k}={deg}" for k, (n, m, deg) in enumerate(specs, start=1)
-    )
-
-
-def iter_sweep_points(bound: int = 3) -> Iterator[tuple[str, ArchitectureDiagram]]:
-    """Single-motif diagrams with one or two port types, all of n, m, d in
-    [1, bound], each with its label, e.g. ``n1=1 m1=1 d1=2 | n2=2 m2=1 d2=1``."""
-    for specs in iter_sweep_shapes(bound):
-        yield _sweep_label(specs), single_motif_diagram(specs)
+        return "n={} m={} d={}".format(*specs[0])
+    return " | ".join(f"n{k}={n} m{k}={m} d{k}={deg}" for k, (n, m, deg) in enumerate(specs, 1))
 
 
 def proposition_sweep(bound: int = 3, max_nodes: int = DEFAULT_MAX_NODES) -> list[SweepRecord]:
     """Cross-check brute-force uniqueness against the encodability conditions
     at every sweep point; every record should have ``agree`` set.  A point
     whose search exceeds ``max_nodes`` is recorded as unknown (``count`` and
-    ``agree`` are None) and the sweep goes on."""
+    ``agree`` are None) and the sweep goes on.  Each point is searched and
+    checked on its specs, as on ``single_motif_diagram(specs)`` without
+    building it: that diagram's sorted port instances are A's, then B's."""
     records = []
-    for label, d in iter_sweep_points(bound):
+    for specs in iter_sweep_shapes(bound):
+        size = _configuration_size(specs)
         try:
-            count = len(enumerate_configurations(d, d.motifs[0], {}, limit=2, max_nodes=max_nodes))
+            count = size and len(_search([e for e, (n, _, _) in enumerate(specs) for _ in range(n)],
+                                         specs, size, 2, max_nodes, "only")[1])
         except CapacityError:
             count = None
-        report = check_encodable(d, {})
-        records.append(SweepRecord(label=label, count=count, encodable=report.overall))
+        rows = _end_checks("only", [PortTypeRef("A", "p"), PortTypeRef("B", "p")], specs)
+        records.append(SweepRecord(_sweep_label(specs), count, all(row.ok for row in rows)))
     return records

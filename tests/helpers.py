@@ -10,6 +10,7 @@ from typing import Iterable, Optional, Sequence
 from bipkit import diagram as dg
 from bipkit import encode_macros
 from bipkit.engine import LEXICOGRAPHIC_FIRST, SplitMix64, enabled_ports
+from bipkit.errors import CapacityError
 from bipkit.logic import allowed_interactions
 from bipkit.model import (
     ArchitectureDiagram,
@@ -78,6 +79,28 @@ def iter_typed_motif_space(bound: int = 3):
     for specs in dg.iter_sweep_shapes(bound):
         for typings in itertools.product((SYNCHRON, TRIGGER), repeat=len(specs)):
             yield specs, typings
+
+
+def iter_sweep_points(bound: int = 3):
+    """Single-motif diagrams with one or two port types, all of n, m, d in
+    [1, bound], each with its label, e.g. ``n1=1 m1=1 d1=2 | n2=2 m2=1 d2=1``."""
+    for specs in dg.iter_sweep_shapes(bound):
+        yield dg._sweep_label(specs), dg.single_motif_diagram(specs)
+
+
+def sweep_spec(bound: int = 3, max_nodes: int = dg.DEFAULT_MAX_NODES) -> list[dg.SweepRecord]:
+    """The sweep's specification: each point's diagram built, its
+    configurations counted by ``enumerate_configurations`` (limit 2, unknown
+    past ``max_nodes``) and its verdict read from ``check_encodable``."""
+    records = []
+    for label, d in iter_sweep_points(bound):
+        try:
+            count = len(dg.enumerate_configurations(d, d.motifs[0], {}, limit=2,
+                                                    max_nodes=max_nodes))
+        except CapacityError:
+            count = None
+        records.append(dg.SweepRecord(label, count, dg.check_encodable(d, {}).overall))
+    return records
 
 
 def random_encodable_diagram(

@@ -32,7 +32,7 @@ from bipkit.model import (
     SYNCHRON,
     TRIGGER,
 )
-from helpers import pi, ports_only, random_encodable_diagram
+from helpers import iter_sweep_points, pi, ports_only, random_encodable_diagram, sweep_spec
 
 
 def pairing(degree: int):
@@ -171,7 +171,7 @@ def assert_search_nodes(d, binding, limit, nodes, label):
 
 
 def test_search_nodes_on_the_sweep():
-    points = dict(dg.iter_sweep_points(SEARCH_NODES["sweep_bound"]))
+    points = dict(iter_sweep_points(SEARCH_NODES["sweep_bound"]))
     assert points.keys() == SEARCH_NODES["sweep"].keys()
     for label, nodes in SEARCH_NODES["sweep"].items():
         assert_search_nodes(points[label], {}, SEARCH_NODES["sweep_limit"], nodes, label)
@@ -207,7 +207,7 @@ def two_ports_on_one_type(n, m1, m2):
 
 
 def test_possible_connectors_come_in_sorted_order():
-    diagrams = [d for _, d in dg.iter_sweep_points(3)]
+    diagrams = [d for _, d in iter_sweep_points(3)]
     diagrams += [two_ports_on_one_type(n, m1, m2)
                  for n, m1, m2 in itertools.product(range(1, 5), repeat=3)]
     # one connector of 1501 instances: the pool generator does not recurse
@@ -247,7 +247,7 @@ def assert_search_matches_reference(d, binding, label):
 
 
 def test_search_matches_the_reference_on_the_sweep():
-    for label, d in dg.iter_sweep_points(3):
+    for label, d in iter_sweep_points(3):
         assert_search_matches_reference(d, {}, label)
 
 
@@ -555,6 +555,30 @@ def test_proposition_sweep_all_agree():
     assert disagreements == []
 
 
+def test_proposition_sweep_matches_its_specification():
+    """Searched from numbers, the sweep gives the records of building each
+    point's diagram and searching it, at the default bound, at bound 4, and
+    just below and at every node count a bound-3 point needs.  (A negative
+    bound is left out: the command line takes none.)"""
+    assert dg.proposition_sweep() == sweep_spec()
+    assert dg.proposition_sweep(4) == sweep_spec(4)
+    assert SEARCH_NODES["sweep_bound"] == 3 and SEARCH_NODES["sweep_limit"] == 2
+    needed = set(SEARCH_NODES["sweep"].values())
+    for max_nodes in sorted({k for v in needed for k in (v - 1, v) if k >= 0}):
+        assert dg.proposition_sweep(3, max_nodes=max_nodes) == sweep_spec(3, max_nodes), max_nodes
+
+
+def test_proposition_sweep_builds_no_diagram(monkeypatch):
+    expected = sweep_spec(3)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the sweep works on numbers")
+
+    for name in ("check_binding", "_end_numbers", "single_motif_diagram"):
+        monkeypatch.setattr(dg, name, unused)
+    assert dg.proposition_sweep(3) == expected
+
+
 def test_proposition_sweep_records_points_over_the_bound_as_unknown():
     records = dg.proposition_sweep(2, max_nodes=3)
     full = dg.proposition_sweep(2)
@@ -570,7 +594,7 @@ def test_sweep_side_invariants():
     enumerate to exactly the closed-form configuration with the factor as its
     connector count; mismatched or fractional factors give zero; swapping one
     instance pair out of any connector is covered by another connector."""
-    for label, d in dg.iter_sweep_points(3):
+    for label, d in iter_sweep_points(3):
         motif = d.motifs[0]
         result = dg.enumerate_configurations(d, motif, {})
         report = dg.check_encodable(d, {})

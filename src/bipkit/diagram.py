@@ -17,8 +17,8 @@ the owning type's cardinality, and the matching factor n*degree/multiplicity
 must equal the number of connectors the motif can form, the product over its
 ends of C(n_q, m_q).  The unique configuration is then the set of all of
 them.  :func:`check_encodable` alone decides them, one :class:`EndCheck` per
-end (:func:`_end_checks`).  Each function evaluates an end's (n, m, d) once, through
-``_end_numbers``; :func:`diagram_orbits` reads them from that report.
+end (:func:`_end_checks`).  Each function evaluates an end's (n, m, d) once,
+through ``_end_numbers``; :func:`diagram_orbits` reads them from that report.
 
 Its interactions are closed under renumbering the instances of a type, so
 :func:`diagram_orbits` gives them in closed form as a few orbits

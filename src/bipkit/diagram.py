@@ -21,8 +21,9 @@ end (:func:`_end_checks`).  Each function evaluates an end's (n, m, d) once,
 through ``_end_numbers``; :func:`diagram_orbits` reads them from that report.
 
 Its interactions are closed under renumbering the instances of a type, so
-:func:`diagram_orbits` gives them in closed form as a few orbits
-(``model.Orbit``), counted per motif without building a connector, and
+:func:`diagram_orbits` lists them as a few orbits (``model.Orbit``) without
+building a connector: it states each motif's multiplicities as count
+constraints for ``logic.orbit_search``, the search the macro rules also use.
 :func:`diagram_interactions` expands them.  The union over
 :func:`unique_configuration` of the connector trees is their specification
 (``tests/test_diagram.py``).
@@ -38,6 +39,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import CapacityError, EncodabilityError, LogicDomainError
+from .logic import orbit_search
 from .model import (
     ArchitectureDiagram,
     CardExpr,
@@ -319,6 +321,8 @@ def enumerate_configurations(
     check_binding(d, binding)
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
+    if max_nodes < 0:
+        raise ValueError("max_nodes must be at least 0")
     if len(motif.port_types) < len(motif.ends):
         raise ValueError(f"motif {motif.name} names a port type twice")
 
@@ -409,58 +413,32 @@ def enumerate_diagram_configurations(
     return tuple(configurations), truncated
 
 
-def _type_orbits(ends: Sequence[EndCheck], exact: bool):
-    """The ways the ends of one component type take part in an interaction of
-    one connector, up to renumbering, as sorted (signature, count) parts: end
-    e with all m_e of its instances when ``exact``, else any 0..m_e.  Ends on
-    one type may share instances, n at most in all: ``fill`` counts those of
-    each group of ends, largest first, whose signature is the group's ports."""
-    sizes, n = [end.multiplicity for end in ends], ends[0].cardinality
-    groups = [group for size in range(len(ends), 0, -1)
-              for group in itertools.combinations(range(len(ends)), size)]
-
-    def fill(i, left, room):
-        if i == len(groups):
-            if not (exact and any(left)):
-                yield {}
-            return
-        top = min(room, *(left[e] for e in groups[i]))
-        for k in range(top if exact and len(groups[i]) == 1 else 0, top + 1):
-            rest = [c - k if e in groups[i] else c for e, c in enumerate(left)]
-            for counts in fill(i + 1, rest, room - k):
-                if k:
-                    signature = tuple(sorted({ends[e].port for e in groups[i]}))
-                    counts[signature] = counts.get(signature, 0) + k
-                yield counts
-
-    return {tuple(sorted(counts.items())) for counts in fill(0, list(sizes), n)}
-
-
 def diagram_orbits(d: ArchitectureDiagram, binding: Binding) -> list[Orbit]:
-    """Interaction semantics of an encodable diagram, as sorted orbits: the
-    unique configuration holds every connector each motif can form, so a
-    motif gives every way its component types take part (:func:`_type_orbits`),
-    with a trigger instance among them when it has a trigger end.  Raises
-    EncodabilityError when some motif admits zero or several configurations."""
+    """Interaction semantics of an encodable diagram, as sorted orbits.  The
+    unique configuration holds every connector each motif can form, so in a
+    motif's orbits (a counter per end) end e has exactly m_e carriers, or,
+    with a trigger end, 0..m_e of them and some trigger end at least one.
+    Raises EncodabilityError when some motif admits zero or several
+    configurations."""
     report = check_encodable(d, binding)
     if not report.overall:
         raise EncodabilityError(
             f"diagram does not define a unique architecture ({report.failing_ends})")
     orbits: set[Orbit] = set()
-    checks = iter(report.ends)
+    checks, counts = iter(report.ends), instance_counts(d, binding)
     for motif in d.motifs:
         typings: dict[PortTypeRef, str] = {}
-        by_type: dict[str, list[EndCheck]] = {}
-        for end, check in zip(motif.ends, checks):
+        constraints, triggers = [], []
+        for e, (end, check) in enumerate(zip(motif.ends, checks)):
             if typings.setdefault(end.port, end.typing) != end.typing:
                 raise LogicDomainError(f"motif {motif.name}: {end.port} is synchron and trigger")
-            by_type.setdefault(end.port.component_type, []).append(check)
-        exact = TRIGGER not in typings.values()
-        per_type = [_type_orbits(ends, exact) for _, ends in sorted(by_type.items())]
-        for parts in itertools.product(*per_type):
-            orbit = tuple(itertools.chain.from_iterable(parts))
-            if exact or any(typings[ref] == TRIGGER for signature, _ in orbit for ref in signature):
-                orbits.add(orbit)
+            m = check.multiplicity
+            constraints.append((((e, 0 if motif.has_trigger else m, m),),))
+            if end.typing == TRIGGER:
+                triggers.append(((e, 1, m),))
+        if triggers:
+            constraints.append(tuple(triggers))
+        orbits.update(orbit_search([end.port for end in motif.ends], counts, constraints))
     return sorted(orbits)
 
 
@@ -536,6 +514,8 @@ def proposition_sweep(bound: int = 3, max_nodes: int = DEFAULT_MAX_NODES) -> lis
     ``agree`` are None) and the sweep goes on.  Each point is searched and
     checked on its specs, as on ``single_motif_diagram(specs)`` without
     building it: that diagram's sorted port instances are A's, then B's."""
+    if max_nodes < 0:
+        raise ValueError("max_nodes must be at least 0")
     records = []
     for specs in iter_sweep_shapes(bound):
         size = _configuration_size(specs)

@@ -108,7 +108,7 @@ class EngineConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        if not 0 <= self.cycles <= DEFAULT_MAX_CYCLES:
+        if type(self.cycles) is not int or not 0 <= self.cycles <= DEFAULT_MAX_CYCLES:
             raise ValueError(f"cycles must lie in [0, {DEFAULT_MAX_CYCLES}]")
         if type(self.seed) is not int or not 0 <= self.seed <= MASK64:
             raise ValueError("seed must lie in [0, 2**64)")
@@ -703,7 +703,7 @@ def replay_validate(
     checks them, and raise the same located ScriptError.  A fired
     interaction must be in the allowed set of ``source``, as in :func:`run`.
 
-    What is checked, and the two gaps, are listed in docs/formats.md under
+    What is checked, and the three gaps, are listed in docs/formats.md under
     "Replay".  Returns {"interactions": n, "idle": m}.
     """
     if not isinstance(trace, dict) or not isinstance(trace.get("cycles"), list):

@@ -24,14 +24,17 @@ the accepted set is excluded whenever the effect port participates (for the
 effect's own port type, other instances are excluded, never the effect
 itself).
 
-The runtime path, :func:`allowed_orbits`, solves a rule set by instance
-symmetry: the rules compare instances only by (in)equality, so the allowed
-set is closed under permuting the instances of a type, and it suffices to
-count how many instances carry each set of rule ports (Emerson & Sistla,
-*Symmetry and model checking*, 1996).  It returns the accepted count vectors
-as orbits (``model.Orbit``) without expanding them; its cost grows with the
-number of orbits tried, not with the number of port subsets.
-:func:`allowed_interactions` is their expansion.  The specification,
+Both sources of the allowed set share one search, :func:`orbit_search`.
+The allowed set is closed under permuting the instances of a type, so the
+search counts how many instances carry each set of ports (Emerson & Sistla,
+*Symmetry and model checking*, 1996) and returns the count vectors as orbits
+(``model.Orbit``) without expanding them; its cost grows with the vectors
+tried, not with the number of port subsets.  The constraint sets differ:
+:func:`allowed_orbits` has a counter per rule port type and states each rule
+as a constraint on what an instance carrying some ports demands, and
+``diagram.diagram_orbits`` has a counter per motif end and bounds each
+count by the end's multiplicity.  :func:`allowed_interactions` is the
+expansion of the first.  Its specification,
 :func:`allowed_interactions_spec`, expands every rule to FOIL, grounds it
 and enumerates the subset lattice of a capped port universe; tests compare
 the two.
@@ -42,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError, LogicDomainError
 from .model import Interaction, Orbit, PortInstance, PortTypeRef, orbits_interactions
@@ -537,43 +540,113 @@ def allowed_interactions_spec(
 # ---- orbit solver -----------------------------------------------------------
 
 # A count constraint is a tuple of alternatives, one of which must hold; an
-# alternative is a tuple of (port-type index, low, high) bounds on how many
-# instances carry that port type.  No alternatives: never satisfiable.
+# alternative is a tuple of (counter, low, high) bounds on how many instances
+# a counter counts.  No alternatives: never satisfiable.
 _Constraint = tuple[tuple[tuple[int, int, float], ...], ...]
 
 
 def _constraints(
     signature: tuple[PortTypeRef, ...],
-    rules: Mapping[PortTypeRef, list[RequireRule]],
-    forbidden: Mapping[PortTypeRef, set[PortTypeRef]],
+    requires: Sequence[RequireRule],
+    accepts: Sequence[AcceptRule],
     index: Mapping[PortTypeRef, int],
 ) -> list[_Constraint]:
-    """What each instance carrying exactly ``signature`` demands of the counts.
-
-    Counts include the instance itself, so a requirement on a port type the
-    instance carries is raised by one: ``T.p Require T.q`` on an instance
-    carrying p and q needs two q carriers in all.
-    """
+    """What each instance carrying exactly ``signature`` demands of the
+    counts, which include itself: ``T.p Require T.q`` on an instance carrying
+    p and q needs two q carriers in all."""
     out: list[_Constraint] = []
-    for effect in signature:
-        for rule in rules.get(effect, ()):
+    for rule in requires:
+        if rule.effect in signature:
             alternatives = []
             for option in rule.options:
                 need = [(index[q], k + (q in signature)) for q, k in option.ports]
                 alternatives.append(tuple((i, n, n if option.exact else math.inf) for i, n in need))
             out.append(tuple(alternatives))
-        if effect in forbidden:
-            out.append((tuple((index[r], 0, int(r == effect)) for r in sorted(forbidden[effect])),))
+    for rule in accepts:
+        if rule.effect in signature:
+            out.append((tuple((i, 0, int(r == rule.effect))
+                              for r, i in index.items() if r not in rule.accepted),))
     return out
 
 
-def _dead(constraint: _Constraint, counts: Sequence[int]) -> bool:
-    """Whether every alternative is over-counted, which more instances never repair."""
-    return all(any(counts[i] > high for i, _, high in alt) for alt in constraint)
+def _dead(constraints: Iterable[_Constraint], counts: Sequence[int], sealed=()) -> bool:
+    """Whether some constraint has every alternative over-counted, which more
+    instances never repair, or short on a counter in ``sealed``, which none
+    raises.  With every counter sealed: whether some constraint fails."""
+    for constraint in constraints:
+        for alternative in constraint:
+            for i, low, high in alternative:
+                if counts[i] > high or counts[i] < low and i in sealed:
+                    break
+            else:
+                break  # this alternative may still hold
+        else:
+            return True
+    return False
 
 
-def _holds(constraint: _Constraint, counts: Sequence[int]) -> bool:
-    return any(all(low <= counts[i] <= high for i, low, high in alt) for alt in constraint)
+def orbit_search(
+    ports: Sequence[PortTypeRef],
+    instances: Mapping[str, int],
+    constraints: Sequence[_Constraint] = (),
+    local: Callable[[tuple[PortTypeRef, ...]], list[_Constraint]] = lambda signature: [],
+) -> list[Orbit]:
+    """The sorted orbits of the count vectors that meet every constraint.
+
+    Counter k counts the instances that carry ``ports[k]``.  An instance
+    carries a slot, a non-empty set of counters on one component type, and
+    its signature is the set of their ports; slots with one signature (two
+    counters on one port) add up in the orbit.  The counts meet
+    ``constraints``, and each instance meets ``local(signature)``.  Vectors
+    are enumerated depth first, a slot at a time, the slots of a type
+    sharing its instances, and a branch is cut when a constraint is dead
+    (:func:`_dead`): a counter is sealed once no later slot raises it."""
+    by_type: dict[str, list[int]] = {}
+    for k, ref in enumerate(ports):
+        by_type.setdefault(ref.component_type, []).append(k)
+    slots = []  # (signature, its counters, its constraints)
+    sealed, done = [], set()  # per slot, the counters of the types before it
+    for group in by_type.values():
+        for size in range(1, len(group) + 1):
+            for members in itertools.combinations(group, size):
+                signature = tuple(sorted({ports[k] for k in members}))
+                slots.append((signature, members, local(signature)))
+                sealed.append(done)
+        done = done | set(group)
+    sealed.append(done)
+    left = {ctype: instances.get(ctype, 0) for ctype in by_type}
+    counts, active, result = [0] * len(ports), list(constraints), set()
+    orbit = {signature: 0 for signature, _, _ in slots}
+
+    def visit(start: int) -> None:
+        # Each call is one count vector; the slots it may still add follow
+        # the last one added, so the recursion is as deep as it has slots.
+        if any(counts) and not _dead(active, counts, sealed[-1]):
+            result.add(tuple(sorted(part for part in orbit.items() if part[1])))
+        for i in range(start, len(slots)):
+            if _dead(active, counts, sealed[i]):
+                return
+            signature, members, cons = slots[i]
+            ctype = signature[0].component_type
+            active.extend(cons)
+            k = 0
+            while left[ctype]:
+                k += 1
+                left[ctype] -= 1
+                for q in members:
+                    counts[q] += 1
+                orbit[signature] += 1
+                if _dead(active, counts):
+                    break
+                visit(i + 1)
+            left[ctype] += k
+            for q in members:
+                counts[q] -= k
+            orbit[signature] -= k
+            del active[len(active) - len(cons):]
+
+    visit(0)
+    return sorted(result)
 
 
 def allowed_orbits(
@@ -582,67 +655,13 @@ def allowed_orbits(
     instances: Mapping[str, int],
 ) -> list[Orbit]:
     """The orbits of the interactions satisfying every Require and Accept
-    rule, in sorted order.
-
-    The rules compare instances only by (in)equality, so whether an
-    interaction is allowed depends only on how many instances of each type
-    carry each signature (the non-empty set of rule port types an instance
-    contributes).  Such count vectors are enumerated depth first, pruned on
-    over-counts that more instances never repair, and checked once.
-    """
+    rule, in sorted order.  The rules compare instances only by (in)equality,
+    so :func:`orbit_search` finds them, with a counter per rule port type and
+    the rules as the constraints on each signature (:func:`_constraints`)."""
     refs = sorted(rule_port_types(requires, accepts))
     index = {ref: i for i, ref in enumerate(refs)}
-    rules: dict[PortTypeRef, list[RequireRule]] = {}
-    for rule in requires:
-        rules.setdefault(rule.effect, []).append(rule)
-    forbidden: dict[PortTypeRef, set[PortTypeRef]] = {}
-    for rule in accepts:
-        forbidden.setdefault(rule.effect, set()).update(set(refs) - rule.accepted)
-
-    slots = []  # (signature, its port-type indices, its constraints)
-    for _, group in itertools.groupby(refs, key=lambda ref: ref.component_type):
-        ports = list(group)
-        for size in range(1, len(ports) + 1):
-            for signature in itertools.combinations(ports, size):
-                cons = _constraints(signature, rules, forbidden, index)
-                alone = [int(ref in signature) for ref in refs]
-                if not any(_dead(c, alone) for c in cons):
-                    slots.append((signature, [index[q] for q in signature], cons))
-
-    left = {ctype: instances.get(ctype, 0) for ctype in {ref.component_type for ref in refs}}
-    counts = [0] * len(refs)
-    orbit: list[tuple[tuple[PortTypeRef, ...], int]] = []
-    active: list[_Constraint] = []
-    result: list[Orbit] = []
-
-    def visit(start: int) -> None:
-        # Each call is one orbit; the slots it may still add follow the last
-        # one added, so the recursion is as deep as the orbit has signatures.
-        if orbit and all(_holds(c, counts) for c in active):
-            result.append(tuple(sorted(orbit)))
-        for i in range(start, len(slots)):
-            signature, ports, cons = slots[i]
-            ctype = signature[0].component_type
-            orbit.append((signature, 0))
-            active.extend(cons)
-            k = 0
-            while left[ctype]:
-                k += 1
-                left[ctype] -= 1
-                for q in ports:
-                    counts[q] += 1
-                orbit[-1] = (signature, k)
-                if any(_dead(c, counts) for c in active):
-                    break
-                visit(i + 1)
-            left[ctype] += k
-            for q in ports:
-                counts[q] -= k
-            del active[len(active) - len(cons):]
-            orbit.pop()
-
-    visit(0)
-    return sorted(result)
+    return orbit_search(refs, instances,
+                        local=lambda signature: _constraints(signature, requires, accepts, index))
 
 
 def allowed_interactions(

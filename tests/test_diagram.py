@@ -32,7 +32,14 @@ from bipkit.model import (
     SYNCHRON,
     TRIGGER,
 )
-from helpers import iter_sweep_points, pi, ports_only, random_encodable_diagram, sweep_spec
+from helpers import (
+    iter_sweep_points,
+    iter_typed_motif_space,
+    pi,
+    ports_only,
+    random_encodable_diagram,
+    sweep_spec,
+)
 
 
 def pairing(degree: int):
@@ -128,6 +135,16 @@ def test_enumerate_capacity():
     d = pairing(degree=1)
     with pytest.raises(CapacityError):
         dg.enumerate_configurations(d, d.motifs[0], {}, max_nodes=3)
+
+
+def test_a_negative_node_bound_is_refused(ambiguous_pairing):
+    motif = ambiguous_pairing.motifs[0]
+    with pytest.raises(ValueError, match=r"^max_nodes must be at least 0$"):
+        dg.enumerate_configurations(ambiguous_pairing, motif, {"n": 2}, max_nodes=-1)
+    with pytest.raises(ValueError, match=r"^max_nodes must be at least 0$"):
+        dg.proposition_sweep(2, max_nodes=-1)
+    with pytest.raises(CapacityError):  # a bound of 0 lets no node through
+        dg.enumerate_configurations(ambiguous_pairing, motif, {"n": 2}, max_nodes=0)
 
 
 @pytest.mark.parametrize(
@@ -400,6 +417,18 @@ def test_diagram_interactions_match_connector_trees_on_random_diagrams():
     assert with_trigger
 
 
+def test_diagram_interactions_match_connector_trees_on_every_small_shape():
+    """Every encodable shape with n, m, d up to 4, in every typing, inside
+    the encoder envelope or not."""
+    checked = 0
+    for specs, typings in iter_typed_motif_space(4):
+        d = dg.single_motif_diagram(specs, typings)
+        if dg.check_encodable(d, {}).overall:
+            assert dg.diagram_interactions(d, {}) == connector_tree_interactions(d, {}), specs
+            checked += 1
+    assert checked == 288
+
+
 @st.composite
 def shared_type_diagrams(draw):
     """An encodable one-motif diagram whose one to three ends name distinct
@@ -454,6 +483,14 @@ def test_orbits_of_two_ends_on_one_type():
     p, q = PortTypeRef("A", "p"), PortTypeRef("A", "q")
     assert dg.diagram_orbits(d, {}) == [(((p,), 1), ((q,), 1)), (((p, q), 1),)]
     assert ports_only(dg.diagram_interactions(d, {})) == {"p1 q1", "p2 q2", "p1 q2", "p2 q1"}
+
+
+def test_orbits_of_ends_that_take_every_instance():
+    """Three ends, each on all 200 instances of its type: the search cuts a
+    branch once a counter that no later slot raises is short, so it does
+    not try the 201**3 count vectors below the one orbit."""
+    d = dg.single_motif_diagram([(200, 200, 1)] * 3)
+    assert dg.diagram_orbits(d, {}) == [tuple(((PortTypeRef(t, "p"),), 200) for t in "ABC")]
 
 
 def repeated_port_diagram(typings):

@@ -537,6 +537,12 @@ def test_engine_config_bounds():
         EngineConfig(cycles=1, policy="coin-flip")
 
 
+def test_engine_config_cycles_is_an_int():
+    for cycles in (2.5, "3", True, None):
+        with pytest.raises(ValueError, match=r"^cycles must lie in \[0, 100000\]$"):
+            EngineConfig(cycles=cycles)
+
+
 def test_engine_config_seed_is_64_bits():
     for seed in (-1, 2**64, True, 1.0, "1"):
         with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\)$"):

@@ -93,6 +93,8 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, int]:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise UsageError(f"--bind expects name=value, got {pair!r}")
+        if name in binding:
+            raise UsageError(f"--bind {name}: given more than once")
         try:
             number = int(value)
         except ValueError:

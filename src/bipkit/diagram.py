@@ -42,20 +42,15 @@ from .errors import CapacityError, EncodabilityError, LogicDomainError
 from .logic import orbit_search
 from .model import (
     ArchitectureDiagram,
-    CardExpr,
-    ComponentType,
     Configuration,
     Connector,
     ConnectorMotif,
-    ENFORCEABLE,
     Interaction,
     MotifEnd,
     Orbit,
     PortInstance,
     PortTypeRef,
-    SYNCHRON,
     TRIGGER,
-    Transition,
     orbits_interactions,
 )
 
@@ -451,33 +446,6 @@ def diagram_interactions(d: ArchitectureDiagram, binding: Binding) -> frozenset[
 # ---- exhaustive sweep over small single-motif diagrams ---------------------
 
 
-def loop_type(name: str, ports: Sequence[str], cardinality: CardExpr) -> ComponentType:
-    """A component type with one state, on which each port self-loops."""
-    return ComponentType(
-        name, cardinality, frozenset(ports),
-        states=frozenset({"s"}), initial_states=frozenset({"s"}),
-        transitions=tuple(Transition(ENFORCEABLE, p, "s", "s") for p in sorted(ports)),
-    )
-
-
-def single_motif_diagram(
-    specs: Numbers, typings: Optional[Sequence[str]] = None
-) -> ArchitectureDiagram:
-    """A diagram with one motif over one or two fresh component types.
-
-    ``specs`` lists (cardinality, multiplicity, degree) per end; typings
-    default to all-synchron.
-    """
-    if typings is None:
-        typings = [SYNCHRON] * len(specs)
-    types = [loop_type(name, ["p"], CardExpr.lit(n)) for name, (n, _, _) in zip("ABCD", specs)]
-    ends = tuple(
-        MotifEnd(PortTypeRef(name, "p"), CardExpr.lit(m), CardExpr.lit(deg), typing)
-        for name, (_, m, deg), typing in zip("ABCD", specs, typings)
-    )
-    return ArchitectureDiagram("sweep", tuple(types), (ConnectorMotif("only", ends),))
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     label: str
@@ -512,8 +480,8 @@ def proposition_sweep(bound: int = 3, max_nodes: int = DEFAULT_MAX_NODES) -> lis
     at every sweep point; every record should have ``agree`` set.  A point
     whose search exceeds ``max_nodes`` is recorded as unknown (``count`` and
     ``agree`` are None) and the sweep goes on.  Each point is searched and
-    checked on its specs, as on ``single_motif_diagram(specs)`` without
-    building it: that diagram's sorted port instances are A's, then B's."""
+    checked on its specs, as on ``tests/helpers.single_motif_diagram(specs)``
+    without building it: its sorted port instances are A's, then B's."""
     if max_nodes < 0:
         raise ValueError("max_nodes must be at least 0")
     records = []

@@ -133,7 +133,7 @@ class EventScript:
         """Parse a script; a malformed one raises ScriptError located by its
         JSON path, e.g. ``cycles[0].events[0]: missing "target"``."""
         data = json.loads(text)
-        if not isinstance(data, dict) or data.get("schema") != 1:
+        if not isinstance(data, dict) or _typed(data.get("schema")) != (int, 1):
             raise ScriptError('event scripts need a {"schema": 1, "cycles": [...]} object')
         cycles = data.get("cycles", [])
         if not isinstance(cycles, list):
@@ -344,12 +344,6 @@ class CompiledSystem:
         # since sub-steps (b) and (d) last looked at them can.
         self.queued = {i for i, inst in enumerate(instances) if inst.queue}
         self.touched = set(range(len(instances)))
-
-    def enabled_ports(self) -> frozenset[PortInstance]:
-        """The maintained enabled set; between steps it equals
-        :func:`enabled_ports` of the compiled state."""
-        return frozenset(PortInstance(inst.type_name, inst.index, label)
-                         for inst, labels in zip(self.instances, self.enabled) for label in labels)
 
     def _enabled_labels(self, i: int) -> frozenset[str]:
         inst = self.instances[i]

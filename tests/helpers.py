@@ -1,4 +1,8 @@
-"""Shared test helpers: naming shortcuts, oracles, and diagram generators."""
+"""Shared test helpers: naming shortcuts, oracles, and diagram generators.
+
+This is the one place where tests build single-motif diagrams
+(:func:`single_motif_diagram`); the sweep in ``bipkit.diagram`` works on
+their numbers alone."""
 
 from __future__ import annotations
 
@@ -14,10 +18,17 @@ from bipkit.errors import CapacityError
 from bipkit.logic import allowed_interactions
 from bipkit.model import (
     ArchitectureDiagram,
+    CardExpr,
+    ComponentType,
+    ConnectorMotif,
+    ENFORCEABLE,
     Interaction,
+    MotifEnd,
     PortInstance,
+    PortTypeRef,
     SYNCHRON,
     TRIGGER,
+    Transition,
     orbits_interactions,
 )
 
@@ -81,11 +92,38 @@ def iter_typed_motif_space(bound: int = 3):
             yield specs, typings
 
 
+def loop_type(name: str, ports: Sequence[str], cardinality: CardExpr) -> ComponentType:
+    """A component type with one state, on which each port self-loops."""
+    return ComponentType(
+        name, cardinality, frozenset(ports),
+        states=frozenset({"s"}), initial_states=frozenset({"s"}),
+        transitions=tuple(Transition(ENFORCEABLE, p, "s", "s") for p in sorted(ports)),
+    )
+
+
+def single_motif_diagram(
+    specs: Sequence[tuple[int, int, int]], typings: Optional[Sequence[str]] = None
+) -> ArchitectureDiagram:
+    """A diagram with one motif over one or two fresh component types.
+
+    ``specs`` lists (cardinality, multiplicity, degree) per end; typings
+    default to all-synchron.
+    """
+    if typings is None:
+        typings = [SYNCHRON] * len(specs)
+    types = [loop_type(name, ["p"], CardExpr.lit(n)) for name, (n, _, _) in zip("ABCD", specs)]
+    ends = tuple(
+        MotifEnd(PortTypeRef(name, "p"), CardExpr.lit(m), CardExpr.lit(deg), typing)
+        for name, (_, m, deg), typing in zip("ABCD", specs, typings)
+    )
+    return ArchitectureDiagram("sweep", tuple(types), (ConnectorMotif("only", ends),))
+
+
 def iter_sweep_points(bound: int = 3):
     """Single-motif diagrams with one or two port types, all of n, m, d in
     [1, bound], each with its label, e.g. ``n1=1 m1=1 d1=2 | n2=2 m2=1 d2=1``."""
     for specs in dg.iter_sweep_shapes(bound):
-        yield dg._sweep_label(specs), dg.single_motif_diagram(specs)
+        yield dg._sweep_label(specs), single_motif_diagram(specs)
 
 
 def sweep_spec(bound: int = 3, max_nodes: int = dg.DEFAULT_MAX_NODES) -> list[dg.SweepRecord]:
@@ -124,7 +162,7 @@ def random_encodable_diagram(
         specs.append((n, m, deg))
     if not in_encoder_envelope(specs, typings):
         return None
-    return dg.single_motif_diagram(specs, typings)
+    return single_motif_diagram(specs, typings)
 
 
 # Processes that take two lock holders at once; see the two_locks fixture of

@@ -24,6 +24,7 @@ from helpers import (
     pi,
     ports_only,
     random_encodable_diagram,
+    single_motif_diagram,
 )
 
 
@@ -212,7 +213,7 @@ def test_criterion_7_exhaustive_envelope_cross_check():
     with Timer(120.0) as timer:
         checked = 0
         for specs, typings in iter_typed_motif_space(3):
-            d = dg.single_motif_diagram(specs, typings)
+            d = single_motif_diagram(specs, typings)
             if not dg.check_encodable(d, {}).overall:
                 continue
             if not in_encoder_envelope(specs, typings):

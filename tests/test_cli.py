@@ -135,6 +135,16 @@ def test_unknown_parameter_is_a_usage_error(tmp_path, capsys, command, binding):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["check"], ["run", "--cycles", "3"]], ids=" ".join)
+def test_a_parameter_bound_twice_is_a_usage_error(tmp_path, capsys, command):
+    name, *rest = command
+    if name == "run":
+        rest += ["--out", str(tmp_path / "out")]
+    assert main([name, model_path("mutex.bip"), *rest, "--bind", "n=2", "--bind", "n=3"]) == 4
+    assert capsys.readouterr() == ("", "bipkit: error: --bind n: given more than once\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_importing_the_cli_leaves_out_the_network_modules():
     # xml.sax.saxutils imports urllib.request; only emit_xml needs it
     src = str(Path(cli.__file__).parents[1])
@@ -575,6 +585,18 @@ def test_run_rejects_a_script_whose_cycles_are_malformed(tmp_path, capsys, cycle
     assert main(["run", model_path("switchable_routes.bip"), "--bind", "n=2", "--cycles", "3",
                  "--events", str(script), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", message + "\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schema", ["true", "1.0"])
+def test_run_rejects_a_script_whose_schema_is_not_the_integer_1(tmp_path, capsys, schema):
+    script = tmp_path / "bad.json"
+    script.write_text(f'{{"schema": {schema}, "cycles": []}}')
+    out = tmp_path / "t.json"
+    assert main(["run", model_path("switchable_routes.bip"), "--bind", "n=2", "--cycles", "3",
+                 "--events", str(script), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", 'event scripts need a {"schema": 1, "cycles": [...]} object\n')
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from bipkit import diagram as dg
 from bipkit import encode_macros, load_bundled_model
 from bipkit.connector import interaction_set, leaf
-from bipkit.diagram import loop_type
 from bipkit.engine import EngineConfig, init_state, run
 from bipkit.errors import CapacityError, EncodabilityError, LogicDomainError
 from bipkit.logic import allowed_orbits
@@ -35,16 +34,18 @@ from bipkit.model import (
 from helpers import (
     iter_sweep_points,
     iter_typed_motif_space,
+    loop_type,
     pi,
     ports_only,
     random_encodable_diagram,
+    single_motif_diagram,
     sweep_spec,
 )
 
 
 def pairing(degree: int):
     """Two types, two instances each, one-to-one ends with the given degree."""
-    return dg.single_motif_diagram([(2, 1, degree), (2, 1, degree)], [SYNCHRON, SYNCHRON])
+    return single_motif_diagram([(2, 1, degree), (2, 1, degree)], [SYNCHRON, SYNCHRON])
 
 
 def connector_names(configuration) -> set[str]:
@@ -60,11 +61,11 @@ def test_matching_factor_goldens():
     assert [e.factor for e in end_checks(pairing(degree=2))] == [4, 4]
 
     # multiplicity n with degree 1 gives factor exactly 1
-    (end,) = end_checks(dg.single_motif_diagram([(3, 3, 1)], [SYNCHRON]))
+    (end,) = end_checks(single_motif_diagram([(3, 3, 1)], [SYNCHRON]))
     assert end.factor == 1 and end.factor_ok
 
     # factors are exact rationals, never floats, and are compared in integers
-    (end,) = end_checks(dg.single_motif_diagram([(3, 2, 1)], [SYNCHRON]))
+    (end,) = end_checks(single_motif_diagram([(3, 2, 1)], [SYNCHRON]))
     assert end.factor == Fraction(3, 2) and end.connectors == 3 and not end.factor_ok
 
 
@@ -72,10 +73,10 @@ def test_max_connectors():
     # C(2,1) * C(2,1), on every end of the motif
     assert [e.connectors for e in end_checks(pairing(degree=1))] == [4, 4]
 
-    (end,) = end_checks(dg.single_motif_diagram([(3, 3, 1)], [SYNCHRON]))
+    (end,) = end_checks(single_motif_diagram([(3, 3, 1)], [SYNCHRON]))
     assert end.connectors == 1
 
-    (end,) = end_checks(dg.single_motif_diagram([(2, 3, 1)], [SYNCHRON]))
+    (end,) = end_checks(single_motif_diagram([(2, 3, 1)], [SYNCHRON]))
     assert end.connectors == 0 and not end.multiplicity_ok
 
 
@@ -118,7 +119,7 @@ def test_enumerate_complete_pairing(complete_pairing):
 
 
 def test_enumerate_mismatched_factors_is_empty():
-    d = dg.single_motif_diagram([(2, 1, 1), (3, 1, 1)], [SYNCHRON, SYNCHRON])
+    d = single_motif_diagram([(2, 1, 1), (3, 1, 1)], [SYNCHRON, SYNCHRON])
     result = dg.enumerate_configurations(d, d.motifs[0], {})
     assert result.configurations == ()
 
@@ -215,8 +216,8 @@ def reference_pool(d, motif, binding):
 
 
 def two_ports_on_one_type(n, m1, m2):
-    a = dg.loop_type("A", ["p", "r"], CardExpr.lit(n))
-    b = dg.loop_type("B", ["q"], CardExpr.lit(2))
+    a = loop_type("A", ["p", "r"], CardExpr.lit(n))
+    b = loop_type("B", ["q"], CardExpr.lit(2))
     ends = (MotifEnd(PortTypeRef("A", "p"), CardExpr.lit(m1), CardExpr.lit(1)),
             MotifEnd(PortTypeRef("A", "r"), CardExpr.lit(m2), CardExpr.lit(1), TRIGGER),
             MotifEnd(PortTypeRef("B", "q"), CardExpr.lit(1), CardExpr.lit(1)))
@@ -228,7 +229,7 @@ def test_possible_connectors_come_in_sorted_order():
     diagrams += [two_ports_on_one_type(n, m1, m2)
                  for n, m1, m2 in itertools.product(range(1, 5), repeat=3)]
     # one connector of 1501 instances: the pool generator does not recurse
-    diagrams.append(dg.single_motif_diagram([(1500, 1500, 1), (1, 1, 1)]))
+    diagrams.append(single_motif_diagram([(1500, 1500, 1), (1, 1, 1)]))
     for d in diagrams:
         motif = d.motifs[0]
         assert dg.possible_connectors(d, motif, {}) == reference_pool(d, motif, {}), d
@@ -422,7 +423,7 @@ def test_diagram_interactions_match_connector_trees_on_every_small_shape():
     the encoder envelope or not."""
     checked = 0
     for specs, typings in iter_typed_motif_space(4):
-        d = dg.single_motif_diagram(specs, typings)
+        d = single_motif_diagram(specs, typings)
         if dg.check_encodable(d, {}).overall:
             assert dg.diagram_interactions(d, {}) == connector_tree_interactions(d, {}), specs
             checked += 1
@@ -489,13 +490,13 @@ def test_orbits_of_ends_that_take_every_instance():
     """Three ends, each on all 200 instances of its type: the search cuts a
     branch once a counter that no later slot raises is short, so it does
     not try the 201**3 count vectors below the one orbit."""
-    d = dg.single_motif_diagram([(200, 200, 1)] * 3)
+    d = single_motif_diagram([(200, 200, 1)] * 3)
     assert dg.diagram_orbits(d, {}) == [tuple(((PortTypeRef(t, "p"),), 200) for t in "ABC")]
 
 
 def repeated_port_diagram(typings):
     """One motif naming A.p once per typing, at n=1."""
-    base = dg.single_motif_diagram([(1, 1, 1)])
+    base = single_motif_diagram([(1, 1, 1)])
     ends = tuple(
         MotifEnd(PortTypeRef("A", "p"), CardExpr.lit(1), CardExpr.lit(1), typing)
         for typing in typings
@@ -550,13 +551,13 @@ def test_binding_check_rejects_a_name_that_is_no_parameter(star):
         dg.check_encodable(star, {"n": 2, "typo": 3})
     with pytest.raises(ValueError, match=message):
         dg.enumerate_configurations(star, star.motifs[0], {"n": 2, "typo": 3})
-    d = dg.single_motif_diagram([(2, 1, 1)])
+    d = single_motif_diagram([(2, 1, 1)])
     with pytest.raises(ValueError, match=r"^unknown parameters: m, n \(the model has none\)$"):
         dg.check_binding(d, {"n": 1, "m": 1})
 
 
 def test_binding_check_needs_each_multiplicity_at_least_one(mutex):
-    d = dg.single_motif_diagram([(2, 1, 1), (2, 1, 1)])
+    d = single_motif_diagram([(2, 1, 1), (2, 1, 1)])
     motif = d.motifs[0]
     ends = (MotifEnd(PortTypeRef("A", "p"), CardExpr.var("k"), CardExpr.lit(1)), motif.ends[1])
     d = ArchitectureDiagram("k", d.component_types, (ConnectorMotif("only", ends),))
@@ -611,7 +612,7 @@ def test_proposition_sweep_builds_no_diagram(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("the sweep works on numbers")
 
-    for name in ("check_binding", "_end_numbers", "single_motif_diagram"):
+    for name in ("check_binding", "_end_numbers"):
         monkeypatch.setattr(dg, name, unused)
     assert dg.proposition_sweep(3) == expected
 

@@ -33,8 +33,10 @@ from bipkit.model import (
 from helpers import (
     in_encoder_envelope,
     iter_typed_motif_space,
+    loop_type,
     macro_interactions,
     random_encodable_diagram,
+    single_motif_diagram,
 )
 
 
@@ -182,7 +184,7 @@ def test_options_keep_motif_order_and_first_place():
     """A port in several motifs gets its options in motif-name order, the
     presence options of a trigger motif in port order, and a repeated
     option once, at its first place."""
-    types = tuple(dg.loop_type(t, ["p", "q"], CardExpr.lit(1)) for t in "ABC")
+    types = tuple(loop_type(t, ["p", "q"], CardExpr.lit(1)) for t in "ABC")
     Ap, Bp, Bq, Cp = (PortTypeRef(t, p) for t, p in [("A", "p"), ("B", "p"), ("B", "q"), ("C", "p")])
 
     def motif(name, *ends):
@@ -332,7 +334,7 @@ def test_equivalence_exhaustive_inside_envelope():
     the encoder envelope has macro semantics equal to diagram semantics."""
     checked = 0
     for specs, typings in iter_typed_motif_space(3):
-        d = dg.single_motif_diagram(specs, typings)
+        d = single_motif_diagram(specs, typings)
         if not dg.check_encodable(d, {}).overall:
             continue
         if not in_encoder_envelope(specs, typings):
@@ -348,7 +350,7 @@ def test_validator_warns_exactly_outside_the_envelope():
     differs from the diagram set."""
     shapes = warned = 0
     for specs, typings in iter_typed_motif_space(3):
-        d = dg.single_motif_diagram(specs, typings)
+        d = single_motif_diagram(specs, typings)
         if not dg.check_encodable(d, {}).overall:
             continue
         warns = bool(validate_diagram(d))
@@ -364,11 +366,11 @@ def test_known_gaps_outside_envelope():
     multiplicity 2 yields pair interactions in the diagram but lone ports in
     the macros; a trigger motif with a strictly partial multi-unit end cannot
     bound participation."""
-    singleton = dg.single_motif_diagram([(2, 2, 1)], [SYNCHRON])
+    singleton = single_motif_diagram([(2, 2, 1)], [SYNCHRON])
     assert dg.check_encodable(singleton, {}).overall
     assert not equivalence_holds(singleton, {})
 
-    partial = dg.single_motif_diagram([(3, 2, 2), (1, 1, 3)], [SYNCHRON, TRIGGER])
+    partial = single_motif_diagram([(3, 2, 2), (1, 1, 3)], [SYNCHRON, TRIGGER])
     assert dg.check_encodable(partial, {}).overall
     assert not equivalence_holds(partial, {})
 

@@ -445,7 +445,8 @@ def test_event_script_from_json():
         ScriptEntry(events=(("Route#1", "end"),), guards=(("Route#1", "finished", True),)),
         ScriptEntry(),
     ))
-    for text in ("{}", '{"schema": 2, "cycles": []}', "[]"):
+    for text in ("{}", '{"schema": 2, "cycles": []}', "[]",
+                 '{"schema": true, "cycles": []}', '{"schema": 1.0, "cycles": []}'):
         with pytest.raises(ScriptError):
             EventScript.from_json(text)
 
@@ -648,7 +649,9 @@ def test_each_cycle_fires_the_specification_pick(engine_models, case):
         assert (None if fired is None else [(r["instance"], r["port"]) for r in fired]) == (
             None if pick is None else [(instance_id(p.component_type, p.index), p.port)
                                        for p in pick])
-        assert system.enabled_ports() == enabled_ports(state, d)
+        maintained = {pi(inst.type_name, inst.index, label)
+                      for inst, labels in zip(system.instances, system.enabled) for label in labels}
+        assert maintained == enabled_ports(state, d)
 
 
 # One instance may take part through both ends, an orbit the engine skips;

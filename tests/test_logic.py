@@ -52,6 +52,7 @@ from helpers import (
     pi,
     ports_only,
     random_encodable_diagram,
+    single_motif_diagram,
     subsets,
 )
 
@@ -504,7 +505,7 @@ def test_orbit_solver_equals_foil_spec_on_encoded_diagrams(
         if d is not None:
             diagrams.append((d, {}))
     for specs, typings in iter_typed_motif_space(3):
-        d = dg.single_motif_diagram(specs, typings)
+        d = single_motif_diagram(specs, typings)
         if in_encoder_envelope(specs, typings) and dg.check_encodable(d, {}).overall:
             diagrams.append((d, {}))
     assert len(diagrams) > 207

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bipkit.diagram import loop_type
 from bipkit.model import (
     ArchitectureDiagram,
     CardExpr,
@@ -28,6 +27,7 @@ from bipkit.model import (
     validate_diagram,
     validate_model,
 )
+from helpers import loop_type
 
 
 def make_route() -> ComponentType:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -57,32 +58,37 @@ class InvalidModel(Exception):
         self.issues = issues
 
 
+def _integer(text: str, low: Optional[int] = None, high: Optional[int] = None) -> int:
+    """``text`` as an integer in [low, high], written as a model file writes
+    one: ASCII digits after an optional minus.  Else a ValueError says why."""
+    try:
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise ValueError
+        value = int(text)  # also refuses more digits than int() converts
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
+    if (low is not None and value < low) or (high is not None and value > high):
+        span = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{value} is not {span}")
+    return value
+
+
 def _int_in(low: int, high: Optional[int] = None):
-    """An argparse ``type=`` for integers in [low, high]; a bad value ends in
-    a usage error."""
+    """An argparse ``type=`` for integers in [low, high]."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < low or (high is not None and value > high):
-            span = f"at least {low}" if high is None else f"in [{low}, {high}]"
-            raise argparse.ArgumentTypeError(f"{value} is not {span}")
-        return value
+            return _integer(text, low, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
 def _max_nodes() -> int:
     raw = os.environ.get("BIPKIT_MAX_NODES")
-    if raw is None:
-        return diagram_mod.DEFAULT_MAX_NODES
     try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-        return value
+        return diagram_mod.DEFAULT_MAX_NODES if raw is None else _integer(raw, 1)
     except ValueError:
         raise UsageError(f"BIPKIT_MAX_NODES must be a positive integer, got {raw!r}") from None
 
@@ -96,10 +102,9 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, int]:
         if name in binding:
             raise UsageError(f"--bind {name}: given more than once")
         try:
-            number = int(value)
-        except ValueError:
-            raise UsageError(f"--bind {name}: {value!r} is not an integer") from None
-        binding[name] = number
+            binding[name] = _integer(value)
+        except ValueError as exc:
+            raise UsageError(f"--bind {name}: {exc}") from None
     return binding
 
 
@@ -294,16 +299,13 @@ def cmd_run(args) -> int:
 
 
 def _parse_sweep(text: str) -> int:
-    spec = text.replace(" ", "")
-    if not spec.startswith("n,m,d<="):
+    """The K of "n,m,d<=K"; spaces may surround each token but not split K."""
+    if not text.replace(" ", "").startswith("n,m,d<="):
         raise UsageError(f'--sweep expects the form "n,m,d<=K", got {text!r}')
     try:
-        bound = int(spec[len("n,m,d<="):])
-        if bound < 1:
-            raise ValueError
+        return _integer(text.partition("=")[2].strip(" "), 1)
     except ValueError:
         raise UsageError(f"sweep bound must be a positive integer in {text!r}") from None
-    return bound
 
 
 def cmd_oracle(args) -> int:
@@ -313,9 +315,6 @@ def cmd_oracle(args) -> int:
         raise UsageError("--json needs --sweep; a model file's report is text only")
     if args.sweep and (args.bind or args.limit is not None):
         raise UsageError("--bind and --limit need a model file; --sweep draws its own diagrams")
-    limit = 1000 if args.limit is None else args.limit
-    if limit < 1:
-        raise UsageError(f"--limit: {limit} is not at least 1")
 
     max_nodes = _max_nodes()
     if args.sweep:
@@ -346,7 +345,7 @@ def cmd_oracle(args) -> int:
             try:
                 # at least 2 so that a truncated count still separates 1 from many
                 result = diagram_mod.enumerate_configurations(
-                    d, motif, binding, limit=max(2, limit), max_nodes=max_nodes
+                    d, motif, binding, limit=max(2, args.limit or 1000), max_nodes=max_nodes
                 )
             except CapacityError as exc:
                 # like a sweep point over the bound: unknown, and go on
@@ -434,7 +433,7 @@ def _add_oracle(sub) -> None:
     p_orc.add_argument("file", nargs="?", help="model file (.bip)")
     p_orc.add_argument("--bind", action="append", default=[], metavar="NAME=VALUE")
     p_orc.add_argument("--sweep", metavar='"n,m,d<=K"', help="sweep all small single-motif diagrams")
-    p_orc.add_argument("--limit", type=int)  # 1000 in file mode; the sweep takes none
+    p_orc.add_argument("--limit", type=_int_in(1))  # 1000 in file mode; the sweep takes none
     p_orc.add_argument("--json", action="store_true")
     p_orc.set_defaults(func=cmd_oracle)
 
@@ -478,6 +477,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if exc.code is not None else OK
     try:
         return args.func(args)
+    except MemoryError:
+        # Reported after the try, once the frames that the traceback holds are
+        # freed; until then no other except clause or message may fit.
+        pass
     except ParseFailure as exc:
         print(str(exc), file=sys.stderr)
         return PARSE_ERROR
@@ -496,6 +499,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"bipkit: cannot read or write: {exc}", file=sys.stderr)
         return USAGE
+    print("bipkit: out of memory; lower the --bind values or raise the process's "
+          "memory limit", file=sys.stderr)
+    return CAPACITY
 
 
 if __name__ == "__main__":

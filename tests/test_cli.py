@@ -313,6 +313,45 @@ def test_node_bound_also_bounds_memory(tmp_path, command):
     assert "configuration search exceeded 100 nodes for motif m" in result.stderr
 
 
+OUT_OF_MEMORY = ("bipkit: out of memory; lower the --bind values or raise the process's "
+                 "memory limit\n")
+
+
+@pytest.mark.parametrize("command, target", [
+    (["run", "--cycles", "1"], "bipkit.engine.run"),
+    (["oracle"], "bipkit.diagram.enumerate_configurations"),
+], ids=["run", "oracle"])
+def test_out_of_memory_is_a_capacity_error(tmp_path, monkeypatch, capsys, command, target):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(target, exhaust)
+    name, *rest = command
+    if name == "run":
+        rest += ["--out", str(tmp_path / "trace.json")]
+    assert main([name, model_path("mutex.bip"), "--bind", "n=2", *rest]) == 3
+    assert capsys.readouterr() == ("", OUT_OF_MEMORY)
+    assert not (tmp_path / "trace.json").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux enforces it")
+def test_a_real_out_of_memory_ends_in_exit_3(tmp_path):
+    """10^8 instances do not fit in 256 MB: the MemoryError ends in one line
+    and exit 3, not in a traceback."""
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+    src = str(Path(cli.__file__).parents[1])
+    argv = ["run", model_path("mutex.bip"), "--bind", "n=100000000", "--cycles", "1",
+            "--out", str(tmp_path / "trace.json")]
+    result = subprocess.run([sys.executable, "-m", "bipkit", *argv], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src},
+                            preexec_fn=limit_address_space, timeout=300)
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", OUT_OF_MEMORY)
+
+
 def test_bad_max_nodes(monkeypatch, capsys):
     monkeypatch.setenv("BIPKIT_MAX_NODES", "lots")
     assert main(["instantiate", model_path("ambiguous_pairing.bip"), "--bind", "n=2"]) == 4
@@ -900,6 +939,15 @@ def test_oracle_file_mode_validates_the_model(tmp_path, capsys, text, issue):
         assert out.startswith(issue + path + ":") and err == ""
 
 
+def test_encode_writes_nothing_for_an_invalid_model(tmp_path, monkeypatch, capsys):
+    path = write_model(tmp_path, "bad.bip", DANGLING_END)
+    monkeypatch.chdir(tmp_path)  # where the output would go without --out
+    assert main(["encode", path, "--format", "macros"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("error[DANGLING_PORT_REF] " + path + ":") and err == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.bip"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -907,8 +955,6 @@ def test_oracle_file_mode_validates_the_model(tmp_path, capsys, text, issue):
         (["--sweep", "n,m,d<=1", "--bind", "n=2"], "--bind and --limit need a model file"),
         (["--sweep", "n,m,d<=1", "--limit", "5"], "--bind and --limit need a model file"),
         (["--sweep", "n,m,d<=1", "--limit", "1000", "--json"], "--bind and --limit need a model"),
-        ([model_path("star.bip"), "--bind", "n=2", "--limit", "-7"], "--limit: -7 is not at least 1"),
-        ([model_path("star.bip"), "--bind", "n=2", "--limit", "0"], "--limit: 0 is not at least 1"),
     ],
 )
 def test_oracle_rejects_flags_it_would_ignore_or_misread(capsys, argv, message):
@@ -969,6 +1015,8 @@ def test_a_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, seed):
         (["run", "mutex.bip", "--bind", "n=2", "--cycles", "ten"], "--cycles: 'ten' is not an"),
         (["instantiate", "ambiguous_pairing.bip", "--bind", "n=2", "--limit", "0"],
          "--limit: 0 is not at least 1"),
+        (["oracle", "star.bip", "--bind", "n=2", "--limit", "-7"], "--limit: -7 is not at least 1"),
+        (["oracle", "star.bip", "--bind", "n=2", "--limit", "0"], "--limit: 0 is not at least 1"),
     ],
 )
 def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv, message):
@@ -979,6 +1027,65 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("usage: bipkit " + command)
     assert message in err
+    assert not (tmp_path / "trace.json").exists()
+
+
+# The seven numbers the command line reads: the arguments that carry TEXT
+# (BIPKIT_MAX_NODES is read from the environment), the last line of stderr
+# when TEXT is not an integer, and the last line when TEXT is -1.
+NUMBER_INPUTS = {
+    "--cycles": (["run", "mutex.bip", "--bind", "n=2", "--cycles", "TEXT"],
+                 "bipkit run: error: argument --cycles: 'TEXT' is not an integer",
+                 "bipkit run: error: argument --cycles: -1 is not in [0, 100000]"),
+    "--seed": (["run", "mutex.bip", "--bind", "n=2", "--cycles", "1", "--seed", "TEXT"],
+               "bipkit run: error: argument --seed: 'TEXT' is not an integer",
+               f"bipkit run: error: argument --seed: -1 is not in [0, {2**64 - 1}]"),
+    "instantiate --limit": (
+        ["instantiate", "ambiguous_pairing.bip", "--bind", "n=2", "--limit", "TEXT"],
+        "bipkit instantiate: error: argument --limit: 'TEXT' is not an integer",
+        "bipkit instantiate: error: argument --limit: -1 is not at least 1"),
+    "oracle --limit": (["oracle", "ambiguous_pairing.bip", "--bind", "n=2", "--limit", "TEXT"],
+                       "bipkit oracle: error: argument --limit: 'TEXT' is not an integer",
+                       "bipkit oracle: error: argument --limit: -1 is not at least 1"),
+    "--bind": (["check", "star.bip", "--bind", "n=TEXT"],
+               "bipkit: error: --bind n: 'TEXT' is not an integer",
+               "bipkit: error: parameter n=-1 is not a non-negative integer"),
+    "--sweep": (["oracle", "--sweep", "n,m,d<=TEXT"],
+                "bipkit: error: sweep bound must be a positive integer in 'n,m,d<=TEXT'",
+                "bipkit: error: sweep bound must be a positive integer in 'n,m,d<=-1'"),
+    "BIPKIT_MAX_NODES": (["instantiate", "ambiguous_pairing.bip", "--bind", "n=2"],
+                         "bipkit: error: BIPKIT_MAX_NODES must be a positive integer, got 'TEXT'",
+                         "bipkit: error: BIPKIT_MAX_NODES must be a positive integer, got '-1'"),
+}
+
+# Python's int() takes each of these; a model file takes none of them.
+NOT_INTEGERS = ["1_0", " 5", "+5", "\u0663"]
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    # Spaces may surround the sweep's K, as they may surround each token of
+    # "n,m,d<=K", but may not split it.
+    [(name, text) for name in NUMBER_INPUTS for text in [*NOT_INTEGERS, "-1"]
+     if (name, text) != ("--sweep", " 5")] + [("--sweep", "1 0")],
+)
+def test_every_number_is_ascii_digits_after_an_optional_minus(
+    tmp_path, monkeypatch, capsys, name, text
+):
+    argv, not_integer, minus_one = NUMBER_INPUTS[name]
+    argv = [arg.replace("TEXT", text) for arg in argv]
+    if argv[1].endswith(".bip"):
+        argv[1] = model_path(argv[1])
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "trace.json")]
+    if name == "BIPKIT_MAX_NODES":
+        monkeypatch.setenv(name, text)
+    # Read as 10, "1_0" and "1 0" would sweep over a million points.
+    monkeypatch.setattr("bipkit.diagram.proposition_sweep", lambda bound, max_nodes: [])
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (minus_one if text == "-1" else not_integer.replace("TEXT", text))
     assert not (tmp_path / "trace.json").exists()
 
 

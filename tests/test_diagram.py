@@ -138,6 +138,12 @@ def test_enumerate_capacity():
         dg.enumerate_configurations(d, d.motifs[0], {}, max_nodes=3)
 
 
+def test_a_limit_below_one_is_refused(ambiguous_pairing):
+    motif = ambiguous_pairing.motifs[0]
+    with pytest.raises(ValueError, match=r"^limit must be at least 1$"):
+        dg.enumerate_configurations(ambiguous_pairing, motif, {"n": 2}, limit=0)
+
+
 def test_a_negative_node_bound_is_refused(ambiguous_pairing):
     motif = ambiguous_pairing.motifs[0]
     with pytest.raises(ValueError, match=r"^max_nodes must be at least 0$"):

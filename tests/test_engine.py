@@ -529,6 +529,14 @@ def test_run_rejects_an_unknown_parameter(routes):
         run(routes, {"n": 1, "typo": 3}, EngineConfig(cycles=1))
 
 
+def test_an_unknown_interaction_source_is_refused(routes):
+    trace = run(routes, {"n": 1}, EngineConfig(cycles=2))
+    with pytest.raises(ValueError, match="^unknown interaction source 'bogus'$"):
+        run(routes, {"n": 1}, EngineConfig(cycles=2), source="bogus")
+    with pytest.raises(ValueError, match="^unknown interaction source 'bogus'$"):
+        replay_validate(trace, routes, {"n": 1}, source="bogus")
+
+
 def test_engine_config_bounds():
     with pytest.raises(ValueError):
         EngineConfig(cycles=-1)

@@ -263,3 +263,51 @@ diagram Broadcast {
   motif undo { R.u 1:1 synchron }
 }
 """
+
+
+# One instance may take part through both ends, an orbit the engine skips;
+# the other orbit draws two distinct instances of T, one per port, and an
+# instance in s may serve either.
+SHARED_TYPE = """
+diagram Shared {
+  component T [n] {
+    ports { p, q }
+    states { s*, t }
+    transitions {
+      p: s -> t
+      q: s -> s
+      q: t -> s
+    }
+  }
+  motif both { T.p 1:n synchron; T.q 1:n synchron }
+}
+"""
+
+
+# Orbits that draw two instances of one type: ``pair`` alone in its run,
+# ``link`` beside ``back`` in the run of B, so the pick unranks a 2-subset
+# both directly and after a descent.
+PAIRS = """
+diagram Pairs {
+  component B [2] {
+    ports { b, c }
+    states { s* }
+    transitions {
+      b: s -> s
+      c: s -> s
+    }
+  }
+  component P [5] {
+    ports { p, q, r }
+    states { x*, y }
+    transitions {
+      p: x -> y
+      q: y -> x
+      r: x -> y
+    }
+  }
+  motif pair { P.p 2:4 synchron }
+  motif back { B.b 1:5 synchron; P.q 1:2 synchron }
+  motif link { B.c 1:10 synchron; P.r 2:8 synchron }
+}
+"""

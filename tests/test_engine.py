@@ -35,6 +35,7 @@ from bipkit.errors import EncodabilityError, LivelockError, ScriptError
 from bipkit.model import PortTypeRef
 from helpers import (
     BROADCAST,
+    SHARED_TYPE,
     TWO_LOCKS,
     feasible_spec,
     pi,
@@ -660,25 +661,6 @@ def test_each_cycle_fires_the_specification_pick(engine_models, case):
         maintained = {pi(inst.type_name, inst.index, label)
                       for inst, labels in zip(system.instances, system.enabled) for label in labels}
         assert maintained == enabled_ports(state, d)
-
-
-# One instance may take part through both ends, an orbit the engine skips;
-# the other orbit draws two distinct instances of T, one per port, and an
-# instance in s may serve either.
-SHARED_TYPE = """
-diagram Shared {
-  component T [n] {
-    ports { p, q }
-    states { s*, t }
-    transitions {
-      p: s -> t
-      q: s -> s
-      q: t -> s
-    }
-  }
-  motif both { T.p 1:n synchron; T.q 1:n synchron }
-}
-"""
 
 
 @pytest.fixture(scope="module")

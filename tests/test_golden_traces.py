@@ -22,7 +22,7 @@ from bipkit.engine import (
     run,
     trace_to_json,
 )
-from helpers import TWO_LOCKS
+from helpers import BROADCAST, PAIRS, SHARED_TYPE, TWO_LOCKS
 
 SEEDS = range(5)
 
@@ -55,7 +55,18 @@ CASES = {
     "star_n4": ("star.bip", {"n": 4}, 40, None),
     "two_locks_n6": (TWO_LOCKS, {"n": 6}, 100, None),
     "broadcast_pair": ("broadcast_pair.bip", {"n1": 1, "n2": 2}, 40, None),
+    # paths the cases above never reach: two parts on one type, one part
+    # drawing every instance (r = n) or two of them, many live orbits in one
+    # run, macros
+    "shared_n3": (SHARED_TYPE, {"n": 3}, 60, None),
+    "shared_n6": (SHARED_TYPE, {"n": 6}, 100, None),
+    "broadcast_n5": (BROADCAST, {"n": 5}, 60, None),
+    "two_locks_n40": (TWO_LOCKS, {"n": 40}, 150, None),
+    "pairs": (PAIRS, {}, 60, None),
+    "routes_n4_macros": ("switchable_routes.bip", {"n": 4}, 100, None),
+    "routes_n4_macros_script": ("switchable_routes.bip", {"n": 4}, 100, 14),
 }
+MACRO_CASES = {"routes_n4_macros", "routes_n4_macros_script"}  # run with source="macros"
 
 
 def case_trace_digests(name: str, policy: str) -> tuple[str, ...]:
@@ -67,13 +78,27 @@ def case_trace_digests(name: str, policy: str) -> tuple[str, ...]:
     digests = []
     for seed in SEEDS:
         trace = run(d, binding, EngineConfig(cycles=cycles, seed=seed, policy=policy),
-                    script=script)
+                    script=script, source="macros" if name in MACRO_CASES else "diagram")
         digests.append(hashlib.sha256(trace_to_json(trace).encode("utf-8")).hexdigest())
     return tuple(digests)
 
 
 # (case, policy) -> digests for seeds 0..4
 GOLDEN = {
+    ("broadcast_n5", "uniform-random"): (
+        "fd7052bc5da0d7451fe0ff1ec99081a8e4c81cb3472620e6035d3622a6bc0303",
+        "cb8bb529d5dce46df9e444a00d483eed4176814a27d9ff96c1cbcb53be950882",
+        "0710b6121473a4e8b38c0388848d7dffef811c1fd733d990313dc2013a26c1f9",
+        "bdeb179b4e28dca7c58e527519ebed12fe0d1f79575377c884c26cd4a3dd2abe",
+        "bc60b7845e6807ea87d37e55f8051b6633bda6eb9eb3cfca2daeafc53bbec9b5",
+    ),
+    ("broadcast_n5", "lexicographic-first"): (
+        "8c217163cad8ea81640c0365d23614b028d00d0bbc6b14c2b14e664803fec5c4",
+        "7699de2ab77bbc0f0d292f32ecdd3d4653a127e56fd8948dcd1ccb708ac97ca7",
+        "57f1011e74eebb2e26b907e527716fef1e1a102b4f9e261acb3563256d8505e3",
+        "8fb56a42805ab400a90073c4b91dd8559b6f16931d631215b4348747381b5d56",
+        "de4e831259afe64a2d8d52a33cdd8c5dceabd58d0fd66c33d1aaf44401eb5a0c",
+    ),
     ("broadcast_pair", "uniform-random"): (
         "7852b2bb3adf3f0d719c0b6b499a9869c4a2bd94763a5b52e0e7bd23aef8bfa2",
         "1f19c643c49dc287d47927897d45f6b7e8d117fc36558dda04471b08d7424607",
@@ -130,6 +155,20 @@ GOLDEN = {
         "461dbd5d587bfc7c9d62e5f9ca00f5f687e6dfc52399cbfc5626e46407f18e9b",
         "539e16ca593661e77177d8f306a47bf80a00f53f8a3d810de40d9ee1fdf2be8a",
     ),
+    ("pairs", "uniform-random"): (
+        "c24c01ab769dfdf9e6d36af628d4e2c4078e542c0220d90c28742739320bb1f1",
+        "5377e37e6891c5f2c31275de3330cfc08595774a2ed8c076346d25874b88ac63",
+        "e4c0563ad29a7b96fe8ec976d1ea60d803cd68535ea00c1ba42b551344ab6d61",
+        "c8f862f163f1b61c8a0ba98be1b49b001337c3e274dbde047f99a886e141b393",
+        "b5762ebe3f19e46bd0d97a32cde362dd38536a40ff583433c75d8dddefb3d355",
+    ),
+    ("pairs", "lexicographic-first"): (
+        "1e3e10db29448050652257a44f92eb034e3baa05e4f773748fb93f69f9cbfc43",
+        "505425fd30aeb5c4ef41e93557f2eee4e399819c1d665d22420441ffe392516e",
+        "14e013a005579109001962e69e6a6807d354a74c6f0ebf9b5a3bd15441c63eeb",
+        "079560ed1ecdc578304359a21958752249e09645e83a673bf12c2dad1b3d09ee",
+        "ca5305b6c005d3ef749f734cdb0cc1a28ae84d21a6fd628168257948e309e61f",
+    ),
     ("routes_n100_script", "uniform-random"): (
         "b81d19a5b7ea1ddd2e31fac096501e7aa339d9efb7173fba0ff498a06b841ca1",
         "0748fe209537a773db7ae9f4a30ba97db813edac11012417e00c297a39dea3a9",
@@ -172,6 +211,34 @@ GOLDEN = {
         "61bd8a0a32bbd548edb5b566dacc6095ad7339f9370c7b5e2583de3dd83fee2d",
         "77fb79c1997ed1f0480028e83c0dab98d72dc331a5b3768270bf59b8952e4811",
     ),
+    ("routes_n4_macros", "uniform-random"): (
+        "124a2b5d122301eac9b7d2588db6131a22f2683147d188e560631f29f1fea2fb",
+        "0ccb8dd2fe525368ec3b675670d0a7e3b6ac9b751ecc754db65bc6196266e82b",
+        "fee9e17b674367af07069c668a8a1645effa05a5eeb50cf70b3219f6e572e99e",
+        "a2161d29766e30daf746a92e669055172752971213042148a56e98acc73ecca5",
+        "129d2685ea995e424b48eccec290447a8b988a973852c233982ee0ab297d50bc",
+    ),
+    ("routes_n4_macros", "lexicographic-first"): (
+        "b5c24361b93a1ce36d1e8280f4980d4855a0256491ee14564c49f12241d5c015",
+        "6bbaeea30a0064a8824e812d5d89e1ebb008c76a51f4091462ca50822a7a5bea",
+        "6bbb91e7ad47df5ac34a1dde8c8bfe7bc0ba271ff434d8e4c3d2996465044b65",
+        "c2ce61aee7e87050f441af0424a266233370dec420ec587d2f5766abc2891a1f",
+        "f55cbae896a1330eb7cf6beb80ac5e87860f30ca48238773f1c80246867cb596",
+    ),
+    ("routes_n4_macros_script", "uniform-random"): (
+        "06c4df1bcf0384ba4673b7deb9b926b0dab66ad75117d2f81fc676237f9dc781",
+        "ced62c8b293c36341ea8e0f424652616e18645ed779fa8cac1dcd4caef13fed2",
+        "34a01d3ffafd148c24e8937676d9cb267f2a62e457fdf7a375d02db761361ed4",
+        "1f84d0b0100aeae0efe7c7cd77b177e5d644b6cbdae9429984aee2630e47fc18",
+        "07c4fb5bb0988e46d0af2d1861f1b60d44ac788b696ea9c4b1d536b892d71a92",
+    ),
+    ("routes_n4_macros_script", "lexicographic-first"): (
+        "b8dd2874472ef220ca8c16e6e8e930e0fada313abe7f160dcc84bc848fa4d381",
+        "76dc86f0dca399e3d0ef6e2559d31d9c3c742a08c8713bb448cf23aee225223c",
+        "bb7b99efbc20d3c99b9a20b0b0ef1f6265f4efa6f0451b9cd57684333e231e17",
+        "89c9f4b4e12e53f0a7fb5100d14df25c5051db8851549ea0718a844c00877cd6",
+        "cebc760c03f02841342114ca40302bcf30bc39e323ca3c51befadb7ea174d140",
+    ),
     ("routes_n50", "uniform-random"): (
         "c0ac61c697f960931006305057dd002b0a96423e389040187353f2142e823f35",
         "bdd9c6e87544d7440b3223c3a7cddd1f0fda62082733925adb537a7b40140a10",
@@ -200,6 +267,34 @@ GOLDEN = {
         "ec22b8dc92ee08ce4236b4baa9660e2e209dcd77295b071dc3276a4e5ebfa79c",
         "45d44d4756116cb6a1bb7914f0b284f0b1d8e70b4a1c597f5b0268c5af0c4586",
     ),
+    ("shared_n3", "uniform-random"): (
+        "1d5c77bdf6ad3ca28dfbb81053c86e17030f6fca682a06b978dd2807da0f1df9",
+        "c8c1d18ad9f0dffb992d1c1b3da85ab2855ba821ad37f621e50e6b5861207f79",
+        "2b1e023219e741b167b41f35ebd5699f98abeaf666ed5a23c931f611595ce450",
+        "a1d626dedcf1bb2650f22c1f4fe3e48b698848eda9de58941867857a609c32a3",
+        "fa1c89ed3d78d7ac6384ad71296f5f51335a310022c138653561ead8d12f1f21",
+    ),
+    ("shared_n3", "lexicographic-first"): (
+        "6124597cb0704d8d55448cc695102b7dc1329a934153a629088eb5aa8ecfe174",
+        "d9d47be83a3b754025ab3fdf490260b2aa247a5218361110b278109c31c8f738",
+        "793965d4d16ab9630ecee8ea452d92cfa92628300efd5f5fbdf1c188cfa08bf6",
+        "e9df9e47bb0b88d6b057b4fcc21a72c91aabc2999dfd9bd0bf15b82f033b026f",
+        "c2ccc5cb936a00b05420035e21e5ad7fe3353fb0047b3360d09c728bf92473a2",
+    ),
+    ("shared_n6", "uniform-random"): (
+        "93fb3964f27d1641cee9798d4787942cec365dfae545c83f0d5dfc30f0d79bfa",
+        "29ebe3a978ef68cacaa23c86cc03f320717f9ee5cb9a9ae0fa9b548dd80f1872",
+        "6a77b31b93c9dfdaea33daa196e0c9c050dd019d7caa2dca3b93134a46606d79",
+        "9ad9bcdcf77919e301f9a16ed6e88500061e19144b2d7e899c40c4b21d1dd1dc",
+        "48b3a417c5a865ba76cb70c58c291ef3a8683156e038f1f9939dd2f68e12b0da",
+    ),
+    ("shared_n6", "lexicographic-first"): (
+        "35e258380cc70b705046b0ddd2a90676574cf2adbc79dcf2e3a17c8962aa2940",
+        "43736bd5d7b059be4876b43cf831a0f4a505b066b88c84bec1fa35d506c70c1d",
+        "2b8099b23804a1a228ab5ab010826cb33e7af18dcd77176ff3242c70f87cf1e8",
+        "f141a2da6d796d52f3561ed6a28f8513548ce078216d56202562cf459c59b427",
+        "28b014d5283f0eb1fbca6f529e6257c0a885c9768652f43ae9936bdcbf21ca51",
+    ),
     ("star_n4", "uniform-random"): (
         "47b2abd86dc91e9077d8548b77d8de830a2bffdb789849bc2994653eb352112a",
         "60b8b78445c0f2e8e3fb830bc6ec5b0fe3585ad2d0403795789a258229e54873",
@@ -213,6 +308,20 @@ GOLDEN = {
         "feea9e9e8ca6f81f142d9be964a6a31f3f5f4187190cca5ce9ff3e0949a5dde6",
         "193067cd3a9ec91bde9676293258212206afd6dc4e2be678c2063dc703e61a1a",
         "3cbdd02669b8702ec606e395439dfad8bc59b8ae1f4e7df2ddf9c05bfd02d252",
+    ),
+    ("two_locks_n40", "uniform-random"): (
+        "c325722191536d60241b269c0e5903a56a9e55670c4b0ce684b2af299aa1c5d1",
+        "b081f9839ebcb845b4dc8f64c7ef3dea8c965a4edb19cc6c4d06efda4a2a905f",
+        "be80863f66581f3b94944bd8870989e8b582bad6c8380cd02412d184b5cd3385",
+        "965b639b8d66491f1eed9ab7cdf237e3175f768f594ab3ff307046a6c7cea9e9",
+        "dd7517e8e26b71eb60615bd9d96dbfe40ccc6d802086b763b9965e2c7c02d4a6",
+    ),
+    ("two_locks_n40", "lexicographic-first"): (
+        "bd10cc5757a815bbf6d36cbd812465170307b787fbc682ae63a776a436dc005a",
+        "2bb62deeaf47a58a7a8bc1661b61122e3d010e2f4bac46070c523d86f842768c",
+        "823a7bb5447d58869b05f13268b8ad7f2eb758ac0b873ad6e07393501b90dca9",
+        "c9bfd4f5456890ecc60d2ada8a751875b0bd5e575ea3b29d5cecc94463dd87e7",
+        "eedb122ca8828530492a635374155db8cea3966a2c71fbd0a51a986d0b21c403",
     ),
     ("two_locks_n6", "uniform-random"): (
         "f7bacd4496b6d14da8c8e4264d600a41affe7603c0ac0d16e53eff2eaca3350e",

@@ -26,14 +26,22 @@ of instances whose port is enabled.  Only instances touched by a guard
 update, a consumed event, a firing or an internal step are recomputed, so a
 cycle costs what changed, not the system size; a queue head that did not
 fire stays parked until its instance gets an event, a guard write or a
-move.  Sub-step (c) counts each orbit's feasible interactions from the
-eligible lists and builds the pick by a descent over the counts.  Each step
-returns the cycle's trace record.  :func:`replay_validate` checks those
-records against the same transition tables, one lookup per record, and a
-fired interaction by its orbit: its instances are distinct, so it is
-allowed when the multiset of its (type, port) pairs is an orbit of the
-diagram.  :func:`trace_to_json` writes the trace as ``json.dumps(trace,
-indent=2, sort_keys=True)`` plus a newline would.
+move, and sub-step (d) looks only at touched instances in a state with an
+internal transition.  The eligible-list moves of an instance whose enabled
+labels change are worked out once per (type, old labels, new labels).
+Sub-step (c) counts each orbit's feasible interactions from the eligible
+lists: where each type of the orbit draws one part, as a product of
+C(len(eligible), r), else by a sum over enabled-label classes.  A move
+recounts only the orbits that name a list it changed.  The pick unranks
+the k-th interaction directly when one such orbit is alive in its run, and
+else descends over the counts.  Each step returns the cycle's trace record.
+:func:`replay_validate` checks those records against the same transition
+tables, one lookup per record, and a fired interaction by its orbit: its
+instances are distinct, so it is allowed when the multiset of its (type,
+port) pairs is an orbit of the diagram.  :func:`trace_to_json` writes the
+trace as ``json.dumps(trace, indent=2, sort_keys=True)`` plus a newline
+would, each cycle from one fixed template and each distinct transition
+record rendered once.
 
 The determinism contract does not depend on that bookkeeping.  The feasible
 candidates are the allowed interactions in canonical sorted order;
@@ -51,7 +59,7 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import chain, groupby
-from math import comb
+from math import comb, prod
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Mapping, Optional
 
@@ -138,7 +146,8 @@ class EventScript:
         cycles = data.get("cycles", [])
         if not isinstance(cycles, list):
             raise ScriptError("cycles: expected a list")
-        return cls(entries=tuple(_script_entry(raw, index) for index, raw in enumerate(cycles)))
+        return cls(entries=tuple(_well_formed_entry(raw) or _script_entry(raw, index)
+                                 for index, raw in enumerate(cycles)))
 
 
 # The fields of the objects a script cycle lists under each key, with their
@@ -148,6 +157,23 @@ _SCRIPT_FIELDS = {
     "guards": (("target", str), ("guard", str), ("value", bool)),
 }
 _JSON_TYPE_NAMES = {str: "a string", bool: "true or false"}
+
+
+def _well_formed_entry(raw) -> Optional[ScriptEntry]:
+    """A script cycle checked by one comprehension per key, or None when
+    some item fails a check: :func:`_script_entry` then locates it."""
+    try:
+        events, guards = raw.get("events", []), raw.get("guards", [])
+        if type(events) is list and type(guards) is list:
+            events = tuple([(item["target"], item["event"]) for item in events])
+            guards = tuple([(item["target"], item["guard"], item["value"]) for item in guards])
+            if (all([type(t) is str and type(e) is str for t, e in events])
+                    and all([type(t) is str and type(g) is str and type(v) is bool
+                             for t, g, v in guards])):
+                return ScriptEntry(events=events, guards=guards)
+    except (AttributeError, KeyError, TypeError):  # not an object, or a missing field
+        pass
+    return None
 
 
 def _script_entry(raw: dict, index: int) -> ScriptEntry:
@@ -245,10 +271,6 @@ def _check_script(
                 raise ScriptError(f"cycles[{index}].events[{position}]: {problem}")
 
 
-def _guard_true(tr: Transition, guards: Mapping[str, bool]) -> bool:
-    return tr.guard is None or tr.guard.evaluate(guards)
-
-
 def enabled_ports(
     state: Mapping[str, InstanceState], d: ArchitectureDiagram
 ) -> frozenset[PortInstance]:
@@ -257,7 +279,8 @@ def enabled_ports(
     for inst in state.values():
         ct = d.component_type(inst.type_name)
         for tr in ct.transitions:
-            if tr.kind == ENFORCEABLE and tr.source == inst.current and _guard_true(tr, inst.guards):
+            if (tr.kind == ENFORCEABLE and tr.source == inst.current
+                    and (tr.guard is None or tr.guard.evaluate(inst.guards))):
                 enabled.add(PortInstance(inst.type_name, inst.index, tr.label))
     return frozenset(enabled)
 
@@ -271,6 +294,7 @@ class _Transitions:
     # state -> (its unguarded enforceable labels, its guarded enforceable transitions)
     enforceable: dict[str, tuple[frozenset[str], list[Transition]]]
     labeled: dict[tuple[str, str, str], list[Transition]]  # (kind, state, label) -> transitions
+    internal: frozenset[str]  # the states with an internal transition
     budget: int  # internal firings allowed per instance and cycle: |states|
 
     def first_enabled(
@@ -278,7 +302,7 @@ class _Transitions:
     ) -> Optional[Transition]:
         """The transition of this kind and label that fires from inst's state."""
         for tr in self.labeled.get((kind, inst.current, label), ()):
-            if _guard_true(tr, inst.guards):
+            if tr.guard is None or tr.guard.evaluate(inst.guards):
                 return tr
         return None
 
@@ -295,7 +319,8 @@ def _transition_tables(d: ArchitectureDiagram) -> dict[str, _Transitions]:
             ports = [tr for tr in ct.transitions if tr.kind == ENFORCEABLE and tr.source == state]
             enforceable[state] = (frozenset(tr.label for tr in ports if tr.guard is None),
                                   [tr for tr in ports if tr.guard is not None])
-        tables[ct.name] = _Transitions(enforceable, labeled, len(ct.states))
+        internal = frozenset(tr.source for tr in ct.transitions if tr.kind == INTERNAL)
+        tables[ct.name] = _Transitions(enforceable, labeled, internal, len(ct.states))
     return tables
 
 
@@ -309,7 +334,8 @@ class CompiledSystem:
     indices of the instances whose port is enabled.  An orbit's feasible
     count is a product over its types: C(e, r) for one part of count r, and
     a sum over the instances' enabled-label classes where parts of one type
-    draw disjoint instances.  :meth:`step` mutates the compiled ``state``;
+    draw disjoint instances.  A move recounts only the orbits that name an
+    eligible list it changed.  :meth:`step` mutates the compiled ``state``;
     after changing it from outside, compile it again."""
 
     def __init__(self, state: Mapping[str, InstanceState], d: ArchitectureDiagram,
@@ -328,6 +354,11 @@ class CompiledSystem:
                                 for sig, k in parts))
                   for ctype, parts in groupby(orbit, key=lambda part: part[0][0].component_type))
             for orbit in sorted(orbits) if all(len(sig) == 1 for sig, _ in orbit)]
+        # An orbit whose types each draw one part, as its (type, label, count,
+        # eligible list) parts: its count is a product and the pick unranks it.
+        self.products = [tuple((ctype, label, r, e) for ctype, ((label, r, e),) in groups)
+                         if all(len(parts) == 1 for _, parts in groups) else None
+                         for groups in self.orbits]
         for inst, labels in zip(instances, self.enabled):
             for label in labels:
                 eligible = self.eligible.get((inst.type_name, label))
@@ -336,14 +367,20 @@ class CompiledSystem:
         starts = [o for o, groups in enumerate(self.orbits)  # sorted, one first type is a run
                   if not o or groups[0][0] != self.orbits[o - 1][0][0]]
         self.runs = list(zip(starts, starts[1:] + [len(self.orbits)]))  # the pick's first level
-        self.counts: Optional[list[int]] = None  # recounted after an eligible list changes
+        self.counts = [0] * len(self.orbits)
+        self.stale = set(range(len(self.orbits)))  # the orbits to recount
+        # (type, old labels, new labels) -> (eligible lists with whether the
+        # instance joins each, the orbits naming them)
+        self.moves: dict[tuple, tuple[list[tuple[list[int], bool]], set[int]]] = {}
 
         # The instances whose queue head may fire (at first, those with a
         # queue) and that may have an enabled internal transition (at first,
-        # all).  Then only those that got an event, a guard write or a move
-        # since sub-steps (b) and (d) last looked at them can.
+        # those in a state with one).  Then only those that got an event, a
+        # guard write or a move since sub-steps (b) and (d) last looked at
+        # them can.
         self.queued = {i for i, inst in enumerate(instances) if inst.queue}
-        self.touched = set(range(len(instances)))
+        self.touched = {i for i, inst in enumerate(instances)
+                        if inst.current in self.tables[i].internal}
 
     def _enabled_labels(self, i: int) -> frozenset[str]:
         inst = self.instances[i]
@@ -354,27 +391,40 @@ class CompiledSystem:
     def _refresh(self, i: int) -> None:
         """Instance i changed: mark it for sub-steps (b) and (d), recompute
         its enabled ports and move it into or out of the eligible lists."""
-        self.touched.add(i)
-        if self.instances[i].queue:
+        inst = self.instances[i]
+        if inst.current in self.tables[i].internal:
+            self.touched.add(i)
+        if inst.queue:
             self.queued.add(i)
         new, old = self._enabled_labels(i), self.enabled[i]
         if new == old:
             return
         self.enabled[i] = new
-        inst = self.instances[i]
-        for label in old ^ new:
-            eligible = self.eligible.get((inst.type_name, label))
-            if eligible is not None:
-                self.counts = None
-                if label in new:
-                    insort(eligible, inst.index)
-                else:
-                    del eligible[bisect_left(eligible, inst.index)]
+        key = (inst.type_name, old, new)
+        moves = self.moves.get(key)
+        if moves is None:
+            lists = [(self.eligible[inst.type_name, label], label in new) for label in old ^ new
+                     if (inst.type_name, label) in self.eligible]
+            changed = {id(eligible) for eligible, _ in lists}
+            moves = self.moves[key] = (lists, {o for o, groups in enumerate(self.orbits)
+                                               for _, parts in groups for *_, eligible in parts
+                                               if id(eligible) in changed})
+        lists, orbits = moves
+        for eligible, joins in lists:
+            if joins:
+                insort(eligible, inst.index)
+            else:
+                del eligible[bisect_left(eligible, inst.index)]
+        self.stale |= orbits
 
     def feasible(self) -> list[int]:
         """Each orbit's number of feasible interactions."""
-        if self.counts is None:
-            self.counts = [_count(groups) for groups in self.orbits]
+        if self.stale:
+            for o in self.stale:
+                product = self.products[o]
+                self.counts[o] = (_count(self.orbits[o]) if product is None
+                                  else prod([comb(len(e), r) for _, _, r, e in product]))
+            self.stale.clear()
         return self.counts
 
     def interaction(self, k: int) -> list[tuple[str, int, str]]:
@@ -385,15 +435,26 @@ class CompiledSystem:
         with nothing left (the prefix) comes first, then the others by next
         type in name order; a bisection finds their next instance J
         (completions up to J: the total less those above J)."""
-        ports: list[tuple[str, int, str]] = []
         counts = self.feasible()
         for start, stop in self.runs:
             total = sum(counts[start:stop])
             if k < total:
                 break
             k -= total
-        alive = [(groups, 0, n)
-                 for groups, n in zip(self.orbits[start:stop], counts[start:stop]) if n]
+        live = [o for o in range(start, stop) if counts[o]]
+        product = self.products[live[0]] if len(live) == 1 else None
+        if product is not None:  # a mixed-radix rank over the types' draws
+            ports, n = [], total
+            for ctype, label, r, eligible in product:
+                n //= comb(len(eligible), r)  # the completions after this type
+                draw, k = divmod(k, n)
+                if r == 1:
+                    ports.append((ctype, eligible[draw], label))
+                else:
+                    ports += [(ctype, index, label) for index in _unrank(eligible, r, draw)]
+            return ports
+        ports: list[tuple[str, int, str]] = []
+        alive = [(self.orbits[o], 0, counts[o]) for o in live]
         while True:
             if len(alive) == 1:
                 groups, low, n = alive[0]
@@ -456,10 +517,6 @@ class CompiledSystem:
                 k -= total
             ports.append((ctype, lo, label))
 
-    def _move(self, i: int, tr: Transition) -> None:
-        self.instances[i].current = tr.destination
-        self._refresh(i)
-
     def step(
         self,
         entry: Optional[ScriptEntry],
@@ -497,7 +554,8 @@ class CompiledSystem:
             spontaneous.append(
                 {"instance": ids[i], "event": head, "from": tr.source, "to": tr.destination}
             )
-            self._move(i, tr)
+            inst.current = tr.destination
+            self._refresh(i)
 
         # (c) one enforceable interaction: the k-th feasible one in canonical
         # order, k by policy
@@ -508,14 +566,16 @@ class CompiledSystem:
             fired = []
             for ctype, index, label in self.interaction(k):
                 i = self.offset[ctype] + index
-                tr = tables[i].first_enabled(ENFORCEABLE, instances[i], label)
+                inst = instances[i]
+                tr = tables[i].first_enabled(ENFORCEABLE, inst, label)
                 if tr is None:
                     raise BipError(f"port {ctype}.{label}#{index} was enabled but lost its "
                                    "transition")
                 fired.append(
                     {"instance": ids[i], "port": label, "from": tr.source, "to": tr.destination}
                 )
-                self._move(i, tr)
+                inst.current = tr.destination
+                self._refresh(i)
 
         # (d) internal transitions, eagerly, bounded per instance by |states|
         internal = []
@@ -529,7 +589,8 @@ class CompiledSystem:
                 if count >= table.budget:
                     raise LivelockError(ids[i])
                 internal.append({"instance": ids[i], "from": tr.source, "to": tr.destination})
-                self._move(i, tr)
+                inst.current = tr.destination
+                self._refresh(i)
                 count += 1
         self.touched.clear()
 
@@ -632,18 +693,26 @@ def _json_container(brackets: str, items: list[str], depth: int) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
+# A cycle record at depth 2 of the trace, its five keys in sorted order.
+_CYCLE = ('{\n      "cycle": %s,\n      "idle": %s,\n      "interaction": %s,\n'
+          '      "internal": %s,\n      "spontaneous": %s\n    }')
+
+
 def trace_to_json(trace: dict) -> str:
     """The trace file's text: ``json.dumps(trace, indent=2, sort_keys=True)``
     plus a newline, byte for byte, written for the fixed trace schema.
 
-    The header keys and the five cycle keys are rendered in sorted order
-    directly, every string goes through ``encode_basestring_ascii`` as in
-    json.dumps, and each transition record's text is built once per call."""
+    The header keys are rendered in sorted order directly and each cycle
+    from one template, every string goes through ``encode_basestring_ascii``
+    as in json.dumps, and each transition record's text is built once per
+    call."""
     records: dict[tuple, str] = {}
 
     def record_list(items: Optional[list[dict]]) -> str:
         if items is None:
             return "null"
+        if not items:
+            return "[]"
         texts = []
         for item in items:
             key = tuple(item.items())
@@ -654,16 +723,9 @@ def trace_to_json(trace: dict) -> str:
             texts.append(text)
         return _json_container("[]", texts, 3)
 
-    cycles = [
-        _json_container("{}", [
-            f'"cycle": {c["cycle"]}',
-            f'"idle": {"true" if c["idle"] else "false"}',
-            f'"interaction": {record_list(c["interaction"])}',
-            f'"internal": {record_list(c["internal"])}',
-            f'"spontaneous": {record_list(c["spontaneous"])}',
-        ], 2)
-        for c in trace["cycles"]
-    ]
+    cycles = [_CYCLE % (c["cycle"], "true" if c["idle"] else "false", record_list(c["interaction"]),
+                        record_list(c["internal"]), record_list(c["spontaneous"]))
+              for c in trace["cycles"]]
     binding = [f"{_json_str(name)}: {value}" for name, value in sorted(trace["binding"].items())]
     return _json_container("{}", [
         f'"binding": {_json_container("{}", binding, 1)}',
@@ -793,7 +855,8 @@ def replay_validate(
 
         for name in touched:
             inst = instances[name]
-            if tables[inst.type_name].first_enabled(INTERNAL, inst):
+            table = tables[inst.type_name]
+            if inst.current in table.internal and table.first_enabled(INTERNAL, inst):
                 raise ReplayError(f"cycle {index}: {name} stopped short of its internal fixpoint")
         touched.clear()
 

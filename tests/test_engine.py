@@ -24,6 +24,8 @@ from bipkit.engine import (
     ReplayError,
     ScriptEntry,
     SplitMix64,
+    _script_entry,
+    _well_formed_entry,
     enabled_ports,
     init_state,
     instance_id,
@@ -450,6 +452,48 @@ def test_event_script_from_json():
                  '{"schema": true, "cycles": []}', '{"schema": 1.0, "cycles": []}'):
         with pytest.raises(ScriptError):
             EventScript.from_json(text)
+
+
+# Each malformed cycle with the message of the field-by-field reader, and a
+# cycle with extra keys, which both readers accept and ignore.
+SCRIPT_CYCLES = {
+    "non-list": ({"events": {"target": "Route#1", "event": "end"}},
+                 "cycles[1].events: expected a list"),
+    "empty-string": ({"events": ""}, "cycles[1].events: expected a list"),
+    "null": ({"guards": None}, "cycles[1].guards: expected a list"),
+    "missing-key": ({"events": [{"target": "Route#1"}]}, 'cycles[1].events[0]: missing "event"'),
+    "wrong-type": ({"guards": [{"target": "Route#1", "guard": "finished", "value": 1}]},
+                   "cycles[1].guards[0].value: expected true or false, got 1"),
+    "null-target": ({"events": [{"target": None, "event": "end"}]},
+                    "cycles[1].events[0].target: expected a string, got null"),
+    "non-object-item": ({"events": ["Route#1"]}, "cycles[1].events[0]: expected an object"),
+    "non-object-cycle": (["Route#1"], "cycles[1]: expected an object"),
+    "extra-keys": ({"note": 1, "events": [{"target": "Route#1", "event": "end", "why": "x"}],
+                    "guards": [{"value": False, "guard": "finished", "target": "Route#2"}]},
+                   None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_CYCLES))
+def test_both_script_readers_agree(name):
+    """A cycle that passes the one-comprehension-per-key checks is read by
+    them; any other goes through the field-by-field reader, so its message
+    is the one that reader gives."""
+    cycle, message = SCRIPT_CYCLES[name]
+    text = json.dumps({"schema": 1, "cycles": [{}, cycle]})
+    if message is None:
+        entry = _script_entry(cycle, 1)
+        assert entry == ScriptEntry(events=(("Route#1", "end"),),
+                                    guards=(("Route#2", "finished", False),))
+        assert _well_formed_entry(cycle) == entry
+        assert EventScript.from_json(text) == EventScript((ScriptEntry(), entry))
+        return
+    assert _well_formed_entry(cycle) is None
+    with pytest.raises(ScriptError) as located:
+        _script_entry(cycle, 1)
+    with pytest.raises(ScriptError) as read:
+        EventScript.from_json(text)
+    assert str(read.value) == str(located.value) == message
 
 
 def test_script_validation_against_model(routes):

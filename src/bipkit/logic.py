@@ -585,6 +585,26 @@ def _dead(constraints: Iterable[_Constraint], counts: Sequence[int], sealed=()) 
     return False
 
 
+def _least(constraints: Iterable[_Constraint], counts: Sequence[int], only: Sequence[int]) -> int:
+    """The least count a slot must add to each of its counters so that no
+    constraint is dead short on a counter in ``only``, which no later slot
+    raises.  An alternative lacks the most any of its counters in ``only``
+    lacks; a constraint needs the least any of its alternatives lacks."""
+    most = 0
+    for constraint in constraints:
+        need = None
+        for alternative in constraint:
+            lack = 0
+            for i, low, _ in alternative:
+                if low - counts[i] > lack and i in only:
+                    lack = low - counts[i]
+            if need is None or lack < need:
+                need = lack
+        if need and need > most:
+            most = need
+    return most
+
+
 def orbit_search(
     ports: Sequence[PortTypeRef],
     instances: Mapping[str, int],
@@ -600,23 +620,28 @@ def orbit_search(
     ``constraints``, and each instance meets ``local(signature)``.  Vectors
     are enumerated depth first, a slot at a time, the slots of a type
     sharing its instances, and a branch is cut when a constraint is dead
-    (:func:`_dead`): a counter is sealed once no later slot raises it."""
+    (:func:`_dead`): a counter is sealed once no later slot raises it.  The
+    count of a type's last slot starts at the least value ``constraints``
+    need from its counters, which no later slot raises, not at 1."""
     by_type: dict[str, list[int]] = {}
     for k, ref in enumerate(ports):
         by_type.setdefault(ref.component_type, []).append(k)
-    slots = []  # (signature, its counters, its constraints)
+    slots = []  # (signature, its counters, its constraints, whether it is its type's last)
     sealed, done = [], set()  # per slot, the counters of the types before it
     for group in by_type.values():
         for size in range(1, len(group) + 1):
             for members in itertools.combinations(group, size):
                 signature = tuple(sorted({ports[k] for k in members}))
-                slots.append((signature, members, local(signature)))
+                slots.append((signature, members, local(signature), size == len(group)))
                 sealed.append(done)
         done = done | set(group)
     sealed.append(done)
+    # whether the count of a type's last slot may start above 1 (:func:`_least`)
+    bounded = any(low > 1 for constraint in constraints for alternative in constraint
+                  for _, low, _ in alternative)
     left = {ctype: instances.get(ctype, 0) for ctype in by_type}
     counts, active, result = [0] * len(ports), list(constraints), set()
-    orbit = {signature: 0 for signature, _, _ in slots}
+    orbit = {signature: 0 for signature, *_ in slots}
 
     def visit(start: int) -> None:
         # Each call is one count vector; the slots it may still add follow
@@ -626,10 +651,16 @@ def orbit_search(
         for i in range(start, len(slots)):
             if _dead(active, counts, sealed[i]):
                 return
-            signature, members, cons = slots[i]
+            signature, members, cons, last = slots[i]
             ctype = signature[0].component_type
             active.extend(cons)
             k = 0
+            if last and bounded:
+                k = min(max(_least(constraints, counts, members) - 1, 0), left[ctype])
+                left[ctype] -= k
+                for q in members:
+                    counts[q] += k
+                orbit[signature] += k
             while left[ctype]:
                 k += 1
                 left[ctype] -= 1

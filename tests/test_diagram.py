@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bipkit import diagram as dg
+from bipkit import logic
 from bipkit import encode_macros, load_bundled_model
 from bipkit.connector import interaction_set, leaf
 from bipkit.engine import EngineConfig, init_state, run
@@ -498,6 +499,18 @@ def test_orbits_of_ends_that_take_every_instance():
     not try the 201**3 count vectors below the one orbit."""
     d = single_motif_diagram([(200, 200, 1)] * 3)
     assert dg.diagram_orbits(d, {}) == [tuple(((PortTypeRef(t, "p"),), 200) for t in "ABC")]
+
+
+def test_a_slot_count_starts_at_what_its_end_needs(monkeypatch):
+    """Two ends of multiplicity 200 on 200 instances each: each end's count
+    starts at 200, so the search makes a few dead-branch checks, not one per
+    count from 1 to 200."""
+    calls = []
+    dead = logic._dead
+    monkeypatch.setattr(logic, "_dead", lambda *args: calls.append(args) or dead(*args))
+    d = single_motif_diagram([(200, 200, 1)] * 2)
+    assert dg.diagram_orbits(d, {}) == [tuple(((PortTypeRef(t, "p"),), 200) for t in "AB")]
+    assert len(calls) <= 10
 
 
 def repeated_port_diagram(typings):

@@ -1,11 +1,14 @@
 """Command-line front end: check, instantiate, encode, run, oracle.
 
 Exit codes: 0 success; 1 validation or encodability failure; 2 parse error;
-3 capacity or livelock error; 4 usage error.  The environment variable
-BIPKIT_MAX_NODES overrides the enumeration search bound.  ``oracle MODEL``
-and ``oracle --sweep`` report a motif or point whose search exceeds that
-bound as unknown and go on; each exits 1 if any motif or point disagrees,
-else 3 if any is unknown, else 0.
+3 capacity or livelock error, or out of memory; 4 usage error.  Every
+number the command line reads is ASCII digits after an optional minus, as
+in a model file.  The environment variable BIPKIT_MAX_NODES overrides the
+enumeration search bound.  ``oracle MODEL`` and ``oracle --sweep`` report
+a motif or point whose search exceeds that bound as unknown and go on;
+each exits 1 if any motif or point disagrees, else 3 if any is unknown,
+else 0.  ``oracle --sweep "n,m,d<=K"`` searches K^3 + K^6 points and exits
+3 before the first when they are more than 100,000 (K at most 6).
 """
 
 from __future__ import annotations
@@ -319,6 +322,10 @@ def cmd_oracle(args) -> int:
     max_nodes = _max_nodes()
     if args.sweep:
         bound = _parse_sweep(args.sweep)
+        points = bound**3 + bound**6
+        if points > diagram_mod.MAX_SWEEP_POINTS:
+            raise CapacityError(f"--sweep n,m,d<={bound} has {points} points, more than the bound "
+                                f"of {diagram_mod.MAX_SWEEP_POINTS}; lower K")
         records = diagram_mod.proposition_sweep(bound, max_nodes=max_nodes)
         disagreements = [r for r in records if r.agree is False]
         unknown = [r for r in records if r.count is None]

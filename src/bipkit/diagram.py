@@ -459,6 +459,11 @@ class SweepRecord:
         return (self.count == 1) == self.encodable
 
 
+# The most points ``oracle --sweep`` searches: "n,m,d<=K" has K^3 + K^6
+# points, 46,872 at K=6 and 117,992 at K=7.
+MAX_SWEEP_POINTS = 10**5
+
+
 def iter_sweep_shapes(bound: int = 3) -> Iterator[tuple[tuple[int, int, int], ...]]:
     """The (n, m, d) specs of every single-motif shape with one or two ends
     and all of n, m, d in [1, bound]: the one-end shapes first, each list in

@@ -806,6 +806,29 @@ def test_oracle_sweep_reports_points_over_the_bound_as_unknown(monkeypatch, caps
     assert sum(1 for p in points if p["count"] is None and p["agree"] is None) == len(unknown)
 
 
+@pytest.mark.parametrize("bound", [7, 10**6])
+def test_a_sweep_past_the_point_bound_exits_3_before_any_search(monkeypatch, capsys, bound):
+    """K^3 + K^6 points: K=6 (46,872) is allowed, K=7 (117,992) is not."""
+    def search(bound, max_nodes):
+        raise AssertionError(f"searched the sweep at K={bound}")
+
+    monkeypatch.setattr("bipkit.diagram.proposition_sweep", search)
+    assert main(["oracle", "--sweep", f"n,m,d<={bound}"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"--sweep n,m,d<={bound} has {bound**3 + bound**6} points, more than the "
+                   "bound of 100000; lower K\n")
+
+
+def test_a_sweep_at_the_largest_allowed_bound_is_searched(monkeypatch, capsys):
+    swept = []
+    monkeypatch.setattr("bipkit.diagram.proposition_sweep",
+                        lambda bound, max_nodes: swept.append(bound) or [])
+    assert main(["oracle", "--sweep", "n,m,d<=6"]) == 0
+    assert swept == [6]
+    assert capsys.readouterr().out == "0 points, 0 disagreements\n"
+
+
 def test_oracle_file_mode(capsys):
     assert main(["oracle", model_path("ambiguous_pairing.bip"), "--bind", "n=2"]) == 0
     out = capsys.readouterr().out

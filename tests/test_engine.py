@@ -37,6 +37,7 @@ from bipkit.errors import EncodabilityError, LivelockError, ScriptError
 from bipkit.model import PortTypeRef
 from helpers import (
     BROADCAST,
+    PAIRS,
     SHARED_TYPE,
     TWO_LOCKS,
     feasible_spec,
@@ -732,6 +733,22 @@ def test_compiled_interactions_are_the_sorted_allowed_set(pick_models, model, n)
     state = init_state(d, binding)
     expected = feasible_spec(sorted_allowed(d, binding, orbits), state, d)
     assert feasible_engine(CompiledSystem(state, d, orbits)) == expected
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_two_instance_draws_are_the_specification_kth(policy):
+    """On PAIRS, in every state that runs reach, the engine's k-th feasible
+    interaction is the specification's k-th for every k in range(n): a
+    2-subset is unranked both directly and after a descent."""
+    d = parse_model(PAIRS)
+    orbits = diagram_orbits(d, {})
+    allowed = sorted_allowed(d, {}, orbits)
+    for seed in range(5):
+        state, rng = init_state(d, {}), SplitMix64(seed)
+        system = CompiledSystem(state, d, orbits)
+        for index in range(30):
+            assert feasible_engine(system) == feasible_spec(allowed, state, d)
+            system.step(None, rng, policy, index)
 
 
 @st.composite

@@ -355,10 +355,12 @@ class CompiledSystem:
                   for ctype, parts in groupby(orbit, key=lambda part: part[0][0].component_type))
             for orbit in sorted(orbits) if all(len(sig) == 1 for sig, _ in orbit)]
         # An orbit whose types each draw one part, as its (type, label, count,
-        # eligible list) parts: its count is a product and the pick unranks it.
+        # eligible list) parts, which the pick unranks, and its eligible lists
+        # and counts, whose binomials multiply to its count.
         self.products = [tuple((ctype, label, r, e) for ctype, ((label, r, e),) in groups)
                          if all(len(parts) == 1 for _, parts in groups) else None
                          for groups in self.orbits]
+        self.factors = [p and ([e for *_, e in p], [r for _, _, r, _ in p]) for p in self.products]
         for inst, labels in zip(instances, self.enabled):
             for label in labels:
                 eligible = self.eligible.get((inst.type_name, label))
@@ -421,9 +423,9 @@ class CompiledSystem:
         """Each orbit's number of feasible interactions."""
         if self.stale:
             for o in self.stale:
-                product = self.products[o]
-                self.counts[o] = (_count(self.orbits[o]) if product is None
-                                  else prod([comb(len(e), r) for _, _, r, e in product]))
+                factors = self.factors[o]
+                self.counts[o] = (_count(self.orbits[o]) if factors is None
+                                  else prod(map(comb, map(len, factors[0]), factors[1])))
             self.stale.clear()
         return self.counts
 

@@ -443,8 +443,11 @@ class CompiledSystem:
             if k < total:
                 break
             k -= total
-        live = [o for o in range(start, stop) if counts[o]]
-        product = self.products[live[0]] if len(live) == 1 else None
+        product = None
+        for o in range(start, stop):
+            if counts[o] == total:  # the run's one live orbit
+                product = self.products[o]
+                break
         if product is not None:  # a mixed-radix rank over the types' draws
             ports, n = [], total
             for ctype, label, r, eligible in product:
@@ -456,7 +459,8 @@ class CompiledSystem:
                     ports += [(ctype, index, label) for index in _unrank(eligible, r, draw)]
             return ports
         ports: list[tuple[str, int, str]] = []
-        alive = [(self.orbits[o], 0, counts[o]) for o in live]
+        alive = [(groups, 0, n)
+                 for groups, n in zip(self.orbits[start:stop], counts[start:stop]) if n]
         while True:
             if len(alive) == 1:
                 groups, low, n = alive[0]

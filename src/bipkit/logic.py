@@ -641,7 +641,7 @@ def orbit_search(
                   for _, low, _ in alternative)
     left = {ctype: instances.get(ctype, 0) for ctype in by_type}
     counts, active, result = [0] * len(ports), list(constraints), set()
-    orbit = {signature: 0 for signature, *_ in slots}
+    orbit = {signature: 0 for signature, _, _, _ in slots}
 
     def visit(start: int) -> None:
         # Each call is one count vector; the slots it may still add follow

@@ -458,15 +458,21 @@ def test_event_script_from_json():
 # Each malformed cycle with the message of the field-by-field reader, and a
 # cycle with extra keys, which both readers accept and ignore.
 SCRIPT_CYCLES = {
-    "non-list": ({"events": {"target": "Route#1", "event": "end"}},
-                 "cycles[1].events: expected a list"),
+    "non-list": ({"guards": {}}, "cycles[1].guards: expected a list"),
     "empty-string": ({"events": ""}, "cycles[1].events: expected a list"),
-    "null": ({"guards": None}, "cycles[1].guards: expected a list"),
+    "null": ({"events": None}, "cycles[1].events: expected a list"),
     "missing-key": ({"events": [{"target": "Route#1"}]}, 'cycles[1].events[0]: missing "event"'),
     "wrong-type": ({"guards": [{"target": "Route#1", "guard": "finished", "value": 1}]},
                    "cycles[1].guards[0].value: expected true or false, got 1"),
     "null-target": ({"events": [{"target": None, "event": "end"}]},
                     "cycles[1].events[0].target: expected a string, got null"),
+    "bool-event": ({"events": [{"target": "Route#1", "event": True}]},
+                   "cycles[1].events[0].event: expected a string, got true"),
+    "number-guard": ({"guards": [{"target": "Route#1", "guard": 5, "value": True}]},
+                     "cycles[1].guards[0].guard: expected a string, got 5"),
+    "list-guard-target": ({"guards": [{"target": ["Route#1"], "guard": "finished",
+                                       "value": True}]},
+                          'cycles[1].guards[0].target: expected a string, got ["Route#1"]'),
     "non-object-item": ({"events": ["Route#1"]}, "cycles[1].events[0]: expected an object"),
     "non-object-cycle": (["Route#1"], "cycles[1]: expected an object"),
     "extra-keys": ({"note": 1, "events": [{"target": "Route#1", "event": "end", "why": "x"}],

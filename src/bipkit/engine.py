@@ -440,9 +440,11 @@ class CompiledSystem:
         counts = self.feasible()
         for start, stop in self.runs:
             total = sum(counts[start:stop])
-            if k < total:
+            if 0 <= k < total:
                 break
             k -= total
+        else:
+            raise IndexError(f"interaction {k + sum(counts)} of {sum(counts)} feasible")
         product = None
         for o in range(start, stop):
             if counts[o] == total:  # the run's one live orbit

@@ -741,6 +741,17 @@ def test_compiled_interactions_are_the_sorted_allowed_set(pick_models, model, n)
     assert feasible_engine(CompiledSystem(state, d, orbits)) == expected
 
 
+@pytest.mark.parametrize("model", ["mutex", "two_locks"])
+def test_a_rank_outside_the_feasible_count_is_refused(pick_models, model):
+    """mutex unranks its one live orbit directly, two_locks descends."""
+    d = pick_models[model]
+    system = CompiledSystem(init_state(d, {"n": 3}), d, diagram_orbits(d, {"n": 3}))
+    n = sum(system.feasible())
+    for k in (-1, n, n + 5):
+        with pytest.raises(IndexError, match=f"^interaction {k} of {n} feasible$"):
+            system.interaction(k)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_two_instance_draws_are_the_specification_kth(policy):
     """On PAIRS, in every state that runs reach, the engine's k-th feasible

@@ -170,7 +170,7 @@ def _well_formed_entry(raw) -> Optional[ScriptEntry]:
             if (all([type(t) is str and type(e) is str for t, e in events])
                     and all([type(t) is str and type(g) is str and type(v) is bool
                              for t, g, v in guards])):
-                return ScriptEntry(events=events, guards=guards)
+                return ScriptEntry(events, guards)
     except (AttributeError, KeyError, TypeError):  # not an object, or a missing field
         pass
     return None
@@ -233,10 +233,9 @@ def init_state(d: ArchitectureDiagram, binding: diagram_mod.Binding) -> dict[str
         count = ct.cardinality.evaluate(binding)
         defaults = {name: False for name in sorted(ct.guards)}
         initial = ct.initial_state
-        for index in range(1, count + 1):
+        for index in range(1, count + 1):  # positional arguments cost half as much as keywords
             instances[instance_id(ct.name, index)] = InstanceState(
-                type_name=ct.name, index=index, current=initial, guards=dict(defaults)
-            )
+                ct.name, index, initial, [], dict(defaults))
     return instances
 
 

@@ -32,9 +32,9 @@ labels change are worked out once per (type, old labels, new labels).
 Sub-step (c) counts each orbit's feasible interactions from the eligible
 lists: where each type of the orbit draws one part, as a product of
 C(len(eligible), r), else by a sum over enabled-label classes.  A move
-recounts only the orbits that name a list it changed.  The pick unranks
-the k-th interaction directly when one such orbit is alive in its run, and
-else descends over the counts.  Each step returns the cycle's trace record.
+recounts only the orbits that name a list it changed.  The pick descends
+over the counts, from its run's lone live orbit if any, and a count its
+lists cannot supply raises BipError.  Each step returns its trace record.
 :func:`replay_validate` checks those records against the same transition
 tables, one lookup per record, and a fired interaction by its orbit: its
 instances are distinct, so it is allowed when the multiset of its (type,
@@ -130,6 +130,7 @@ class ScriptEntry:
 
 _NO_SCRIPT = ScriptEntry()
 _NO_PORTS: tuple = (frozenset(), ())  # a state with no enforceable transition
+_MISCOUNT = "the orbit counts disagree with the eligible lists"  # a bug, not a bad input
 
 
 @dataclass(frozen=True)
@@ -334,8 +335,9 @@ class CompiledSystem:
     count is a product over its types: C(e, r) for one part of count r, and
     a sum over the instances' enabled-label classes where parts of one type
     draw disjoint instances.  A move recounts only the orbits that name an
-    eligible list it changed.  :meth:`step` mutates the compiled ``state``;
-    after changing it from outside, compile it again."""
+    eligible list it changed, and :meth:`interaction` descends over the
+    counts.  :meth:`step` mutates the compiled ``state``; after changing it
+    from outside, compile it again."""
 
     def __init__(self, state: Mapping[str, InstanceState], d: ArchitectureDiagram,
                  orbits: Iterable[Orbit]):
@@ -353,13 +355,11 @@ class CompiledSystem:
                                 for sig, k in parts))
                   for ctype, parts in groupby(orbit, key=lambda part: part[0][0].component_type))
             for orbit in sorted(orbits) if all(len(sig) == 1 for sig, _ in orbit)]
-        # An orbit whose types each draw one part, as its (type, label, count,
-        # eligible list) parts, which the pick unranks, and its eligible lists
-        # and counts, whose binomials multiply to its count.
-        self.products = [tuple((ctype, label, r, e) for ctype, ((label, r, e),) in groups)
-                         if all(len(parts) == 1 for _, parts in groups) else None
-                         for groups in self.orbits]
-        self.factors = [p and ([e for *_, e in p], [r for _, _, r, _ in p]) for p in self.products]
+        # An orbit whose types each draw one part, as its eligible lists and
+        # counts, whose binomials multiply to its count; else None.
+        self.factors = [([e for _, ((_, _, e),) in groups], [r for _, ((_, r, _),) in groups])
+                        if all(len(parts) == 1 for _, parts in groups) else None
+                        for groups in self.orbits]
         for inst, labels in zip(instances, self.enabled):
             for label in labels:
                 eligible = self.eligible.get((inst.type_name, label))
@@ -431,11 +431,12 @@ class CompiledSystem:
     def interaction(self, k: int) -> list[tuple[str, int, str]]:
         """The k-th (from 0) feasible interaction in canonical order as sorted
         (type, index, label) ports, built a port at a time over the orbits
-        matching the prefix, each with its draws left and its completions.
-        One orbit left unranks each one-part type's draw.  Else the orbit
-        with nothing left (the prefix) comes first, then the others by next
-        type in name order; a bisection finds their next instance J
-        (completions up to J: the total less those above J)."""
+        matching the prefix (at first, the run's live ones), each with its
+        draws left and its completions.  One orbit left unranks each one-part
+        type's draw.  Else the orbit with nothing left (the prefix) comes
+        first, then the others by next type in name order; a bisection finds
+        their next instance J (completions up to J: the total less those
+        above J).  Counts the eligible lists cannot supply raise BipError."""
         counts = self.feasible()
         for start, stop in self.runs:
             total = sum(counts[start:stop])
@@ -444,42 +445,34 @@ class CompiledSystem:
             k -= total
         else:
             raise IndexError(f"interaction {k + sum(counts)} of {sum(counts)} feasible")
-        product = None
+        ports: list[tuple[str, int, str]] = []
         for o in range(start, stop):
             if counts[o] == total:  # the run's one live orbit
-                product = self.products[o]
+                alive = [(self.orbits[o], 0, total)]
                 break
-        if product is not None:  # a mixed-radix rank over the types' draws
-            ports, n = [], total
-            for ctype, label, r, eligible in product:
-                n //= comb(len(eligible), r)  # the completions after this type
-                draw, k = divmod(k, n)
-                if r == 1:
-                    ports.append((ctype, eligible[draw], label))
-                else:
-                    ports += [(ctype, index, label) for index in _unrank(eligible, r, draw)]
-            return ports
-        ports: list[tuple[str, int, str]] = []
-        alive = [(groups, 0, n)
-                 for groups, n in zip(self.orbits[start:stop], counts[start:stop]) if n]
+        else:
+            alive = [(self.orbits[o], 0, counts[o]) for o in range(start, stop) if counts[o]]
         while True:
             if len(alive) == 1:
                 groups, low, n = alive[0]
-                for g, (ctype, parts) in enumerate(groups):
-                    if len(parts) > 1:
-                        alive = [(groups[g:], low, n)]
-                        break
-                    (label, r, eligible), = parts
-                    if low:
-                        eligible, low = eligible[bisect_right(eligible, low):], 0
-                    n //= comb(len(eligible), r)  # the completions after this type
-                    draw, k = divmod(k, n)
-                    if r == 1:
-                        ports.append((ctype, eligible[draw], label))
+                try:
+                    for g, (ctype, parts) in enumerate(groups):
+                        if len(parts) > 1:
+                            alive = [(groups[g:], low, n)]
+                            break
+                        (label, r, eligible), = parts
+                        if low:
+                            eligible, low = eligible[bisect_right(eligible, low):], 0
+                        n //= comb(len(eligible), r)  # the completions after this type
+                        draw, k = divmod(k, n)
+                        if r == 1:
+                            ports.append((ctype, eligible[draw], label))
+                        else:
+                            ports += [(ctype, index, label) for index in _unrank(eligible, r, draw)]
                     else:
-                        ports += [(ctype, index, label) for index in _unrank(eligible, r, draw)]
-                else:
-                    return ports
+                        return ports
+                except (IndexError, ValueError, ZeroDivisionError):  # a draw past its list
+                    raise BipError(_MISCOUNT) from None
             by_type: dict[str, list] = {}
             for entry in alive:
                 if entry[0]:
@@ -497,7 +490,7 @@ class CompiledSystem:
             low = members[0][1]
             parts = sorted({label: e for groups, _, _ in members  # labels at J go sorted
                             for label, _, e in groups[0][1]}.items())
-            lo, hi, under = low + 1, max([e[-1] for _, e in parts if e]), 0
+            lo, hi, under = low + 1, max([e[-1] for _, e in parts if e], default=low), 0
             while lo < hi:  # the least J with more than k completions up to J
                 mid = (lo + hi) // 2
                 below = total - sum([_count(groups, mid) for groups, _, _ in members])
@@ -522,6 +515,8 @@ class CompiledSystem:
                 if k < total:
                     break
                 k -= total
+            else:
+                raise BipError(_MISCOUNT)
             ports.append((ctype, lo, label))
 
     def step(

@@ -286,7 +286,7 @@ diagram Shared {
 
 # Orbits that draw two instances of one type: ``pair`` alone in its run,
 # ``link`` beside ``back`` in the run of B, so the pick unranks a 2-subset
-# both directly and after a descent.
+# both in its run's lone live orbit and after a descent.
 PAIRS = """
 diagram Pairs {
   component B [2] {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import re
 
@@ -25,6 +26,7 @@ from bipkit.engine import (
     ScriptEntry,
     SplitMix64,
     _script_entry,
+    _unrank,
     _well_formed_entry,
     enabled_ports,
     init_state,
@@ -33,7 +35,7 @@ from bipkit.engine import (
     run,
     trace_to_json,
 )
-from bipkit.errors import EncodabilityError, LivelockError, ScriptError
+from bipkit.errors import BipError, EncodabilityError, LivelockError, ScriptError
 from bipkit.model import PortTypeRef
 from helpers import (
     BROADCAST,
@@ -741,9 +743,11 @@ def test_compiled_interactions_are_the_sorted_allowed_set(pick_models, model, n)
     assert feasible_engine(CompiledSystem(state, d, orbits)) == expected
 
 
-@pytest.mark.parametrize("model", ["mutex", "two_locks"])
+@pytest.mark.parametrize("model", ["mutex", "two_locks", "shared", "broadcast"])
 def test_a_rank_outside_the_feasible_count_is_refused(pick_models, model):
-    """mutex unranks its one live orbit directly, two_locks descends."""
+    """mutex's run has one live orbit, two_locks's first run two; shared
+    draws two parts of one type, broadcast up to three instances of one
+    part."""
     d = pick_models[model]
     system = CompiledSystem(init_state(d, {"n": 3}), d, diagram_orbits(d, {"n": 3}))
     n = sum(system.feasible())
@@ -752,11 +756,60 @@ def test_a_rank_outside_the_feasible_count_is_refused(pick_models, model):
             system.interaction(k)
 
 
+@pytest.mark.parametrize("model, done, live", [("mutex", (), 1), ("routes", ("Route#2",), 2)])
+def test_an_orbit_count_above_its_eligible_lists_is_refused(pick_models, model, done, live):
+    """A maintained count one above what its eligible lists supply makes the
+    last rank raise BipError: on mutex, whose run has one live orbit, at a
+    draw past its list; on routes with a route done, whose run has two, when
+    the descent finds no label left to take the rank."""
+    d = pick_models[model]
+    state = init_state(d, {"n": 3})
+    for target in done:
+        state[target].current = "done"
+    system = CompiledSystem(state, d, diagram_orbits(d, {"n": 3}))
+    counts = system.feasible()
+    start, stop = [run for run in system.runs if sum(counts[slice(*run)])][-1]
+    orbits = [o for o in range(start, stop) if counts[o]]
+    assert len(orbits) == live
+    for o in orbits:
+        counts[o] += 1
+        with pytest.raises(BipError, match="^the orbit counts disagree with the eligible lists$"):
+            system.interaction(sum(counts) - 1)
+        counts[o] -= 1
+
+
+def test_a_count_over_empty_eligible_lists_is_refused():
+    """A count raised over eligible lists that are all empty, in an orbit
+    that draws two parts of one type, is refused where the descent looks
+    for the next instance: every port of Shared waits for a false guard."""
+    text = SHARED_TYPE.replace("ports { p, q }", "ports { p, q }\n    guards { g }")
+    for transition in ("p: s -> t", "q: s -> s", "q: t -> s"):
+        text = text.replace(transition, transition + " [g]")
+    d = parse_model(text)
+    system = CompiledSystem(init_state(d, {"n": 2}), d, diagram_orbits(d, {"n": 2}))
+    assert system.feasible() == [0]
+    system.counts[0] = 1
+    with pytest.raises(BipError, match="^the orbit counts disagree with the eligible lists$"):
+        system.interaction(0)
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_unrank_is_the_qth_combination(size):
+    """Every rank of every r-subset of a sorted list whose values are not
+    their positions."""
+    items = [3 * i + 2 for i in range(size)]
+    for r in range(1, size + 1):
+        combinations = list(itertools.combinations(items, r))
+        for q, expected in enumerate(combinations):
+            assert _unrank(items, r, q) == list(expected)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_two_instance_draws_are_the_specification_kth(policy):
     """On PAIRS, in every state that runs reach, the engine's k-th feasible
     interaction is the specification's k-th for every k in range(n): a
-    2-subset is unranked both directly and after a descent."""
+    2-subset is unranked both in its run's lone live orbit and after a
+    descent."""
     d = parse_model(PAIRS)
     orbits = diagram_orbits(d, {})
     allowed = sorted_allowed(d, {}, orbits)

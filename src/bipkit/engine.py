@@ -456,9 +456,9 @@ class CompiledSystem:
             if len(alive) == 1:
                 groups, low, n = alive[0]
                 try:
-                    for g, (ctype, parts) in enumerate(groups):
-                        if len(parts) > 1:
-                            alive = [(groups[g:], low, n)]
+                    for ctype, parts in groups:
+                        if len(parts) > 1:  # the descent takes the groups from here on
+                            alive = [(groups[groups.index((ctype, parts)):], low, n)]
                             break
                         (label, r, eligible), = parts
                         if low:

@@ -481,7 +481,7 @@ class CompiledSystem:
                     k -= 1
                 else:
                     return ports
-            for ctype in sorted(by_type):
+            for ctype in sorted(by_type):  # k is below their sum, so one type takes it
                 members = by_type[ctype]
                 total = sum([n for _, _, n in members])
                 if k < total:

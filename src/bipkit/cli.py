@@ -311,6 +311,24 @@ def _parse_sweep(text: str) -> int:
         raise UsageError(f"sweep bound must be a positive integer in {text!r}") from None
 
 
+_MARKERS = {True: "ok", False: "DISAGREES", None: "UNKNOWN"}
+
+
+def _motif_verdict(d, motif, binding, report, limit, max_nodes):
+    """A motif's verdict as a sweep point's, with the suffix of a truncated
+    count and the capacity message of a search over the bound."""
+    label, predicted = f"motif {motif.name}", not report.failures(motif.name)
+    try:
+        # at least 2 so that a truncated count still separates 1 from many
+        result = diagram_mod.enumerate_configurations(
+            d, motif, binding, limit=max(2, limit or 1000), max_nodes=max_nodes
+        )
+    except CapacityError as exc:  # like a sweep point over the bound: unknown, and go on
+        return diagram_mod.SweepRecord(label, None, predicted), "", str(exc)
+    suffix = "+" if result.truncated else ""
+    return diagram_mod.SweepRecord(label, len(result), predicted), suffix, ""
+
+
 def cmd_oracle(args) -> int:
     if bool(args.file) == bool(args.sweep):
         raise UsageError("pass either a model file or --sweep, not both")
@@ -327,49 +345,29 @@ def cmd_oracle(args) -> int:
             raise CapacityError(f"--sweep n,m,d<={bound} has {points} points, more than the bound "
                                 f"of {diagram_mod.MAX_SWEEP_POINTS}; lower K")
         records = diagram_mod.proposition_sweep(bound, max_nodes=max_nodes)
-        disagreements = [r for r in records if r.agree is False]
-        unknown = [r for r in records if r.count is None]
         if args.json:
             print(json.dumps([{"point": r.label, "count": r.count, "unique": r.encodable,
                                "agree": r.agree} for r in records], indent=2))
-        else:
-            for r in records:
-                if r.count is None:
-                    count, marker = "?", "UNKNOWN"
-                else:
-                    count, marker = r.count, "ok" if r.agree else "DISAGREES"
-                print(f"{r.label}: count={count} unique-predicted={r.encodable} {marker}")
-            print(
-                f"{len(records)} points, {len(disagreements)} disagreements"
-                + (f", {len(unknown)} unknown (raise BIPKIT_MAX_NODES)" if unknown else "")
-            )
+        verdicts = ((r, "", "") for r in records)
     else:
         d, binding, _ = _load_bound(args)
         report = diagram_mod.check_encodable(d, binding)
-        disagreements, unknown = [], []
-        for motif in d.motifs:
-            predicted = not report.failures(motif.name)
-            try:
-                # at least 2 so that a truncated count still separates 1 from many
-                result = diagram_mod.enumerate_configurations(
-                    d, motif, binding, limit=max(2, args.limit or 1000), max_nodes=max_nodes
-                )
-            except CapacityError as exc:
-                # like a sweep point over the bound: unknown, and go on
-                print(str(exc), file=sys.stderr)
-                print(f"motif {motif.name}: count=? unique-predicted={predicted} UNKNOWN")
-                unknown.append(motif)
-                continue
-            count = len(result)
-            agree = (count == 1) == predicted
-            marker = "ok" if agree else "DISAGREES"
-            suffix = "+" if result.truncated else ""
-            print(f"motif {motif.name}: count={count}{suffix} unique-predicted={predicted} {marker}")
-            if not agree:
-                disagreements.append(motif)
-    if disagreements:
-        return FAILURE
-    return CAPACITY if unknown else OK
+        verdicts = (_motif_verdict(d, motif, binding, report, args.limit, max_nodes)
+                    for motif in d.motifs)
+    # one pass for both modes, each motif's line printed as its search ends
+    disagreements = unknown = 0
+    for r, suffix, message in verdicts:
+        if message:
+            print(message, file=sys.stderr)
+        disagreements += r.agree is False
+        unknown += r.count is None
+        if not args.json:
+            count = "?" if r.count is None else f"{r.count}{suffix}"
+            print(f"{r.label}: count={count} unique-predicted={r.encodable} {_MARKERS[r.agree]}")
+    if args.sweep and not args.json:
+        print(f"{len(records)} points, {disagreements} disagreements"
+              + (f", {unknown} unknown (raise BIPKIT_MAX_NODES)" if unknown else ""))
+    return FAILURE if disagreements else CAPACITY if unknown else OK
 
 
 def _add_common(p) -> None:

@@ -448,6 +448,10 @@ def diagram_interactions(d: ArchitectureDiagram, binding: Binding) -> frozenset[
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """The verdict on one sweep point or on one motif of a model: how many
+    configurations the search found against the closed form's prediction
+    that there is exactly one (``encodable``)."""
+
     label: str
     count: Optional[int]  # None: unknown, the search exceeded max_nodes
     encodable: bool

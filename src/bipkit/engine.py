@@ -821,10 +821,18 @@ def replay_validate(
             for target, event in entry.events:
                 instances[target].queue.append(event)
 
+            # the step visits instances in canonical order: each consumes at
+            # most one queue head, and fires its internal chain in one block
+            last = ("", 0)
             for record in cycle["spontaneous"]:
                 inst, tr = check(SPONTANEOUS, record["event"], record)
                 if not inst.queue or inst.queue[0] != record["event"]:
                     raise ReplayError(f"cycle {index}: {record['event']} was not at the queue head")
+                key = (inst.type_name, inst.index)
+                if key <= last:
+                    raise ReplayError(f"cycle {index}: spontaneous record out of instance order "
+                                      f"at {record['instance']}")
+                last = key
                 inst.queue.pop(0)
                 inst.current = tr.destination
 
@@ -842,8 +850,14 @@ def replay_validate(
                     inst.current = tr.destination
                 fired_count += 1
 
+            last = ("", 0)
             for record in cycle["internal"]:
                 inst, tr = check(INTERNAL, "", record)
+                key = (inst.type_name, inst.index)
+                if key < last:
+                    raise ReplayError(f"cycle {index}: internal record out of instance order "
+                                      f"at {record['instance']}")
+                last = key
                 inst.current = tr.destination
 
             idle = not (cycle["spontaneous"] or records is not None or cycle["internal"])

@@ -854,6 +854,21 @@ def test_oracle_file_mode_reports_motifs_over_the_bound_as_unknown(monkeypatch, 
     assert capsys.readouterr().out.count("count=1 unique-predicted=True ok") == 3
 
 
+def test_oracle_file_mode_prints_each_capacity_message_before_its_motif():
+    """With the two streams merged, a motif's capacity message comes right
+    before its verdict line, not all messages first."""
+    src = str(Path(cli.__file__).parents[1])
+    argv = ["oracle", model_path("switchable_routes.bip"), "--bind", "n=2"]
+    result = subprocess.run([sys.executable, "-u", "-m", "bipkit", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True,
+                            env={**os.environ, "PYTHONPATH": src, "BIPKIT_MAX_NODES": "3"})
+    lines = result.stdout.splitlines()
+    assert (result.returncode, len(lines)) == (3, 6), result.stdout
+    for k, name in enumerate(("report", "switchOff", "switchOn")):
+        assert lines[2 * k].startswith(f"configuration search exceeded 3 nodes for motif {name}; ")
+        assert lines[2 * k + 1] == f"motif {name}: count=? unique-predicted=True UNKNOWN"
+
+
 def test_oracle_sweep_disagreement_exits_1(monkeypatch, capsys):
     from bipkit import diagram
 

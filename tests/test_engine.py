@@ -1075,3 +1075,59 @@ diagram Chain {
     forged["cycles"][0].update(internal=[], idle=True)
     with pytest.raises(ReplayError, match="cycle 0: T#1 stopped short of its internal"):
         replay_validate(forged, d, {})
+
+
+@pytest.mark.parametrize("order", [[0, 0, 1], [1, 0]], ids=["twice", "reversed"])
+def test_replay_rejects_spontaneous_records_out_of_instance_order(order):
+    # A#1 has e queued twice and A#2 once: the step consumes one head per
+    # instance, A#1's before A#2's, and leaves A#1's second e queued
+    d = parse_model(
+        """
+diagram Loop {
+  component A [2] {
+    ports { p }
+    events { e }
+    states { s* }
+    transitions { e: s -> s }
+  }
+}
+"""
+    )
+    script = EventScript((ScriptEntry(events=(("A#1", "e"), ("A#1", "e"), ("A#2", "e"))),))
+    trace = run(d, {}, EngineConfig(cycles=1), script=script)
+    records = trace["cycles"][0]["spontaneous"]
+    assert [r["instance"] for r in records] == ["A#1", "A#2"]
+    replay_validate(trace, d, {}, script=script)
+    forged = json.loads(trace_to_json(trace))
+    forged["cycles"][0]["spontaneous"] = [records[k] for k in order]
+    with pytest.raises(ReplayError,
+                       match="cycle 0: spontaneous record out of instance order at A#1"):
+        replay_validate(forged, d, {}, script=script)
+
+
+def test_replay_rejects_internal_records_out_of_instance_order():
+    # each instance fires its internal chain a -> b -> c in one block
+    d = parse_model(
+        """
+diagram Chains {
+  component T [2] {
+    ports { p }
+    states { a*, b, c }
+    transitions {
+      : a -> b
+      : b -> c
+    }
+  }
+}
+"""
+    )
+    trace = run(d, {}, EngineConfig(cycles=1))
+    records = trace["cycles"][0]["internal"]
+    assert [(r["instance"], r["to"]) for r in records] == [
+        ("T#1", "b"), ("T#1", "c"), ("T#2", "b"), ("T#2", "c")
+    ]
+    replay_validate(trace, d, {})
+    forged = json.loads(trace_to_json(trace))
+    forged["cycles"][0]["internal"] = [records[k] for k in (0, 2, 1, 3)]
+    with pytest.raises(ReplayError, match="cycle 0: internal record out of instance order at T#1"):
+        replay_validate(forged, d, {})

@@ -20,25 +20,32 @@ item raises ScriptError at its script path, and the step only applies.
 
 The allowed set comes in as orbits (``model.Orbit``), from the diagram or
 from the macros, and is never expanded.  A run compiles the system once
-(:class:`CompiledSystem`): instances in canonical order, per-type
-transition tables, and per (type, label) an orbit names the eligible list
-of instances whose port is enabled.  Only instances touched by a guard
-update, a consumed event, a firing or an internal step are recomputed, so a
-cycle costs what changed, not the system size; a queue head that did not
-fire stays parked until its instance gets an event, a guard write or a
-move, and sub-step (d) looks only at touched instances in a state with an
-internal transition.  The eligible-list moves of an instance whose enabled
-labels change are worked out once per (type, old labels, new labels).
-Sub-step (c) counts each orbit's feasible interactions from the eligible
-lists: where each type of the orbit draws one part, as a product of
-C(len(eligible), r), else by a sum over enabled-label classes.  A move
-recounts only the orbits that name a list it changed.  The pick descends
-over the counts, from its run's lone live orbit if any, and a count its
-lists cannot supply raises BipError.  Each step returns its trace record.
-:func:`replay_validate` checks those records against the same transition
-tables, one lookup per record, and a fired interaction by its orbit: its
-instances are distinct, so it is allowed when the multiset of its (type,
-port) pairs is an orbit of the diagram.  :func:`trace_to_json` writes the
+(:class:`CompiledSystem`): instances in canonical order, each pointing at
+the node of its configuration, and per (type, label) an orbit names the
+eligible list of instances whose port is enabled.  A node is one (type,
+state, guard values) that the run has reached, shared by the instances in
+it; it holds its enabled labels, whether an internal transition is
+enabled, and its edges, each built the first time an instance takes it, as
+a regex engine builds its automaton lazily (Thompson, CACM 1968).  An edge,
+for a port, an event, a guard write or the internal transition, holds the
+transition's from and to, the next node, the eligible-list moves and the
+orbits to recount, so each guard write, consumed event and fired port
+costs one edge lookup and its moves.  A queue head that did not fire stays
+parked until its instance gets an event or takes an edge, and sub-step (d)
+looks only at instances that took an edge to a node with an enabled
+internal transition.  A cycle works on what changed, but an eligible-list
+move is an ``insort`` or ``del`` that shifts up to n entries: on mutex a
+cycle costs 18 us at n=10^3 and 561 us at n=10^6.  Sub-step (c) counts
+each orbit's feasible interactions from the eligible lists: where each
+type of the orbit draws one part, as a product of C(len(eligible), r),
+else by a sum over enabled-label classes.  An edge recounts only the
+orbits that name a list it changes.  The pick descends over the counts,
+from its run's lone live orbit if any, and a count its lists do not supply
+exactly raises BipError.  Each step returns its trace record.
+:func:`replay_validate` checks those records against the transition tables
+themselves, not the nodes, one lookup per record, and a fired interaction
+by its orbit: its instances are distinct, so it is allowed when the
+multiset of its (type, port) pairs is an orbit of the diagram.  :func:`trace_to_json` writes the
 trace as ``json.dumps(trace, indent=2, sort_keys=True)`` plus a newline
 would, each cycle from one fixed template and each distinct transition
 record rendered once.
@@ -130,6 +137,7 @@ class ScriptEntry:
 
 _NO_SCRIPT = ScriptEntry()
 _NO_PORTS: tuple = (frozenset(), ())  # a state with no enforceable transition
+_UNBUILT = object()  # an edge not yet worked out
 _MISCOUNT = "the orbit counts disagree with the eligible lists"  # a bug, not a bad input
 
 
@@ -324,30 +332,70 @@ def _transition_tables(d: ArchitectureDiagram) -> dict[str, _Transitions]:
     return tables
 
 
+class _Node:
+    """One configuration of a component type: a state and its guard values.
+
+    ``current`` and ``guards`` are named as on :class:`InstanceState`, so
+    :meth:`_Transitions.first_enabled` reads a node as it reads an instance.
+    A node holds its enabled labels and whether an internal transition is
+    enabled, and lazily filled edges: port label, event and guard write
+    ``(guard, value)`` to edge, and the internal transition's edge.  An edge
+    is ``(from, to, next node, eligible-list moves, orbits to recount)``; an
+    event whose transition is not enabled maps to None."""
+
+    __slots__ = ("key", "table", "current", "guards", "labels", "internal",
+                 "ports", "events", "writes", "internal_edge")
+
+    def __init__(self, key: tuple, table: _Transitions, guards: dict[str, bool]):
+        self.key, self.table, self.current, self.guards = key, table, key[1], guards
+        unguarded, guarded = table.enforceable.get(self.current, _NO_PORTS)
+        self.labels = (unguarded.union(tr.label for tr in guarded if tr.guard.evaluate(guards))
+                       if guarded else unguarded)
+        self.internal = (self.current in table.internal
+                         and table.first_enabled(INTERNAL, self) is not None)
+        self.ports: dict[str, tuple] = {}
+        self.events: dict[str, Optional[tuple]] = {}
+        self.writes: dict[tuple[str, bool], tuple] = {}
+        self.internal_edge: Optional[tuple] = None
+
+
 class CompiledSystem:
     """An instantiated system compiled for stepping.
 
-    Instances are in canonical order, as :func:`init_state` gives them.  An
-    orbit is kept as its parts ``(type, label, count)`` grouped by type in
-    name order (one with a multi-port signature names an instance twice and
-    is dropped), each ``(type, label)`` with its eligible list, the sorted
+    Instances are in canonical order, as :func:`init_state` gives them.  Each
+    instance points at the node of its type, state and guard values (in
+    sorted guard-name order); ``nodes`` holds every node a run has reached,
+    one per configuration, shared by the instances in it, and each node's
+    edges are worked out the first time an instance takes them.  An orbit is
+    kept as its parts ``(type, label, count)`` grouped by type in name order
+    (one with a multi-port signature names an instance twice and is
+    dropped), each ``(type, label)`` with its eligible list, the sorted
     indices of the instances whose port is enabled.  An orbit's feasible
     count is a product over its types: C(e, r) for one part of count r, and
     a sum over the instances' enabled-label classes where parts of one type
-    draw disjoint instances.  A move recounts only the orbits that name an
-    eligible list it changed, and :meth:`interaction` descends over the
+    draw disjoint instances.  An edge recounts only the orbits that name an
+    eligible list it changes, and :meth:`interaction` descends over the
     counts.  :meth:`step` mutates the compiled ``state``; after changing it
     from outside, compile it again."""
 
     def __init__(self, state: Mapping[str, InstanceState], d: ArchitectureDiagram,
                  orbits: Iterable[Orbit]):
         self.instances = instances = list(state.values())
-        tables = _transition_tables(d)
         self.ids = list(state)
         self.position = {key: i for i, key in enumerate(self.ids)}
         self.offset = {inst.type_name: i - inst.index for i, inst in enumerate(instances)}
-        self.tables = [tables[inst.type_name] for inst in instances]
-        self.enabled = [self._enabled_labels(i) for i in range(len(instances))]
+        tables = _transition_tables(d)
+        self.types = {ct.name: (tables[ct.name], sorted(ct.guards)) for ct in d.component_types}
+        self.nodes: dict[tuple, _Node] = {}  # (type, state, guard values) -> node
+        self.node: list[_Node] = []  # instance position -> its node
+        node = None
+        for inst in instances:  # init_state's instances of a type share one node
+            if (node is None or inst.current != node.current or inst.type_name != node.key[0]
+                    or inst.guards != node.guards):
+                names = self.types[inst.type_name][1]
+                node = self._node(inst.type_name, inst.current,
+                                  tuple([inst.guards[name] for name in names]))
+            self.node.append(node)
 
         self.eligible: dict[tuple[str, str], list[int]] = {}  # (type, label) -> indices
         self.orbits = [  # each as its (type, ((label, count, eligible list), ...)) groups
@@ -360,8 +408,8 @@ class CompiledSystem:
         self.factors = [([e for _, ((_, _, e),) in groups], [r for _, ((_, r, _),) in groups])
                         if all(len(parts) == 1 for _, parts in groups) else None
                         for groups in self.orbits]
-        for inst, labels in zip(instances, self.enabled):
-            for label in labels:
+        for inst, node in zip(instances, self.node):
+            for label in node.labels:
                 eligible = self.eligible.get((inst.type_name, label))
                 if eligible is not None:
                     eligible.append(inst.index)
@@ -370,53 +418,71 @@ class CompiledSystem:
         self.runs = list(zip(starts, starts[1:] + [len(self.orbits)]))  # the pick's first level
         self.counts = [0] * len(self.orbits)
         self.stale = set(range(len(self.orbits)))  # the orbits to recount
-        # (type, old labels, new labels) -> (eligible lists with whether the
-        # instance joins each, the orbits naming them)
-        self.moves: dict[tuple, tuple[list[tuple[list[int], bool]], set[int]]] = {}
 
         # The instances whose queue head may fire (at first, those with a
-        # queue) and that may have an enabled internal transition (at first,
-        # those in a state with one).  Then only those that got an event, a
-        # guard write or a move since sub-steps (b) and (d) last looked at
-        # them can.
+        # queue) and whose node has an enabled internal transition.  Then
+        # only those that got an event or took an edge since sub-steps (b)
+        # and (d) last looked at them can.
         self.queued = {i for i, inst in enumerate(instances) if inst.queue}
-        self.touched = {i for i, inst in enumerate(instances)
-                        if inst.current in self.tables[i].internal}
+        self.touched = {i for i, node in enumerate(self.node) if node.internal}
 
-    def _enabled_labels(self, i: int) -> frozenset[str]:
-        inst = self.instances[i]
-        unguarded, guarded = self.tables[i].enforceable.get(inst.current, _NO_PORTS)
-        return (unguarded.union(tr.label for tr in guarded if tr.guard.evaluate(inst.guards))
-                if guarded else unguarded)
+    def _node(self, ctype: str, current: str, values: tuple[bool, ...]) -> _Node:
+        key = (ctype, current, values)
+        node = self.nodes.get(key)
+        if node is None:
+            table, names = self.types[ctype]
+            node = self.nodes[key] = _Node(key, table, dict(zip(names, values)))
+        return node
 
-    def _refresh(self, i: int) -> None:
-        """Instance i changed: mark it for sub-steps (b) and (d), recompute
-        its enabled ports and move it into or out of the eligible lists."""
+    def _edge(self, node: _Node, destination: str, values: tuple[bool, ...]) -> tuple:
+        """The edge from node to the node of (destination, values), with the
+        list moves of an instance whose enabled labels change from node's to
+        the next node's, and the orbits naming a list they change."""
+        ctype = node.key[0]
+        after = self._node(ctype, destination, values)
+        lists = [(self.eligible[ctype, label], label in after.labels)
+                 for label in node.labels ^ after.labels if (ctype, label) in self.eligible]
+        changed = {id(eligible) for eligible, _ in lists}
+        orbits = {o for o, groups in enumerate(self.orbits)
+                  for _, parts in groups for *_, eligible in parts if id(eligible) in changed}
+        return (node.current, destination, after, lists, orbits)
+
+    def _transition(self, node: _Node, kind: str, label: str = "") -> Optional[tuple]:
+        """The edge of node's first enabled transition of this kind and
+        label, or None; cached in the node."""
+        tr = node.table.first_enabled(kind, node, label)
+        edge = None if tr is None else self._edge(node, tr.destination, node.key[2])
+        if kind == SPONTANEOUS:
+            node.events[label] = edge
+        elif kind == INTERNAL:
+            node.internal_edge = edge
+        else:
+            node.ports[label] = edge
+        return edge
+
+    def _write(self, node: _Node, guard: str, value: bool) -> tuple:
+        """The edge of a guard write, cached in the node."""
+        values = tuple([value if name == guard else old for name, old in node.guards.items()])
+        edge = node.writes[guard, value] = self._edge(node, node.current, values)
+        return edge
+
+    def _take(self, i: int, edge: tuple) -> None:
+        """Instance i takes an edge: its state and node follow it, its list
+        moves are made, and it is marked for sub-steps (b) and (d)."""
         inst = self.instances[i]
-        if inst.current in self.tables[i].internal:
-            self.touched.add(i)
-        if inst.queue:
-            self.queued.add(i)
-        new, old = self._enabled_labels(i), self.enabled[i]
-        if new == old:
-            return
-        self.enabled[i] = new
-        key = (inst.type_name, old, new)
-        moves = self.moves.get(key)
-        if moves is None:
-            lists = [(self.eligible[inst.type_name, label], label in new) for label in old ^ new
-                     if (inst.type_name, label) in self.eligible]
-            changed = {id(eligible) for eligible, _ in lists}
-            moves = self.moves[key] = (lists, {o for o, groups in enumerate(self.orbits)
-                                               for _, parts in groups for *_, eligible in parts
-                                               if id(eligible) in changed})
-        lists, orbits = moves
+        _, inst.current, node, lists, orbits = edge
+        self.node[i] = node
         for eligible, joins in lists:
             if joins:
                 insort(eligible, inst.index)
             else:
                 del eligible[bisect_left(eligible, inst.index)]
-        self.stale |= orbits
+        if orbits:
+            self.stale |= orbits
+        if node.internal:
+            self.touched.add(i)
+        if inst.queue:
+            self.queued.add(i)
 
     def feasible(self) -> list[int]:
         """Each orbit's number of feasible interactions."""
@@ -436,7 +502,8 @@ class CompiledSystem:
         type's draw.  Else the orbit with nothing left (the prefix) comes
         first, then the others by next type in name order; a bisection finds
         their next instance J (completions up to J: the total less those
-        above J).  Counts the eligible lists cannot supply raise BipError."""
+        above J).  A count its eligible lists do not supply raises BipError:
+        a lone orbit's count must divide exactly by each type's C(e, r), to 1."""
         counts = self.feasible()
         for start, stop in self.runs:
             total = sum(counts[start:stop])
@@ -463,13 +530,17 @@ class CompiledSystem:
                         (label, r, eligible), = parts
                         if low:
                             eligible, low = eligible[bisect_right(eligible, low):], 0
-                        n //= comb(len(eligible), r)  # the completions after this type
+                        n, rest = divmod(n, comb(len(eligible), r))  # completions after it
+                        if rest:
+                            raise BipError(_MISCOUNT)
                         draw, k = divmod(k, n)
                         if r == 1:
                             ports.append((ctype, eligible[draw], label))
                         else:
                             ports += [(ctype, index, label) for index in _unrank(eligible, r, draw)]
                     else:
+                        if n != 1:
+                            raise BipError(_MISCOUNT)
                         return ports
                 except (IndexError, ValueError, ZeroDivisionError):  # a draw past its list
                     raise BipError(_MISCOUNT) from None
@@ -529,13 +600,14 @@ class CompiledSystem:
         """Run one engine cycle and return its trace record.  The entry is
         one that :func:`run` checked against the model before cycle 0."""
         entry = entry or _NO_SCRIPT
-        instances, ids, tables, position = self.instances, self.ids, self.tables, self.position
+        instances, ids, nodes, position = self.instances, self.ids, self.node, self.position
 
         # (a) guard updates
         for target, guard, value in entry.guards:
             i = position[target]
             instances[i].guards[guard] = value
-            self._refresh(i)
+            node = nodes[i]
+            self._take(i, node.writes.get((guard, value)) or self._write(node, guard, value))
 
         # (b) spontaneous events: enqueue, then consume at most one per instance
         for target, event in entry.events:
@@ -547,17 +619,16 @@ class CompiledSystem:
         checked = sorted(self.queued)
         self.queued.clear()
         for i in checked:
-            inst = instances[i]
+            inst, node = instances[i], nodes[i]
             head = inst.queue[0]
-            tr = tables[i].first_enabled(SPONTANEOUS, inst, head)
-            if tr is None:
+            edge = node.events.get(head, _UNBUILT)
+            if edge is _UNBUILT:
+                edge = self._transition(node, SPONTANEOUS, head)
+            if edge is None:
                 continue
             inst.queue.pop(0)
-            spontaneous.append(
-                {"instance": ids[i], "event": head, "from": tr.source, "to": tr.destination}
-            )
-            inst.current = tr.destination
-            self._refresh(i)
+            spontaneous.append({"instance": ids[i], "event": head, "from": edge[0], "to": edge[1]})
+            self._take(i, edge)
 
         # (c) one enforceable interaction: the k-th feasible one in canonical
         # order, k by policy
@@ -568,32 +639,22 @@ class CompiledSystem:
             fired = []
             for ctype, index, label in self.interaction(k):
                 i = self.offset[ctype] + index
-                inst = instances[i]
-                tr = tables[i].first_enabled(ENFORCEABLE, inst, label)
-                if tr is None:
-                    raise BipError(f"port {ctype}.{label}#{index} was enabled but lost its "
-                                   "transition")
-                fired.append(
-                    {"instance": ids[i], "port": label, "from": tr.source, "to": tr.destination}
-                )
-                inst.current = tr.destination
-                self._refresh(i)
+                node = nodes[i]
+                edge = node.ports.get(label) or self._transition(node, ENFORCEABLE, label)
+                fired.append({"instance": ids[i], "port": label, "from": edge[0], "to": edge[1]})
+                self._take(i, edge)
 
         # (d) internal transitions, eagerly, bounded per instance by |states|
         internal = []
         for i in sorted(self.touched):
-            inst, table = instances[i], tables[i]
-            count = 0
-            while True:
-                tr = table.first_enabled(INTERNAL, inst)
-                if tr is None:
-                    break
-                if count >= table.budget:
+            node, count = nodes[i], 0
+            while node.internal:
+                if count >= node.table.budget:
                     raise LivelockError(ids[i])
-                internal.append({"instance": ids[i], "from": tr.source, "to": tr.destination})
-                inst.current = tr.destination
-                self._refresh(i)
-                count += 1
+                edge = node.internal_edge or self._transition(node, INTERNAL)
+                internal.append({"instance": ids[i], "from": edge[0], "to": edge[1]})
+                self._take(i, edge)
+                node, count = edge[2], count + 1
         self.touched.clear()
 
         return {
@@ -846,7 +907,13 @@ def replay_validate(
                     ports = sorted(str(PortInstance(inst.type_name, inst.index, r["port"]))
                                    for (inst, _), r in zip(moves, records))
                     raise ReplayError(f"cycle {index}: fired interaction {ports} is not allowed")
-                for inst, tr in moves:
+                last = ("", 0)
+                for inst, tr in moves:  # in interaction(k)'s order
+                    key = (inst.type_name, inst.index)
+                    if key <= last:
+                        raise ReplayError(f"cycle {index}: interaction record out of instance "
+                                          f"order at {instance_id(*key)}")
+                    last = key
                     inst.current = tr.destination
                 fired_count += 1
 

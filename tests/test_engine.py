@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import random
 import re
 
 import pytest
@@ -25,7 +26,10 @@ from bipkit.engine import (
     ReplayError,
     ScriptEntry,
     SplitMix64,
+    UNIFORM_RANDOM,
+    _Node,
     _script_entry,
+    _transition_tables,
     _unrank,
     _well_formed_entry,
     enabled_ports,
@@ -684,8 +688,11 @@ def engine_runs(draw):
 def test_each_cycle_fires_the_specification_pick(engine_models, case):
     """run keeps one compiled system across cycles.  In every cycle, the
     interaction it fires is the one the specification picks from the state
-    after sub-steps (a) and (b), and the incrementally maintained enabled set
-    is the from-scratch one."""
+    after sub-steps (a) and (b), the incrementally maintained enabled set is
+    the from-scratch one, and each instance's node is the one of its type,
+    state and guard values: the shared node of that key, whose state, guard
+    values, enabled labels and internal flag are those of a node built anew
+    from the instance."""
     model, binding, config, script = case
     d = engine_models[model]
     trace = run(d, binding, config, script=script)
@@ -693,7 +700,7 @@ def test_each_cycle_fires_the_specification_pick(engine_models, case):
     orbits = diagram_orbits(d, binding)
     allowed = sorted_allowed(d, binding, orbits)
     state, rng, spec_rng = init_state(d, binding), SplitMix64(config.seed), SplitMix64(config.seed)
-    system = CompiledSystem(state, d, orbits)
+    system, tables = CompiledSystem(state, d, orbits), _transition_tables(d)
     for index in range(config.cycles):
         entry = script.entries[index] if index < len(script.entries) else ScriptEntry()
         before = copy.deepcopy(state)
@@ -712,8 +719,58 @@ def test_each_cycle_fires_the_specification_pick(engine_models, case):
             None if pick is None else [(instance_id(p.component_type, p.index), p.port)
                                        for p in pick])
         maintained = {pi(inst.type_name, inst.index, label)
-                      for inst, labels in zip(system.instances, system.enabled) for label in labels}
+                      for inst, node in zip(system.instances, system.node) for label in node.labels}
         assert maintained == enabled_ports(state, d)
+        for inst, node in zip(system.instances, system.node):
+            values = tuple(inst.guards[name] for name in sorted(inst.guards))
+            fresh = _Node((inst.type_name, inst.current, values), tables[inst.type_name],
+                          dict(inst.guards))
+            assert system.nodes[fresh.key] is node
+            assert ((node.current, node.guards, node.labels, node.internal)
+                    == (fresh.current, fresh.guards, fresh.labels, fresh.internal))
+
+
+def test_nodes_are_per_configuration_not_per_instance(mutex, routes):
+    """Instances share the node of their type, state and guard values.  A
+    mutex run at n=200 reaches 4 nodes; a scripted routes run at n=100 at
+    most |states| * 2^|guards| per type.  Two routes in wait with different
+    finished values take different edges for one event in one cycle: the
+    one finished is parked and takes the internal edge, the other consumes
+    the event."""
+    system = CompiledSystem(init_state(mutex, {"n": 200}), mutex, diagram_orbits(mutex, {"n": 200}))
+    rng = SplitMix64(0)
+    for index in range(200):
+        system.step(None, rng, UNIFORM_RANDOM, index)
+    assert sorted(system.nodes) == [("Manager", "busy", ()), ("Manager", "free", ()),
+                                    ("Process", "idle", ()), ("Process", "using", ())]
+
+    draw = random.Random(0)
+    script = [ScriptEntry(events=tuple((f"Route#{draw.randint(1, 100)}", "end") for _ in "ab"),
+                          guards=tuple((f"Route#{draw.randint(1, 100)}", "finished",
+                                        draw.random() < 0.5) for _ in "ab"))
+              for _ in range(200)]
+    system = CompiledSystem(init_state(routes, {"n": 100}), routes,
+                            diagram_orbits(routes, {"n": 100}))
+    for index, entry in enumerate(script):
+        system.step(entry, rng, LEXICOGRAPHIC_FIRST, index)
+    for ct in routes.component_types:
+        built = [key for key in system.nodes if key[0] == ct.name]
+        assert 0 < len(built) <= len(ct.states) * 2 ** len(ct.guards)
+    assert len({key for key in system.nodes if key[0] == "Route"}) > 4
+
+    state = init_state(routes, {"n": 2})
+    for target, finished in (("Route#1", True), ("Route#2", False)):
+        state[target].current = "wait"
+        state[target].guards["finished"] = finished
+    system = CompiledSystem(state, routes, diagram_orbits(routes, {"n": 2}))
+    record = system.step(ScriptEntry(events=(("Route#1", "end"), ("Route#2", "end"))),
+                         SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    assert record["spontaneous"] == [
+        {"instance": "Route#2", "event": "end", "from": "wait", "to": "done"}]
+    assert record["internal"] == [{"instance": "Route#1", "from": "wait", "to": "done"}]
+    assert system.nodes["Route", "wait", (True,)].events == {"end": None}
+    assert system.nodes["Route", "wait", (False,)].internal_edge is None
+    assert state["Route#1"].queue == ["end"]
 
 
 @pytest.fixture(scope="module")
@@ -758,10 +815,12 @@ def test_a_rank_outside_the_feasible_count_is_refused(pick_models, model):
 
 @pytest.mark.parametrize("model, done, live", [("mutex", (), 1), ("routes", ("Route#2",), 2)])
 def test_an_orbit_count_above_its_eligible_lists_is_refused(pick_models, model, done, live):
-    """A maintained count one above what its eligible lists supply makes the
-    last rank raise BipError: on mutex, whose run has one live orbit, at a
-    draw past its list; on routes with a route done, whose run has two, when
-    the descent finds no label left to take the rank."""
+    """A maintained count one above, or twice, what its eligible lists
+    supply makes the last rank raise BipError: on mutex, whose run has one
+    live orbit, where the count does not divide exactly by a type's C(e, r)
+    or does not divide down to 1, at every rank (a doubled count is not read
+    as each process twice); on routes with a route done, whose run has two,
+    also when the descent finds no label left to take the rank."""
     d = pick_models[model]
     state = init_state(d, {"n": 3})
     for target in done:
@@ -772,10 +831,14 @@ def test_an_orbit_count_above_its_eligible_lists_is_refused(pick_models, model, 
     orbits = [o for o in range(start, stop) if counts[o]]
     assert len(orbits) == live
     for o in orbits:
-        counts[o] += 1
-        with pytest.raises(BipError, match="^the orbit counts disagree with the eligible lists$"):
-            system.interaction(sum(counts) - 1)
-        counts[o] -= 1
+        true = counts[o]
+        for inflated in (true + 1, 2 * true):
+            counts[o] = inflated
+            for k in range(sum(counts)) if live == 1 else [sum(counts) - 1]:
+                with pytest.raises(BipError,
+                                   match="^the orbit counts disagree with the eligible lists$"):
+                    system.interaction(k)
+        counts[o] = true
 
 
 def test_a_count_over_empty_eligible_lists_is_refused():
@@ -1103,6 +1166,20 @@ diagram Loop {
     with pytest.raises(ReplayError,
                        match="cycle 0: spontaneous record out of instance order at A#1"):
         replay_validate(forged, d, {}, script=script)
+
+
+def test_replay_rejects_interaction_records_out_of_instance_order(mutex):
+    """The step records a fired interaction's ports in canonical (type,
+    index) order: Manager#1 before the process."""
+    trace = run(mutex, {"n": 3}, EngineConfig(cycles=3, seed=1))
+    records = trace["cycles"][0]["interaction"]
+    assert [r["instance"] for r in records] == ["Manager#1", "Process#3"]
+    replay_validate(trace, mutex, {"n": 3})
+    forged = json.loads(trace_to_json(trace))
+    forged["cycles"][0]["interaction"].reverse()
+    with pytest.raises(ReplayError,
+                       match="^cycle 0: interaction record out of instance order at Manager#1$"):
+        replay_validate(forged, mutex, {"n": 3})
 
 
 def test_replay_rejects_internal_records_out_of_instance_order():

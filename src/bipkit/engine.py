@@ -900,21 +900,24 @@ def replay_validate(
             records = cycle["interaction"]
             if records is not None:
                 moves = [check(ENFORCEABLE, record["port"], record) for record in records]
-                if len({record["instance"] for record in records}) != len(records):
+                last, disorder = ("", 0), None  # the first key out of interaction(k)'s order
+                for inst, tr in moves:
+                    key = (inst.type_name, inst.index)
+                    if key <= last and disorder is None:
+                        disorder = key
+                    last = key
+                    inst.current = tr.destination
+                # records in strictly increasing order name distinct instances
+                if disorder and len({record["instance"] for record in records}) != len(records):
                     raise ReplayError(f"cycle {index}: fired interaction names an instance twice")
                 if tuple(sorted((inst.type_name, r["port"])
                                 for (inst, _), r in zip(moves, records))) not in allowed:
                     ports = sorted(str(PortInstance(inst.type_name, inst.index, r["port"]))
                                    for (inst, _), r in zip(moves, records))
                     raise ReplayError(f"cycle {index}: fired interaction {ports} is not allowed")
-                last = ("", 0)
-                for inst, tr in moves:  # in interaction(k)'s order
-                    key = (inst.type_name, inst.index)
-                    if key <= last:
-                        raise ReplayError(f"cycle {index}: interaction record out of instance "
-                                          f"order at {instance_id(*key)}")
-                    last = key
-                    inst.current = tr.destination
+                if disorder:
+                    raise ReplayError(f"cycle {index}: interaction record out of instance order "
+                                      f"at {instance_id(*disorder)}")
                 fired_count += 1
 
             last = ("", 0)

@@ -1170,16 +1170,23 @@ diagram Loop {
 
 def test_replay_rejects_interaction_records_out_of_instance_order(mutex):
     """The step records a fired interaction's ports in canonical (type,
-    index) order: Manager#1 before the process."""
+    index) order: Manager#1 before the process.  An interaction out of that
+    order that also names an instance twice, or is not allowed, is refused
+    with that earlier message."""
     trace = run(mutex, {"n": 3}, EngineConfig(cycles=3, seed=1))
     records = trace["cycles"][0]["interaction"]
     assert [r["instance"] for r in records] == ["Manager#1", "Process#3"]
     replay_validate(trace, mutex, {"n": 3})
-    forged = json.loads(trace_to_json(trace))
-    forged["cycles"][0]["interaction"].reverse()
-    with pytest.raises(ReplayError,
-                       match="^cycle 0: interaction record out of instance order at Manager#1$"):
-        replay_validate(forged, mutex, {"n": 3})
+    extra = {"instance": "Process#1", "port": "acquire", "from": "idle", "to": "using"}
+    for forged_records, message in (
+        (records[::-1], "interaction record out of instance order at Manager#1"),
+        (records[::-1] + [records[1]], "fired interaction names an instance twice"),
+        (records[::-1] + [extra], r"fired interaction \[.*\] is not allowed"),
+    ):
+        forged = json.loads(trace_to_json(trace))
+        forged["cycles"][0]["interaction"] = forged_records
+        with pytest.raises(ReplayError, match=f"^cycle 0: {message}$"):
+            replay_validate(forged, mutex, {"n": 3})
 
 
 def test_replay_rejects_internal_records_out_of_instance_order():

@@ -28,9 +28,9 @@ it; it holds its enabled labels, whether an internal transition is
 enabled, and its edges, each built the first time an instance takes it, as
 a regex engine builds its automaton lazily (Thompson, CACM 1968).  An edge,
 for a port, an event, a guard write or the internal transition, holds the
-transition's from and to, the next node, the eligible-list moves and the
-orbits to recount, so each guard write, consumed event and fired port
-costs one edge lookup and its moves.  A queue head that did not fire stays
+transition's from and to, the next node's number, the eligible-list
+moves and the orbits to recount, so each guard write, consumed event and
+fired port costs one edge lookup and its moves.  A queue head that did not fire stays
 parked until its instance gets an event or takes an edge, and sub-step (d)
 looks only at instances that took an edge to a node with an enabled
 internal transition.  A cycle works on what changed, but an eligible-list
@@ -340,14 +340,18 @@ class _Node:
     A node holds its enabled labels and whether an internal transition is
     enabled, and lazily filled edges: port label, event and guard write
     ``(guard, value)`` to edge, and the internal transition's edge.  An edge
-    is ``(from, to, next node, eligible-list moves, orbits to recount)``; an
-    event whose transition is not enabled maps to None."""
+    is ``(from, to, next node's number, eligible-list moves, orbits to
+    recount)``; an event whose transition is not enabled maps to None.  An
+    edge names its next node by number, so that nodes and edges make no
+    reference cycle and a run's nodes are freed when it ends, not at the
+    next full garbage collection."""
 
-    __slots__ = ("key", "table", "current", "guards", "labels", "internal",
+    __slots__ = ("key", "number", "table", "current", "guards", "labels", "internal",
                  "ports", "events", "writes", "internal_edge")
 
-    def __init__(self, key: tuple, table: _Transitions, guards: dict[str, bool]):
-        self.key, self.table, self.current, self.guards = key, table, key[1], guards
+    def __init__(self, key: tuple, number: int, table: _Transitions, guards: dict[str, bool]):
+        self.key, self.number, self.table, self.current, self.guards = (
+            key, number, table, key[1], guards)
         unguarded, guarded = table.enforceable.get(self.current, _NO_PORTS)
         self.labels = (unguarded.union(tr.label for tr in guarded if tr.guard.evaluate(guards))
                        if guarded else unguarded)
@@ -365,8 +369,9 @@ class CompiledSystem:
     Instances are in canonical order, as :func:`init_state` gives them.  Each
     instance points at the node of its type, state and guard values (in
     sorted guard-name order); ``nodes`` holds every node a run has reached,
-    one per configuration, shared by the instances in it, and each node's
-    edges are worked out the first time an instance takes them.  An orbit is
+    one per configuration, shared by the instances in it (``graph`` lists
+    them by number), and each node's edges are worked out the first time an
+    instance takes them.  An orbit is
     kept as its parts ``(type, label, count)`` grouped by type in name order
     (one with a multi-port signature names an instance twice and is
     dropped), each ``(type, label)`` with its eligible list, the sorted
@@ -387,6 +392,7 @@ class CompiledSystem:
         tables = _transition_tables(d)
         self.types = {ct.name: (tables[ct.name], sorted(ct.guards)) for ct in d.component_types}
         self.nodes: dict[tuple, _Node] = {}  # (type, state, guard values) -> node
+        self.graph: list[_Node] = []  # the nodes by number
         self.node: list[_Node] = []  # instance position -> its node
         node = None
         for inst in instances:  # init_state's instances of a type share one node
@@ -431,7 +437,8 @@ class CompiledSystem:
         node = self.nodes.get(key)
         if node is None:
             table, names = self.types[ctype]
-            node = self.nodes[key] = _Node(key, table, dict(zip(names, values)))
+            node = self.nodes[key] = _Node(key, len(self.graph), table, dict(zip(names, values)))
+            self.graph.append(node)
         return node
 
     def _edge(self, node: _Node, destination: str, values: tuple[bool, ...]) -> tuple:
@@ -445,7 +452,7 @@ class CompiledSystem:
         changed = {id(eligible) for eligible, _ in lists}
         orbits = {o for o, groups in enumerate(self.orbits)
                   for _, parts in groups for *_, eligible in parts if id(eligible) in changed}
-        return (node.current, destination, after, lists, orbits)
+        return (node.current, destination, after.number, lists, orbits)
 
     def _transition(self, node: _Node, kind: str, label: str = "") -> Optional[tuple]:
         """The edge of node's first enabled transition of this kind and
@@ -470,8 +477,8 @@ class CompiledSystem:
         """Instance i takes an edge: its state and node follow it, its list
         moves are made, and it is marked for sub-steps (b) and (d)."""
         inst = self.instances[i]
-        _, inst.current, node, lists, orbits = edge
-        self.node[i] = node
+        _, inst.current, number, lists, orbits = edge
+        self.node[i] = node = self.graph[number]
         for eligible, joins in lists:
             if joins:
                 insort(eligible, inst.index)
@@ -654,7 +661,7 @@ class CompiledSystem:
                 edge = node.internal_edge or self._transition(node, INTERNAL)
                 internal.append({"instance": ids[i], "from": edge[0], "to": edge[1]})
                 self._take(i, edge)
-                node, count = edge[2], count + 1
+                node, count = nodes[i], count + 1
         self.touched.clear()
 
         return {

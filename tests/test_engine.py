@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import json
 import random
@@ -723,9 +724,9 @@ def test_each_cycle_fires_the_specification_pick(engine_models, case):
         assert maintained == enabled_ports(state, d)
         for inst, node in zip(system.instances, system.node):
             values = tuple(inst.guards[name] for name in sorted(inst.guards))
-            fresh = _Node((inst.type_name, inst.current, values), tables[inst.type_name],
-                          dict(inst.guards))
-            assert system.nodes[fresh.key] is node
+            fresh = _Node((inst.type_name, inst.current, values), node.number,
+                          tables[inst.type_name], dict(inst.guards))
+            assert system.nodes[fresh.key] is system.graph[node.number] is node
             assert ((node.current, node.guards, node.labels, node.internal)
                     == (fresh.current, fresh.guards, fresh.labels, fresh.internal))
 
@@ -771,6 +772,29 @@ def test_nodes_are_per_configuration_not_per_instance(mutex, routes):
     assert system.nodes["Route", "wait", (True,)].events == {"end": None}
     assert system.nodes["Route", "wait", (False,)].internal_edge is None
     assert state["Route#1"].queue == ["end"]
+
+
+def test_a_compiled_system_is_freed_without_the_cycle_collector(routes):
+    """Edges name their next node by number, so a run's nodes, edges and
+    eligible lists make no reference cycle: dropping the system frees them
+    at once, and a process running many short runs does not hold them until
+    a full collection."""
+    binding = {"n": 4}
+    orbits, state = diagram_orbits(routes, binding), init_state(routes, binding)
+    script = [ScriptEntry(events=((f"Route#{index % 4 + 1}", "end"),),
+                          guards=((f"Route#{index % 3 + 1}", "finished", index % 2 == 0),))
+              for index in range(40)]
+    gc.collect()
+    gc.disable()
+    try:
+        system, rng = CompiledSystem(state, routes, orbits), SplitMix64(5)
+        for index, entry in enumerate(script):
+            system.step(entry, rng, UNIFORM_RANDOM, index)
+        assert len(system.graph) > 4
+        del system
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="module")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,9 +285,11 @@ def _search(ends: Sequence[int], numbers: Numbers, size: int, limit: Optional[in
     # no connector past max_nodes - 1, and only those are generated.
     total = math.prod(math.comb(n, m) for n, m, _ in numbers)
     pool = list(itertools.islice(_pool(ends, numbers), min(total, max_nodes)))
+    # No list holds more than sys.maxsize items, so a larger limit is none.
+    stop = None if limit is None else min(limit, sys.maxsize)
     return pool, list(itertools.islice(_exact_picks(
         pool, [numbers[e][2] for e in ends], [total * numbers[e][1] // numbers[e][0] for e in ends],
-        size, total, max_nodes, motif), limit))
+        size, total, max_nodes, motif), stop))
 
 
 @dataclass(frozen=True)

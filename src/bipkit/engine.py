@@ -20,28 +20,30 @@ item raises ScriptError at its script path, and the step only applies.
 
 The allowed set comes in as orbits (``model.Orbit``), from the diagram or
 from the macros, and is never expanded.  A run compiles the system once
-(:class:`CompiledSystem`): instances in canonical order, each pointing at
-the node of its configuration, and per (type, label) an orbit names the
-eligible list of instances whose port is enabled.  A node is one (type,
-state, guard values) that the run has reached, shared by the instances in
-it; it holds its enabled labels, whether an internal transition is
-enabled, and its edges, each built the first time an instance takes it, as
-a regex engine builds its automaton lazily (Thompson, CACM 1968).  An edge,
-for a port, an event, a guard write or the internal transition, holds the
-transition's from and to, the next node's number, the eligible-list
-moves and the orbits to recount, so each guard write, consumed event and
-fired port costs one edge lookup and its moves.  A queue head that did not fire stays
-parked until its instance gets an event or takes an edge, and sub-step (d)
-looks only at instances that took an edge to a node with an enabled
-internal transition.  A cycle works on what changed, but an eligible-list
-move is an ``insort`` or ``del`` that shifts up to n entries: on mutex a
-cycle costs 18 us at n=10^3 and 561 us at n=10^6.  Sub-step (c) counts
-each orbit's feasible interactions from the eligible lists: where each
-type of the orbit draws one part, as a product of C(len(eligible), r),
-else by a sum over enabled-label classes.  An edge recounts only the
-orbits that name a list it changes.  The pick descends over the counts,
-from its run's lone live orbit if any, and a count its lists do not supply
-exactly raises BipError.  Each step returns its trace record.
+(:class:`CompiledSystem`), which reads the instance states and never
+writes them: instances in canonical order, each its id, its index and the
+node of its configuration, a queue for each that holds events, and per
+(type, label) an orbit names the eligible list of instances whose port is
+enabled.  A node is one (type, state, guard values) that the run has
+reached, shared by the instances in it; it holds its enabled labels,
+whether an internal transition is enabled, and its edges, each built the
+first time an instance takes it, as a regex engine builds its automaton
+lazily (Thompson, CACM 1968).  An edge, for a port, an event, a guard
+write or the internal transition, holds the transition's from and to, the
+next node's number, the eligible-list moves and the orbits to recount, so
+each guard write, consumed event and fired port costs one edge lookup and
+its moves.  A queue head that did not fire stays parked until its instance
+gets an event or takes an edge, and sub-step (d) looks only at instances
+that took an edge to a node with an enabled internal transition.  A cycle
+works on what changed, but an eligible-list move is an ``insort`` or
+``del`` that shifts up to n entries: on mutex the median of 1,000 steps is
+12 us at n=10^3 and 218 us at n=10^6.  Sub-step (c) counts each orbit's
+feasible interactions from the eligible lists: where each type of the
+orbit draws one part, as a product of C(len(eligible), r), else by a sum
+over enabled-label classes.  An edge recounts only the orbits that name a
+list it changes.  The pick descends over the counts, from its run's lone
+live orbit if any, and a count its lists do not supply exactly raises
+BipError.  Each step returns its trace record.
 :func:`replay_validate` checks those records against the transition tables
 themselves, not the nodes, one lookup per record, and a fired interaction
 by its orbit: its instances are distinct, so it is allowed when the
@@ -136,7 +138,6 @@ class ScriptEntry:
 
 
 _NO_SCRIPT = ScriptEntry()
-_NO_PORTS: tuple = (frozenset(), ())  # a state with no enforceable transition
 _UNBUILT = object()  # an edge not yet worked out
 _MISCOUNT = "the orbit counts disagree with the eligible lists"  # a bug, not a bad input
 
@@ -235,7 +236,8 @@ def init_state(d: ArchitectureDiagram, binding: diagram_mod.Binding) -> dict[str
 
     The mapping goes from instance id to state in canonical (type name,
     index) order, the order in which every sub-step visits instances and
-    records what fired.  A run owns it exclusively."""
+    records what fired.  The caller owns it: :class:`CompiledSystem` reads
+    it once and never writes to it."""
     diagram_mod.check_binding(d, binding)
     instances: dict[str, InstanceState] = {}
     for ct in d.component_types:
@@ -299,8 +301,6 @@ class _Transitions:
     first enabled entry is the one that fires.  Internal transitions are
     listed under the label ""."""
 
-    # state -> (its unguarded enforceable labels, its guarded enforceable transitions)
-    enforceable: dict[str, tuple[frozenset[str], list[Transition]]]
     labeled: dict[tuple[str, str, str], list[Transition]]  # (kind, state, label) -> transitions
     internal: frozenset[str]  # the states with an internal transition
     budget: int  # internal firings allowed per instance and cycle: |states|
@@ -322,13 +322,8 @@ def _transition_tables(d: ArchitectureDiagram) -> dict[str, _Transitions]:
         for tr in ct.transitions:
             label = "" if tr.kind == INTERNAL else tr.label
             labeled.setdefault((tr.kind, tr.source, label), []).append(tr)
-        enforceable = {}
-        for state in {tr.source for tr in ct.transitions}:
-            ports = [tr for tr in ct.transitions if tr.kind == ENFORCEABLE and tr.source == state]
-            enforceable[state] = (frozenset(tr.label for tr in ports if tr.guard is None),
-                                  [tr for tr in ports if tr.guard is not None])
         internal = frozenset(tr.source for tr in ct.transitions if tr.kind == INTERNAL)
-        tables[ct.name] = _Transitions(enforceable, labeled, internal, len(ct.states))
+        tables[ct.name] = _Transitions(labeled, internal, len(ct.states))
     return tables
 
 
@@ -336,7 +331,8 @@ class _Node:
     """One configuration of a component type: a state and its guard values.
 
     ``current`` and ``guards`` are named as on :class:`InstanceState`, so
-    :meth:`_Transitions.first_enabled` reads a node as it reads an instance.
+    :meth:`_Transitions.first_enabled` reads a node as it reads an instance,
+    and a label is enabled at a node when it has a first enabled transition.
     A node holds its enabled labels and whether an internal transition is
     enabled, and lazily filled edges: port label, event and guard write
     ``(guard, value)`` to edge, and the internal transition's edge.  An edge
@@ -352,11 +348,10 @@ class _Node:
     def __init__(self, key: tuple, number: int, table: _Transitions, guards: dict[str, bool]):
         self.key, self.number, self.table, self.current, self.guards = (
             key, number, table, key[1], guards)
-        unguarded, guarded = table.enforceable.get(self.current, _NO_PORTS)
-        self.labels = (unguarded.union(tr.label for tr in guarded if tr.guard.evaluate(guards))
-                       if guarded else unguarded)
-        self.internal = (self.current in table.internal
-                         and table.first_enabled(INTERNAL, self) is not None)
+        self.labels = frozenset(label for kind, state, label in table.labeled
+                                if kind == ENFORCEABLE and state == self.current
+                                and table.first_enabled(kind, self, label))
+        self.internal = table.first_enabled(INTERNAL, self) is not None
         self.ports: dict[str, tuple] = {}
         self.events: dict[str, Optional[tuple]] = {}
         self.writes: dict[tuple[str, bool], tuple] = {}
@@ -366,12 +361,13 @@ class _Node:
 class CompiledSystem:
     """An instantiated system compiled for stepping.
 
-    Instances are in canonical order, as :func:`init_state` gives them.  Each
-    instance points at the node of its type, state and guard values (in
-    sorted guard-name order); ``nodes`` holds every node a run has reached,
-    one per configuration, shared by the instances in it (``graph`` lists
-    them by number), and each node's edges are worked out the first time an
-    instance takes them.  An orbit is
+    It reads the instance states once and never writes them.  Instances are
+    in canonical order, each kept as its id, its index and the node of its
+    type, state and guard values in sorted guard-name order; ``queues``
+    holds by position those of the instances that hold events.  ``nodes``
+    holds every node a run has reached, one per configuration, shared by
+    the instances in it (``graph`` lists them by number), and each node's
+    edges are worked out the first time an instance takes them.  An orbit is
     kept as its parts ``(type, label, count)`` grouped by type in name order
     (one with a multi-port signature names an instance twice and is
     dropped), each ``(type, label)`` with its eligible list, the sorted
@@ -380,22 +376,22 @@ class CompiledSystem:
     a sum over the instances' enabled-label classes where parts of one type
     draw disjoint instances.  An edge recounts only the orbits that name an
     eligible list it changes, and :meth:`interaction` descends over the
-    counts.  :meth:`step` mutates the compiled ``state``; after changing it
-    from outside, compile it again."""
+    counts.  :meth:`step` changes only the system: to start from another
+    state, compile that state."""
 
     def __init__(self, state: Mapping[str, InstanceState], d: ArchitectureDiagram,
                  orbits: Iterable[Orbit]):
-        self.instances = instances = list(state.values())
         self.ids = list(state)
+        self.index = [inst.index for inst in state.values()]
         self.position = {key: i for i, key in enumerate(self.ids)}
-        self.offset = {inst.type_name: i - inst.index for i, inst in enumerate(instances)}
+        self.offset = {inst.type_name: i - inst.index for i, inst in enumerate(state.values())}
         tables = _transition_tables(d)
         self.types = {ct.name: (tables[ct.name], sorted(ct.guards)) for ct in d.component_types}
         self.nodes: dict[tuple, _Node] = {}  # (type, state, guard values) -> node
         self.graph: list[_Node] = []  # the nodes by number
         self.node: list[_Node] = []  # instance position -> its node
         node = None
-        for inst in instances:  # init_state's instances of a type share one node
+        for inst in state.values():  # init_state's instances of a type share one node
             if (node is None or inst.current != node.current or inst.type_name != node.key[0]
                     or inst.guards != node.guards):
                 names = self.types[inst.type_name][1]
@@ -414,22 +410,24 @@ class CompiledSystem:
         self.factors = [([e for _, ((_, _, e),) in groups], [r for _, ((_, r, _),) in groups])
                         if all(len(parts) == 1 for _, parts in groups) else None
                         for groups in self.orbits]
-        for inst, node in zip(instances, self.node):
+        for index, node in zip(self.index, self.node):
             for label in node.labels:
-                eligible = self.eligible.get((inst.type_name, label))
+                eligible = self.eligible.get((node.key[0], label))
                 if eligible is not None:
-                    eligible.append(inst.index)
+                    eligible.append(index)
         starts = [o for o, groups in enumerate(self.orbits)  # sorted, one first type is a run
                   if not o or groups[0][0] != self.orbits[o - 1][0][0]]
         self.runs = list(zip(starts, starts[1:] + [len(self.orbits)]))  # the pick's first level
         self.counts = [0] * len(self.orbits)
         self.stale = set(range(len(self.orbits)))  # the orbits to recount
 
+        # The queues of the instances that hold events, by position.
+        self.queues = {i: list(inst.queue) for i, inst in enumerate(state.values()) if inst.queue}
         # The instances whose queue head may fire (at first, those with a
         # queue) and whose node has an enabled internal transition.  Then
         # only those that got an event or took an edge since sub-steps (b)
         # and (d) last looked at them can.
-        self.queued = {i for i, inst in enumerate(instances) if inst.queue}
+        self.queued = set(self.queues)
         self.touched = {i for i, node in enumerate(self.node) if node.internal}
 
     def _node(self, ctype: str, current: str, values: tuple[bool, ...]) -> _Node:
@@ -474,21 +472,21 @@ class CompiledSystem:
         return edge
 
     def _take(self, i: int, edge: tuple) -> None:
-        """Instance i takes an edge: its state and node follow it, its list
-        moves are made, and it is marked for sub-steps (b) and (d)."""
-        inst = self.instances[i]
-        _, inst.current, number, lists, orbits = edge
+        """Instance i takes an edge: its node follows it, its list moves are
+        made, and it is marked for sub-steps (b) and (d)."""
+        _, _, number, lists, orbits = edge
         self.node[i] = node = self.graph[number]
+        index = self.index[i]
         for eligible, joins in lists:
             if joins:
-                insort(eligible, inst.index)
+                insort(eligible, index)
             else:
-                del eligible[bisect_left(eligible, inst.index)]
+                del eligible[bisect_left(eligible, index)]
         if orbits:
             self.stale |= orbits
         if node.internal:
             self.touched.add(i)
-        if inst.queue:
+        if i in self.queues:
             self.queued.add(i)
 
     def feasible(self) -> list[int]:
@@ -607,33 +605,34 @@ class CompiledSystem:
         """Run one engine cycle and return its trace record.  The entry is
         one that :func:`run` checked against the model before cycle 0."""
         entry = entry or _NO_SCRIPT
-        instances, ids, nodes, position = self.instances, self.ids, self.node, self.position
+        ids, nodes, position, queues = self.ids, self.node, self.position, self.queues
 
         # (a) guard updates
         for target, guard, value in entry.guards:
             i = position[target]
-            instances[i].guards[guard] = value
             node = nodes[i]
             self._take(i, node.writes.get((guard, value)) or self._write(node, guard, value))
 
         # (b) spontaneous events: enqueue, then consume at most one per instance
         for target, event in entry.events:
             i = position[target]
-            instances[i].queue.append(event)
+            queues.setdefault(i, []).append(event)
             self.queued.add(i)
 
         spontaneous = []
         checked = sorted(self.queued)
         self.queued.clear()
         for i in checked:
-            inst, node = instances[i], nodes[i]
-            head = inst.queue[0]
+            node, queue = nodes[i], queues[i]
+            head = queue[0]
             edge = node.events.get(head, _UNBUILT)
             if edge is _UNBUILT:
                 edge = self._transition(node, SPONTANEOUS, head)
             if edge is None:
                 continue
-            inst.queue.pop(0)
+            del queue[0]
+            if not queue:
+                del queues[i]
             spontaneous.append({"instance": ids[i], "event": head, "from": edge[0], "to": edge[1]})
             self._take(i, edge)
 

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from bipkit import diagram as dg
 from bipkit import encode_macros
-from bipkit.engine import LEXICOGRAPHIC_FIRST, SplitMix64, enabled_ports
+from bipkit.engine import LEXICOGRAPHIC_FIRST, ScriptEntry, SplitMix64, enabled_ports
 from bipkit.errors import CapacityError
 from bipkit.logic import allowed_interactions
 from bipkit.model import (
@@ -227,6 +227,25 @@ def feasible_spec(allowed: list[tuple[PortInstance, ...]], state,
     enabled in ``state``."""
     enabled = enabled_ports(state, d)
     return [key for key in allowed if enabled.issuperset(key)]
+
+
+def follow(state, entry: Optional[ScriptEntry], record: dict) -> None:
+    """Apply one cycle to an instance-state mapping, as replay reads it: the
+    script entry's guard writes and events, then the trace record's
+    spontaneous, interaction and internal moves in order.  Each move starts
+    at the state its record names, and a consumed event is its instance's
+    queue head."""
+    entry = entry or ScriptEntry()
+    for target, guard, value in entry.guards:
+        state[target].guards[guard] = value
+    for target, event in entry.events:
+        state[target].queue.append(event)
+    for move in record["spontaneous"]:
+        assert state[move["instance"]].queue.pop(0) == move["event"]
+    for move in (*record["spontaneous"], *(record["interaction"] or ()), *record["internal"]):
+        inst = state[move["instance"]]
+        assert inst.current == move["from"], (move, inst.current)
+        inst.current = move["to"]
 
 
 def pick_spec(feasible: list[tuple[PortInstance, ...]], rng: SplitMix64,

@@ -1008,6 +1008,20 @@ def test_oracle_file_mode_limit_one_still_separates_one_from_many(capsys):
     assert "count=2+ unique-predicted=False ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["instantiate", "oracle"])
+def test_a_limit_past_any_list_size_is_no_limit(capsys, command):
+    """A --limit above sys.maxsize, more configurations than a list holds,
+    stops no search: the command prints what --limit 1000 prints and
+    exits 0."""
+    argv = [command, model_path("mutex.bip"), "--bind", "n=2", "--limit"]
+    assert main(argv + ["1000"]) == 0
+    expected = capsys.readouterr()
+    assert expected.err == ""
+    for limit in (sys.maxsize + 1, 10**20):
+        assert main(argv + [str(limit)]) == 0
+        assert capsys.readouterr() == expected
+
+
 def test_oracle_json_needs_the_sweep(capsys):
     assert main(["oracle", model_path("star.bip"), "--bind", "n=2", "--json"]) == 4
     out, err = capsys.readouterr()

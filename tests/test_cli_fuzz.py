@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -129,9 +130,9 @@ SWEEPS = st.one_of(
 MAX_NODES = st.one_of(st.none(), st.integers(1, 2000).map(str),
                       st.sampled_from(["0", "-3", "abc", "", "1e3"]))
 
-# Mostly in range: --cycles up to 20, --limit up to 5.
+# Mostly in range: --cycles up to 20, --limit up to 5; or one past sys.maxsize.
 NUMBERS = st.one_of(st.integers(0, 20).map(str), st.integers(0, 20).map(str),
-                    st.sampled_from(["-2", "-1", "x", ""]))
+                    st.sampled_from(["-2", "-1", "x", ""]), st.just(str(sys.maxsize + 1)))
 
 
 @st.composite

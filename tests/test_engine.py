@@ -28,7 +28,6 @@ from bipkit.engine import (
     ScriptEntry,
     SplitMix64,
     UNIFORM_RANDOM,
-    _Node,
     _script_entry,
     _transition_tables,
     _unrank,
@@ -41,13 +40,14 @@ from bipkit.engine import (
     trace_to_json,
 )
 from bipkit.errors import BipError, EncodabilityError, LivelockError, ScriptError
-from bipkit.model import PortTypeRef
+from bipkit.model import INTERNAL, PortTypeRef
 from helpers import (
     BROADCAST,
     PAIRS,
     SHARED_TYPE,
     TWO_LOCKS,
     feasible_spec,
+    follow,
     pi,
     pick_spec,
     sorted_allowed,
@@ -142,14 +142,14 @@ diagram G {
 def test_step_cycle_fires_switch_on(routes):
     binding = {"n": 2}
     orbits = diagram_orbits(routes, binding)
-    state = init_state(routes, binding)
-    record = CompiledSystem(state, routes, orbits).step(None, SplitMix64(7), LEXICOGRAPHIC_FIRST)
+    system = CompiledSystem(init_state(routes, binding), routes, orbits)
+    record = system.step(None, SplitMix64(7), LEXICOGRAPHIC_FIRST)
     assert record["interaction"] is not None
     fired = {(r["instance"], r["port"]) for r in record["interaction"]}
     assert fired in ({("Route#1", "on"), ("Monitor#1", "add")},
                      {("Route#2", "on"), ("Monitor#1", "add")})
     route = "Route#1" if ("Route#1", "on") in fired else "Route#2"
-    assert state[route].current == "on"
+    assert system.node[system.position[route]].current == "on"
     assert not record["idle"]
 
 
@@ -159,10 +159,11 @@ def test_internal_transition_fires_on_guard(routes):
     state = init_state(routes, binding)
     state["Route#1"].current = "wait"
     entry = ScriptEntry(guards=(("Route#1", "finished", True),))
-    record = CompiledSystem(state, routes, orbits).step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    system = CompiledSystem(state, routes, orbits)
+    record = system.step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert {"instance": "Route#1", "from": "wait", "to": "done"} in record["internal"]
     # from "done" the finished/rm interaction fired in the same cycle
-    assert state["Route#1"].current in ("done", "off")
+    assert system.node[system.position["Route#1"]].current in ("done", "off")
 
 
 def test_spontaneous_event_consumption(routes):
@@ -172,17 +173,23 @@ def test_spontaneous_event_consumption(routes):
 
     # the end event does not match any transition from "off": it stays queued
     entry = ScriptEntry(events=(("Route#1", "end"),))
-    record = CompiledSystem(state, routes, orbits).step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    system = CompiledSystem(state, routes, orbits)
+    record = system.step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["spontaneous"] == []
+    follow(state, entry, record)
     assert state["Route#1"].queue == ["end"]
+    assert system.queues == {system.position["Route#1"]: ["end"]}
 
     # once the route reaches "wait" (guard still false) the queued event fires
     state["Route#1"].current = "wait"
-    record = CompiledSystem(state, routes, orbits).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    system = CompiledSystem(state, routes, orbits)
+    record = system.step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["spontaneous"] == [
         {"instance": "Route#1", "event": "end", "from": "wait", "to": "done"},
     ]
+    follow(state, None, record)
     assert state["Route#1"].queue == []
+    assert system.queues == {}
 
 
 def test_empty_feasible_set_is_idle(star):
@@ -235,10 +242,10 @@ diagram Chain {
 }
 """
     )
-    state = init_state(d, {})
-    record = CompiledSystem(state, d, []).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    system = CompiledSystem(init_state(d, {}), d, [])
+    record = system.step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert [r["to"] for r in record["internal"]] == ["b", "c"]
-    assert state["T#1"].current == "c"
+    assert system.node[system.position["T#1"]].current == "c"
 
 
 def test_a_guard_write_lets_a_blocked_queue_head_fire():
@@ -687,13 +694,13 @@ def engine_runs(draw):
 @given(engine_runs())
 @settings(max_examples=100, deadline=None)
 def test_each_cycle_fires_the_specification_pick(engine_models, case):
-    """run keeps one compiled system across cycles.  In every cycle, the
+    """run keeps one compiled system across cycles.  A state tracked beside
+    it by the replay rule (``follow``) checks it after every cycle: the
     interaction it fires is the one the specification picks from the state
-    after sub-steps (a) and (b), the incrementally maintained enabled set is
-    the from-scratch one, and each instance's node is the one of its type,
-    state and guard values: the shared node of that key, whose state, guard
-    values, enabled labels and internal flag are those of a node built anew
-    from the instance."""
+    after sub-steps (a) and (b); the enabled labels of the nodes are the
+    specification's enabled ports; and each instance's node is the shared
+    node of its tracked type, state and guard values, with the internal flag
+    of that state, and its queue is the tracked queue."""
     model, binding, config, script = case
     d = engine_models[model]
     trace = run(d, binding, config, script=script)
@@ -702,33 +709,31 @@ def test_each_cycle_fires_the_specification_pick(engine_models, case):
     allowed = sorted_allowed(d, binding, orbits)
     state, rng, spec_rng = init_state(d, binding), SplitMix64(config.seed), SplitMix64(config.seed)
     system, tables = CompiledSystem(state, d, orbits), _transition_tables(d)
-    for index in range(config.cycles):
-        entry = script.entries[index] if index < len(script.entries) else ScriptEntry()
+    assert system.ids == list(state)
+    for cycle in range(config.cycles):
+        entry = script.entries[cycle] if cycle < len(script.entries) else ScriptEntry()
+        record = system.step(entry, rng, config.policy, cycle)
+        assert record == trace["cycles"][cycle]
         before = copy.deepcopy(state)
-        record = system.step(entry, rng, config.policy, index)
-        assert record == trace["cycles"][index]
-        for target, guard, value in entry.guards:
-            before[target].guards[guard] = value
-        for target, event in entry.events:
-            before[target].queue.append(event)
-        for moved in record["spontaneous"]:
-            before[moved["instance"]].queue.pop(0)
-            before[moved["instance"]].current = moved["to"]
+        follow(before, entry, {**record, "interaction": None, "internal": []})
         pick = pick_spec(feasible_spec(allowed, before, d), spec_rng, config.policy)
         fired = record["interaction"]
         assert (None if fired is None else [(r["instance"], r["port"]) for r in fired]) == (
             None if pick is None else [(instance_id(p.component_type, p.index), p.port)
                                        for p in pick])
-        maintained = {pi(inst.type_name, inst.index, label)
-                      for inst, node in zip(system.instances, system.node) for label in node.labels}
+        follow(state, entry, record)
+        maintained = {pi(node.key[0], index, label)
+                      for index, node in zip(system.index, system.node) for label in node.labels}
         assert maintained == enabled_ports(state, d)
-        for inst, node in zip(system.instances, system.node):
+        for i, inst in enumerate(state.values()):
+            node = system.node[i]
             values = tuple(inst.guards[name] for name in sorted(inst.guards))
-            fresh = _Node((inst.type_name, inst.current, values), node.number,
-                          tables[inst.type_name], dict(inst.guards))
-            assert system.nodes[fresh.key] is system.graph[node.number] is node
-            assert ((node.current, node.guards, node.labels, node.internal)
-                    == (fresh.current, fresh.guards, fresh.labels, fresh.internal))
+            assert node.key == (inst.type_name, inst.current, values)
+            assert system.nodes[node.key] is system.graph[node.number] is node
+            assert (node.current, node.guards) == (inst.current, inst.guards)
+            assert node.internal == (tables[inst.type_name].first_enabled(INTERNAL, inst)
+                                     is not None)
+            assert system.queues.get(i, []) == inst.queue
 
 
 def test_nodes_are_per_configuration_not_per_instance(mutex, routes):
@@ -771,7 +776,30 @@ def test_nodes_are_per_configuration_not_per_instance(mutex, routes):
     assert record["internal"] == [{"instance": "Route#1", "from": "wait", "to": "done"}]
     assert system.nodes["Route", "wait", (True,)].events == {"end": None}
     assert system.nodes["Route", "wait", (False,)].internal_edge is None
-    assert state["Route#1"].queue == ["end"]
+    assert system.queues == {system.position["Route#1"]: ["end"]}
+
+
+# A routes run at n=4: an event and a guard write each cycle, for 40 cycles.
+ROUTES_SCRIPT = [ScriptEntry(events=((f"Route#{index % 4 + 1}", "end"),),
+                             guards=((f"Route#{index % 3 + 1}", "finished", index % 2 == 0),))
+                 for index in range(40)]
+
+
+def test_a_run_writes_nothing_to_the_state_it_was_compiled_from(routes):
+    """A compiled system reads the state mapping once: each instance's
+    configuration lives in its node and its queue in the system, so a
+    scripted run leaves the mapping, queued events and guard values
+    included, as it was."""
+    binding = {"n": 4}
+    state = init_state(routes, binding)
+    state["Route#2"].queue.append("end")
+    state["Route#3"].guards["finished"] = True
+    before = copy.deepcopy(state)
+    system, rng = CompiledSystem(state, routes, diagram_orbits(routes, binding)), SplitMix64(5)
+    records = [system.step(entry, rng, UNIFORM_RANDOM, index)
+               for index, entry in enumerate(ROUTES_SCRIPT)]
+    assert state == before
+    assert any(record["spontaneous"] for record in records) and len(system.graph) > 4
 
 
 def test_a_compiled_system_is_freed_without_the_cycle_collector(routes):
@@ -781,14 +809,11 @@ def test_a_compiled_system_is_freed_without_the_cycle_collector(routes):
     a full collection."""
     binding = {"n": 4}
     orbits, state = diagram_orbits(routes, binding), init_state(routes, binding)
-    script = [ScriptEntry(events=((f"Route#{index % 4 + 1}", "end"),),
-                          guards=((f"Route#{index % 3 + 1}", "finished", index % 2 == 0),))
-              for index in range(40)]
     gc.collect()
     gc.disable()
     try:
         system, rng = CompiledSystem(state, routes, orbits), SplitMix64(5)
-        for index, entry in enumerate(script):
+        for index, entry in enumerate(ROUTES_SCRIPT):
             system.step(entry, rng, UNIFORM_RANDOM, index)
         assert len(system.graph) > 4
         del system
@@ -905,7 +930,7 @@ def test_two_instance_draws_are_the_specification_kth(policy):
         system = CompiledSystem(state, d, orbits)
         for index in range(30):
             assert feasible_engine(system) == feasible_spec(allowed, state, d)
-            system.step(None, rng, policy, index)
+            follow(state, None, system.step(None, rng, policy, index))
 
 
 @st.composite
@@ -934,7 +959,7 @@ def test_the_kth_interaction_is_the_specification_kth(pick_models, case):
     for index in range(config.cycles):
         assert feasible_engine(system) == feasible_spec(allowed, state, d)
         entry = script.entries[index] if index < len(script.entries) else None
-        system.step(entry, rng, config.policy, index)
+        follow(state, entry, system.step(entry, rng, config.policy, index))
 
 
 # Two types whose three ports are each gated by a guard of their own, so a

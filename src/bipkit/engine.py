@@ -20,11 +20,14 @@ item raises ScriptError at its script path, and the step only applies.
 
 The allowed set comes in as orbits (``model.Orbit``), from the diagram or
 from the macros, and is never expanded.  A run compiles the system once
-(:class:`CompiledSystem`), which reads the instance states and never
-writes them: instances in canonical order, each its id, its index and the
-node of its configuration, a queue for each that holds events, and per
-(type, label) an orbit names the eligible list of instances whose port is
-enabled.  A node is one (type, state, guard values) that the run has
+(:class:`CompiledSystem`) from the diagram and the binding's counts, as
+every instance of a type starts in one configuration: per type in name
+order one node, repeated at the type's positions, and per (type, label)
+an orbit names the eligible list of instances whose port is enabled,
+``1..n`` when the initial node enables it.  No per-instance object is
+built before cycle 0: an id is built the first time a record or an error
+names it, and each distinct script target is resolved to its position
+once.  A node is one (type, state, guard values) that the run has
 reached, shared by the instances in it; it holds its enabled labels,
 whether an internal transition is enabled, and its edges, each built the
 first time an instance takes it, as a regex engine builds its automaton
@@ -70,7 +73,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby
 from math import comb, prod
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import diagram as diagram_mod
 from .encoder import encode_macros
@@ -236,8 +239,11 @@ def init_state(d: ArchitectureDiagram, binding: diagram_mod.Binding) -> dict[str
 
     The mapping goes from instance id to state in canonical (type name,
     index) order, the order in which every sub-step visits instances and
-    records what fired.  The caller owns it: :class:`CompiledSystem` reads
-    it once and never writes to it."""
+    records what fired.  :func:`run` does not build it: it compiles from
+    the binding's counts.  :func:`replay_validate` checks a trace on it,
+    and a caller may change it and compile it as another start state
+    (``CompiledSystem(d, binding, orbits, state)``), which reads it once
+    and never writes to it."""
     diagram_mod.check_binding(d, binding)
     instances: dict[str, InstanceState] = {}
     for ct in d.component_types:
@@ -250,12 +256,22 @@ def init_state(d: ArchitectureDiagram, binding: diagram_mod.Binding) -> dict[str
     return instances
 
 
+class _Target(NamedTuple):
+    """The instance a script target names, by its type and its position
+    in a compiled system; ``type_name`` as on :class:`InstanceState`."""
+
+    type_name: str
+    position: int
+
+
 def _check_script(
-    entries: tuple[ScriptEntry, ...], instances: Mapping[str, InstanceState], d: ArchitectureDiagram
+    entries: tuple[ScriptEntry, ...], lookup: Callable[[str], Optional[_Target | InstanceState]],
+    d: ArchitectureDiagram
 ) -> None:
     """Check the script entries a run uses against the model, before cycle 0.
 
-    An item whose target is no instance, or that names a guard or
+    ``lookup`` gives the instance a target names, or None.  An
+    item whose target is no instance, or that names a guard or
     spontaneous event its instance's type does not declare, raises
     ScriptError located at its path in the script, e.g.
     ``cycles[2].events[0]: event targets unknown instance 'Route#9'``."""
@@ -265,7 +281,7 @@ def _check_script(
     for index, entry in enumerate(entries):
         for item in entry.guards:
             target, guard, _ = item
-            inst = instances.get(target)
+            inst = lookup(target)
             if inst is None or guard not in types[inst.type_name].guards:
                 problem = (f"guard update targets unknown instance {target!r}" if inst is None
                            else f"{target} declares no guard {guard!r}")
@@ -273,7 +289,7 @@ def _check_script(
                 raise ScriptError(f"cycles[{index}].guards[{position}]: {problem}")
         for item in entry.events:
             target, event = item
-            inst = instances.get(target)
+            inst = lookup(target)
             if inst is None or event not in types[inst.type_name].spontaneous_events:
                 problem = (f"event targets unknown instance {target!r}" if inst is None
                            else f"{target} declares no spontaneous event {event!r}")
@@ -361,10 +377,14 @@ class _Node:
 class CompiledSystem:
     """An instantiated system compiled for stepping.
 
-    It reads the instance states once and never writes them.  Instances are
-    in canonical order, each kept as its id, its index and the node of its
-    type, state and guard values in sorted guard-name order; ``queues``
-    holds by position those of the instances that hold events.  ``nodes``
+    It is compiled from the diagram and the binding's counts.  Instances
+    are in canonical order, a type's at the positions ``offset[type] + k``
+    for k in 1..``size[type]``, each kept as the node of its type, state
+    and guard values in sorted guard-name order; all of a type's start at
+    its initial node with every guard false, and ``queues`` holds by
+    position those of the instances that hold events.  An id is built the
+    first time a record or an error names it (:meth:`name`), and a script
+    target is resolved to its position once (:meth:`locate`).  ``nodes``
     holds every node a run has reached, one per configuration, shared by
     the instances in it (``graph`` lists them by number), and each node's
     edges are worked out the first time an instance takes them.  An orbit is
@@ -376,29 +396,16 @@ class CompiledSystem:
     a sum over the instances' enabled-label classes where parts of one type
     draw disjoint instances.  An edge recounts only the orbits that name an
     eligible list it changes, and :meth:`interaction` descends over the
-    counts.  :meth:`step` changes only the system: to start from another
-    state, compile that state."""
+    counts.  :meth:`step` changes only the system.  To start from another
+    state, pass it as ``state``, a mapping as :func:`init_state` returns:
+    each instance whose configuration differs takes the edge from its
+    initial node to its own, and a queue it holds is copied."""
 
-    def __init__(self, state: Mapping[str, InstanceState], d: ArchitectureDiagram,
-                 orbits: Iterable[Orbit]):
-        self.ids = list(state)
-        self.index = [inst.index for inst in state.values()]
-        self.position = {key: i for i, key in enumerate(self.ids)}
-        self.offset = {inst.type_name: i - inst.index for i, inst in enumerate(state.values())}
+    def __init__(self, d: ArchitectureDiagram, binding: diagram_mod.Binding,
+                 orbits: Iterable[Orbit], state: Optional[Mapping[str, InstanceState]] = None):
+        diagram_mod.check_binding(d, binding)
         tables = _transition_tables(d)
         self.types = {ct.name: (tables[ct.name], sorted(ct.guards)) for ct in d.component_types}
-        self.nodes: dict[tuple, _Node] = {}  # (type, state, guard values) -> node
-        self.graph: list[_Node] = []  # the nodes by number
-        self.node: list[_Node] = []  # instance position -> its node
-        node = None
-        for inst in state.values():  # init_state's instances of a type share one node
-            if (node is None or inst.current != node.current or inst.type_name != node.key[0]
-                    or inst.guards != node.guards):
-                names = self.types[inst.type_name][1]
-                node = self._node(inst.type_name, inst.current,
-                                  tuple([inst.guards[name] for name in names]))
-            self.node.append(node)
-
         self.eligible: dict[tuple[str, str], list[int]] = {}  # (type, label) -> indices
         self.orbits = [  # each as its (type, ((label, count, eligible list), ...)) groups
             tuple((ctype, tuple((sig[0].port, k, self.eligible.setdefault((ctype, sig[0].port), []))
@@ -410,25 +417,73 @@ class CompiledSystem:
         self.factors = [([e for _, ((_, _, e),) in groups], [r for _, ((_, r, _),) in groups])
                         if all(len(parts) == 1 for _, parts in groups) else None
                         for groups in self.orbits]
-        for index, node in zip(self.index, self.node):
-            for label in node.labels:
-                eligible = self.eligible.get((node.key[0], label))
-                if eligible is not None:
-                    eligible.append(index)
         starts = [o for o, groups in enumerate(self.orbits)  # sorted, one first type is a run
                   if not o or groups[0][0] != self.orbits[o - 1][0][0]]
         self.runs = list(zip(starts, starts[1:] + [len(self.orbits)]))  # the pick's first level
         self.counts = [0] * len(self.orbits)
         self.stale = set(range(len(self.orbits)))  # the orbits to recount
 
-        # The queues of the instances that hold events, by position.
-        self.queues = {i: list(inst.queue) for i, inst in enumerate(state.values()) if inst.queue}
+        self.nodes: dict[tuple, _Node] = {}  # (type, state, guard values) -> node
+        self.graph: list[_Node] = []  # the nodes by number
+        self.node: list[_Node] = []  # instance position -> its node
+        self.offset: dict[str, int] = {}  # type -> the position of its instance k, less k
+        self.size: dict[str, int] = {}  # type -> its instance count
+        self.targets: dict[str, _Target] = {}  # script target -> its instance
+        self.named: dict[int, str] = {}  # position -> id, of the instances named so far
         # The instances whose queue head may fire (at first, those with a
         # queue) and whose node has an enabled internal transition.  Then
         # only those that got an event or took an edge since sub-steps (b)
         # and (d) last looked at them can.
-        self.queued = set(self.queues)
-        self.touched = {i for i, node in enumerate(self.node) if node.internal}
+        self.queued: set[int] = set()
+        self.touched: set[int] = set()
+        for ct in d.component_types:  # in name order, each type's instances at one node
+            first, count = len(self.node), ct.cardinality.evaluate(binding)
+            self.offset[ct.name], self.size[ct.name] = first - 1, count
+            if count:
+                node = self._node(ct.name, ct.initial_state, (False,) * len(ct.guards))
+                for label in node.labels:
+                    eligible = self.eligible.get((ct.name, label))
+                    if eligible is not None:
+                        eligible.extend(range(1, count + 1))
+                if node.internal:
+                    self.touched.update(range(first, first + count))
+                self.node += [node] * count
+
+        # The queues of the instances that hold events, by position.
+        self.queues: dict[int, list[str]] = {}
+        for inst in (state or {}).values():
+            i, names = self.offset[inst.type_name] + inst.index, self.types[inst.type_name][1]
+            if inst.queue:
+                self.queues[i] = list(inst.queue)
+            node, values = self.node[i], tuple([inst.guards[name] for name in names])
+            if (inst.current, values) != node.key[1:]:
+                self._take(i, self._edge(node, inst.current, values))
+        self.queued.update(self.queues)
+
+    def name(self, i: int) -> str:
+        """The id of the instance at position i, built the first time a
+        record or an error names it and then shared by its records."""
+        name = self.named.get(i)
+        if name is None:
+            ctype = self.node[i].key[0]
+            name = self.named[i] = instance_id(ctype, i - self.offset[ctype])
+        return name
+
+    def locate(self, target: str) -> Optional[_Target]:
+        """The instance a script target names, or None.  A target names an
+        instance only as exactly its id, ``instance_id(type, k)`` with
+        1 <= k <= the type's count; a found one is kept in ``targets``."""
+        found = self.targets.get(target)
+        if found is None:
+            ctype, _, digits = target.rpartition("#")
+            size = self.size.get(ctype, 0)
+            if not digits.isdecimal() or len(digits) > len(str(size)):
+                return None
+            index = int(digits)
+            if not 1 <= index <= size or str(index) != digits:
+                return None
+            found = self.targets[target] = _Target(ctype, self.offset[ctype] + index)
+        return found
 
     def _node(self, ctype: str, current: str, values: tuple[bool, ...]) -> _Node:
         key = (ctype, current, values)
@@ -476,12 +531,13 @@ class CompiledSystem:
         made, and it is marked for sub-steps (b) and (d)."""
         _, _, number, lists, orbits = edge
         self.node[i] = node = self.graph[number]
-        index = self.index[i]
-        for eligible, joins in lists:
-            if joins:
-                insort(eligible, index)
-            else:
-                del eligible[bisect_left(eligible, index)]
+        if lists:
+            index = i - self.offset[node.key[0]]
+            for eligible, joins in lists:
+                if joins:
+                    insort(eligible, index)
+                else:
+                    del eligible[bisect_left(eligible, index)]
         if orbits:
             self.stale |= orbits
         if node.internal:
@@ -605,17 +661,18 @@ class CompiledSystem:
         """Run one engine cycle and return its trace record.  The entry is
         one that :func:`run` checked against the model before cycle 0."""
         entry = entry or _NO_SCRIPT
-        ids, nodes, position, queues = self.ids, self.node, self.position, self.queues
+        nodes, queues, offset = self.node, self.queues, self.offset
+        targets, locate, named, name = self.targets, self.locate, self.named, self.name
 
         # (a) guard updates
         for target, guard, value in entry.guards:
-            i = position[target]
+            _, i = targets.get(target) or locate(target)
             node = nodes[i]
             self._take(i, node.writes.get((guard, value)) or self._write(node, guard, value))
 
         # (b) spontaneous events: enqueue, then consume at most one per instance
         for target, event in entry.events:
-            i = position[target]
+            _, i = targets.get(target) or locate(target)
             queues.setdefault(i, []).append(event)
             self.queued.add(i)
 
@@ -633,7 +690,8 @@ class CompiledSystem:
             del queue[0]
             if not queue:
                 del queues[i]
-            spontaneous.append({"instance": ids[i], "event": head, "from": edge[0], "to": edge[1]})
+            spontaneous.append({"instance": named.get(i) or name(i), "event": head,
+                                "from": edge[0], "to": edge[1]})
             self._take(i, edge)
 
         # (c) one enforceable interaction: the k-th feasible one in canonical
@@ -644,10 +702,11 @@ class CompiledSystem:
             k = 0 if policy == LEXICOGRAPHIC_FIRST else rng.pick_index(n)
             fired = []
             for ctype, index, label in self.interaction(k):
-                i = self.offset[ctype] + index
+                i = offset[ctype] + index
                 node = nodes[i]
                 edge = node.ports.get(label) or self._transition(node, ENFORCEABLE, label)
-                fired.append({"instance": ids[i], "port": label, "from": edge[0], "to": edge[1]})
+                fired.append({"instance": named.get(i) or name(i), "port": label,
+                              "from": edge[0], "to": edge[1]})
                 self._take(i, edge)
 
         # (d) internal transitions, eagerly, bounded per instance by |states|
@@ -656,9 +715,10 @@ class CompiledSystem:
             node, count = nodes[i], 0
             while node.internal:
                 if count >= node.table.budget:
-                    raise LivelockError(ids[i])
+                    raise LivelockError(name(i))
                 edge = node.internal_edge or self._transition(node, INTERNAL)
-                internal.append({"instance": ids[i], "from": edge[0], "to": edge[1]})
+                internal.append({"instance": named.get(i) or name(i), "from": edge[0],
+                                 "to": edge[1]})
                 self._take(i, edge)
                 node, count = nodes[i], count + 1
         self.touched.clear()
@@ -731,11 +791,9 @@ def run(
     Returns the trace object; serialize with :func:`trace_to_json` for the
     byte-stable on-disk form.
     """
-    orbits = _orbits(d, binding, source)
-    state = init_state(d, binding)
+    system = CompiledSystem(d, binding, _orbits(d, binding, source))
     entries = script.entries[:config.cycles] if script else ()
-    _check_script(entries, state, d)
-    system = CompiledSystem(state, d, orbits)
+    _check_script(entries, system.locate, d)
     rng = SplitMix64(config.seed)
 
     cycles = []
@@ -849,7 +907,7 @@ def replay_validate(
     instances = init_state(d, binding)
     tables = _transition_tables(d)
     entries = script.entries[:len(trace["cycles"])] if script else ()
-    _check_script(entries, instances, d)
+    _check_script(entries, instances.get, d)
     # The instances to check for an internal fixpoint at the end of a cycle:
     # all of them in cycle 0, then those that got a guard write or changed
     # state.  The others are still at the fixpoint an earlier cycle checked.
@@ -945,11 +1003,16 @@ def replay_validate(
             ) from None
         idle_count += idle
 
+        first = None  # the first in canonical order, not in the set's hash order
         for name in touched:
             inst = instances[name]
             table = tables[inst.type_name]
             if inst.current in table.internal and table.first_enabled(INTERNAL, inst):
-                raise ReplayError(f"cycle {index}: {name} stopped short of its internal fixpoint")
+                key = (inst.type_name, inst.index)
+                first = key if first is None else min(first, key)
+        if first:
+            raise ReplayError(f"cycle {index}: {instance_id(*first)} stopped short of its "
+                              "internal fixpoint")
         touched.clear()
 
     return {"interactions": fired_count, "idle": idle_count}

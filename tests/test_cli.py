@@ -10,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,28 @@ def test_a_real_out_of_memory_ends_in_exit_3(tmp_path):
                             env={**os.environ, "PYTHONPATH": src},
                             preexec_fn=limit_address_space, timeout=300)
     assert (result.returncode, result.stdout, result.stderr) == (3, "", OUT_OF_MEMORY)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux enforces it")
+def test_a_huge_instance_count_runs_out_of_memory_at_once(tmp_path):
+    """A run is compiled from the binding's counts, so 10^12 instances fail
+    their first allocation under 1 GiB: exit 3 and one line, in a fraction
+    of a second (0.15 s on a 2-CPU VM, 8.8 s when each instance was built
+    until the memory ran out)."""
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).parents[1])
+    argv = ["run", model_path("mutex.bip"), "--bind", "n=1000000000000", "--cycles", "0",
+            "--out", str(tmp_path / "trace.json")]
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "bipkit", *argv], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src},
+                            preexec_fn=limit_address_space, timeout=300)
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", OUT_OF_MEMORY)
+    assert time.perf_counter() - start < 4
 
 
 def test_bad_max_nodes(monkeypatch, capsys):

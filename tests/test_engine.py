@@ -6,8 +6,13 @@ import copy
 import gc
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,7 @@ from bipkit.engine import (
     ScriptEntry,
     SplitMix64,
     UNIFORM_RANDOM,
+    _orbits,
     _script_entry,
     _transition_tables,
     _unrank,
@@ -142,14 +148,14 @@ diagram G {
 def test_step_cycle_fires_switch_on(routes):
     binding = {"n": 2}
     orbits = diagram_orbits(routes, binding)
-    system = CompiledSystem(init_state(routes, binding), routes, orbits)
+    system = CompiledSystem(routes, binding, orbits)
     record = system.step(None, SplitMix64(7), LEXICOGRAPHIC_FIRST)
     assert record["interaction"] is not None
     fired = {(r["instance"], r["port"]) for r in record["interaction"]}
     assert fired in ({("Route#1", "on"), ("Monitor#1", "add")},
                      {("Route#2", "on"), ("Monitor#1", "add")})
     route = "Route#1" if ("Route#1", "on") in fired else "Route#2"
-    assert system.node[system.position[route]].current == "on"
+    assert system.node[system.locate(route)[1]].current == "on"
     assert not record["idle"]
 
 
@@ -159,11 +165,11 @@ def test_internal_transition_fires_on_guard(routes):
     state = init_state(routes, binding)
     state["Route#1"].current = "wait"
     entry = ScriptEntry(guards=(("Route#1", "finished", True),))
-    system = CompiledSystem(state, routes, orbits)
+    system = CompiledSystem(routes, binding, orbits, state)
     record = system.step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert {"instance": "Route#1", "from": "wait", "to": "done"} in record["internal"]
     # from "done" the finished/rm interaction fired in the same cycle
-    assert system.node[system.position["Route#1"]].current in ("done", "off")
+    assert system.node[system.locate("Route#1")[1]].current in ("done", "off")
 
 
 def test_spontaneous_event_consumption(routes):
@@ -173,16 +179,16 @@ def test_spontaneous_event_consumption(routes):
 
     # the end event does not match any transition from "off": it stays queued
     entry = ScriptEntry(events=(("Route#1", "end"),))
-    system = CompiledSystem(state, routes, orbits)
+    system = CompiledSystem(routes, binding, orbits, state)
     record = system.step(entry, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["spontaneous"] == []
     follow(state, entry, record)
     assert state["Route#1"].queue == ["end"]
-    assert system.queues == {system.position["Route#1"]: ["end"]}
+    assert system.queues == {system.locate("Route#1")[1]: ["end"]}
 
     # once the route reaches "wait" (guard still false) the queued event fires
     state["Route#1"].current = "wait"
-    system = CompiledSystem(state, routes, orbits)
+    system = CompiledSystem(routes, binding, orbits, state)
     record = system.step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["spontaneous"] == [
         {"instance": "Route#1", "event": "end", "from": "wait", "to": "done"},
@@ -200,7 +206,7 @@ def test_empty_feasible_set_is_idle(star):
     state["S#1"].current = "idle"
     # disable the satellite by moving it nowhere: instead run with no script
     # and an allowed set restricted to nothing
-    record = CompiledSystem(state, star, []).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+    record = CompiledSystem(star, binding, [], state).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["idle"]
     assert record["interaction"] is None
     assert record["spontaneous"] == [] and record["internal"] == []
@@ -221,9 +227,8 @@ diagram Spin {
 }
 """
     )
-    state = init_state(d, {})
     with pytest.raises(LivelockError) as err:
-        CompiledSystem(state, d, []).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
+        CompiledSystem(d, {}, []).step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert err.value.instance == "T#1"
 
 
@@ -242,10 +247,10 @@ diagram Chain {
 }
 """
     )
-    system = CompiledSystem(init_state(d, {}), d, [])
+    system = CompiledSystem(d, {}, [])
     record = system.step(None, SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert [r["to"] for r in record["internal"]] == ["b", "c"]
-    assert system.node[system.position["T#1"]].current == "c"
+    assert system.node[system.locate("T#1")[1]].current == "c"
 
 
 def test_a_guard_write_lets_a_blocked_queue_head_fire():
@@ -708,8 +713,8 @@ def test_each_cycle_fires_the_specification_pick(engine_models, case):
     orbits = diagram_orbits(d, binding)
     allowed = sorted_allowed(d, binding, orbits)
     state, rng, spec_rng = init_state(d, binding), SplitMix64(config.seed), SplitMix64(config.seed)
-    system, tables = CompiledSystem(state, d, orbits), _transition_tables(d)
-    assert system.ids == list(state)
+    system, tables = CompiledSystem(d, binding, orbits), _transition_tables(d)
+    assert [system.name(i) for i in range(len(system.node))] == list(state)
     for cycle in range(config.cycles):
         entry = script.entries[cycle] if cycle < len(script.entries) else ScriptEntry()
         record = system.step(entry, rng, config.policy, cycle)
@@ -722,8 +727,8 @@ def test_each_cycle_fires_the_specification_pick(engine_models, case):
             None if pick is None else [(instance_id(p.component_type, p.index), p.port)
                                        for p in pick])
         follow(state, entry, record)
-        maintained = {pi(node.key[0], index, label)
-                      for index, node in zip(system.index, system.node) for label in node.labels}
+        maintained = {pi(node.key[0], i - system.offset[node.key[0]], label)
+                      for i, node in enumerate(system.node) for label in node.labels}
         assert maintained == enabled_ports(state, d)
         for i, inst in enumerate(state.values()):
             node = system.node[i]
@@ -743,7 +748,7 @@ def test_nodes_are_per_configuration_not_per_instance(mutex, routes):
     finished values take different edges for one event in one cycle: the
     one finished is parked and takes the internal edge, the other consumes
     the event."""
-    system = CompiledSystem(init_state(mutex, {"n": 200}), mutex, diagram_orbits(mutex, {"n": 200}))
+    system = CompiledSystem(mutex, {"n": 200}, diagram_orbits(mutex, {"n": 200}))
     rng = SplitMix64(0)
     for index in range(200):
         system.step(None, rng, UNIFORM_RANDOM, index)
@@ -755,8 +760,7 @@ def test_nodes_are_per_configuration_not_per_instance(mutex, routes):
                           guards=tuple((f"Route#{draw.randint(1, 100)}", "finished",
                                         draw.random() < 0.5) for _ in "ab"))
               for _ in range(200)]
-    system = CompiledSystem(init_state(routes, {"n": 100}), routes,
-                            diagram_orbits(routes, {"n": 100}))
+    system = CompiledSystem(routes, {"n": 100}, diagram_orbits(routes, {"n": 100}))
     for index, entry in enumerate(script):
         system.step(entry, rng, LEXICOGRAPHIC_FIRST, index)
     for ct in routes.component_types:
@@ -768,7 +772,7 @@ def test_nodes_are_per_configuration_not_per_instance(mutex, routes):
     for target, finished in (("Route#1", True), ("Route#2", False)):
         state[target].current = "wait"
         state[target].guards["finished"] = finished
-    system = CompiledSystem(state, routes, diagram_orbits(routes, {"n": 2}))
+    system = CompiledSystem(routes, {"n": 2}, diagram_orbits(routes, {"n": 2}), state)
     record = system.step(ScriptEntry(events=(("Route#1", "end"), ("Route#2", "end"))),
                          SplitMix64(0), LEXICOGRAPHIC_FIRST)
     assert record["spontaneous"] == [
@@ -776,7 +780,7 @@ def test_nodes_are_per_configuration_not_per_instance(mutex, routes):
     assert record["internal"] == [{"instance": "Route#1", "from": "wait", "to": "done"}]
     assert system.nodes["Route", "wait", (True,)].events == {"end": None}
     assert system.nodes["Route", "wait", (False,)].internal_edge is None
-    assert system.queues == {system.position["Route#1"]: ["end"]}
+    assert system.queues == {system.locate("Route#1")[1]: ["end"]}
 
 
 # A routes run at n=4: an event and a guard write each cycle, for 40 cycles.
@@ -795,7 +799,8 @@ def test_a_run_writes_nothing_to_the_state_it_was_compiled_from(routes):
     state["Route#2"].queue.append("end")
     state["Route#3"].guards["finished"] = True
     before = copy.deepcopy(state)
-    system, rng = CompiledSystem(state, routes, diagram_orbits(routes, binding)), SplitMix64(5)
+    system = CompiledSystem(routes, binding, diagram_orbits(routes, binding), state)
+    rng = SplitMix64(5)
     records = [system.step(entry, rng, UNIFORM_RANDOM, index)
                for index, entry in enumerate(ROUTES_SCRIPT)]
     assert state == before
@@ -808,11 +813,11 @@ def test_a_compiled_system_is_freed_without_the_cycle_collector(routes):
     at once, and a process running many short runs does not hold them until
     a full collection."""
     binding = {"n": 4}
-    orbits, state = diagram_orbits(routes, binding), init_state(routes, binding)
+    orbits = diagram_orbits(routes, binding)
     gc.collect()
     gc.disable()
     try:
-        system, rng = CompiledSystem(state, routes, orbits), SplitMix64(5)
+        system, rng = CompiledSystem(routes, binding, orbits), SplitMix64(5)
         for index, entry in enumerate(ROUTES_SCRIPT):
             system.step(entry, rng, UNIFORM_RANDOM, index)
         assert len(system.graph) > 4
@@ -820,6 +825,126 @@ def test_a_compiled_system_is_freed_without_the_cycle_collector(routes):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Every instance starts at a state whose internal transition is enabled.
+STUCK = """
+diagram Stuck {
+  component T [n] {
+    ports { p }
+    states { a*, b }
+    transitions { : a -> b }
+  }
+}
+"""
+BUNDLED = sorted(path.name for path in bundled_model_path("mutex.bip").parent.glob("*.bip"))
+
+
+@pytest.mark.parametrize("model", [*BUNDLED, "shared", "broadcast", "stuck"])
+def test_the_two_ways_to_compile_agree(model):
+    """Compiled from the binding's counts alone, or from init_state's
+    mapping as its start state, a system has the same node key at each
+    position, the same eligible lists and the same instances for sub-step
+    (d), and steps the same 100 records under each policy.  A model whose
+    diagram is not encodable takes its orbits from the macros."""
+    d = (load_bundled_model(model) if model in BUNDLED else
+         parse_model({"shared": SHARED_TYPE, "broadcast": BROADCAST, "stuck": STUCK}[model]))
+    binding = {name: 4 for name in d.parameters}
+    try:
+        orbits = diagram_orbits(d, binding)
+    except EncodabilityError:
+        orbits = _orbits(d, binding, MACRO_SOURCE)
+    for policy in POLICIES:
+        systems = [CompiledSystem(d, binding, orbits),
+                   CompiledSystem(d, binding, orbits, init_state(d, binding))]
+        first, second = systems
+        assert [node.key for node in first.node] == [node.key for node in second.node]
+        assert (first.eligible, first.touched) == (second.eligible, second.touched)
+        records = []
+        for system in systems:
+            rng = SplitMix64(11)
+            records.append([system.step(None, rng, policy, index) for index in range(100)])
+        assert records[0] == records[1]
+
+
+def test_a_system_compiled_from_a_reached_state_runs_on_as_the_first(routes):
+    """A scripted routes run stops after 20 cycles.  Compiled from the state
+    that the replay rule reaches, guard values and parked events included,
+    a second system holds the same node at each position, the same eligible
+    lists and queues, and steps the last 20 cycles as the first does."""
+    binding = {"n": 4}
+    orbits, state = diagram_orbits(routes, binding), init_state(routes, binding)
+    system, rng = CompiledSystem(routes, binding, orbits), SplitMix64(5)
+    for index, entry in enumerate(ROUTES_SCRIPT[:20]):
+        follow(state, entry, system.step(entry, rng, UNIFORM_RANDOM, index))
+    assert any(inst.queue for inst in state.values())
+    assert any(inst.guards.get("finished") for inst in state.values())
+    again, other = CompiledSystem(routes, binding, orbits, state), SplitMix64(0)
+    other.state = rng.state
+    assert [node.key for node in again.node] == [node.key for node in system.node]
+    assert (again.eligible, again.queues) == (system.eligible, system.queues)
+    for index, entry in enumerate(ROUTES_SCRIPT[20:], 20):
+        assert (again.step(entry, other, UNIFORM_RANDOM, index)
+                == system.step(entry, rng, UNIFORM_RANDOM, index))
+
+
+@pytest.mark.parametrize("target", ["Route#01", "Route#0", "Route#+1", "Route# 1", "Route#1 ",
+                                    "Route#٣", "Route#", "#1", "route#1", "Route#5",
+                                    "Monitor#2"])
+def test_a_script_names_an_instance_only_by_its_exact_id(routes, target):
+    """At n=4, run and replay refuse each of these targets at its script
+    path, after an item that targets Route#4."""
+    binding = {"n": 4}
+    trace = run(routes, binding, EngineConfig(cycles=1))
+    for key, items, problem in (
+            ("events", (("Route#4", "end"), (target, "end")), "event targets"),
+            ("guards", (("Route#4", "finished", True), (target, "finished", True)),
+             "guard update targets")):
+        script = EventScript((ScriptEntry(**{key: items}),))
+        message = f"cycles[0].{key}[1]: {problem} unknown instance {target!r}"
+        with pytest.raises(ScriptError, match=f"^{re.escape(message)}$"):
+            run(routes, binding, EngineConfig(cycles=1), script=script)
+        with pytest.raises(ScriptError, match=f"^{re.escape(message)}$"):
+            replay_validate(trace, routes, binding, script)
+
+
+def test_a_short_internal_fixpoint_names_the_first_instance_under_any_hash_seed():
+    """Replay checks the internal fixpoint of the instances in a set of ids,
+    whose order follows PYTHONHASHSEED.  Of six instances that all stopped
+    short, it names the first in canonical order, T#1, under every seed."""
+    probe = """if True:
+        import sys
+        from bipkit.dsl import parse_model
+        from bipkit.engine import EngineConfig, ReplayError, replay_validate, run
+        d = parse_model(sys.stdin.read())
+        trace = run(d, {"n": 6}, EngineConfig(cycles=1))
+        trace["cycles"][0].update(internal=[], idle=True)
+        try:
+            replay_validate(trace, d, {"n": 6})
+        except ReplayError as exc:
+            print(exc)
+    """
+    src = str(Path(bundled_model_path("mutex.bip")).parents[2])
+    for seed in range(6):
+        result = subprocess.run([sys.executable, "-c", probe], input=STUCK, capture_output=True,
+                                text=True, timeout=60,
+                                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)})
+        assert (result.stdout, result.stderr) == (
+            "cycle 0: T#1 stopped short of its internal fixpoint\n", "")
+
+
+def test_a_run_builds_no_object_per_instance(mutex):
+    """Compiled from the binding's counts, a mutex run at n=10^5 allocates
+    at its peak about an eligible-list entry and a position per process
+    (5.6 MB traced on CPython 3.11); an InstanceState, a guards dict and an
+    id per process took 44 MB."""
+    tracemalloc.start()
+    try:
+        run(mutex, {"n": 10**5}, EngineConfig(cycles=100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10**6
 
 
 @pytest.fixture(scope="module")
@@ -846,7 +971,7 @@ def test_compiled_interactions_are_the_sorted_allowed_set(pick_models, model, n)
     orbits = diagram_orbits(d, binding)
     state = init_state(d, binding)
     expected = feasible_spec(sorted_allowed(d, binding, orbits), state, d)
-    assert feasible_engine(CompiledSystem(state, d, orbits)) == expected
+    assert feasible_engine(CompiledSystem(d, binding, orbits)) == expected
 
 
 @pytest.mark.parametrize("model", ["mutex", "two_locks", "shared", "broadcast"])
@@ -855,7 +980,7 @@ def test_a_rank_outside_the_feasible_count_is_refused(pick_models, model):
     draws two parts of one type, broadcast up to three instances of one
     part."""
     d = pick_models[model]
-    system = CompiledSystem(init_state(d, {"n": 3}), d, diagram_orbits(d, {"n": 3}))
+    system = CompiledSystem(d, {"n": 3}, diagram_orbits(d, {"n": 3}))
     n = sum(system.feasible())
     for k in (-1, n, n + 5):
         with pytest.raises(IndexError, match=f"^interaction {k} of {n} feasible$"):
@@ -874,7 +999,7 @@ def test_an_orbit_count_above_its_eligible_lists_is_refused(pick_models, model, 
     state = init_state(d, {"n": 3})
     for target in done:
         state[target].current = "done"
-    system = CompiledSystem(state, d, diagram_orbits(d, {"n": 3}))
+    system = CompiledSystem(d, {"n": 3}, diagram_orbits(d, {"n": 3}), state)
     counts = system.feasible()
     start, stop = [run for run in system.runs if sum(counts[slice(*run)])][-1]
     orbits = [o for o in range(start, stop) if counts[o]]
@@ -898,7 +1023,7 @@ def test_a_count_over_empty_eligible_lists_is_refused():
     for transition in ("p: s -> t", "q: s -> s", "q: t -> s"):
         text = text.replace(transition, transition + " [g]")
     d = parse_model(text)
-    system = CompiledSystem(init_state(d, {"n": 2}), d, diagram_orbits(d, {"n": 2}))
+    system = CompiledSystem(d, {"n": 2}, diagram_orbits(d, {"n": 2}))
     assert system.feasible() == [0]
     system.counts[0] = 1
     with pytest.raises(BipError, match="^the orbit counts disagree with the eligible lists$"):
@@ -927,7 +1052,7 @@ def test_two_instance_draws_are_the_specification_kth(policy):
     allowed = sorted_allowed(d, {}, orbits)
     for seed in range(5):
         state, rng = init_state(d, {}), SplitMix64(seed)
-        system = CompiledSystem(state, d, orbits)
+        system = CompiledSystem(d, {}, orbits)
         for index in range(30):
             assert feasible_engine(system) == feasible_spec(allowed, state, d)
             follow(state, None, system.step(None, rng, policy, index))
@@ -955,7 +1080,7 @@ def test_the_kth_interaction_is_the_specification_kth(pick_models, case):
     orbits = diagram_orbits(d, binding)
     allowed = sorted_allowed(d, binding, orbits)
     state, rng = init_state(d, binding), SplitMix64(config.seed)
-    system = CompiledSystem(state, d, orbits)
+    system = CompiledSystem(d, binding, orbits)
     for index in range(config.cycles):
         assert feasible_engine(system) == feasible_spec(allowed, state, d)
         entry = script.entries[index] if index < len(script.entries) else None
@@ -1007,7 +1132,7 @@ def test_the_kth_interaction_on_any_orbit_shape(n, orbits, data):
         for guard in sorted(inst.guards):
             inst.guards[guard] = data.draw(st.booleans())
     expected = feasible_spec(sorted_allowed(d, binding, orbits), state, d)
-    assert feasible_engine(CompiledSystem(state, d, orbits)) == expected
+    assert feasible_engine(CompiledSystem(d, binding, orbits, state)) == expected
 
 
 @pytest.mark.parametrize("policy", POLICIES)

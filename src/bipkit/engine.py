@@ -50,7 +50,11 @@ BipError.  Each step returns its trace record.
 :func:`replay_validate` checks those records against the transition tables
 themselves, not the nodes, one lookup per record, and a fired interaction
 by its orbit: its instances are distinct, so it is allowed when the
-multiset of its (type, port) pairs is an orbit of the diagram.  :func:`trace_to_json` writes the
+multiset of its (type, port) pairs is an orbit of the diagram.  It builds
+an instance the first time a record or a script target names it by its
+exact id, the rule :meth:`CompiledSystem.locate` applies; the others are
+still at their type's initial configuration, so its cost follows the
+trace's records, not n.  :func:`trace_to_json` writes the
 trace as ``json.dumps(trace, indent=2, sort_keys=True)`` plus a newline
 would, each cycle from one fixed template and each distinct transition
 record rendered once.
@@ -73,7 +77,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby
 from math import comb, prod
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional
 
 from . import diagram as diagram_mod
 from .encoder import encode_macros
@@ -239,11 +243,10 @@ def init_state(d: ArchitectureDiagram, binding: diagram_mod.Binding) -> dict[str
 
     The mapping goes from instance id to state in canonical (type name,
     index) order, the order in which every sub-step visits instances and
-    records what fired.  :func:`run` does not build it: it compiles from
-    the binding's counts.  :func:`replay_validate` checks a trace on it,
-    and a caller may change it and compile it as another start state
-    (``CompiledSystem(d, binding, orbits, state)``), which reads it once
-    and never writes to it."""
+    records what fired.  Neither :func:`run` nor :func:`replay_validate`
+    builds it: they start from the binding's counts.  A caller may change
+    it and compile it as another start state (``CompiledSystem(d, binding,
+    orbits, state)``), which reads it once and never writes to it."""
     diagram_mod.check_binding(d, binding)
     instances: dict[str, InstanceState] = {}
     for ct in d.component_types:
@@ -256,6 +259,21 @@ def init_state(d: ArchitectureDiagram, binding: diagram_mod.Binding) -> dict[str
     return instances
 
 
+def _named_instance(name, size: Mapping[str, int]) -> Optional[tuple[str, int]]:
+    """The (type, k) that name names, only when it is exactly
+    ``instance_id(type, k)`` with 1 <= k <= ``size[type]``; else None, as
+    for a name that is no string.  No digit string longer than the count's
+    is converted."""
+    if type(name) is str:
+        ctype, _, digits = name.rpartition("#")
+        count = size.get(ctype, 0)
+        if digits.isdecimal() and len(digits) <= len(str(count)):
+            k = int(digits)
+            if 1 <= k <= count and str(k) == digits:
+                return ctype, k
+    return None
+
+
 class _Target(NamedTuple):
     """The instance a script target names, by its type and its position
     in a compiled system; ``type_name`` as on :class:`InstanceState`."""
@@ -265,13 +283,15 @@ class _Target(NamedTuple):
 
 
 def _check_script(
-    entries: tuple[ScriptEntry, ...], lookup: Callable[[str], Optional[_Target | InstanceState]],
-    d: ArchitectureDiagram
+    entries: tuple[ScriptEntry, ...], found: Mapping[str, _Target | InstanceState],
+    resolve: Callable[[str], Optional[_Target | InstanceState]], d: ArchitectureDiagram
 ) -> None:
     """Check the script entries a run uses against the model, before cycle 0.
 
-    ``lookup`` gives the instance a target names, or None.  An
-    item whose target is no instance, or that names a guard or
+    A target's instance is looked up in ``found``.  At a target's first
+    item ``resolve`` gives it, or None, and keeps it in ``found``, so each
+    distinct target is resolved once and every later item costs one dict
+    lookup.  An item whose target is no instance, or that names a guard or
     spontaneous event its instance's type does not declare, raises
     ScriptError located at its path in the script, e.g.
     ``cycles[2].events[0]: event targets unknown instance 'Route#9'``."""
@@ -281,7 +301,7 @@ def _check_script(
     for index, entry in enumerate(entries):
         for item in entry.guards:
             target, guard, _ = item
-            inst = lookup(target)
+            inst = found.get(target) or resolve(target)
             if inst is None or guard not in types[inst.type_name].guards:
                 problem = (f"guard update targets unknown instance {target!r}" if inst is None
                            else f"{target} declares no guard {guard!r}")
@@ -289,7 +309,7 @@ def _check_script(
                 raise ScriptError(f"cycles[{index}].guards[{position}]: {problem}")
         for item in entry.events:
             target, event = item
-            inst = lookup(target)
+            inst = found.get(target) or resolve(target)
             if inst is None or event not in types[inst.type_name].spontaneous_events:
                 problem = (f"event targets unknown instance {target!r}" if inst is None
                            else f"{target} declares no spontaneous event {event!r}")
@@ -474,15 +494,9 @@ class CompiledSystem:
         instance only as exactly its id, ``instance_id(type, k)`` with
         1 <= k <= the type's count; a found one is kept in ``targets``."""
         found = self.targets.get(target)
-        if found is None:
-            ctype, _, digits = target.rpartition("#")
-            size = self.size.get(ctype, 0)
-            if not digits.isdecimal() or len(digits) > len(str(size)):
-                return None
-            index = int(digits)
-            if not 1 <= index <= size or str(index) != digits:
-                return None
-            found = self.targets[target] = _Target(ctype, self.offset[ctype] + index)
+        if found is None and (named := _named_instance(target, self.size)):
+            ctype, k = named
+            found = self.targets[target] = _Target(ctype, self.offset[ctype] + k)
         return found
 
     def _node(self, ctype: str, current: str, values: tuple[bool, ...]) -> _Node:
@@ -793,7 +807,7 @@ def run(
     """
     system = CompiledSystem(d, binding, _orbits(d, binding, source))
     entries = script.entries[:config.cycles] if script else ()
-    _check_script(entries, system.locate, d)
+    _check_script(entries, system.targets, system.locate, d)
     rng = SplitMix64(config.seed)
 
     cycles = []
@@ -873,6 +887,16 @@ def _typed(value):
     return {k: _typed(v) for k, v in value.items()} if type(value) is dict else (type(value), value)
 
 
+def _refuse(index: int, kind: str, record: dict, inst: Optional[InstanceState]) -> NoReturn:
+    """Raise the ReplayError of a record that its instance cannot take."""
+    if inst is None:
+        raise ReplayError(f"cycle {index}: unknown instance {record['instance']!r}")
+    if inst.current != record["from"]:
+        raise ReplayError(f"cycle {index}: {record['instance']} was in {inst.current}, "
+                          f"trace says {record['from']}")
+    raise ReplayError(f"cycle {index}: no enabled {kind} transition matches {record}")
+
+
 def replay_validate(
     trace: dict,
     d: ArchitectureDiagram,
@@ -904,34 +928,33 @@ def replay_validate(
     allowed = {tuple(chain.from_iterable(sig * k for sig, k in orbit))
                for orbit in _orbits(d, binding, source)
                if all(len(sig) == 1 for sig, _ in orbit)}
-    instances = init_state(d, binding)
-    tables = _transition_tables(d)
-    entries = script.entries[:len(trace["cycles"])] if script else ()
-    _check_script(entries, instances.get, d)
-    # The instances to check for an internal fixpoint at the end of a cycle:
-    # all of them in cycle 0, then those that got a guard write or changed
-    # state.  The others are still at the fixpoint an earlier cycle checked.
-    touched = set(instances)
+    diagram_mod.check_binding(d, binding)
+    tables, size = _transition_tables(d), diagram_mod.instance_counts(d, binding)
+    start = {ct.name: (ct.initial_state, dict.fromkeys(ct.guards, False))
+             for ct in d.component_types}
+    inner = {ctype for ctype, table in tables.items() if table.internal}
+    # The instances a record or a script target has named, by id, each built
+    # the first time one names it.  Any other is still at its type's initial
+    # state with every guard false.
+    instances: dict[str, InstanceState] = {}
+    # The named instances to check for an internal fixpoint at the end of a
+    # cycle, of a type with internal transitions: each as it is built, then
+    # those that got a guard write or a record.  The others are still at
+    # the fixpoint an earlier cycle checked.
+    touched: dict[str, InstanceState] = {}
 
-    def instance(name: str) -> InstanceState:
-        inst = instances.get(name)
-        if inst is None:
-            raise ReplayError(f"cycle {index}: unknown instance {name!r}")
+    def build(name) -> Optional[InstanceState]:
+        named = _named_instance(name, size)
+        if named is None:
+            return None
+        current, guards = start[named[0]]
+        inst = instances[name] = InstanceState(*named, current, [], guards.copy())
+        if named[0] in inner:
+            touched[name] = inst
         return inst
 
-    def check(kind: str, label: str, record: dict) -> tuple[InstanceState, Transition]:
-        inst = instance(record["instance"])
-        if inst.current != record["from"]:
-            raise ReplayError(
-                f"cycle {index}: {record['instance']} was in {inst.current}, "
-                f"trace says {record['from']}"
-            )
-        tr = tables[inst.type_name].first_enabled(kind, inst, label)
-        if tr is None or tr.destination != record["to"]:
-            raise ReplayError(f"cycle {index}: no enabled {kind} transition matches {record}")
-        if tr.destination != inst.current:
-            touched.add(record["instance"])
-        return inst, tr
+    entries = script.entries[:len(trace["cycles"])] if script else ()
+    _check_script(entries, instances, build, d)
 
     fired_count = 0
     idle_count = 0
@@ -941,43 +964,64 @@ def replay_validate(
             if type(cycle["cycle"]) is not int or cycle["cycle"] != index:
                 raise ReplayError(f"cycle {index}: recorded as cycle {cycle['cycle']!r}")
             for target, guard, value in entry.guards:
-                instances[target].guards[guard] = value
-                touched.add(target)
+                inst = instances[target]
+                inst.guards[guard] = value
+                if inst.type_name in inner:
+                    touched[target] = inst
             for target, event in entry.events:
                 instances[target].queue.append(event)
 
-            # the step visits instances in canonical order: each consumes at
-            # most one queue head, and fires its internal chain in one block
+            # Each record is checked in line: its instance is known and in its
+            # from state, where the first enabled transition goes to its to.
+            # The step visits instances in canonical order: each consumes at
+            # most one queue head, and fires its internal chain in one block.
             last = ("", 0)
             for record in cycle["spontaneous"]:
-                inst, tr = check(SPONTANEOUS, record["event"], record)
-                if not inst.queue or inst.queue[0] != record["event"]:
-                    raise ReplayError(f"cycle {index}: {record['event']} was not at the queue head")
+                event, name = record["event"], record["instance"]
+                inst = instances.get(name) or build(name)
+                if (inst is None or inst.current != record["from"]
+                        or (tr := tables[inst.type_name].first_enabled(SPONTANEOUS, inst, event))
+                        is None or tr.destination != record["to"]):
+                    _refuse(index, SPONTANEOUS, record, inst)
+                if not inst.queue or inst.queue[0] != event:
+                    raise ReplayError(f"cycle {index}: {event} was not at the queue head")
                 key = (inst.type_name, inst.index)
                 if key <= last:
                     raise ReplayError(f"cycle {index}: spontaneous record out of instance order "
-                                      f"at {record['instance']}")
+                                      f"at {name}")
                 last = key
                 inst.queue.pop(0)
+                if inst.type_name in inner:
+                    touched[name] = inst
                 inst.current = tr.destination
 
             records = cycle["interaction"]
             if records is not None:
-                moves = [check(ENFORCEABLE, record["port"], record) for record in records]
+                moves = []  # every port is checked before an instance moves
+                for record in records:
+                    port, name = record["port"], record["instance"]
+                    inst = instances.get(name) or build(name)
+                    if (inst is None or inst.current != record["from"]
+                            or (tr := tables[inst.type_name].first_enabled(ENFORCEABLE, inst, port))
+                            is None or tr.destination != record["to"]):
+                        _refuse(index, ENFORCEABLE, record, inst)
+                    if inst.type_name in inner:
+                        touched[name] = inst
+                    moves.append((inst, port, tr.destination))
                 last, disorder = ("", 0), None  # the first key out of interaction(k)'s order
-                for inst, tr in moves:
+                for inst, _, destination in moves:
                     key = (inst.type_name, inst.index)
                     if key <= last and disorder is None:
                         disorder = key
                     last = key
-                    inst.current = tr.destination
+                    inst.current = destination
                 # records in strictly increasing order name distinct instances
                 if disorder and len({record["instance"] for record in records}) != len(records):
                     raise ReplayError(f"cycle {index}: fired interaction names an instance twice")
-                if tuple(sorted((inst.type_name, r["port"])
-                                for (inst, _), r in zip(moves, records))) not in allowed:
-                    ports = sorted(str(PortInstance(inst.type_name, inst.index, r["port"]))
-                                   for (inst, _), r in zip(moves, records))
+                pairs = sorted([(inst.type_name, port) for inst, port, _ in moves])
+                if tuple(pairs) not in allowed:
+                    ports = sorted(str(PortInstance(inst.type_name, inst.index, port))
+                                   for inst, port, _ in moves)
                     raise ReplayError(f"cycle {index}: fired interaction {ports} is not allowed")
                 if disorder:
                     raise ReplayError(f"cycle {index}: interaction record out of instance order "
@@ -986,12 +1030,18 @@ def replay_validate(
 
             last = ("", 0)
             for record in cycle["internal"]:
-                inst, tr = check(INTERNAL, "", record)
+                name = record["instance"]
+                inst = instances.get(name) or build(name)
+                if (inst is None or inst.current != record["from"]
+                        or (tr := tables[inst.type_name].first_enabled(INTERNAL, inst))
+                        is None or tr.destination != record["to"]):
+                    _refuse(index, INTERNAL, record, inst)
                 key = (inst.type_name, inst.index)
                 if key < last:
                     raise ReplayError(f"cycle {index}: internal record out of instance order "
-                                      f"at {record['instance']}")
+                                      f"at {name}")
                 last = key
+                touched[name] = inst
                 inst.current = tr.destination
 
             idle = not (cycle["spontaneous"] or records is not None or cycle["internal"])
@@ -1003,16 +1053,25 @@ def replay_validate(
             ) from None
         idle_count += idle
 
-        first = None  # the first in canonical order, not in the set's hash order
-        for name in touched:
-            inst = instances[name]
-            table = tables[inst.type_name]
-            if inst.current in table.internal and table.first_enabled(INTERNAL, inst):
-                key = (inst.type_name, inst.index)
-                first = key if first is None else min(first, key)
-        if first:
-            raise ReplayError(f"cycle {index}: {instance_id(*first)} stopped short of its "
-                              "internal fixpoint")
-        touched.clear()
+        # After cycle 0 every instance no record has named is still at its
+        # type's initial configuration, so the first of each type stands for
+        # the others: one fixpoint check per type, however many instances.
+        if not index:
+            for ctype in inner:
+                k = 1
+                while instance_id(ctype, k) in instances:
+                    k += 1
+                build(instance_id(ctype, k))
+        if touched:
+            first = None  # the first in canonical order, not in the order touched
+            for inst in touched.values():
+                table = tables[inst.type_name]
+                if inst.current in table.internal and table.first_enabled(INTERNAL, inst):
+                    key = (inst.type_name, inst.index)
+                    first = key if first is None else min(first, key)
+            if first:
+                raise ReplayError(f"cycle {index}: {instance_id(*first)} stopped short of its "
+                                  "internal fixpoint")
+            touched.clear()
 
     return {"interactions": fired_count, "idle": idle_count}

@@ -908,6 +908,70 @@ def test_a_script_names_an_instance_only_by_its_exact_id(routes, target):
             replay_validate(trace, routes, binding, script)
 
 
+@pytest.mark.parametrize("name, known", [
+    ("Process#1", True), ("Process#200", True), ("Manager#1", True),
+    ("Process#01", False), ("Process#0", False), ("Process#201", False), ("Process#٣", False),
+    ("Process# 1", False), ("process#1", False), ("Manager#1#1", False), ("#1", False),
+    pytest.param("Process#" + "1" * 5000, False, id="Process#1...1 (5000 digits)")])
+def test_script_targets_and_records_name_an_instance_by_one_exact_id_rule(mutex, name, known):
+    """At n=200, CompiledSystem.locate, the script check of run and of
+    replay, and a replayed record agree on which names are an instance's
+    id: exactly instance_id(type, k) with 1 <= k <= the type's count.  A
+    digit string longer than the count's is refused unread: int() raises
+    ValueError past 4,300 digits."""
+    binding = {"n": 200}
+    system = CompiledSystem(mutex, binding, diagram_orbits(mutex, binding))
+    assert (system.locate(name) is not None) is known
+    trace = run(mutex, binding, EngineConfig(cycles=1, policy=LEXICOGRAPHIC_FIRST))
+    script = EventScript((ScriptEntry(events=((name, "e"),)),))
+    problem = (f"{name} declares no spontaneous event 'e'" if known
+               else f"event targets unknown instance {name!r}")
+    message = f"^{re.escape(f'cycles[0].events[0]: {problem}')}$"
+    with pytest.raises(ScriptError, match=message):
+        run(mutex, binding, EngineConfig(cycles=1), script=script)
+    with pytest.raises(ScriptError, match=message):
+        replay_validate(trace, mutex, binding, script)
+    # no mutex instance has an internal transition, known or not
+    trace["cycles"][0]["internal"] = [{"instance": name, "from": "idle", "to": "using"}]
+    with pytest.raises(ReplayError) as caught:
+        replay_validate(trace, mutex, binding)
+    assert (str(caught.value) == f"cycle 0: unknown instance {name!r}") is not known
+
+
+@pytest.mark.parametrize("name, message", [
+    (5, "cycle 0: unknown instance 5"), (None, "cycle 0: unknown instance None"),
+    (["Process#1"], "cycle 0: malformed record (TypeError: unhashable type: 'list')")])
+def test_a_record_whose_instance_is_no_string(mutex, name, message):
+    trace = run(mutex, {"n": 3}, EngineConfig(cycles=1))
+    trace["cycles"][0]["interaction"][1]["instance"] = name
+    with pytest.raises(ReplayError, match=f"^{re.escape(message)}$"):
+        replay_validate(trace, mutex, {"n": 3})
+
+
+@pytest.mark.parametrize("dropped, named", [(None, "T#1"), ("T#3", "T#3")],
+                         ids=["every record", "T#3's"])
+def test_replay_checks_the_fixpoint_of_instances_no_record_names(dropped, named):
+    """Every T starts at a, where the internal a -> b fires in cycle 0.  A
+    forged trace that drops those records (every one, or T#3's) names the
+    dropped instances nowhere; replay checks them at their type's initial
+    configuration and names the first in canonical order."""
+    d = parse_model(STUCK)
+    trace = run(d, {"n": 5}, EngineConfig(cycles=2))
+    replay_validate(trace, d, {"n": 5})
+    first = trace["cycles"][0]
+    first["internal"] = [r for r in first["internal"] if dropped not in (None, r["instance"])]
+    first["idle"] = not first["internal"]
+    with pytest.raises(ReplayError, match=f"^cycle 0: {named} stopped short of its internal "
+                                          "fixpoint$"):
+        replay_validate(trace, d, {"n": 5})
+
+
+def test_replay_with_no_instance_of_a_type_that_leaves_its_initial_state():
+    d = parse_model(STUCK)
+    trace = run(d, {"n": 0}, EngineConfig(cycles=2))
+    assert replay_validate(trace, d, {"n": 0}) == {"interactions": 0, "idle": 2}
+
+
 def test_a_short_internal_fixpoint_names_the_first_instance_under_any_hash_seed():
     """Replay checks the internal fixpoint of the instances in a set of ids,
     whose order follows PYTHONHASHSEED.  Of six instances that all stopped
@@ -945,6 +1009,22 @@ def test_a_run_builds_no_object_per_instance(mutex):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 10**6
+
+
+def test_replay_builds_only_the_instances_its_records_name(mutex):
+    """Replaying a 100-cycle mutex trace at n=10^5 builds an instance for
+    each process a record names, so its traced peak is some KB (27 KB on
+    CPython 3.11); an InstanceState, a guards dict and an id per process
+    took 40.6 MB."""
+    binding = {"n": 10**5}
+    trace = run(mutex, binding, EngineConfig(cycles=100))
+    tracemalloc.start()
+    try:
+        assert replay_validate(trace, mutex, binding)["interactions"] == 100
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
 
 
 @pytest.fixture(scope="module")

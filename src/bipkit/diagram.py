@@ -16,9 +16,12 @@ The uniqueness conditions, per motif and end: the multiplicity may not exceed
 the owning type's cardinality, and the matching factor n*degree/multiplicity
 must equal the number of connectors the motif can form, the product over its
 ends of C(n_q, m_q).  The unique configuration is then the set of all of
-them.  :func:`check_encodable` alone decides them, one :class:`EndCheck` per
-end (:func:`_end_checks`).  Each function evaluates an end's (n, m, d) once,
-through ``_end_numbers``; :func:`diagram_orbits` reads them from that report.
+them.  One function states them, :func:`_end_rule`, on an end's numbers.
+:func:`check_encodable` decides them on a diagram, one :class:`EndCheck` row
+per end (:func:`_end_checks`), whose verdicts call that rule; the sweep calls
+it on each point's numbers (:func:`_encodable`) and builds no row.  Each
+function evaluates an end's (n, m, d) once, through ``_end_numbers``;
+:func:`diagram_orbits` reads them from that report.
 
 Its interactions are closed under renumbering the instances of a type, so
 :func:`diagram_orbits` lists them as a few orbits (``model.Orbit``) without
@@ -37,7 +40,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, EncodabilityError, LogicDomainError
 from .logic import orbit_search
@@ -102,6 +105,27 @@ def _end_numbers(d: ArchitectureDiagram, end: MotifEnd, binding: Binding) -> tup
             end.multiplicity.evaluate(binding), end.degree.evaluate(binding))
 
 
+def _connectors(numbers: Numbers) -> int:
+    """The number of connectors a motif can form: the product over its ends
+    of C(n_q, m_q)."""
+    return math.prod([math.comb(n, m) for n, m, _ in numbers])
+
+
+def _end_rule(n: int, m: int, d: int, connectors: int) -> tuple[bool, bool]:
+    """The uniqueness conditions on one motif end of cardinality n,
+    multiplicity m and degree d, whose motif can form ``connectors`` (C)
+    connectors: whether the multiplicity is at most the cardinality (m <= n),
+    and whether the matching factor n*d/m equals C, compared in integers
+    (n*d == C*m).  The end is ok when both hold."""
+    return m <= n, n * d == connectors * m
+
+
+def _encodable(numbers: Numbers) -> bool:
+    """A motif's verdict from its ends' (n, m, d): every end is ok."""
+    connectors = _connectors(numbers)
+    return all([all(_end_rule(n, m, d, connectors)) for n, m, d in numbers])
+
+
 @dataclass(frozen=True)
 class EndCheck:
     """One motif end under a binding: its port type's cardinality n, its
@@ -116,17 +140,21 @@ class EndCheck:
     connectors: int
 
     @property
+    def _verdicts(self) -> tuple[bool, bool]:
+        return _end_rule(self.cardinality, self.multiplicity, self.degree, self.connectors)
+
+    @property
     def multiplicity_ok(self) -> bool:
-        return self.multiplicity <= self.cardinality
+        return self._verdicts[0]
 
     @property
     def factor_ok(self) -> bool:
         """The matching factor n*d/m equals C, compared in integers."""
-        return self.cardinality * self.degree == self.connectors * self.multiplicity
+        return self._verdicts[1]
 
     @property
     def ok(self) -> bool:
-        return self.multiplicity_ok and self.factor_ok
+        return all(self._verdicts)
 
     @property
     def factor(self) -> Fraction:
@@ -154,7 +182,7 @@ class EncodabilityReport:
 
 def _end_checks(motif: str, ports: Sequence[PortTypeRef], numbers: Numbers) -> list[EndCheck]:
     """The rows of one motif's ends, from each end's port and (n, m, d)."""
-    connectors = math.prod(math.comb(n, m) for n, m, _ in numbers)
+    connectors = _connectors(numbers)
     return [EndCheck(motif, port, n, m, deg, connectors)
             for port, (n, m, deg) in zip(ports, numbers)]
 
@@ -283,7 +311,7 @@ def _search(ends: Sequence[int], numbers: Numbers, size: int, limit: Optional[in
     # Connectors cover instances, each of end q by total*m_q/n_q of them.
     # Each node moves one connector on along its path, so the search reads
     # no connector past max_nodes - 1, and only those are generated.
-    total = math.prod(math.comb(n, m) for n, m, _ in numbers)
+    total = _connectors(numbers)
     pool = list(itertools.islice(_pool(ends, numbers), min(total, max_nodes)))
     # No list holds more than sys.maxsize items, so a larger limit is none.
     stop = None if limit is None else min(limit, sys.maxsize)
@@ -449,8 +477,7 @@ def diagram_interactions(d: ArchitectureDiagram, binding: Binding) -> frozenset[
 # ---- exhaustive sweep over small single-motif diagrams ---------------------
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """The verdict on one sweep point or on one motif of a model: how many
     configurations the search found against the closed form's prediction
     that there is exactly one (``encodable``)."""
@@ -482,6 +509,8 @@ def iter_sweep_shapes(bound: int = 3) -> Iterator[tuple[tuple[int, int, int], ..
 
 
 def _sweep_label(specs: Numbers) -> str:
+    """A sweep point's label, as :func:`proposition_sweep` joins it from
+    fragments; ``tests/helpers.iter_sweep_points`` reads it from here."""
     if len(specs) == 1:
         return "n={} m={} d={}".format(*specs[0])
     return " | ".join(f"n{k}={n} m{k}={m} d{k}={deg}" for k, (n, m, deg) in enumerate(specs, 1))
@@ -493,17 +522,24 @@ def proposition_sweep(bound: int = 3, max_nodes: int = DEFAULT_MAX_NODES) -> lis
     whose search exceeds ``max_nodes`` is recorded as unknown (``count`` and
     ``agree`` are None) and the sweep goes on.  Each point is searched and
     checked on its specs, as on ``tests/helpers.single_motif_diagram(specs)``
-    without building it: its sorted port instances are A's, then B's."""
+    without building it: its sorted port instances are A's, then B's.  A
+    point is judged on its numbers by the rule :class:`EndCheck` applies
+    (:func:`_encodable`), and no row is built.  Its label is that of
+    :func:`_sweep_label`, joined from per-spec fragments made once."""
     if max_nodes < 0:
         raise ValueError("max_nodes must be at least 0")
+    triples = list(itertools.product(range(1, bound + 1), repeat=3))
+    one, first, second = ([f"n{k}={n} m{k}={m} d{k}={deg}" for n, m, deg in triples]
+                          for k in ("", 1, 2))
+    # in the order of iter_sweep_shapes: the one-end shapes, then the pairs
+    labels = itertools.chain(one, [f"{a} | {b}" for a in first for b in second])
     records = []
-    for specs in iter_sweep_shapes(bound):
+    for specs, label in zip(iter_sweep_shapes(bound), labels):
         size = _configuration_size(specs)
         try:
             count = size and len(_search([e for e, (n, _, _) in enumerate(specs) for _ in range(n)],
                                          specs, size, 2, max_nodes, "only")[1])
         except CapacityError:
             count = None
-        rows = _end_checks("only", [PortTypeRef("A", "p"), PortTypeRef("B", "p")], specs)
-        records.append(SweepRecord(_sweep_label(specs), count, all(row.ok for row in rows)))
+        records.append(SweepRecord(label, count, _encodable(specs)))
     return records

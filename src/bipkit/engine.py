@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby
 from math import comb, prod
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import diagram as diagram_mod
 from .encoder import encode_macros
@@ -887,16 +887,6 @@ def _typed(value):
     return {k: _typed(v) for k, v in value.items()} if type(value) is dict else (type(value), value)
 
 
-def _refuse(index: int, kind: str, record: dict, inst: Optional[InstanceState]) -> NoReturn:
-    """Raise the ReplayError of a record that its instance cannot take."""
-    if inst is None:
-        raise ReplayError(f"cycle {index}: unknown instance {record['instance']!r}")
-    if inst.current != record["from"]:
-        raise ReplayError(f"cycle {index}: {record['instance']} was in {inst.current}, "
-                          f"trace says {record['from']}")
-    raise ReplayError(f"cycle {index}: no enabled {kind} transition matches {record}")
-
-
 def replay_validate(
     trace: dict,
     d: ArchitectureDiagram,
@@ -953,6 +943,25 @@ def replay_validate(
             touched[name] = inst
         return inst
 
+    def check(index: int, kind: str, record: dict, label: str = "") -> tuple:
+        """The instance a record names and the transition it takes, once the
+        instance is known and in the record's from state, where its first
+        enabled transition goes to the record's to; else ReplayError.  The
+        instance is marked for the fixpoint check."""
+        name = record["instance"]
+        inst = instances.get(name) or build(name)
+        if inst is None:
+            raise ReplayError(f"cycle {index}: unknown instance {name!r}")
+        if inst.current != record["from"]:
+            raise ReplayError(f"cycle {index}: {name} was in {inst.current}, "
+                              f"trace says {record['from']}")
+        tr = tables[inst.type_name].first_enabled(kind, inst, label)
+        if tr is None or tr.destination != record["to"]:
+            raise ReplayError(f"cycle {index}: no enabled {kind} transition matches {record}")
+        if inst.type_name in inner:
+            touched[name] = inst
+        return inst, tr
+
     entries = script.entries[:len(trace["cycles"])] if script else ()
     _check_script(entries, instances, build, d)
 
@@ -971,42 +980,28 @@ def replay_validate(
             for target, event in entry.events:
                 instances[target].queue.append(event)
 
-            # Each record is checked in line: its instance is known and in its
-            # from state, where the first enabled transition goes to its to.
             # The step visits instances in canonical order: each consumes at
             # most one queue head, and fires its internal chain in one block.
             last = ("", 0)
             for record in cycle["spontaneous"]:
-                event, name = record["event"], record["instance"]
-                inst = instances.get(name) or build(name)
-                if (inst is None or inst.current != record["from"]
-                        or (tr := tables[inst.type_name].first_enabled(SPONTANEOUS, inst, event))
-                        is None or tr.destination != record["to"]):
-                    _refuse(index, SPONTANEOUS, record, inst)
+                event = record["event"]
+                inst, tr = check(index, SPONTANEOUS, record, event)
                 if not inst.queue or inst.queue[0] != event:
                     raise ReplayError(f"cycle {index}: {event} was not at the queue head")
                 key = (inst.type_name, inst.index)
                 if key <= last:
                     raise ReplayError(f"cycle {index}: spontaneous record out of instance order "
-                                      f"at {name}")
+                                      f"at {record['instance']}")
                 last = key
                 inst.queue.pop(0)
-                if inst.type_name in inner:
-                    touched[name] = inst
                 inst.current = tr.destination
 
             records = cycle["interaction"]
             if records is not None:
                 moves = []  # every port is checked before an instance moves
                 for record in records:
-                    port, name = record["port"], record["instance"]
-                    inst = instances.get(name) or build(name)
-                    if (inst is None or inst.current != record["from"]
-                            or (tr := tables[inst.type_name].first_enabled(ENFORCEABLE, inst, port))
-                            is None or tr.destination != record["to"]):
-                        _refuse(index, ENFORCEABLE, record, inst)
-                    if inst.type_name in inner:
-                        touched[name] = inst
+                    port = record["port"]
+                    inst, tr = check(index, ENFORCEABLE, record, port)
                     moves.append((inst, port, tr.destination))
                 last, disorder = ("", 0), None  # the first key out of interaction(k)'s order
                 for inst, _, destination in moves:
@@ -1030,18 +1025,12 @@ def replay_validate(
 
             last = ("", 0)
             for record in cycle["internal"]:
-                name = record["instance"]
-                inst = instances.get(name) or build(name)
-                if (inst is None or inst.current != record["from"]
-                        or (tr := tables[inst.type_name].first_enabled(INTERNAL, inst))
-                        is None or tr.destination != record["to"]):
-                    _refuse(index, INTERNAL, record, inst)
+                inst, tr = check(index, INTERNAL, record)
                 key = (inst.type_name, inst.index)
                 if key < last:
                     raise ReplayError(f"cycle {index}: internal record out of instance order "
-                                      f"at {name}")
+                                      f"at {record['instance']}")
                 last = key
-                touched[name] = inst
                 inst.current = tr.destination
 
             idle = not (cycle["spontaneous"] or records is not None or cycle["internal"])

@@ -636,6 +636,46 @@ def test_proposition_sweep_builds_no_diagram(monkeypatch):
     assert dg.proposition_sweep(3) == expected
 
 
+def test_proposition_sweep_builds_no_end_check(monkeypatch):
+    """The sweep judges each point on its numbers: no EndCheck row is built."""
+    expected = sweep_spec(3)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the sweep builds no rows")
+
+    for name in ("EndCheck", "_end_checks"):
+        monkeypatch.setattr(dg, name, unused)
+    assert dg.proposition_sweep(3) == expected
+
+
+def test_sweep_record_is_a_named_tuple():
+    assert dg.SweepRecord._fields == ("label", "count", "encodable")
+    assert isinstance(dg.SweepRecord("p", 1, True), tuple)
+    agree = {(count, encodable): dg.SweepRecord("p", count, encodable).agree
+             for count in (None, 1, 2) for encodable in (True, False)}
+    assert agree == {(None, True): None, (None, False): None,
+                     (1, True): True, (1, False): False,
+                     (2, True): False, (2, False): True}
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 12), st.integers(0, 12)),
+                min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_the_end_rule_is_the_rows_rule(numbers):
+    """The rule the sweep applies to an end's numbers is the verdict of its
+    EndCheck row, and both are the closed form: m <= n and the matching
+    factor n*d/m, an exact rational, equals the connector count."""
+    ports = [PortTypeRef(name, "p") for name in "ABC"]
+    rows = dg._end_checks("only", ports, numbers)
+    connectors = math.prod(math.comb(n, m) for n, m, _ in numbers)
+    for row, (n, m, deg) in zip(rows, numbers):
+        multiplicity_ok, factor_ok = dg._end_rule(n, m, deg, connectors)
+        assert (multiplicity_ok, factor_ok) == (row.multiplicity_ok, row.factor_ok)
+        closed_form = m <= n and Fraction(n * deg, m) == connectors
+        assert (multiplicity_ok and factor_ok) == row.ok == closed_form
+    assert dg._encodable(numbers) == dg.EncodabilityReport(tuple(rows)).overall
+
+
 def test_proposition_sweep_records_points_over_the_bound_as_unknown():
     records = dg.proposition_sweep(2, max_nodes=3)
     full = dg.proposition_sweep(2)

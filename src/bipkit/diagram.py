@@ -528,13 +528,13 @@ def proposition_sweep(bound: int = 3, max_nodes: int = DEFAULT_MAX_NODES) -> lis
     :func:`_sweep_label`, joined from per-spec fragments made once."""
     if max_nodes < 0:
         raise ValueError("max_nodes must be at least 0")
-    triples = list(itertools.product(range(1, bound + 1), repeat=3))
-    one, first, second = ([f"n{k}={n} m{k}={m} d{k}={deg}" for n, m, deg in triples]
-                          for k in ("", 1, 2))
-    # in the order of iter_sweep_shapes: the one-end shapes, then the pairs
-    labels = itertools.chain(one, [f"{a} | {b}" for a in first for b in second])
+    # each spec's fragments: alone, as the first end and as the second
+    frags = {spec: [f"n{k}={spec[0]} m{k}={spec[1]} d{k}={spec[2]}" for k in ("", 1, 2)]
+             for spec in itertools.product(range(1, bound + 1), repeat=3)}
     records = []
-    for specs, label in zip(iter_sweep_shapes(bound), labels):
+    for specs in iter_sweep_shapes(bound):
+        label = (frags[specs[0]][0] if len(specs) == 1
+                 else f"{frags[specs[0]][1]} | {frags[specs[1]][2]}")
         size = _configuration_size(specs)
         try:
             count = size and len(_search([e for e, (n, _, _) in enumerate(specs) for _ in range(n)],

@@ -71,13 +71,12 @@ and z ^= z >> 31, all modulo 2**64.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from math import comb, prod
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional
 
 from . import diagram as diagram_mod
 from .encoder import encode_macros
@@ -92,6 +91,9 @@ from .model import (
     SPONTANEOUS,
     Transition,
 )
+# The script's parsing lives in .script; its names stay importable from here.
+from .script import (EventScript, ScriptEntry, _item_fault, _script_entry, _typed,  # noqa: F401
+                     _well_formed_entry)
 
 MASK64 = (1 << 64) - 1
 
@@ -138,90 +140,9 @@ class EngineConfig:
             raise ValueError("seed must lie in [0, 2**64)")
 
 
-@dataclass(frozen=True)
-class ScriptEntry:
-    events: tuple[tuple[str, str], ...] = ()  # (instance id, event)
-    guards: tuple[tuple[str, str, bool], ...] = ()  # (instance id, guard, value)
-
-
 _NO_SCRIPT = ScriptEntry()
 _UNBUILT = object()  # an edge not yet worked out
 _MISCOUNT = "the orbit counts disagree with the eligible lists"  # a bug, not a bad input
-
-
-@dataclass(frozen=True)
-class EventScript:
-    entries: tuple[ScriptEntry, ...] = ()
-
-    @classmethod
-    def from_json(cls, text: str) -> "EventScript":
-        """Parse a script; a malformed one raises ScriptError located by its
-        JSON path, e.g. ``cycles[0].events[0]: missing "target"``."""
-        data = json.loads(text)
-        if not isinstance(data, dict) or _typed(data.get("schema")) != (int, 1):
-            raise ScriptError('event scripts need a {"schema": 1, "cycles": [...]} object')
-        cycles = data.get("cycles", [])
-        if not isinstance(cycles, list):
-            raise ScriptError("cycles: expected a list")
-        return cls(entries=tuple(_well_formed_entry(raw) or _script_entry(raw, index)
-                                 for index, raw in enumerate(cycles)))
-
-
-# The fields of the objects a script cycle lists under each key, with their
-# JSON types.
-_SCRIPT_FIELDS = {
-    "events": (("target", str), ("event", str)),
-    "guards": (("target", str), ("guard", str), ("value", bool)),
-}
-_JSON_TYPE_NAMES = {str: "a string", bool: "true or false"}
-
-
-def _well_formed_entry(raw) -> Optional[ScriptEntry]:
-    """A script cycle checked by one comprehension per key, or None when
-    some item fails a check: :func:`_script_entry` then locates it."""
-    try:
-        events, guards = raw.get("events", []), raw.get("guards", [])
-        if type(events) is list and type(guards) is list:
-            events = tuple([(item["target"], item["event"]) for item in events])
-            guards = tuple([(item["target"], item["guard"], item["value"]) for item in guards])
-            if (all([type(t) is str and type(e) is str for t, e in events])
-                    and all([type(t) is str and type(g) is str and type(v) is bool
-                             for t, g, v in guards])):
-                return ScriptEntry(events, guards)
-    except (AttributeError, KeyError, TypeError):  # not an object, or a missing field
-        pass
-    return None
-
-
-def _script_entry(raw: dict, index: int) -> ScriptEntry:
-    """Cycle ``index`` of a script, checked field by field against
-    ``_SCRIPT_FIELDS``; the first problem raises ScriptError at its JSON path."""
-    where = f"cycles[{index}]"
-    if not isinstance(raw, dict):
-        raise ScriptError(f"{where}: expected an object")
-    parsed = {}
-    for key, fields in _SCRIPT_FIELDS.items():
-        items = raw.get(key, [])
-        if not isinstance(items, list):
-            raise ScriptError(f"{where}.{key}: expected a list")
-        rows = []
-        for position, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise ScriptError(f"{where}.{key}[{position}]: expected an object")
-            row = []
-            for name, kind in fields:
-                if name not in item:
-                    raise ScriptError(f'{where}.{key}[{position}]: missing "{name}"')
-                value = item[name]
-                if not isinstance(value, kind):
-                    raise ScriptError(
-                        f"{where}.{key}[{position}].{name}: expected "
-                        f"{_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}"
-                    )
-                row.append(value)
-            rows.append(tuple(row))
-        parsed[key] = tuple(rows)
-    return ScriptEntry(**parsed)
 
 
 @dataclass
@@ -296,25 +217,16 @@ def _check_script(
     ScriptError located at its path in the script, e.g.
     ``cycles[2].events[0]: event targets unknown instance 'Route#9'``."""
     types = d.types_by_name
-    # An item's position is looked up only when it raises: the first equal
-    # item is the one raising, since an earlier copy would have raised.
     for index, entry in enumerate(entries):
         for item in entry.guards:
-            target, guard, _ = item
-            inst = found.get(target) or resolve(target)
-            if inst is None or guard not in types[inst.type_name].guards:
-                problem = (f"guard update targets unknown instance {target!r}" if inst is None
-                           else f"{target} declares no guard {guard!r}")
-                position = entry.guards.index(item)
-                raise ScriptError(f"cycles[{index}].guards[{position}]: {problem}")
+            inst = found.get(item[0]) or resolve(item[0])
+            if inst is None or item[1] not in types[inst.type_name].guards:
+                _item_fault(index, "guards", entry.guards, item, inst is None)
         for item in entry.events:
-            target, event = item
-            inst = found.get(target) or resolve(target)
-            if inst is None or event not in types[inst.type_name].spontaneous_events:
-                problem = (f"event targets unknown instance {target!r}" if inst is None
-                           else f"{target} declares no spontaneous event {event!r}")
-                position = entry.events.index(item)
-                raise ScriptError(f"cycles[{index}].events[{position}]: {problem}")
+            inst = found.get(item[0]) or resolve(item[0])
+            if inst is None or item[1] not in types[inst.type_name].spontaneous_events:
+                _item_fault(index, "events", entry.events, item, inst is None)
+
 
 
 def enabled_ports(
@@ -882,9 +794,14 @@ class ReplayError(BipError):
     """A trace failed replay validation."""
 
 
-def _typed(value):
-    """A JSON value that keeps each scalar's type: true and 1.0 are not 1."""
-    return {k: _typed(v) for k, v in value.items()} if type(value) is dict else (type(value), value)
+def _refuse(index: int, kind: str, record: dict, inst: Optional[InstanceState]) -> NoReturn:
+    """Raise the ReplayError of a record that its instance cannot take."""
+    if inst is None:
+        raise ReplayError(f"cycle {index}: unknown instance {record['instance']!r}")
+    if inst.current != record["from"]:
+        raise ReplayError(f"cycle {index}: {record['instance']} was in {inst.current}, "
+                          f"trace says {record['from']}")
+    raise ReplayError(f"cycle {index}: no enabled {kind} transition matches {record}")
 
 
 def replay_validate(
@@ -943,25 +860,6 @@ def replay_validate(
             touched[name] = inst
         return inst
 
-    def check(index: int, kind: str, record: dict, label: str = "") -> tuple:
-        """The instance a record names and the transition it takes, once the
-        instance is known and in the record's from state, where its first
-        enabled transition goes to the record's to; else ReplayError.  The
-        instance is marked for the fixpoint check."""
-        name = record["instance"]
-        inst = instances.get(name) or build(name)
-        if inst is None:
-            raise ReplayError(f"cycle {index}: unknown instance {name!r}")
-        if inst.current != record["from"]:
-            raise ReplayError(f"cycle {index}: {name} was in {inst.current}, "
-                              f"trace says {record['from']}")
-        tr = tables[inst.type_name].first_enabled(kind, inst, label)
-        if tr is None or tr.destination != record["to"]:
-            raise ReplayError(f"cycle {index}: no enabled {kind} transition matches {record}")
-        if inst.type_name in inner:
-            touched[name] = inst
-        return inst, tr
-
     entries = script.entries[:len(trace["cycles"])] if script else ()
     _check_script(entries, instances, build, d)
 
@@ -980,28 +878,42 @@ def replay_validate(
             for target, event in entry.events:
                 instances[target].queue.append(event)
 
+            # Each record is checked in line: its instance is known and in its
+            # from state, where the first enabled transition goes to its to.
             # The step visits instances in canonical order: each consumes at
             # most one queue head, and fires its internal chain in one block.
             last = ("", 0)
             for record in cycle["spontaneous"]:
-                event = record["event"]
-                inst, tr = check(index, SPONTANEOUS, record, event)
+                event, name = record["event"], record["instance"]
+                inst = instances.get(name) or build(name)
+                if (inst is None or inst.current != record["from"]
+                        or (tr := tables[inst.type_name].first_enabled(SPONTANEOUS, inst, event))
+                        is None or tr.destination != record["to"]):
+                    _refuse(index, SPONTANEOUS, record, inst)
                 if not inst.queue or inst.queue[0] != event:
                     raise ReplayError(f"cycle {index}: {event} was not at the queue head")
                 key = (inst.type_name, inst.index)
                 if key <= last:
                     raise ReplayError(f"cycle {index}: spontaneous record out of instance order "
-                                      f"at {record['instance']}")
+                                      f"at {name}")
                 last = key
                 inst.queue.pop(0)
+                if inst.type_name in inner:
+                    touched[name] = inst
                 inst.current = tr.destination
 
             records = cycle["interaction"]
             if records is not None:
                 moves = []  # every port is checked before an instance moves
                 for record in records:
-                    port = record["port"]
-                    inst, tr = check(index, ENFORCEABLE, record, port)
+                    port, name = record["port"], record["instance"]
+                    inst = instances.get(name) or build(name)
+                    if (inst is None or inst.current != record["from"]
+                            or (tr := tables[inst.type_name].first_enabled(ENFORCEABLE, inst, port))
+                            is None or tr.destination != record["to"]):
+                        _refuse(index, ENFORCEABLE, record, inst)
+                    if inst.type_name in inner:
+                        touched[name] = inst
                     moves.append((inst, port, tr.destination))
                 last, disorder = ("", 0), None  # the first key out of interaction(k)'s order
                 for inst, _, destination in moves:
@@ -1025,12 +937,18 @@ def replay_validate(
 
             last = ("", 0)
             for record in cycle["internal"]:
-                inst, tr = check(index, INTERNAL, record)
+                name = record["instance"]
+                inst = instances.get(name) or build(name)
+                if (inst is None or inst.current != record["from"]
+                        or (tr := tables[inst.type_name].first_enabled(INTERNAL, inst))
+                        is None or tr.destination != record["to"]):
+                    _refuse(index, INTERNAL, record, inst)
                 key = (inst.type_name, inst.index)
                 if key < last:
                     raise ReplayError(f"cycle {index}: internal record out of instance order "
-                                      f"at {record['instance']}")
+                                      f"at {name}")
                 last = key
+                touched[name] = inst
                 inst.current = tr.destination
 
             idle = not (cycle["spontaneous"] or records is not None or cycle["internal"])

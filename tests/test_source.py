@@ -11,9 +11,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bipkit"
 
 # CPython's parser keeps a module's tokens in one array that doubles as it
 # fills, so a module past 8,192 parser tokens costs more to compile than one
-# under.  Compiling engine.py without a bytecode cache, with tracemalloc
-# around compile() on CPython 3.11.7, peaked at 3.47 MB with 8,290 tokens and
-# at 2.97 MB with 8,123.
+# under.  tokenize counts them as the running version's parser does: from
+# 3.12 on (PEP 701) both split each f-string into its parts, so a module
+# counts a few hundred more there, and each Python the tests run on checks
+# its own count.  Compiling engine.py without a bytecode cache, with
+# tracemalloc around compile(), peaked at 3.47 MB with 8,290 tokens on
+# CPython 3.11.7 and at 3.82 MB with 8,777 on 3.12.1; with the event
+# script's parsing in script.py, at 2.74 MB with 7,564 and 3.03 MB with 7,908.
 MAX_TOKENS = 8192
 
 

@@ -14,7 +14,6 @@ from .diagram import (
     EncodabilityReport,
     EnumerationResult,
     check_encodable,
-    conforms,
     diagram_interactions,
     diagram_orbits,
     enumerate_configurations,
@@ -93,3 +92,12 @@ def bundled_model_path(name: str):
 def load_bundled_model(name: str):
     """Parse one of the example models shipped with the package."""
     return parse_model(bundled_model_path(name).read_text(encoding="utf-8"), filename=name)
+
+
+def __getattr__(name: str):
+    """``bipkit.spec``'s names, which no command runs: imported on first use."""
+    if name == "conforms":
+        from .spec import conforms
+
+        return conforms
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

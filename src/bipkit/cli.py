@@ -216,30 +216,22 @@ def cmd_check(args) -> int:
 
 def cmd_instantiate(args) -> int:
     d, binding, _ = _load_bound(args)
-    configurations, truncated = diagram_mod.enumerate_diagram_configurations(
-        d, binding, limit=args.limit, max_nodes=_max_nodes()
-    )
-    # Configurations share their connectors: render each one once, keyed by
-    # its ends (a frozenset, which keeps its hash).
-    names: dict[frozenset, str] = {}
-    rendered = [
-        sorted(names.get(c.ends) or names.setdefault(c.ends, str(c))
-               for c in configuration.connectors())
-        for configuration in configurations
-    ]
+    results, combos, truncated = diagram_mod.configuration_product(
+        d, binding, args.limit, _max_nodes())
+    # Each connector some configuration uses is rendered once; a line is
+    # the texts of its motifs' connectors, sorted together.
+    names = [{i: str(c) for i, c in result.connectors().items()} for result in results]
+    rendered = (sorted([names[m][i] for m, j in enumerate(combo) for i in results[m].found[j]])
+                for combo in combos)
     if args.json:
-        print(
-            json.dumps(
-                {"configurations": rendered, "count": len(rendered), "truncated": truncated},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return OK
-    for i, connectors in enumerate(rendered, start=1):
-        print(f"configuration {i}: " + " ".join(connectors))
-    print(f"{len(rendered)} configuration{'s' if len(rendered) != 1 else ''}"
-          + (" (truncated)" if truncated else ""))
+        out = json.dumps({"configurations": list(rendered), "count": len(combos),
+                          "truncated": truncated}, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = [f"configuration {i}: {' '.join(c)}\n" for i, c in enumerate(rendered, 1)]
+        lines.append(f"{len(lines)} configuration{'s' * (len(lines) != 1)}"
+                     f"{' (truncated)' * truncated}\n")
+        out = "".join(lines)
+    sys.stdout.write(out)
     return OK
 
 

@@ -1,9 +1,9 @@
 """Diagram instantiation: configurations, conformance, and encodability.
 
 A connector motif plus a cardinality binding defines a set of configurations
-(sets of connectors).  This module enumerates them (the brute-force oracle),
-checks conformance of a given configuration, and decides whether the diagram
-pins down exactly one configuration.
+(sets of connectors).  This module enumerates them (the brute-force oracle)
+and decides whether the diagram pins down exactly one configuration;
+``bipkit.spec.conforms`` checks a given configuration against the motifs.
 
 Enumeration solves two exact covers with multiplicities, and one iterative
 backtracking search, :func:`_exact_picks`, does both: a connector picks m_e
@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -267,12 +266,12 @@ def _exact_picks(
 
 def _members(
     motif: ConnectorMotif, numbers: Numbers
-) -> tuple[list[tuple[PortInstance, str]], list[int]]:
+) -> tuple[tuple[tuple[PortInstance, str], ...], list[int]]:
     """The motif's port instances with their typings, sorted, and the end of each."""
     members = sorted((PortInstance(end.port.component_type, i, end.port.port), end.typing, e)
                      for e, (end, (n, _, _)) in enumerate(zip(motif.ends, numbers))
                      for i in range(1, n + 1))
-    return [member[:2] for member in members], [e for _, _, e in members]
+    return tuple(member[:2] for member in members), [e for _, _, e in members]
 
 
 def _pool(ends: Sequence[int], numbers: Numbers) -> Iterator[tuple[int, ...]]:
@@ -303,8 +302,14 @@ def _configuration_size(numbers: Numbers) -> int:
     return 0 if rest else size
 
 
+def _stop(limit: Optional[int]) -> Optional[int]:
+    """``islice``'s stop for a limit: no list holds more than sys.maxsize
+    items, so a larger limit is none."""
+    return None if limit is None else min(limit, sys.maxsize)
+
+
 def _search(ends: Sequence[int], numbers: Numbers, size: int, limit: Optional[int],
-            max_nodes: int, motif: str) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+            max_nodes: int, motif: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The search on numbers, for a :func:`_configuration_size` of at least
     1: the pool (:func:`_pool`) and the first ``limit`` configurations, each
     as increasing positions in the pool."""
@@ -312,21 +317,37 @@ def _search(ends: Sequence[int], numbers: Numbers, size: int, limit: Optional[in
     # Each node moves one connector on along its path, so the search reads
     # no connector past max_nodes - 1, and only those are generated.
     total = _connectors(numbers)
-    pool = list(itertools.islice(_pool(ends, numbers), min(total, max_nodes)))
-    # No list holds more than sys.maxsize items, so a larger limit is none.
-    stop = None if limit is None else min(limit, sys.maxsize)
-    return pool, list(itertools.islice(_exact_picks(
+    pool = tuple(itertools.islice(_pool(ends, numbers), min(total, max_nodes)))
+    return pool, tuple(itertools.islice(_exact_picks(
         pool, [numbers[e][2] for e in ends], [total * numbers[e][1] // numbers[e][0] for e in ends],
-        size, total, max_nodes, motif), stop))
+        size, total, max_nodes, motif), _stop(limit)))
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    configurations: tuple[frozenset[Connector], ...]
+    """A motif's configurations as the search found them: ``found`` lists
+    each as increasing positions in ``pool``, and each pool connector is
+    increasing positions in ``members``, the motif's sorted port instances
+    with their typings."""
+
+    members: Sequence[tuple[PortInstance, str]]
+    pool: Sequence[tuple[int, ...]]
+    found: Sequence[tuple[int, ...]]
     truncated: bool
 
+    def connectors(self) -> dict[int, Connector]:
+        """The connector at each pool position that some configuration uses."""
+        return {i: Connector(frozenset(self.members[k] for k in self.pool[i]))
+                for i in set().union(*self.found)}
+
+    @property
+    def configurations(self) -> tuple[frozenset[Connector], ...]:
+        """Each configuration as its set of connectors, built on each read."""
+        connectors = self.connectors()
+        return tuple(frozenset(map(connectors.__getitem__, c)) for c in self.found)
+
     def __len__(self) -> int:
-        return len(self.configurations)
+        return len(self.found)
 
 
 def enumerate_configurations(
@@ -342,6 +363,8 @@ def enumerate_configurations(
     of each end's port type sits in exactly its degree's worth of connectors.
     Results come in lexicographic order of sorted connector lists; with a
     limit, enumeration stops after that many and sets the truncated flag.
+    The result keeps the search's positions and builds a ``Connector``
+    only when its ``configurations`` are read.
     Raises CapacityError when the search visits more than max_nodes nodes.
     """
     check_binding(d, binding)
@@ -355,15 +378,10 @@ def enumerate_configurations(
     numbers = [_end_numbers(d, end, binding) for end in motif.ends]
     size = _configuration_size(numbers)
     if not size:
-        return EnumerationResult((), False)
+        return EnumerationResult((), (), (), False)
     members, ends = _members(motif, numbers)
     pool, found = _search(ends, numbers, size, limit, max_nodes, motif.name)
-    # Connectors are built only for the configurations found, each once.
-    connectors = {i: Connector(frozenset(members[k] for k in pool[i]))
-                  for i in set().union(*found)}
-    return EnumerationResult(
-        tuple(frozenset(map(connectors.__getitem__, configuration)) for configuration in found),
-        limit is not None and len(found) == limit)
+    return EnumerationResult(members, pool, found, limit is not None and len(found) == limit)
 
 
 def unique_configuration(
@@ -383,36 +401,20 @@ def unique_configuration(
     return frozenset(possible_connectors(d, motif, binding))
 
 
-def conforms(configuration: Configuration, d: ArchitectureDiagram, binding: Binding) -> bool:
-    """Does the configuration satisfy every motif's multiplicity/typing and
-    degree constraints under the binding, on instances numbered 1..n?"""
-    check_binding(d, binding)
-    groups = dict(configuration.groups)
-    if groups.keys() - {m.name for m in d.motifs}:
-        return False
-    for motif in d.motifs:
-        group = groups.get(motif.name)
-        if not group:
-            return False
-        numbers = [(end, _end_numbers(d, end, binding)) for end in motif.ends]
-        ends = {end.port: (n, end.typing) for end, (n, _, _) in numbers}
-        for connector in group:
-            by_ref: dict[PortTypeRef, int] = {}
-            for pi, typing in connector.ends:
-                ref = pi.type_ref
-                n, end_typing = ends.get(ref, (0, None))
-                if typing != end_typing or not 1 <= pi.index <= n:
-                    return False
-                by_ref[ref] = by_ref.get(ref, 0) + 1
-            for end, (_, m, _) in numbers:
-                if by_ref.get(end.port, 0) != m:
-                    return False
-        involved = Counter(pi for connector in group for pi, _ in connector.ends)
-        for end, (n, _, deg) in numbers:
-            for i in range(1, n + 1):
-                if involved[PortInstance(end.port.component_type, i, end.port.port)] != deg:
-                    return False
-    return True
+def configuration_product(
+    d: ArchitectureDiagram, binding: Binding, limit: Optional[int] = None,
+    max_nodes: int = DEFAULT_MAX_NODES,
+) -> tuple[list[EnumerationResult], list[tuple[int, ...]], bool]:
+    """Each motif's first ``limit`` configurations, in motif order, the
+    first ``limit`` elements of their Cartesian product as one index per
+    motif (the last motif's changing fastest), and whether some motif or
+    the product had more.  The one copy of the product rule, for
+    :func:`enumerate_diagram_configurations` and ``bipkit instantiate``."""
+    results = [enumerate_configurations(d, motif, binding, limit=limit, max_nodes=max_nodes)
+               for motif in d.motifs]
+    product = itertools.product(*[range(len(result)) for result in results])
+    combos = list(itertools.islice(product, _stop(limit)))
+    return results, combos, any(r.truncated for r in results) or next(product, None) is not None
 
 
 def enumerate_diagram_configurations(
@@ -421,22 +423,12 @@ def enumerate_diagram_configurations(
     limit: Optional[int] = None,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> tuple[tuple[Configuration, ...], bool]:
-    """Configurations of the whole diagram: the per-motif Cartesian product."""
-    per_motif: list[tuple[str, EnumerationResult]] = [
-        (motif.name, enumerate_configurations(d, motif, binding, limit=limit, max_nodes=max_nodes))
-        for motif in d.motifs
-    ]
-    truncated = any(result.truncated for _, result in per_motif)
-    groups = [[(name, option) for option in result.configurations] for name, result in per_motif]
-    if any(not g for g in groups):
-        return (), truncated
-    configurations: list[Configuration] = []
-    for combo in itertools.product(*groups):
-        if limit is not None and len(configurations) >= limit:
-            truncated = True
-            break
-        configurations.append(Configuration(tuple(combo)))
-    return tuple(configurations), truncated
+    """Configurations of the whole diagram: the per-motif Cartesian product
+    of :func:`configuration_product`."""
+    results, combos, truncated = configuration_product(d, binding, limit, max_nodes)
+    groups = [[(motif.name, c) for c in r.configurations] for motif, r in zip(d.motifs, results)]
+    return tuple(Configuration(tuple(map(list.__getitem__, groups, combo)))
+                 for combo in combos), truncated
 
 
 def diagram_orbits(d: ArchitectureDiagram, binding: Binding) -> list[Orbit]:
@@ -508,14 +500,6 @@ def iter_sweep_shapes(bound: int = 3) -> Iterator[tuple[tuple[int, int, int], ..
     yield from itertools.product(specs, repeat=2)
 
 
-def _sweep_label(specs: Numbers) -> str:
-    """A sweep point's label, as :func:`proposition_sweep` joins it from
-    fragments; ``tests/helpers.iter_sweep_points`` reads it from here."""
-    if len(specs) == 1:
-        return "n={} m={} d={}".format(*specs[0])
-    return " | ".join(f"n{k}={n} m{k}={m} d{k}={deg}" for k, (n, m, deg) in enumerate(specs, 1))
-
-
 def proposition_sweep(bound: int = 3, max_nodes: int = DEFAULT_MAX_NODES) -> list[SweepRecord]:
     """Cross-check brute-force uniqueness against the encodability conditions
     at every sweep point; every record should have ``agree`` set.  A point
@@ -524,8 +508,9 @@ def proposition_sweep(bound: int = 3, max_nodes: int = DEFAULT_MAX_NODES) -> lis
     checked on its specs, as on ``tests/helpers.single_motif_diagram(specs)``
     without building it: its sorted port instances are A's, then B's.  A
     point is judged on its numbers by the rule :class:`EndCheck` applies
-    (:func:`_encodable`), and no row is built.  Its label is that of
-    :func:`_sweep_label`, joined from per-spec fragments made once."""
+    (:func:`_encodable`), and no row is built.  Its label, e.g.
+    ``n1=1 m1=1 d1=2 | n2=2 m2=1 d2=1``, is joined from per-spec fragments
+    made once; ``tests/helpers.sweep_label`` states it whole."""
     if max_nodes < 0:
         raise ValueError("max_nodes must be at least 0")
     # each spec's fragments: alone, as the first end and as the second

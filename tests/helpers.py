@@ -119,11 +119,19 @@ def single_motif_diagram(
     return ArchitectureDiagram("sweep", tuple(types), (ConnectorMotif("only", ends),))
 
 
+def sweep_label(specs: Sequence[tuple[int, int, int]]) -> str:
+    """A sweep point's label, the specification of the one
+    ``diagram.proposition_sweep`` joins from per-spec fragments."""
+    if len(specs) == 1:
+        return "n={} m={} d={}".format(*specs[0])
+    return " | ".join(f"n{k}={n} m{k}={m} d{k}={deg}" for k, (n, m, deg) in enumerate(specs, 1))
+
+
 def iter_sweep_points(bound: int = 3):
     """Single-motif diagrams with one or two port types, all of n, m, d in
     [1, bound], each with its label, e.g. ``n1=1 m1=1 d1=2 | n2=2 m2=1 d2=1``."""
     for specs in dg.iter_sweep_shapes(bound):
-        yield dg._sweep_label(specs), single_motif_diagram(specs)
+        yield sweep_label(specs), single_motif_diagram(specs)
 
 
 def sweep_spec(bound: int = 3, max_nodes: int = dg.DEFAULT_MAX_NODES) -> list[dg.SweepRecord]:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,14 +12,21 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipkit import bundled_model_path, cli, load_bundled_model, replay_validate
+from bipkit import diagram as dg
 from bipkit.cli import main
-from bipkit.dsl import serialize_model
+from bipkit.dsl import load_model, serialize_model
+from bipkit.model import SYNCHRON, TRIGGER
+
+from helpers import single_motif_diagram
 
 
 def model_path(name: str) -> str:
@@ -156,6 +165,15 @@ def test_importing_the_cli_leaves_out_the_network_modules():
     assert result.stdout == "[]\n"
 
 
+def test_the_cli_leaves_out_the_specification_until_a_name_of_it_is_read():
+    src = str(Path(cli.__file__).parents[1])
+    probe = ("import sys, bipkit.cli; loaded = 'bipkit.spec' in sys.modules; "
+             "print(loaded, bipkit.conforms.__module__, 'bipkit.spec' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout == "False bipkit.spec True\n"
+
+
 def test_python_m_bipkit_runs_the_cli():
     src = str(Path(cli.__file__).parents[1])
     result = subprocess.run([sys.executable, "-m", "bipkit", "--version"], capture_output=True,
@@ -247,6 +265,69 @@ def test_instantiate_truncates_the_product_of_the_motifs(tmp_path, capsys):
     assert main(["instantiate", path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5 and lines[-1] == "4 configurations"
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 5])
+def test_instantiate_lists_the_diagram_configurations(tmp_path, capsys, limit):
+    """Across two motifs, ``instantiate --json`` holds what
+    ``enumerate_diagram_configurations`` returns, cut at the same place."""
+    path = write_model(tmp_path, "two_by_two.bip", TWO_BY_TWO)
+    configurations, truncated = dg.enumerate_diagram_configurations(
+        load_model(Path(path)), {}, limit=limit)
+    assert main(["instantiate", path, "--limit", str(limit), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "configurations": [sorted(map(str, conf.connectors())) for conf in configurations],
+        "count": len(configurations), "truncated": truncated}
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+                          st.sampled_from([SYNCHRON, TRIGGER])), min_size=1, max_size=2),
+       st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_instantiate_json_lists_what_the_search_finds(ends, limit):
+    """On a random single-motif diagram, ``instantiate --json`` holds each
+    configuration the search finds, in its order, as its connectors' texts
+    sorted, with the search's truncated flag."""
+    d = single_motif_diagram([end[:3] for end in ends], [end[3] for end in ends])
+    result = dg.enumerate_configurations(d, d.motifs[0], {}, limit=limit)
+    assert len(result) == len(result.configurations)
+    expected = [sorted(str(c) for c in conf) for conf in result.configurations]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = write_model(Path(tmp), "sweep.bip", serialize_model(d))
+        assert main(["instantiate", path, "--limit", str(limit), "--json"]) == 0
+    assert json.loads(out.getvalue()) == {
+        "configurations": expected, "count": len(expected), "truncated": result.truncated}
+
+
+class _CountingOut(io.StringIO):
+    writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("flags, last", [([], "24 configurations"), (["--json"], "}")])
+def test_instantiate_writes_its_output_at_once(monkeypatch, flags, last):
+    out = _CountingOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["instantiate", model_path("ambiguous_pairing.bip"), "--bind", "n=4", *flags]
+    assert main(argv) == 0
+    assert out.writes == 1 and out.getvalue().splitlines()[-1] == last
+
+
+def _no_connector(*args, **kwargs):
+    raise AssertionError("a Connector was built")
+
+
+@pytest.mark.parametrize("limit", [[], ["--limit", "3"]])
+def test_oracle_counts_configurations_without_building_connectors(monkeypatch, capsys, limit):
+    argv = ["oracle", model_path("ambiguous_pairing.bip"), "--bind", "n=4", *limit]
+    expected = main(argv), capsys.readouterr()
+    monkeypatch.setattr(dg, "Connector", _no_connector)
+    assert (main(argv), capsys.readouterr()) == expected
+    assert expected[1].out == f"motif pair: count={'3+' if limit else 24} unique-predicted=False ok\n"
 
 
 @pytest.mark.parametrize("model, n", [

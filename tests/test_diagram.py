@@ -32,6 +32,7 @@ from bipkit.model import (
     SYNCHRON,
     TRIGGER,
 )
+from bipkit.spec import conforms
 from helpers import (
     iter_sweep_points,
     iter_typed_motif_space,
@@ -231,6 +232,21 @@ def two_ports_on_one_type(n, m1, m2):
     return ArchitectureDiagram("two", (a, b), (ConnectorMotif("m", ends),))
 
 
+def test_connectors_are_built_only_when_the_configurations_are_read(monkeypatch,
+                                                                    ambiguous_pairing):
+    motif = ambiguous_pairing.motifs[0]
+    read = dg.enumerate_configurations(ambiguous_pairing, motif, {"n": 4}).configurations
+
+    def no_connector(*args, **kwargs):
+        raise AssertionError("a Connector was built")
+
+    monkeypatch.setattr(dg, "Connector", no_connector)
+    result = dg.enumerate_configurations(ambiguous_pairing, motif, {"n": 4})
+    assert len(result) == len(read) == 24 and not result.truncated
+    monkeypatch.undo()
+    assert result.configurations == read
+
+
 def test_possible_connectors_come_in_sorted_order():
     diagrams = [d for _, d in iter_sweep_points(3)]
     diagrams += [two_ports_on_one_type(n, m1, m2)
@@ -322,20 +338,20 @@ def test_unique_configuration_requires_the_conditions(ambiguous_pairing):
 
 def test_conforms(complete_pairing, ambiguous_pairing, broadcast_pair):
     full = dg.unique_configuration(complete_pairing, complete_pairing.motifs[0], {"n": 2})
-    assert dg.conforms(Configuration((("pair", full),)), complete_pairing, {"n": 2})
+    assert conforms(Configuration((("pair", full),)), complete_pairing, {"n": 2})
 
     # a single perfect matching leaves every instance one connector short of
     # the required degree 2
     matching = dg.enumerate_configurations(
         ambiguous_pairing, ambiguous_pairing.motifs[0], {"n": 2}
     ).configurations[0]
-    assert not dg.conforms(Configuration((("pair", matching),)), complete_pairing, {"n": 2})
+    assert not conforms(Configuration((("pair", matching),)), complete_pairing, {"n": 2})
 
     # the fan-in connector of the broadcast pair diagram
     connector = Connector.of(
         (pi("T1", 1, "p"), SYNCHRON), (pi("T2", 1, "q"), TRIGGER), (pi("T2", 2, "q"), TRIGGER)
     )
-    assert dg.conforms(
+    assert conforms(
         Configuration((("fanin", frozenset({connector})),)),
         broadcast_pair,
         {"n1": 1, "n2": 2},
@@ -349,13 +365,13 @@ def test_conforms_rejects_instances_that_do_not_exist(complete_pairing):
     for i in (3, 0):
         ghost = Connector.of((pi("T1", i, "p"), SYNCHRON), (pi("T2", i, "q"), SYNCHRON))
         config = Configuration((("pair", full | {ghost}),))
-        assert not dg.conforms(config, complete_pairing, {"n": 2}), i
+        assert not conforms(config, complete_pairing, {"n": 2}), i
 
 
 def test_conforms_rejects_unknown_groups(complete_pairing):
     full = dg.unique_configuration(complete_pairing, complete_pairing.motifs[0], {"n": 2})
     config = Configuration((("pair", full), ("ghost", full)))
-    assert not dg.conforms(config, complete_pairing, {"n": 2})
+    assert not conforms(config, complete_pairing, {"n": 2})
 
 
 def test_diagram_interactions_goldens(broadcast_pair, complete_pairing, star):
@@ -549,7 +565,7 @@ def test_multi_motif_configurations_are_products(routes):
     assert set(groups) == {"switchOn", "switchOff", "report"}
     assert len(groups["switchOn"]) == 2
     assert len(groups["switchOff"]) == 2
-    assert dg.conforms(configurations[0], routes, {"n": 2})
+    assert conforms(configurations[0], routes, {"n": 2})
 
 
 def test_binding_checks(star):
@@ -702,7 +718,7 @@ def test_sweep_side_invariants():
             continue
 
         for connectors in result.configurations:
-            assert dg.conforms(Configuration(((motif.name, connectors),)), d, {}), label
+            assert conforms(Configuration(((motif.name, connectors),)), d, {}), label
             # every connector's absent instances appear in some other
             # connector without the present one (the exchange property)
             for connector in connectors:

@@ -427,7 +427,7 @@ def enumerate_diagram_configurations(
     of :func:`configuration_product`."""
     results, combos, truncated = configuration_product(d, binding, limit, max_nodes)
     groups = [[(motif.name, c) for c in r.configurations] for motif, r in zip(d.motifs, results)]
-    return tuple(Configuration(tuple(map(list.__getitem__, groups, combo)))
+    return tuple(Configuration(tuple(group[j] for group, j in zip(groups, combo)))
                  for combo in combos), truncated
 
 

@@ -1318,6 +1318,18 @@ def _name_one_instance_twice(trace):
         (lambda t: t["cycles"][0]["interaction"][0].pop("port"), "cycle 0: malformed record"),
         (lambda t: t["cycles"][0].update(interaction="on"), "cycle 0: malformed record"),
         (_name_one_instance_twice, "cycle 0: fired interaction names an instance twice"),
+        # cycle 4 is idle: each of its keys is read in this order, and each
+        # record list is walked, when it is empty too
+        (lambda t: t["cycles"][4].pop("idle"), "cycle 4: malformed record (KeyError: 'idle')"),
+        (lambda t: t["cycles"][4].update(internal=None),
+         "cycle 4: malformed record (TypeError: 'NoneType' object is not iterable)"),
+        (lambda t: t["cycles"][4].update(spontaneous=False),
+         "cycle 4: malformed record (TypeError: 'bool' object is not iterable)"),
+        (lambda t: [t["cycles"][4].pop(key) for key in ("cycle", "spontaneous")],
+         "cycle 4: malformed record (KeyError: 'cycle')"),
+        (lambda t: [t["cycles"][4].pop(key) for key in ("spontaneous", "idle")],
+         "cycle 4: malformed record (KeyError: 'spontaneous')"),
+        (lambda t: t["cycles"][4].update(interaction=[]), "cycle 4: fired interaction [] is not allowed"),
         # Route#1.on alone is enabled but needs Monitor#1.add
         (lambda t: t["cycles"][0]["interaction"].pop(0), "['Route.on#1'] is not allowed"),
     ],
@@ -1334,6 +1346,41 @@ def test_replay_tells_a_binding_of_true_from_the_integer_1(routes):
     with pytest.raises(ReplayError, match=re.escape(
             "trace binding is {'n': True}, expected {'n': 1}")):
         replay_validate(trace, routes, {"n": 1})
+
+
+@pytest.mark.parametrize("source", [DIAGRAM_SOURCE, MACRO_SOURCE])
+@pytest.mark.parametrize("good, bad", [(1, True), (2, 2.0)])
+def test_replay_refuses_a_binding_value_equal_to_an_accepted_one(routes, source, good, bad):
+    """True == 1 and 2.0 == 2, and each pair hashes alike, but only the
+    integer is a binding value: a replay under the integer does not make
+    the other one accepted."""
+    trace = run(routes, {"n": good}, EngineConfig(cycles=3))
+    assert replay_validate(trace, routes, {"n": good}, source=source)
+    trace["binding"] = {"n": bad}
+    for _ in range(2):
+        with pytest.raises(ValueError,
+                           match=f"^parameter n={bad!r} is not a non-negative integer$"):
+            replay_validate(trace, routes, {"n": bad}, source=source)
+
+
+@pytest.mark.parametrize("source, error, message", [
+    (DIAGRAM_SOURCE, ValueError, "parameter n=[2] is not a non-negative integer"),
+    (MACRO_SOURCE, TypeError, "unsupported operand type(s) for -=: 'list' and 'int'"),
+])
+def test_replay_keeps_the_error_of_an_unhashable_binding_value(routes, source, error, message):
+    trace = run(routes, {"n": 2}, EngineConfig(cycles=3))
+    assert replay_validate(trace, routes, {"n": 2}, source=source)
+    trace["binding"] = {"n": [2]}
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        replay_validate(trace, routes, {"n": [2]}, source=source)
+
+
+def test_replay_refuses_a_binding_without_a_unique_architecture_each_time(routes):
+    trace = run(routes, {"n": 1}, EngineConfig(cycles=3))
+    trace["binding"] = {"n": 0}
+    for _ in range(2):
+        with pytest.raises(EncodabilityError, match="^diagram does not define a unique "):
+            replay_validate(trace, routes, {"n": 0})
 
 
 def test_replay_counts_the_instances_taking_part_with_each_port(mutex):

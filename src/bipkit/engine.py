@@ -50,7 +50,10 @@ BipError.  Each step returns its trace record.
 :func:`replay_validate` checks those records against the transition tables
 themselves, not the nodes, one lookup per record, and a fired interaction
 by its orbit: its instances are distinct, so it is allowed when the
-multiset of its (type, port) pairs is an orbit of the diagram.  It builds
+multiset of its (type, port) pairs is an orbit of the diagram.  What it
+reads from the model alone is compiled once per (diagram, binding,
+source) and kept in a small cache, and a cycle without records costs its
+five key reads.  It builds
 an instance the first time a record or a script target names it by its
 exact id, the rule :meth:`CompiledSystem.locate` applies; the others are
 still at their type's initial configuration, so its cost follows the
@@ -73,6 +76,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, groupby
 from math import comb, prod
 from json.encoder import encode_basestring_ascii as _json_str
@@ -804,6 +808,26 @@ def _refuse(index: int, kind: str, record: dict, inst: Optional[InstanceState]) 
     raise ReplayError(f"cycle {index}: no enabled {kind} transition matches {record}")
 
 
+@lru_cache(maxsize=8)
+def _replay_model(d: ArchitectureDiagram, binding: tuple, source: str) -> tuple:
+    """What replay checks a trace against, from the model alone: the allowed
+    interactions' (type, port) pairs, the transition tables, the instance
+    counts, each type's start configuration, and the types with internal
+    transitions.  Compiled once per (diagram, sorted binding items, source)
+    for a binding that check_binding passed, so no bool or float is a key."""
+    counts = dict(binding)
+    # A fired interaction names distinct instances, so it is allowed when its
+    # sorted (type, port) pairs list each single-port signature count times.
+    allowed = frozenset(tuple(chain.from_iterable(sig * k for sig, k in orbit))
+                        for orbit in _orbits(d, counts, source)
+                        if all(len(sig) == 1 for sig, _ in orbit))
+    tables = _transition_tables(d)
+    start = {ct.name: (ct.initial_state, dict.fromkeys(ct.guards, False))
+             for ct in d.component_types}
+    inner = frozenset(ctype for ctype, table in tables.items() if table.internal)
+    return allowed, tables, diagram_mod.instance_counts(d, counts), start, inner
+
+
 def replay_validate(
     trace: dict,
     d: ArchitectureDiagram,
@@ -830,16 +854,12 @@ def replay_validate(
         EngineConfig(0, trace.get("seed"), trace.get("policy"))
     except ValueError as exc:
         raise ReplayError(f"trace header: {exc}") from None
-    # A fired interaction names distinct instances, so it is allowed when its
-    # sorted (type, port) pairs list each single-port signature count times.
-    allowed = {tuple(chain.from_iterable(sig * k for sig, k in orbit))
-               for orbit in _orbits(d, binding, source)
-               if all(len(sig) == 1 for sig, _ in orbit)}
-    diagram_mod.check_binding(d, binding)
-    tables, size = _transition_tables(d), diagram_mod.instance_counts(d, binding)
-    start = {ct.name: (ct.initial_state, dict.fromkeys(ct.guards, False))
-             for ct in d.component_types}
-    inner = {ctype for ctype, table in tables.items() if table.internal}
+    try:
+        diagram_mod.check_binding(d, binding)
+    except Exception:  # an unknown source or a failed macro grounding is told first
+        _orbits(d, binding, source)
+        raise
+    allowed, tables, size, start, inner = _replay_model(d, tuple(sorted(binding.items())), source)
     # The instances a record or a script target has named, by id, each built
     # the first time one names it.  Any other is still at its type's initial
     # state with every guard false.
@@ -863,44 +883,53 @@ def replay_validate(
     entries = script.entries[:len(trace["cycles"])] if script else ()
     _check_script(entries, instances, build, d)
 
-    fired_count = 0
-    idle_count = 0
+    fired_count = idle_count = 0
+    scripted = len(entries)
+    # A cycle reads each of its keys once, in a fixed order, and walks only
+    # what is there: an idle cycle past the script costs its five key reads.
     for index, cycle in enumerate(trace["cycles"]):
-        entry = entries[index] if index < len(entries) else _NO_SCRIPT
         try:
-            if type(cycle["cycle"]) is not int or cycle["cycle"] != index:
-                raise ReplayError(f"cycle {index}: recorded as cycle {cycle['cycle']!r}")
-            for target, guard, value in entry.guards:
-                inst = instances[target]
-                inst.guards[guard] = value
-                if inst.type_name in inner:
-                    touched[target] = inst
-            for target, event in entry.events:
-                instances[target].queue.append(event)
+            number = cycle["cycle"]
+            if type(number) is not int or number != index:
+                raise ReplayError(f"cycle {index}: recorded as cycle {number!r}")
+            if index < scripted:
+                entry = entries[index]
+                for target, guard, value in entry.guards:
+                    inst = instances[target]
+                    inst.guards[guard] = value
+                    if inst.type_name in inner:
+                        touched[target] = inst
+                for target, event in entry.events:
+                    instances[target].queue.append(event)
 
             # Each record is checked in line: its instance is known and in its
             # from state, where the first enabled transition goes to its to.
             # The step visits instances in canonical order: each consumes at
             # most one queue head, and fires its internal chain in one block.
-            last = ("", 0)
-            for record in cycle["spontaneous"]:
-                event, name = record["event"], record["instance"]
-                inst = instances.get(name) or build(name)
-                if (inst is None or inst.current != record["from"]
-                        or (tr := tables[inst.type_name].first_enabled(SPONTANEOUS, inst, event))
-                        is None or tr.destination != record["to"]):
-                    _refuse(index, SPONTANEOUS, record, inst)
-                if not inst.queue or inst.queue[0] != event:
-                    raise ReplayError(f"cycle {index}: {event} was not at the queue head")
-                key = (inst.type_name, inst.index)
-                if key <= last:
-                    raise ReplayError(f"cycle {index}: spontaneous record out of instance order "
-                                      f"at {name}")
-                last = key
-                inst.queue.pop(0)
-                if inst.type_name in inner:
-                    touched[name] = inst
-                inst.current = tr.destination
+            # A record list is walked unless it is [], so that any other value
+            # fails as a loop over it fails.
+            spontaneous = cycle["spontaneous"]
+            if spontaneous != []:
+                last = ("", 0)
+                for record in spontaneous:
+                    event, name = record["event"], record["instance"]
+                    inst = instances.get(name) or build(name)
+                    if (inst is None or inst.current != record["from"]
+                            or (tr := tables[inst.type_name].first_enabled(
+                                SPONTANEOUS, inst, event)) is None
+                            or tr.destination != record["to"]):
+                        _refuse(index, SPONTANEOUS, record, inst)
+                    if not inst.queue or inst.queue[0] != event:
+                        raise ReplayError(f"cycle {index}: {event} was not at the queue head")
+                    key = (inst.type_name, inst.index)
+                    if key <= last:
+                        raise ReplayError(f"cycle {index}: spontaneous record out of instance "
+                                          f"order at {name}")
+                    last = key
+                    inst.queue.pop(0)
+                    if inst.type_name in inner:
+                        touched[name] = inst
+                    inst.current = tr.destination
 
             records = cycle["interaction"]
             if records is not None:
@@ -935,25 +964,28 @@ def replay_validate(
                                       f"at {instance_id(*disorder)}")
                 fired_count += 1
 
-            last = ("", 0)
-            for record in cycle["internal"]:
-                name = record["instance"]
-                inst = instances.get(name) or build(name)
-                if (inst is None or inst.current != record["from"]
-                        or (tr := tables[inst.type_name].first_enabled(INTERNAL, inst))
-                        is None or tr.destination != record["to"]):
-                    _refuse(index, INTERNAL, record, inst)
-                key = (inst.type_name, inst.index)
-                if key < last:
-                    raise ReplayError(f"cycle {index}: internal record out of instance order "
-                                      f"at {name}")
-                last = key
-                touched[name] = inst
-                inst.current = tr.destination
+            internal = cycle["internal"]
+            if internal != []:
+                last = ("", 0)
+                for record in internal:
+                    name = record["instance"]
+                    inst = instances.get(name) or build(name)
+                    if (inst is None or inst.current != record["from"]
+                            or (tr := tables[inst.type_name].first_enabled(INTERNAL, inst))
+                            is None or tr.destination != record["to"]):
+                        _refuse(index, INTERNAL, record, inst)
+                    key = (inst.type_name, inst.index)
+                    if key < last:
+                        raise ReplayError(f"cycle {index}: internal record out of instance order "
+                                          f"at {name}")
+                    last = key
+                    touched[name] = inst
+                    inst.current = tr.destination
 
-            idle = not (cycle["spontaneous"] or records is not None or cycle["internal"])
-            if cycle["idle"] is not idle:
-                raise ReplayError(f"cycle {index}: idle is {cycle['idle']!r}, expected {idle}")
+            idle = not (spontaneous or records is not None or internal)
+            recorded = cycle["idle"]
+            if recorded is not idle:
+                raise ReplayError(f"cycle {index}: idle is {recorded!r}, expected {idle}")
         except (KeyError, TypeError) as exc:  # a missing key or a wrongly typed value
             raise ReplayError(
                 f"cycle {index}: malformed record ({type(exc).__name__}: {exc})"

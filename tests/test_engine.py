@@ -34,6 +34,7 @@ from bipkit.engine import (
     SplitMix64,
     UNIFORM_RANDOM,
     _orbits,
+    _replay_model,
     _script_entry,
     _transition_tables,
     _unrank,
@@ -1067,6 +1068,22 @@ def test_a_rank_outside_the_feasible_count_is_refused(pick_models, model):
             system.interaction(k)
 
 
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+def test_the_pick_is_the_output_mod_the_count_past_2_to_the_64(pick_models, n, seed):
+    """Broadcast's cycle 0 has 2^n feasible interactions, and the engine
+    fires rank next() % 2^n.  At n=64 every rank can be drawn; at n=65 no
+    rank at or past 2^64 can, so that pick is not uniform (docs/formats.md,
+    "Random choice, bit-exactly")."""
+    d, binding = pick_models["broadcast"], {"n": n}
+    system = CompiledSystem(d, binding, diagram_orbits(d, binding))
+    assert sum(system.feasible()) == 2**n
+    rank = SplitMix64(seed).next_u64() % 2**n
+    trace = run(d, binding, EngineConfig(cycles=1, seed=seed))
+    fired = [(record["instance"], record["port"]) for record in trace["cycles"][0]["interaction"]]
+    assert fired == [(instance_id(ctype, i), label) for ctype, i, label in system.interaction(rank)]
+
+
 @pytest.mark.parametrize("model, done, live", [("mutex", (), 1), ("routes", ("Route#2",), 2)])
 def test_an_orbit_count_above_its_eligible_lists_is_refused(pick_models, model, done, live):
     """A maintained count one above, or twice, what its eligible lists
@@ -1329,7 +1346,8 @@ def _name_one_instance_twice(trace):
          "cycle 4: malformed record (KeyError: 'cycle')"),
         (lambda t: [t["cycles"][4].pop(key) for key in ("spontaneous", "idle")],
          "cycle 4: malformed record (KeyError: 'spontaneous')"),
-        (lambda t: t["cycles"][4].update(interaction=[]), "cycle 4: fired interaction [] is not allowed"),
+        (lambda t: t["cycles"][4].update(interaction=[]),
+         "cycle 4: fired interaction [] is not allowed"),
         # Route#1.on alone is enabled but needs Monitor#1.add
         (lambda t: t["cycles"][0]["interaction"].pop(0), "['Route.on#1'] is not allowed"),
     ],
@@ -1381,6 +1399,84 @@ def test_replay_refuses_a_binding_without_a_unique_architecture_each_time(routes
     for _ in range(2):
         with pytest.raises(EncodabilityError, match="^diagram does not define a unique "):
             replay_validate(trace, routes, {"n": 0})
+
+
+def _cold_and_warm(trace, d, binding, source):
+    """replay_validate's outcome, its result or its error's type and text,
+    with the model side compiled afresh and then read from the cache."""
+    outcomes = []
+    _replay_model.cache_clear()
+    for _ in range(2):
+        try:
+            outcomes.append(replay_validate(trace, d, binding, source=source))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert _replay_model.cache_info().hits == 1
+    return outcomes
+
+
+@pytest.mark.parametrize("source", [DIAGRAM_SOURCE, MACRO_SOURCE])
+@pytest.mark.parametrize("model", ["routes", "guarded_routes", "mutex", "two_locks"])
+def test_replay_from_the_cache_is_replay_compiled_afresh(engine_models, model, source):
+    """On a run's trace, and on one whose first interaction lost a record."""
+    d, binding = engine_models[model], {"n": 3}
+    trace = run(d, binding, EngineConfig(cycles=20, seed=5), source=source)
+    cold, warm = _cold_and_warm(trace, d, binding, source)
+    assert cold == warm == {"interactions": sum(c["interaction"] is not None
+                                                for c in trace["cycles"]),
+                            "idle": sum(c["idle"] for c in trace["cycles"])}
+    records = next(c["interaction"] for c in trace["cycles"] if c["interaction"])
+    records.pop()
+    cold, warm = _cold_and_warm(trace, d, binding, source)
+    assert cold == warm and cold[0] is ReplayError
+
+
+def test_replay_of_an_equal_diagram_parsed_again_reads_the_cache(routes):
+    again = parse_model(bundled_model_path("switchable_routes.bip").read_text(encoding="utf-8"))
+    assert again == routes and again is not routes
+    trace = run(routes, {"n": 4}, EngineConfig(cycles=40, seed=1))
+    _replay_model.cache_clear()
+    stats = replay_validate(trace, routes, {"n": 4})
+    assert replay_validate(trace, again, {"n": 4}) == stats
+    assert _replay_model.cache_info().hits == 1
+
+
+def test_replay_keeps_one_compiled_model_per_source():
+    """After a macro replay filled the cache, the diagram source still
+    refuses the interaction only the macros allow, and the other way on."""
+    d = parse_model(FAN3)
+    trace = run(d, {}, EngineConfig(cycles=30, seed=0), source=MACRO_SOURCE)
+    message = re.escape("fired interaction ['B.q#1', 'B.q#2', 'B.q#3'] is not allowed")
+    _replay_model.cache_clear()
+    for _ in range(2):
+        assert replay_validate(trace, d, {}, source=MACRO_SOURCE) == {
+            "interactions": 30, "idle": 0}
+        with pytest.raises(ReplayError, match=message):
+            replay_validate(trace, d, {})
+
+
+def test_replay_stays_right_past_the_cache_size(routes, mutex):
+    """More (diagram, binding) pairs than the cache holds, in turn, twice:
+    each trace passes, and a record naming the instance one past the
+    binding's count is unknown."""
+    cases = []
+    for d, ctype in ((routes, "Route"), (mutex, "Process")):
+        for n in range(1, 8):
+            trace = run(d, {"n": n}, EngineConfig(cycles=15, seed=n))
+            forged = copy.deepcopy(trace)
+            record = next(c["interaction"] for c in forged["cycles"] if c["interaction"])[-1]
+            assert record["instance"].startswith(ctype + "#")
+            record["instance"] = instance_id(ctype, n + 1)
+            cases.append((d, {"n": n}, trace, forged, record["instance"]))
+    assert len(cases) > _replay_model.cache_info().maxsize
+    for _ in range(2):
+        for d, binding, trace, forged, name in cases:
+            assert replay_validate(trace, d, binding) == {
+                "interactions": sum(c["interaction"] is not None for c in trace["cycles"]),
+                "idle": sum(c["idle"] for c in trace["cycles"])}
+            with pytest.raises(ReplayError, match=re.escape(f"unknown instance {name!r}")):
+                replay_validate(forged, d, binding)
+    assert _replay_model.cache_info().currsize <= _replay_model.cache_info().maxsize
 
 
 def test_replay_counts_the_instances_taking_part_with_each_port(mutex):

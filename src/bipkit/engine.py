@@ -52,15 +52,14 @@ themselves, not the nodes, one lookup per record, and a fired interaction
 by its orbit: its instances are distinct, so it is allowed when the
 multiset of its (type, port) pairs is an orbit of the diagram.  What it
 reads from the model alone is compiled once per (diagram, binding,
-source) and kept in a small cache, and a cycle without records costs its
-five key reads.  It builds
-an instance the first time a record or a script target names it by its
-exact id, the rule :meth:`CompiledSystem.locate` applies; the others are
-still at their type's initial configuration, so its cost follows the
-trace's records, not n.  :func:`trace_to_json` writes the
-trace as ``json.dumps(trace, indent=2, sort_keys=True)`` plus a newline
-would, each cycle from one fixed template and each distinct transition
-record rendered once.
+source) and kept in a small cache.  It builds an instance the first time
+a record or a script target names it by its exact id, the rule
+:meth:`CompiledSystem.locate` applies; the others are still at their
+type's initial configuration, and a cycle without records costs its five
+key reads, so its cost follows the trace's records, not n.
+:func:`trace_to_json` writes the trace as ``json.dumps(trace, indent=2,
+sort_keys=True)`` plus a newline would, each cycle from one fixed template
+and each distinct transition record rendered once.
 
 The determinism contract does not depend on that bookkeeping.  The feasible
 candidates are the allowed interactions in canonical sorted order;

@@ -52,11 +52,12 @@ themselves, not the nodes, one lookup per record, and a fired interaction
 by its orbit: its instances are distinct, so it is allowed when the
 multiset of its (type, port) pairs is an orbit of the diagram.  What it
 reads from the model alone is compiled once per (diagram, binding,
-source) and kept in a small cache.  It builds an instance the first time
+source) and kept in a small cache, which saves time only when a process
+replays one model more than once.  It builds an instance the first time
 a record or a script target names it by its exact id, the rule
 :meth:`CompiledSystem.locate` applies; the others are still at their
-type's initial configuration, and a cycle without records costs its five
-key reads, so its cost follows the trace's records, not n.
+type's initial configuration, and a cycle past the script with no records
+costs five key reads, so its cost follows the trace's records, not n.
 :func:`trace_to_json` writes the trace as ``json.dumps(trace, indent=2,
 sort_keys=True)`` plus a newline would, each cycle from one fixed template
 and each distinct transition record rendered once.
@@ -884,8 +885,8 @@ def replay_validate(
 
     fired_count = idle_count = 0
     scripted = len(entries)
-    # A cycle reads each of its keys once, in a fixed order, and walks only
-    # what is there: an idle cycle past the script costs its five key reads.
+    # A cycle reads each of its keys once, in a fixed order: an idle cycle
+    # past the script costs its five key reads.
     for index, cycle in enumerate(trace["cycles"]):
         try:
             number = cycle["cycle"]
@@ -905,30 +906,26 @@ def replay_validate(
             # from state, where the first enabled transition goes to its to.
             # The step visits instances in canonical order: each consumes at
             # most one queue head, and fires its internal chain in one block.
-            # A record list is walked unless it is [], so that any other value
-            # fails as a loop over it fails.
+            last = ("", 0)
             spontaneous = cycle["spontaneous"]
-            if spontaneous != []:
-                last = ("", 0)
-                for record in spontaneous:
-                    event, name = record["event"], record["instance"]
-                    inst = instances.get(name) or build(name)
-                    if (inst is None or inst.current != record["from"]
-                            or (tr := tables[inst.type_name].first_enabled(
-                                SPONTANEOUS, inst, event)) is None
-                            or tr.destination != record["to"]):
-                        _refuse(index, SPONTANEOUS, record, inst)
-                    if not inst.queue or inst.queue[0] != event:
-                        raise ReplayError(f"cycle {index}: {event} was not at the queue head")
-                    key = (inst.type_name, inst.index)
-                    if key <= last:
-                        raise ReplayError(f"cycle {index}: spontaneous record out of instance "
-                                          f"order at {name}")
-                    last = key
-                    inst.queue.pop(0)
-                    if inst.type_name in inner:
-                        touched[name] = inst
-                    inst.current = tr.destination
+            for record in spontaneous:
+                event, name = record["event"], record["instance"]
+                inst = instances.get(name) or build(name)
+                if (inst is None or inst.current != record["from"]
+                        or (tr := tables[inst.type_name].first_enabled(SPONTANEOUS, inst, event))
+                        is None or tr.destination != record["to"]):
+                    _refuse(index, SPONTANEOUS, record, inst)
+                if not inst.queue or inst.queue[0] != event:
+                    raise ReplayError(f"cycle {index}: {event} was not at the queue head")
+                key = (inst.type_name, inst.index)
+                if key <= last:
+                    raise ReplayError(f"cycle {index}: spontaneous record out of instance order "
+                                      f"at {name}")
+                last = key
+                inst.queue.pop(0)
+                if inst.type_name in inner:
+                    touched[name] = inst
+                inst.current = tr.destination
 
             records = cycle["interaction"]
             if records is not None:
@@ -963,23 +960,22 @@ def replay_validate(
                                       f"at {instance_id(*disorder)}")
                 fired_count += 1
 
+            last = ("", 0)
             internal = cycle["internal"]
-            if internal != []:
-                last = ("", 0)
-                for record in internal:
-                    name = record["instance"]
-                    inst = instances.get(name) or build(name)
-                    if (inst is None or inst.current != record["from"]
-                            or (tr := tables[inst.type_name].first_enabled(INTERNAL, inst))
-                            is None or tr.destination != record["to"]):
-                        _refuse(index, INTERNAL, record, inst)
-                    key = (inst.type_name, inst.index)
-                    if key < last:
-                        raise ReplayError(f"cycle {index}: internal record out of instance order "
-                                          f"at {name}")
-                    last = key
-                    touched[name] = inst
-                    inst.current = tr.destination
+            for record in internal:
+                name = record["instance"]
+                inst = instances.get(name) or build(name)
+                if (inst is None or inst.current != record["from"]
+                        or (tr := tables[inst.type_name].first_enabled(INTERNAL, inst))
+                        is None or tr.destination != record["to"]):
+                    _refuse(index, INTERNAL, record, inst)
+                key = (inst.type_name, inst.index)
+                if key < last:
+                    raise ReplayError(f"cycle {index}: internal record out of instance order "
+                                      f"at {name}")
+                last = key
+                touched[name] = inst
+                inst.current = tr.destination
 
             idle = not (spontaneous or records is not None or internal)
             recorded = cycle["idle"]

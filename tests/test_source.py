@@ -18,8 +18,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bipkit"
 # tracemalloc around compile(), peaked at 3.47 MB with 8,290 tokens on
 # CPython 3.11.7 and at 3.82 MB with 8,777 on 3.12.1; with the event
 # script's parsing in script.py, at 2.74 MB with 7,564 and 3.03 MB with 7,908;
-# with replay's compiled model cached, at 2.78 MB with 7,696 (3.10 and 3.11
-# count the same) and 3.07 MB with 8,034 (3.12 and 3.13 count the same).
+# with replay's compiled model cached, at 2.78 MB with 7,678 (3.10 and 3.11
+# count the same) and 3.07 MB with 8,016 (3.12 and 3.13 count the same).
 MAX_TOKENS = 8192
 
 

@@ -35,7 +35,6 @@ from .engine import (
     EventScript,
     ScriptEntry,
     SplitMix64,
-    enabled_ports,
     init_state,
     replay_validate,
     run,
@@ -96,8 +95,8 @@ def load_bundled_model(name: str):
 
 def __getattr__(name: str):
     """``bipkit.spec``'s names, which no command runs: imported on first use."""
-    if name == "conforms":
-        from .spec import conforms
+    if name in ("conforms", "enabled_ports"):
+        from . import spec
 
-        return conforms
+        return getattr(spec, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -281,6 +281,10 @@ def cmd_run(args) -> int:
         except RecursionError:
             print(f"{args.events}: invalid JSON: nested too deeply", file=sys.stderr)
             return PARSE_ERROR
+        except ValueError:  # from int(), whose digit limit the environment sets
+            print(f"{args.events}: invalid JSON: an integer of more than "
+                  f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
+            return PARSE_ERROR
 
     config = engine_mod.EngineConfig(cycles=args.cycles, seed=args.seed, policy=args.policy)
     trace = engine_mod.run(d, binding, config, script=script, source=args.source)

@@ -61,6 +61,9 @@ Binding = Mapping[str, int]
 Numbers = Sequence[tuple[int, int, int]]  # a motif's ends, each as (n, m, d)
 
 DEFAULT_MAX_NODES = 10**6
+# The most instances of one type: a type's instances are listed, and no list
+# holds more than sys.maxsize items.
+MAX_INSTANCES = sys.maxsize
 
 
 def check_binding(d: ArchitectureDiagram, binding: Binding) -> None:
@@ -95,6 +98,17 @@ def check_binding(d: ArchitectureDiagram, binding: Binding) -> None:
 
 def instance_counts(d: ArchitectureDiagram, binding: Binding) -> dict[str, int]:
     return {ct.name: ct.cardinality.evaluate(binding) for ct in d.component_types}
+
+
+def checked_count(ctype: str, count: int) -> int:
+    """A type's instance count, refused before anything is allocated when it
+    is more than MAX_INSTANCES: CapacityError names the type, the count and
+    the bound."""
+    if count > MAX_INSTANCES:
+        raise CapacityError(f"type {ctype} has {count} instances, more than the bound of "
+                            f"{MAX_INSTANCES} (sys.maxsize, the most items one list holds); "
+                            "lower the --bind values")
+    return count
 
 
 def _end_numbers(d: ArchitectureDiagram, end: MotifEnd, binding: Binding) -> tuple[int, int, int]:
@@ -268,6 +282,8 @@ def _members(
     motif: ConnectorMotif, numbers: Numbers
 ) -> tuple[tuple[tuple[PortInstance, str], ...], list[int]]:
     """The motif's port instances with their typings, sorted, and the end of each."""
+    for end, (n, _, _) in zip(motif.ends, numbers):
+        checked_count(end.port.component_type, n)
     members = sorted((PortInstance(end.port.component_type, i, end.port.port), end.typing, e)
                      for e, (end, (n, _, _)) in enumerate(zip(motif.ends, numbers))
                      for i in range(1, n + 1))

@@ -32,6 +32,7 @@ declared guards is model validation's to check (UNDECLARED_GUARD).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -326,7 +327,13 @@ class _Parser:
 
     def card_expr(self) -> CardExpr:
         if self.at(INT):
-            return CardExpr.lit(int(self.advance().text))
+            tok = self.advance()
+            try:
+                return CardExpr.lit(int(tok.text))
+            except ValueError:  # more digits than int() converts, a limit the environment sets
+                raise ParseFailure(ParseError(
+                    tok.span(self.file), f"an integer of at most {sys.get_int_max_str_digits()} "
+                    "digits", f"one of {len(tok.text)} digits")) from None
         if self.at(IDENT) and self.peek().text not in KEYWORDS:
             return CardExpr.var(self.advance().text)
         self.fail("an integer or parameter name")

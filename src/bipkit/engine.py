@@ -15,8 +15,9 @@ A cycle in which nothing fired is recorded as idle.  Identical inputs give
 byte-identical trace JSON: the only randomness is an explicitly specified
 64-bit generator seeded from the run configuration.  The event script's
 entries that a run uses are checked against the model once, before cycle
-0, by the same function for :func:`run` and :func:`replay_validate`; a bad
-item raises ScriptError at its script path, and the step only applies.
+0, by the same function for :func:`run` and :func:`replay_validate`
+(``script._check_script``); a bad item raises ScriptError at its script
+path, and the step only applies.
 
 The allowed set comes in as orbits (``model.Orbit``), from the diagram or
 from the macros, and is never expanded.  A run compiles the system once
@@ -29,24 +30,26 @@ built before cycle 0: an id is built the first time a record or an error
 names it, and each distinct script target is resolved to its position
 once.  A node is one (type, state, guard values) that the run has
 reached, shared by the instances in it; it holds its enabled labels,
-whether an internal transition is enabled, and its edges, each built the
-first time an instance takes it, as a regex engine builds its automaton
-lazily (Thompson, CACM 1968).  An edge, for a port, an event, a guard
-write or the internal transition, holds the transition's from and to, the
-next node's number, the eligible-list moves and the orbits to recount, so
-each guard write, consumed event and fired port costs one edge lookup and
-its moves.  A queue head that did not fire stays parked until its instance
-gets an event or takes an edge, and sub-step (d) looks only at instances
-that took an edge to a node with an enabled internal transition.  A cycle
-works on what changed, but an eligible-list move is an ``insort`` or
+whether an internal transition is enabled, and one table of its edges,
+each built the first time an instance takes it, as a regex engine builds
+its automaton lazily (Thompson, CACM 1968).  An edge, for a port, an
+event, a guard write or the internal transition, holds the transition's
+from and to, the next node's number, the eligible-list moves and the
+orbits to recount, so each guard write, consumed event and fired port
+costs one edge lookup and its moves.  A queue head that did not fire
+stays parked until its instance gets an event or takes an edge, and
+sub-step (d) looks only at instances that took an edge to a node with an
+enabled internal transition.  A cycle works on what changed, but an
+eligible-list move is an ``insort`` or
 ``del`` that shifts up to n entries: on mutex the median of 1,000 steps is
 12 us at n=10^3 and 218 us at n=10^6.  Sub-step (c) counts each orbit's
-feasible interactions from the eligible lists: where each type of the
-orbit draws one part, as a product of C(len(eligible), r), else by a sum
-over enabled-label classes.  An edge recounts only the orbits that name a
-list it changes.  The pick descends over the counts, from its run's lone
-live orbit if any, and a count its lists do not supply exactly raises
-BipError.  Each step returns its trace record.
+feasible interactions from the eligible lists with one function,
+:func:`_count`: a product over the orbit's types of C(len(eligible), r)
+where the type draws one part, else of a sum over enabled-label classes.
+An edge recounts only the orbits that name a list it changes.  The pick
+descends over the counts, from its run's lone live orbit if any, and a
+count its lists do not supply exactly raises BipError.  Each step returns
+its trace record.
 :func:`replay_validate` checks those records against the transition tables
 themselves, not the nodes, one lookup per record, and a fired interaction
 by its orbit: its instances are distinct, so it is allowed when the
@@ -78,9 +81,9 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, groupby
-from math import comb, prod
+from math import comb
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Optional
 
 from . import diagram as diagram_mod
 from .encoder import encode_macros
@@ -95,9 +98,7 @@ from .model import (
     SPONTANEOUS,
     Transition,
 )
-# The script's parsing lives in .script; its names stay importable from here.
-from .script import (EventScript, ScriptEntry, _item_fault, _script_entry, _typed,  # noqa: F401
-                     _well_formed_entry)
+from .script import EventScript, ScriptEntry, _check_script, _typed
 
 MASK64 = (1 << 64) - 1
 
@@ -207,46 +208,6 @@ class _Target(NamedTuple):
     position: int
 
 
-def _check_script(
-    entries: tuple[ScriptEntry, ...], found: Mapping[str, _Target | InstanceState],
-    resolve: Callable[[str], Optional[_Target | InstanceState]], d: ArchitectureDiagram
-) -> None:
-    """Check the script entries a run uses against the model, before cycle 0.
-
-    A target's instance is looked up in ``found``.  At a target's first
-    item ``resolve`` gives it, or None, and keeps it in ``found``, so each
-    distinct target is resolved once and every later item costs one dict
-    lookup.  An item whose target is no instance, or that names a guard or
-    spontaneous event its instance's type does not declare, raises
-    ScriptError located at its path in the script, e.g.
-    ``cycles[2].events[0]: event targets unknown instance 'Route#9'``."""
-    types = d.types_by_name
-    for index, entry in enumerate(entries):
-        for item in entry.guards:
-            inst = found.get(item[0]) or resolve(item[0])
-            if inst is None or item[1] not in types[inst.type_name].guards:
-                _item_fault(index, "guards", entry.guards, item, inst is None)
-        for item in entry.events:
-            inst = found.get(item[0]) or resolve(item[0])
-            if inst is None or item[1] not in types[inst.type_name].spontaneous_events:
-                _item_fault(index, "events", entry.events, item, inst is None)
-
-
-
-def enabled_ports(
-    state: Mapping[str, InstanceState], d: ArchitectureDiagram
-) -> frozenset[PortInstance]:
-    """Port instances whose enforceable transition is ready to fire."""
-    enabled = set()
-    for inst in state.values():
-        ct = d.component_type(inst.type_name)
-        for tr in ct.transitions:
-            if (tr.kind == ENFORCEABLE and tr.source == inst.current
-                    and (tr.guard is None or tr.guard.evaluate(inst.guards))):
-                enabled.add(PortInstance(inst.type_name, inst.index, tr.label))
-    return frozenset(enabled)
-
-
 @dataclass(frozen=True)
 class _Transitions:
     """One component type's transitions, each list in declaration order: the
@@ -286,16 +247,15 @@ class _Node:
     :meth:`_Transitions.first_enabled` reads a node as it reads an instance,
     and a label is enabled at a node when it has a first enabled transition.
     A node holds its enabled labels and whether an internal transition is
-    enabled, and lazily filled edges: port label, event and guard write
-    ``(guard, value)`` to edge, and the internal transition's edge.  An edge
-    is ``(from, to, next node's number, eligible-list moves, orbits to
-    recount)``; an event whose transition is not enabled maps to None.  An
-    edge names its next node by number, so that nodes and edges make no
-    reference cycle and a run's nodes are freed when it ends, not at the
-    next full garbage collection."""
+    enabled, and one table of lazily filled edges, keyed ``(kind, label)``
+    for a port, an event or the internal transition (label ""), and
+    ``(guard, value)`` for a guard write.  An edge is ``(from, to, next
+    node's number, eligible-list moves, orbits to recount)``; an event whose
+    transition is not enabled maps to None.  An edge names its next node by
+    number, so that nodes and edges make no reference cycle and a run's
+    nodes are freed when it ends, not at the next full garbage collection."""
 
-    __slots__ = ("key", "number", "table", "current", "guards", "labels", "internal",
-                 "ports", "events", "writes", "internal_edge")
+    __slots__ = ("key", "number", "table", "current", "guards", "labels", "internal", "edges")
 
     def __init__(self, key: tuple, number: int, table: _Transitions, guards: dict[str, bool]):
         self.key, self.number, self.table, self.current, self.guards = (
@@ -304,10 +264,7 @@ class _Node:
                                 if kind == ENFORCEABLE and state == self.current
                                 and table.first_enabled(kind, self, label))
         self.internal = table.first_enabled(INTERNAL, self) is not None
-        self.ports: dict[str, tuple] = {}
-        self.events: dict[str, Optional[tuple]] = {}
-        self.writes: dict[tuple[str, bool], tuple] = {}
-        self.internal_edge: Optional[tuple] = None
+        self.edges: dict[tuple, Optional[tuple]] = {}
 
 
 class CompiledSystem:
@@ -348,11 +305,6 @@ class CompiledSystem:
                                 for sig, k in parts))
                   for ctype, parts in groupby(orbit, key=lambda part: part[0][0].component_type))
             for orbit in sorted(orbits) if all(len(sig) == 1 for sig, _ in orbit)]
-        # An orbit whose types each draw one part, as its eligible lists and
-        # counts, whose binomials multiply to its count; else None.
-        self.factors = [([e for _, ((_, _, e),) in groups], [r for _, ((_, r, _),) in groups])
-                        if all(len(parts) == 1 for _, parts in groups) else None
-                        for groups in self.orbits]
         starts = [o for o, groups in enumerate(self.orbits)  # sorted, one first type is a run
                   if not o or groups[0][0] != self.orbits[o - 1][0][0]]
         self.runs = list(zip(starts, starts[1:] + [len(self.orbits)]))  # the pick's first level
@@ -363,7 +315,8 @@ class CompiledSystem:
         self.graph: list[_Node] = []  # the nodes by number
         self.node: list[_Node] = []  # instance position -> its node
         self.offset: dict[str, int] = {}  # type -> the position of its instance k, less k
-        self.size: dict[str, int] = {}  # type -> its instance count
+        self.size = {ct.name: diagram_mod.checked_count(ct.name, ct.cardinality.evaluate(binding))
+                     for ct in d.component_types}  # type -> its instance count, all checked first
         self.targets: dict[str, _Target] = {}  # script target -> its instance
         self.named: dict[int, str] = {}  # position -> id, of the instances named so far
         # The instances whose queue head may fire (at first, those with a
@@ -373,8 +326,8 @@ class CompiledSystem:
         self.queued: set[int] = set()
         self.touched: set[int] = set()
         for ct in d.component_types:  # in name order, each type's instances at one node
-            first, count = len(self.node), ct.cardinality.evaluate(binding)
-            self.offset[ct.name], self.size[ct.name] = first - 1, count
+            first, count = len(self.node), self.size[ct.name]
+            self.offset[ct.name] = first - 1
             if count:
                 node = self._node(ct.name, ct.initial_state, (False,) * len(ct.guards))
                 for label in node.labels:
@@ -441,19 +394,14 @@ class CompiledSystem:
         """The edge of node's first enabled transition of this kind and
         label, or None; cached in the node."""
         tr = node.table.first_enabled(kind, node, label)
-        edge = None if tr is None else self._edge(node, tr.destination, node.key[2])
-        if kind == SPONTANEOUS:
-            node.events[label] = edge
-        elif kind == INTERNAL:
-            node.internal_edge = edge
-        else:
-            node.ports[label] = edge
+        edge = node.edges[kind, label] = (
+            None if tr is None else self._edge(node, tr.destination, node.key[2]))
         return edge
 
     def _write(self, node: _Node, guard: str, value: bool) -> tuple:
         """The edge of a guard write, cached in the node."""
         values = tuple([value if name == guard else old for name, old in node.guards.items()])
-        edge = node.writes[guard, value] = self._edge(node, node.current, values)
+        edge = node.edges[guard, value] = self._edge(node, node.current, values)
         return edge
 
     def _take(self, i: int, edge: tuple) -> None:
@@ -479,9 +427,7 @@ class CompiledSystem:
         """Each orbit's number of feasible interactions."""
         if self.stale:
             for o in self.stale:
-                factors = self.factors[o]
-                self.counts[o] = (_count(self.orbits[o]) if factors is None
-                                  else prod(map(comb, map(len, factors[0]), factors[1])))
+                self.counts[o] = _count(self.orbits[o])
             self.stale.clear()
         return self.counts
 
@@ -598,7 +544,7 @@ class CompiledSystem:
         for target, guard, value in entry.guards:
             _, i = targets.get(target) or locate(target)
             node = nodes[i]
-            self._take(i, node.writes.get((guard, value)) or self._write(node, guard, value))
+            self._take(i, node.edges.get((guard, value)) or self._write(node, guard, value))
 
         # (b) spontaneous events: enqueue, then consume at most one per instance
         for target, event in entry.events:
@@ -612,7 +558,7 @@ class CompiledSystem:
         for i in checked:
             node, queue = nodes[i], queues[i]
             head = queue[0]
-            edge = node.events.get(head, _UNBUILT)
+            edge = node.edges.get((SPONTANEOUS, head), _UNBUILT)
             if edge is _UNBUILT:
                 edge = self._transition(node, SPONTANEOUS, head)
             if edge is None:
@@ -634,7 +580,8 @@ class CompiledSystem:
             for ctype, index, label in self.interaction(k):
                 i = offset[ctype] + index
                 node = nodes[i]
-                edge = node.ports.get(label) or self._transition(node, ENFORCEABLE, label)
+                edge = (node.edges.get((ENFORCEABLE, label))
+                        or self._transition(node, ENFORCEABLE, label))
                 fired.append({"instance": named.get(i) or name(i), "port": label,
                               "from": edge[0], "to": edge[1]})
                 self._take(i, edge)
@@ -646,7 +593,7 @@ class CompiledSystem:
             while node.internal:
                 if count >= node.table.budget:
                     raise LivelockError(name(i))
-                edge = node.internal_edge or self._transition(node, INTERNAL)
+                edge = node.edges.get((INTERNAL, "")) or self._transition(node, INTERNAL)
                 internal.append({"instance": named.get(i) or name(i), "from": edge[0],
                                  "to": edge[1]})
                 self._take(i, edge)

@@ -2,20 +2,24 @@
 spontaneous events from (docs/formats.md, "Event scripts").
 
 :meth:`EventScript.from_json` checks a script's shape: a malformed one
-raises ScriptError located by its JSON path.  Whether each item names an
-instance, guard and event of the model is checked by the engine, once per
-run or replay, before cycle 0, and :func:`_item_fault` words and locates
-the first fault it finds.  :mod:`bipkit.engine` imports these names, so
-they are reachable there too.
+raises ScriptError located by its JSON path.  :func:`_check_script` checks
+that each item names an instance, guard and event of the model, once per run
+or replay, before cycle 0, and :func:`_item_fault` words and locates the
+first fault it finds.  :mod:`bipkit.engine` imports ``EventScript`` and
+``ScriptEntry``, so they are reachable there too.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, NoReturn, Optional
 
 from .errors import ScriptError
+
+if TYPE_CHECKING:  # annotations only: the engine imports this module
+    from .engine import InstanceState, _Target
+    from .model import ArchitectureDiagram
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,31 @@ def _script_entry(raw: dict, index: int) -> ScriptEntry:
             rows.append(tuple(row))
         parsed[key] = tuple(rows)
     return ScriptEntry(**parsed)
+
+
+def _check_script(
+    entries: tuple[ScriptEntry, ...], found: Mapping[str, _Target | InstanceState],
+    resolve: Callable[[str], Optional[_Target | InstanceState]], d: ArchitectureDiagram
+) -> None:
+    """Check the script entries a run uses against the model, before cycle 0.
+
+    A target's instance is looked up in ``found``.  At a target's first
+    item ``resolve`` gives it, or None, and keeps it in ``found``, so each
+    distinct target is resolved once and every later item costs one dict
+    lookup.  An item whose target is no instance, or that names a guard or
+    spontaneous event its instance's type does not declare, raises
+    ScriptError located at its path in the script, e.g.
+    ``cycles[2].events[0]: event targets unknown instance 'Route#9'``."""
+    types = d.types_by_name
+    for index, entry in enumerate(entries):
+        for item in entry.guards:
+            inst = found.get(item[0]) or resolve(item[0])
+            if inst is None or item[1] not in types[inst.type_name].guards:
+                _item_fault(index, "guards", entry.guards, item, inst is None)
+        for item in entry.events:
+            inst = found.get(item[0]) or resolve(item[0])
+            if inst is None or item[1] not in types[inst.type_name].spontaneous_events:
+                _item_fault(index, "events", entry.events, item, inst is None)
 
 
 # What a fault under each key says targets, and what it says is declared.

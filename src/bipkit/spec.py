@@ -2,16 +2,21 @@
 
 :func:`conforms` states what a configuration of a diagram is, connector by
 connector, with no search; the tests hold ``diagram.enumerate_configurations``
-to it.  The package reads this module's names through a module
-``__getattr__`` (``bipkit.conforms``), so the command line never imports it.
+to it.  :func:`enabled_ports` states which ports of a state
+(``engine.init_state``) are enabled, transition by transition; the tests hold
+the engine's nodes and eligible lists to it.  The package reads this
+module's names through a module ``__getattr__`` (``bipkit.conforms``,
+``bipkit.enabled_ports``), so the command line never imports it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import Mapping
 
 from .diagram import Binding, _end_numbers, check_binding
-from .model import ArchitectureDiagram, Configuration, PortInstance, PortTypeRef
+from .engine import InstanceState
+from .model import ArchitectureDiagram, Configuration, ENFORCEABLE, PortInstance, PortTypeRef
 
 
 def conforms(configuration: Configuration, d: ArchitectureDiagram, binding: Binding) -> bool:
@@ -44,3 +49,17 @@ def conforms(configuration: Configuration, d: ArchitectureDiagram, binding: Bind
                 if involved[PortInstance(end.port.component_type, i, end.port.port)] != deg:
                     return False
     return True
+
+
+def enabled_ports(
+    state: Mapping[str, InstanceState], d: ArchitectureDiagram
+) -> frozenset[PortInstance]:
+    """Port instances whose enforceable transition is ready to fire."""
+    enabled = set()
+    for inst in state.values():
+        ct = d.component_type(inst.type_name)
+        for tr in ct.transitions:
+            if (tr.kind == ENFORCEABLE and tr.source == inst.current
+                    and (tr.guard is None or tr.guard.evaluate(inst.guards))):
+                enabled.add(PortInstance(inst.type_name, inst.index, tr.label))
+    return frozenset(enabled)

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from bipkit import diagram as dg
 from bipkit import encode_macros
-from bipkit.engine import LEXICOGRAPHIC_FIRST, ScriptEntry, SplitMix64, enabled_ports
+from bipkit.engine import LEXICOGRAPHIC_FIRST, ScriptEntry, SplitMix64
 from bipkit.errors import CapacityError
 from bipkit.logic import allowed_interactions
 from bipkit.model import (
@@ -31,6 +31,7 @@ from bipkit.model import (
     Transition,
     orbits_interactions,
 )
+from bipkit.spec import enabled_ports
 
 
 def pi(type_name: str, index: int, port: str) -> PortInstance:

@@ -167,11 +167,14 @@ def test_importing_the_cli_leaves_out_the_network_modules():
 
 def test_the_cli_leaves_out_the_specification_until_a_name_of_it_is_read():
     src = str(Path(cli.__file__).parents[1])
-    probe = ("import sys, bipkit.cli; loaded = 'bipkit.spec' in sys.modules; "
-             "print(loaded, bipkit.conforms.__module__, 'bipkit.spec' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout == "False bipkit.spec True\n"
+    for name in ("conforms", "enabled_ports"):
+        # reading the name loads bipkit.spec, and the value is the one there
+        probe = ("import sys, bipkit.cli; loaded = 'bipkit.spec' in sys.modules; "
+                 f"value = bipkit.{name}; spec = sys.modules.get('bipkit.spec'); "
+                 f"print(loaded, value.__module__, value is getattr(spec, {name!r}, None))")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert result.stdout == "False bipkit.spec True\n", name
 
 
 def test_python_m_bipkit_runs_the_cli():
@@ -432,6 +435,42 @@ def test_a_real_out_of_memory_ends_in_exit_3(tmp_path):
                             env={**os.environ, "PYTHONPATH": src},
                             preexec_fn=limit_address_space, timeout=300)
     assert (result.returncode, result.stdout, result.stderr) == (3, "", OUT_OF_MEMORY)
+
+
+# Commands on a type with more instances than one list holds: the argv, and
+# the type, its count and the line the command prints on stdout.
+PAST_MAXSIZE = {
+    "run": (["run", "mutex.bip", "--bind", f"n={sys.maxsize + 1}", "--cycles", "0"],
+            "Process", sys.maxsize + 1, ""),
+    "instantiate": (["instantiate", "mutex.bip", "--bind", f"n={10**20}"], "Process", 10**20, ""),
+    "oracle": (["oracle", "star.bip", "--bind", f"n={10**20}"], "S", 10**20,
+               "motif link: count=? unique-predicted=True UNKNOWN\n"),
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux enforces it")
+@pytest.mark.parametrize("command", sorted(PAST_MAXSIZE))
+def test_an_instance_count_past_sys_maxsize_is_a_capacity_error(tmp_path, command):
+    """A count past sys.maxsize is refused before anything is allocated: exit
+    3 and a line naming the type, the count and the bound, not an
+    OverflowError or a listing that runs until the memory runs out."""
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    (name, model, *rest), ctype, count, stdout = PAST_MAXSIZE[command]
+    argv = [name, model_path(model), *rest]
+    if name == "run":
+        argv += ["--out", str(tmp_path / "trace.json")]
+    src = str(Path(cli.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-m", "bipkit", *argv], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src},
+                            preexec_fn=limit_address_space, timeout=60)
+    message = (f"type {ctype} has {count} instances, more than the bound of {sys.maxsize} "
+               "(sys.maxsize, the most items one list holds); lower the --bind values\n")
+    assert (result.returncode, result.stdout, result.stderr) == (3, stdout, message)
+    assert not (tmp_path / "trace.json").exists()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux enforces it")
@@ -789,6 +828,38 @@ def test_check_stops_a_deep_guard_at_the_operator_past_the_bound(tmp_path, capsy
     assert main(["check", path, "--bind", "n=2"]) == 2
     assert capsys.readouterr() == ("", f"{path}:{line}:{col}: expected at most 100 operators "
                                        f"in a guard, found '{text[at]}'\n")
+
+
+# More digits than int() converts under its default limit, 4,300 digits on
+# every supported Python.
+LONG_INTEGER = "9" * 5000
+
+
+@pytest.mark.parametrize("old, new", [
+    ("component Process [n]", f"component Process [{LONG_INTEGER}]"),
+    ("Process.acquire 1:1", f"Process.acquire {LONG_INTEGER}:1"),
+    ("Process.acquire 1:1", f"Process.acquire 1:{LONG_INTEGER}"),
+], ids=["cardinality", "multiplicity", "degree"])
+def test_a_too_long_integer_in_a_model_is_a_parse_error_at_it(tmp_path, capsys, old, new):
+    text = Path(model_path("mutex.bip")).read_text(encoding="utf-8").replace(old, new)
+    path = write_model(tmp_path, "big.bip", text)
+    at = text.index(LONG_INTEGER)
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    assert main(["check", path]) == 2
+    assert capsys.readouterr() == ("", f"{path}:{line}:{col}: expected an integer of at most "
+                                       f"{sys.get_int_max_str_digits()} digits, found one of "
+                                       "5000 digits\n")
+
+
+def test_a_too_long_integer_in_an_event_script_is_invalid_json(tmp_path, capsys):
+    script = tmp_path / "big.json"
+    script.write_text('{"schema": 1, "cycles": [{"events": [], "x": ' + LONG_INTEGER + "}]}")
+    out = tmp_path / "t.json"
+    assert main(["run", model_path("switchable_routes.bip"), "--bind", "n=2", "--cycles", "3",
+                 "--events", str(script), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"{script}: invalid JSON: an integer of more than "
+                                       f"{sys.get_int_max_str_digits()} digits\n")
+    assert not out.exists()
 
 
 def test_an_event_script_nested_too_deeply_is_a_parse_error(tmp_path, capsys):

@@ -29,7 +29,8 @@ PARAMETERS = {name: sorted(load_bundled_model(name).parameters) for name in MODE
 TOKENS = ["{", "}", "(", ")", "[", "]", "->", ":", "*", "!", "&&", "||", ",", ";", "..",
           "motif", "component", "ports", "states", "transitions", "guards", "events",
           "synchron", "trigger", "diagram", "x", "n", "#", "\"", "/*", "\n", "é"]
-CARDINALITIES = ["0", "1", "2", "5", "n", "n1", "m", "-1", "x", "n+1", ""]
+# The last has more digits than int() converts.
+CARDINALITIES = ["0", "1", "2", "5", "n", "n1", "m", "-1", "x", "n+1", "", "9" * 5000]
 
 
 @st.composite
@@ -109,11 +110,12 @@ SCRIPT_ENTRIES = st.fixed_dictionaries({
         "value": st.booleans()}), max_size=2),
 })
 
-# Event script file contents: malformed JSON, JSON of the wrong shape or
-# types, or well-formed scripts naming good and bad targets, guards and
-# events.
+# Event script file contents: malformed JSON or a number of more digits
+# than int() converts, JSON of the wrong shape or types, or well-formed
+# scripts naming good and bad targets, guards and events.
 SCRIPTS = st.one_of(
-    st.sampled_from([b"", b"{", b"[1,", b"nul", b'{"schema": 1, "cycles": [}', b"\xff\xfe"]),
+    st.sampled_from([b"", b"{", b"[1,", b"nul", b'{"schema": 1, "cycles": [}', b"\xff\xfe",
+                     b'{"schema": 1, "cycles": [' + b"9" * 5000 + b"]}"]),
     st.text(max_size=20).map(lambda text: text.encode("utf-8", "surrogatepass")),
     JSON_VALUES.map(lambda value: json.dumps(value).encode()),
     st.integers(2500, 3500).map(

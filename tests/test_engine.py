@@ -35,11 +35,8 @@ from bipkit.engine import (
     UNIFORM_RANDOM,
     _orbits,
     _replay_model,
-    _script_entry,
     _transition_tables,
     _unrank,
-    _well_formed_entry,
-    enabled_ports,
     init_state,
     instance_id,
     replay_validate,
@@ -47,7 +44,9 @@ from bipkit.engine import (
     trace_to_json,
 )
 from bipkit.errors import BipError, EncodabilityError, LivelockError, ScriptError
-from bipkit.model import INTERNAL, PortTypeRef
+from bipkit.model import INTERNAL, SPONTANEOUS, PortTypeRef
+from bipkit.script import _script_entry, _well_formed_entry
+from bipkit.spec import enabled_ports
 from helpers import (
     BROADCAST,
     PAIRS,
@@ -779,8 +778,10 @@ def test_nodes_are_per_configuration_not_per_instance(mutex, routes):
     assert record["spontaneous"] == [
         {"instance": "Route#2", "event": "end", "from": "wait", "to": "done"}]
     assert record["internal"] == [{"instance": "Route#1", "from": "wait", "to": "done"}]
-    assert system.nodes["Route", "wait", (True,)].events == {"end": None}
-    assert system.nodes["Route", "wait", (False,)].internal_edge is None
+    events = {key: edge for key, edge in system.nodes["Route", "wait", (True,)].edges.items()
+              if key[0] == SPONTANEOUS}
+    assert events == {(SPONTANEOUS, "end"): None}
+    assert (INTERNAL, "") not in system.nodes["Route", "wait", (False,)].edges
     assert system.queues == {system.locate("Route#1")[1]: ["end"]}
 
 

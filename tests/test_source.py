@@ -14,12 +14,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bipkit"
 # under.  tokenize counts them as the running version's parser does: from
 # 3.12 on (PEP 701) both split each f-string into its parts, so a module
 # counts a few hundred more there, and each Python the tests run on checks
-# its own count.  Compiling engine.py without a bytecode cache, with
-# tracemalloc around compile(), peaked at 3.47 MB with 8,290 tokens on
-# CPython 3.11.7 and at 3.82 MB with 8,777 on 3.12.1; with the event
-# script's parsing in script.py, at 2.74 MB with 7,564 and 3.03 MB with 7,908;
-# with replay's compiled model cached, at 2.78 MB with 7,678 (3.10 and 3.11
-# count the same) and 3.07 MB with 8,016 (3.12 and 3.13 count the same).
+# its own count.  The largest module is engine.py: 7,163 tokens on CPython
+# 3.10.13 and 3.11.7, 7,501 on 3.12.1 and 3.13.0.  Compiled without a
+# bytecode cache, with tracemalloc around compile(), it peaks at 2.64 MB on
+# 3.11.7 and 2.93 MB on 3.12.1.
 MAX_TOKENS = 8192
 
 

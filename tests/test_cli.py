@@ -26,7 +26,7 @@ from bipkit.cli import main
 from bipkit.dsl import load_model, serialize_model
 from bipkit.model import SYNCHRON, TRIGGER
 
-from helpers import single_motif_diagram
+from helpers import single_motif_diagram, sweep_spec
 
 
 def model_path(name: str) -> str:
@@ -979,6 +979,38 @@ def test_oracle_sweep_reports_points_over_the_bound_as_unknown(monkeypatch, caps
     points = json.loads(capsys.readouterr().out)
     assert len(points) == 72
     assert sum(1 for p in points if p["count"] is None and p["agree"] is None) == len(unknown)
+
+
+def _sweep_report(bound: int, max_nodes: int) -> str:
+    """The documented sweep output for ``sweep_spec``'s records: one line a
+    point, marked ok when its count (1 or not) matches the prediction,
+    DISAGREES when not, UNKNOWN when unknown, then the summary."""
+    records = sweep_spec(bound, max_nodes)
+    lines = []
+    for r in records:
+        count = "?" if r.count is None else r.count
+        marker = ("UNKNOWN" if r.count is None
+                  else "ok" if (r.count == 1) == r.encodable else "DISAGREES")
+        lines.append(f"{r.label}: count={count} unique-predicted={r.encodable} {marker}")
+    disagreements = sum(line.endswith(" DISAGREES") for line in lines)
+    unknown = sum(r.count is None for r in records)
+    lines.append(f"{len(records)} points, {disagreements} disagreements"
+                 + (f", {unknown} unknown (raise BIPKIT_MAX_NODES)" if unknown else ""))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bound, max_nodes, code", [(3, None, 0), (2, 3, 3)])
+def test_oracle_sweep_prints_its_specification(monkeypatch, capsys, bound, max_nodes, code):
+    """The whole stdout of ``oracle --sweep``, against the sweep's
+    specification rendered in the documented format; at K=2 with
+    BIPKIT_MAX_NODES=3 some points are unknown and the exit code is 3."""
+    if max_nodes is not None:
+        monkeypatch.setenv("BIPKIT_MAX_NODES", str(max_nodes))
+    assert main(["oracle", "--sweep", f"n,m,d<={bound}"]) == code
+    expected = _sweep_report(bound, max_nodes or dg.DEFAULT_MAX_NODES)
+    assert capsys.readouterr().out == expected
+    if max_nodes is not None:
+        assert "count=? " in expected and expected.endswith(" unknown (raise BIPKIT_MAX_NODES)\n")
 
 
 @pytest.mark.parametrize("bound", [7, 10**6])

@@ -308,6 +308,13 @@ def _parse_sweep(text: str) -> int:
 
 
 _MARKERS = {True: "ok", False: "DISAGREES", None: "UNKNOWN"}
+_LINES_PER_WRITE = 2048  # sweep lines joined into one write
+
+
+def _verdict_line(r, agree, suffix=""):
+    """A sweep point's or a motif's line, given its ``agree``."""
+    count = "?" if r.count is None else f"{r.count}{suffix}"
+    return f"{r.label}: count={count} unique-predicted={r.encodable} {_MARKERS[agree]}"
 
 
 def _motif_verdict(d, motif, binding, report, limit, max_nodes):
@@ -341,28 +348,31 @@ def cmd_oracle(args) -> int:
             raise CapacityError(f"--sweep n,m,d<={bound} has {points} points, more than the bound "
                                 f"of {diagram_mod.MAX_SWEEP_POINTS}; lower K")
         records = diagram_mod.proposition_sweep(bound, max_nodes=max_nodes)
+        agree = [r.agree for r in records]
+        disagreements, unknown = agree.count(False), agree.count(None)
         if args.json:
             print(json.dumps([{"point": r.label, "count": r.count, "unique": r.encodable,
-                               "agree": r.agree} for r in records], indent=2))
-        verdicts = ((r, "", "") for r in records)
+                               "agree": a} for r, a in zip(records, agree)], indent=2))
+        else:
+            # once the sweep has ended, a few thousand lines a write: the
+            # text of all 46,872 K=6 lines at once added about 13 MB
+            for start in range(0, len(records), _LINES_PER_WRITE):
+                chunk = zip(records[start:start + _LINES_PER_WRITE],
+                            agree[start:start + _LINES_PER_WRITE])
+                sys.stdout.write("".join([f"{_verdict_line(r, a)}\n" for r, a in chunk]))
+            print(f"{len(records)} points, {disagreements} disagreements"
+                  + (f", {unknown} unknown (raise BIPKIT_MAX_NODES)" if unknown else ""))
     else:
         d, binding, _ = _load_bound(args)
         report = diagram_mod.check_encodable(d, binding)
-        verdicts = (_motif_verdict(d, motif, binding, report, args.limit, max_nodes)
-                    for motif in d.motifs)
-    # one pass for both modes, each motif's line printed as its search ends
-    disagreements = unknown = 0
-    for r, suffix, message in verdicts:
-        if message:
-            print(message, file=sys.stderr)
-        disagreements += r.agree is False
-        unknown += r.count is None
-        if not args.json:
-            count = "?" if r.count is None else f"{r.count}{suffix}"
-            print(f"{r.label}: count={count} unique-predicted={r.encodable} {_MARKERS[r.agree]}")
-    if args.sweep and not args.json:
-        print(f"{len(records)} points, {disagreements} disagreements"
-              + (f", {unknown} unknown (raise BIPKIT_MAX_NODES)" if unknown else ""))
+        disagreements = unknown = 0
+        for motif in d.motifs:  # each motif's line printed as its search ends
+            r, suffix, message = _motif_verdict(d, motif, binding, report, args.limit, max_nodes)
+            if message:
+                print(message, file=sys.stderr)
+            disagreements += r.agree is False
+            unknown += r.count is None
+            print(_verdict_line(r, r.agree, suffix))
     return FAILURE if disagreements else CAPACITY if unknown else OK
 
 

@@ -9,8 +9,8 @@ Enumeration solves two exact covers with multiplicities, and one iterative
 backtracking search, :func:`_exact_picks`, does both: a connector picks m_e
 instances of each end e (:func:`_pool`), and a configuration picks connectors
 from the pool so that each instance lies in exactly its degree's worth of
-them.  :func:`_search` runs both on numbers alone, so the sweep
-(:func:`proposition_sweep`) builds no diagram.
+them.  :func:`_searched_pool` and :func:`_search` run them on numbers alone,
+so the sweep (:func:`proposition_sweep`) builds no diagram.
 
 The uniqueness conditions, per motif and end: the multiplicity may not exceed
 the owning type's cardinality, and the matching factor n*degree/multiplicity
@@ -39,7 +39,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, EncodabilityError, LogicDomainError
 from .logic import orbit_search
@@ -133,10 +133,13 @@ def _end_rule(n: int, m: int, d: int, connectors: int) -> tuple[bool, bool]:
     return m <= n, n * d == connectors * m
 
 
-def _encodable(numbers: Numbers) -> bool:
-    """A motif's verdict from its ends' (n, m, d): every end is ok."""
-    connectors = _connectors(numbers)
-    return all([all(_end_rule(n, m, d, connectors)) for n, m, d in numbers])
+def _encodable(numbers: Numbers, connectors: int) -> bool:
+    """A motif's verdict from its ends' (n, m, d) and its connector count
+    (:func:`_connectors`): every end is ok."""
+    for n, m, d in numbers:
+        if not all(_end_rule(n, m, d, connectors)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -310,10 +313,11 @@ def possible_connectors(
     return [Connector(frozenset(members[k] for k in pick)) for pick in _pool(ends, numbers)]
 
 
-def _configuration_size(numbers: Numbers) -> int:
-    """Connectors per configuration: the matching factor n*d/m when every
-    end's is one equal integer, else 0, and there is no configuration."""
-    factors = {divmod(n * deg, m) for n, m, deg in numbers}
+def _configuration_size(factors: Iterable[tuple[int, int]]) -> int:
+    """Connectors per configuration, from each end's matching factor as
+    divmod(n*d, m): the factor when every end's is one equal integer, else
+    0, and there is no configuration."""
+    factors = set(factors)
     size, rest = factors.pop() if len(factors) == 1 else (0, 0)
     return 0 if rest else size
 
@@ -324,17 +328,22 @@ def _stop(limit: Optional[int]) -> Optional[int]:
     return None if limit is None else min(limit, sys.maxsize)
 
 
-def _search(ends: Sequence[int], numbers: Numbers, size: int, limit: Optional[int],
-            max_nodes: int, motif: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _searched_pool(ends: Sequence[int], numbers: Numbers,
+                   max_nodes: int) -> tuple[tuple[int, ...], ...]:
+    """The part of the pool (:func:`_pool`) that :func:`_search` can read:
+    each node moves one connector on along its path, so the search reads no
+    connector past max_nodes - 1, and only those are generated."""
+    return tuple(itertools.islice(_pool(ends, numbers), min(_connectors(numbers), max_nodes)))
+
+
+def _search(ends: Sequence[int], pool: Sequence[tuple[int, ...]], numbers: Numbers, size: int,
+            limit: Optional[int], max_nodes: int, motif: str) -> tuple[tuple[int, ...], ...]:
     """The search on numbers, for a :func:`_configuration_size` of at least
-    1: the pool (:func:`_pool`) and the first ``limit`` configurations, each
-    as increasing positions in the pool."""
+    1: the first ``limit`` configurations, each as increasing positions in
+    the pool, of which :func:`_searched_pool` gives the part read."""
     # Connectors cover instances, each of end q by total*m_q/n_q of them.
-    # Each node moves one connector on along its path, so the search reads
-    # no connector past max_nodes - 1, and only those are generated.
     total = _connectors(numbers)
-    pool = tuple(itertools.islice(_pool(ends, numbers), min(total, max_nodes)))
-    return pool, tuple(itertools.islice(_exact_picks(
+    return tuple(itertools.islice(_exact_picks(
         pool, [numbers[e][2] for e in ends], [total * numbers[e][1] // numbers[e][0] for e in ends],
         size, total, max_nodes, motif), _stop(limit)))
 
@@ -392,11 +401,12 @@ def enumerate_configurations(
         raise ValueError(f"motif {motif.name} names a port type twice")
 
     numbers = [_end_numbers(d, end, binding) for end in motif.ends]
-    size = _configuration_size(numbers)
+    size = _configuration_size([divmod(n * deg, m) for n, m, deg in numbers])
     if not size:
         return EnumerationResult((), (), (), False)
     members, ends = _members(motif, numbers)
-    pool, found = _search(ends, numbers, size, limit, max_nodes, motif.name)
+    pool = _searched_pool(ends, numbers, max_nodes)
+    found = _search(ends, pool, numbers, size, limit, max_nodes, motif.name)
     return EnumerationResult(members, pool, found, limit is not None and len(found) == limit)
 
 
@@ -526,21 +536,36 @@ def proposition_sweep(bound: int = 3, max_nodes: int = DEFAULT_MAX_NODES) -> lis
     point is judged on its numbers by the rule :class:`EndCheck` applies
     (:func:`_encodable`), and no row is built.  Its label, e.g.
     ``n1=1 m1=1 d1=2 | n2=2 m2=1 d2=1``, is joined from per-spec fragments
-    made once; ``tests/helpers.sweep_label`` states it whole."""
+    made once; ``tests/helpers.sweep_label`` states it whole.  Each spec's
+    C(n, m) and divmod(n*d, m) are made once too: a point's connector count
+    is the product of its ends' C(n, m), and its configuration size
+    (:func:`_configuration_size`) is read from its ends' divmods."""
     if max_nodes < 0:
         raise ValueError("max_nodes must be at least 0")
-    # each spec's fragments: alone, as the first end and as the second
-    frags = {spec: [f"n{k}={spec[0]} m{k}={spec[1]} d{k}={spec[2]}" for k in ("", 1, 2)]
-             for spec in itertools.product(range(1, bound + 1), repeat=3)}
+    # each spec's C(n, m), divmod(n*d, m) and label fragments: alone, as
+    # the first end and as the second
+    per_spec = {(n, m, deg): (math.comb(n, m), divmod(n * deg, m),
+                              [f"n{k}={n} m{k}={m} d{k}={deg}" for k in ("", 1, 2)])
+                for n, m, deg in itertools.product(range(1, bound + 1), repeat=3)}
+    pools = {}  # a searched point's ends and pool, by its ends' (n, m)
     records = []
     for specs in iter_sweep_shapes(bound):
-        label = (frags[specs[0]][0] if len(specs) == 1
-                 else f"{frags[specs[0]][1]} | {frags[specs[1]][2]}")
-        size = _configuration_size(specs)
-        try:
-            count = size and len(_search([e for e, (n, _, _) in enumerate(specs) for _ in range(n)],
-                                         specs, size, 2, max_nodes, "only")[1])
-        except CapacityError:
-            count = None
-        records.append(SweepRecord(label, count, _encodable(specs)))
+        if len(specs) == 1:
+            connectors, factor, frags = per_spec[specs[0]]
+            label, size = frags[0], _configuration_size((factor,))
+        else:
+            (c1, f1, frags1), (c2, f2, frags2) = per_spec[specs[0]], per_spec[specs[1]]
+            connectors = c1 * c2
+            label, size = f"{frags1[1]} | {frags2[2]}", _configuration_size((f1, f2))
+        count = size
+        if size:
+            key = tuple([spec[:2] for spec in specs])
+            if key not in pools:
+                ends = [e for e, (n, _, _) in enumerate(specs) for _ in range(n)]
+                pools[key] = ends, _searched_pool(ends, specs, max_nodes)
+            try:
+                count = len(_search(*pools[key], specs, size, 2, max_nodes, "only"))
+            except CapacityError:
+                count = None
+        records.append(SweepRecord(label, count, _encodable(specs, connectors)))
     return records

@@ -60,6 +60,8 @@ from .model import (
 # The most operators (!, &, | and "(") in one guard: every recursive walk
 # over a guard's tree stays far below Python's recursion limit.
 MAX_GUARD_OPERATORS = 100
+# The most characters of a token a parse error echoes.
+MAX_ECHO = 32
 
 KEYWORDS = frozenset(
     {
@@ -85,6 +87,14 @@ class ParseError:
 
     def __str__(self) -> str:
         return f"{self.span}: expected {self.expected}, found {self.found}"
+
+
+def _echo(text: str) -> str:
+    """A token as a parse error shows it: its repr, or for a token of more
+    than MAX_ECHO characters that of its first MAX_ECHO and its length."""
+    if len(text) <= MAX_ECHO:
+        return repr(text)
+    return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
 
 
 class ParseFailure(BipError):
@@ -164,7 +174,7 @@ class _Parser:
 
     def fail(self, expected: str):
         tok = self.peek()
-        found = repr(tok.text) if tok.kind != EOF else "end of input"
+        found = _echo(tok.text) if tok.kind != EOF else "end of input"
         raise ParseFailure(ParseError(tok.span(self.file), expected, found))
 
     def expect(self, kind: str, text: Optional[str] = None) -> _Token:
@@ -286,7 +296,7 @@ class _Parser:
             kind = ENFORCEABLE
         else:
             raise ParseFailure(
-                ParseError(start.span(self.file), "a declared port or event name", repr(label))
+                ParseError(start.span(self.file), "a declared port or event name", _echo(label))
             )
         return Transition(
             kind=kind,

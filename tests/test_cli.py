@@ -851,6 +851,24 @@ def test_a_too_long_integer_in_a_model_is_a_parse_error_at_it(tmp_path, capsys, 
                                        "5000 digits\n")
 
 
+@pytest.mark.parametrize("old, token, location", [
+    ("[finished]", LONG_INTEGER, "24:23"),
+    ("finished: done", "x" * 5000, "25:7"),
+], ids=["integer-for-a-guard", "undeclared-label"])
+def test_a_parse_error_echoes_a_long_token_cut_short(tmp_path, monkeypatch, capsys, old, token,
+                                                      location):
+    """A 5,000-character token where the grammar wants something else is
+    echoed as its first 32 characters and its length, on one short line."""
+    text = Path(model_path("switchable_routes.bip")).read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    write_model(tmp_path, "long.bip", text.replace(old, old.replace("finished", token), 1))
+    assert main(["check", "long.bip"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode()) < 200, err[:300]
+    assert err.startswith(f"long.bip:{location}: expected ")
+    assert err.endswith(f", found '{token[:32]}'... (5000 characters)\n"), err
+
+
 def test_a_too_long_integer_in_an_event_script_is_invalid_json(tmp_path, capsys):
     script = tmp_path / "big.json"
     script.write_text('{"schema": 1, "cycles": [{"events": [], "x": ' + LONG_INTEGER + "}]}")

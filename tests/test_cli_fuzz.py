@@ -25,10 +25,11 @@ MODELS = {path.name: path.read_text(encoding="utf-8")
 PARAMETERS = {name: sorted(load_bundled_model(name).parameters) for name in MODELS}
 
 # Pieces of model syntax to splice in.  None holds a digit, so a mutation
-# cannot grow a cardinality beyond what a replacement below sets.
+# cannot grow a cardinality beyond what a replacement below sets.  The last
+# is a 5,000-letter identifier, which a parse error echoes only in part.
 TOKENS = ["{", "}", "(", ")", "[", "]", "->", ":", "*", "!", "&&", "||", ",", ";", "..",
           "motif", "component", "ports", "states", "transitions", "guards", "events",
-          "synchron", "trigger", "diagram", "x", "n", "#", "\"", "/*", "\n", "é"]
+          "synchron", "trigger", "diagram", "x", "n", "#", "\"", "/*", "\n", "é", "y" * 5000]
 # The last has more digits than int() converts.
 CARDINALITIES = ["0", "1", "2", "5", "n", "n1", "m", "-1", "x", "n+1", "", "9" * 5000]
 

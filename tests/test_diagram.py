@@ -689,7 +689,7 @@ def test_the_end_rule_is_the_rows_rule(numbers):
         assert (multiplicity_ok, factor_ok) == (row.multiplicity_ok, row.factor_ok)
         closed_form = m <= n and Fraction(n * deg, m) == connectors
         assert (multiplicity_ok and factor_ok) == row.ok == closed_form
-    assert dg._encodable(numbers) == dg.EncodabilityReport(tuple(rows)).overall
+    assert dg._encodable(numbers, connectors) == dg.EncodabilityReport(tuple(rows)).overall
 
 
 def test_proposition_sweep_records_points_over_the_bound_as_unknown():
